@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+from sympy import integer_nthroot
+
 Rational = Fraction
 
 
@@ -82,24 +84,8 @@ def nth_root_rational(x, n: int) -> Fraction | None:
     mag = -x if negative else x
 
     def int_root(m: int) -> int | None:
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**n == m:
-                return cand
-        # float guess can be off for huge inputs; fall back to bisection
-        lo, hi = 0, 1
-        while hi**n < m:
-            hi *= 2
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            v = mid**n
-            if v == m:
-                return mid
-            if v < m:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        root, exact = integer_nthroot(m, n)
+        return int(root) if exact else None
 
     rn = int_root(mag.numerator)
     rd = int_root(mag.denominator)

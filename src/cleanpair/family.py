@@ -26,7 +26,7 @@ from cleanpair.ec_core import (
     WeierstrassCurve,
     is_torsion_overQ,
 )
-from cleanpair.exactmath import QQ, RatFunc, RatFuncField, UniPoly
+from cleanpair.exactmath import QQ, RatFuncField, UniPoly
 
 
 class SMismatch(ValueError):
@@ -148,15 +148,6 @@ def functionfield_coefficients(s, var: str = "T") -> tuple[UniPoly, UniPoly]:
     return a, b
 
 
-def functionfield_member(s, var: str = "T") -> tuple[WeierstrassCurve, CurvePoint]:
-    """The member over Q(T) at a fixed rational s, with its marked point."""
-    field = RatFuncField(var, QQ)
-    a, b = functionfield_coefficients(s, var)
-    curve = WeierstrassCurve(RatFunc(a), RatFunc(b), field)
-    x, y = marked_point_coords(Fraction(s), UniPoly.gen(var, QQ))
-    return curve, CurvePoint.affine(RatFunc(x), RatFunc(y))
-
-
 def symbolic_coefficients(svar: str = "S", tvar: str = "T") -> tuple[UniPoly, UniPoly]:
     """(a, b) as polynomials in tvar whose coefficients are rational
     functions of svar; for two-variable identity checks."""
@@ -164,11 +155,3 @@ def symbolic_coefficients(svar: str = "S", tvar: str = "T") -> tuple[UniPoly, Un
     t = UniPoly.gen(tvar, base)
     s = base.gen()
     return family_coefficients(s, t)
-
-
-def symbolic_marked_point(svar: str = "S", tvar: str = "T") -> tuple[UniPoly, UniPoly]:
-    base = RatFuncField(svar, QQ)
-    t = UniPoly.gen(tvar, base)
-    s = base.gen()
-    x, y = marked_point_coords(s, t)
-    return x, y

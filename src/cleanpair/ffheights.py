@@ -50,8 +50,6 @@ from cleanpair.exactmath import (
 )
 from cleanpair.family import functionfield_coefficients, marked_point_coords
 
-FFPoint = CurvePoint
-
 _INF = float("inf")
 
 

@@ -53,6 +53,7 @@ from cleanpair.family import (
     discriminant_formula,
     family_coefficients,
     marked_point_coords,
+    verify_member_identity,
 )
 
 CERTIFICATE_FORMAT = "cleanpair.certificate/1"
@@ -210,6 +211,14 @@ def _d_x2(F: UniPoly) -> UniPoly:
     return F.map_coefficients(lambda c: c.derivative())
 
 
+def _fiber_poly(E1: WeierstrassCurve, E2: WeierstrassCurve, r: Fraction) -> UniPoly:
+    """F = f(x1) - r^2 g(x2) as a polynomial in x1 over Q[x2]."""
+    f = E1.rhs_poly("x1")
+    g = E2.rhs_poly("x2")
+    lifted = f.map_coefficients(lambda c: UniPoly.constant("x2", c), _X2RING)
+    return lifted - UniPoly.constant("x1", r * r * g, _X2RING)
+
+
 def build_fiber(E1: WeierstrassCurve, E2: WeierstrassCurve, P1: CurvePoint,
                 P2: CurvePoint) -> tuple[Fraction, PencilFiber]:
     """The ratio r = y1/y2 and the cubic F = f(x1) - r^2 g(x2) through
@@ -218,10 +227,7 @@ def build_fiber(E1: WeierstrassCurve, E2: WeierstrassCurve, P1: CurvePoint,
         if P.is_infinity or P.y == 0:
             raise TwoTorsionError("source points must be affine with y != 0")
     r = Fraction(P1.y) / Fraction(P2.y)
-    f = E1.rhs_poly("x1")
-    g = E2.rhs_poly("x2")
-    lifted = f.map_coefficients(lambda c: UniPoly.constant("x2", c), _X2RING)
-    F = lifted - UniPoly.constant("x1", r * r * g, _X2RING)
+    F = _fiber_poly(E1, E2, r)
     if _eval_bivariate(F, P1.x, P2.x) != 0:
         raise ArithmeticError("fiber misses its defining points; construction bug")
     return r, PencilFiber(r, F, (E1, E2))
@@ -532,6 +538,10 @@ def _fiber_from(data, curves) -> CertifiedFiber:
 
 
 def certificate_from_json(data: dict) -> CleanPairCertificate:
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"certificate must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("format") != CERTIFICATE_FORMAT:
         raise ValueError(f"unsupported certificate format: {data.get('format')!r}")
     pd = data["pair"]
@@ -598,12 +608,8 @@ def _check_membership(cert: CleanPairCertificate) -> list[str]:
         if (m.curve.a, m.curve.b) != (a, b) or (P.x, P.y) != (x, y):
             bad.append("PairMembership")
             continue
-        f = m.curve.rhs_poly()
-        if (
-            P.y * P.y != f.evaluate(P.x)
-            or f.derivative().evaluate(m.t) != 0
-            or f.evaluate(m.t) != m.s * P.y * P.y
-        ):
+        on_curve = P.y * P.y == m.curve.rhs_poly().evaluate(P.x)
+        if not on_curve or not verify_member_identity(m):
             bad.append("PairMembership")
             continue
         if discriminant_formula(m.s, m.t) == 0 or is_torsion_overQ(m.curve, P):
@@ -627,14 +633,6 @@ def _check_ratio(cert: CleanPairCertificate) -> list[str]:
     if cert.fiber_plus.fiber.F != cert.fiber_minus.fiber.F:
         bad.append("FiberMismatch")
     return bad
-
-
-def _rebuild_fiber_poly(cert: CleanPairCertificate) -> UniPoly:
-    pair = cert.pair
-    f = pair.left.curve.rhs_poly("x1")
-    g = pair.right.curve.rhs_poly("x2")
-    lifted = f.map_coefficients(lambda c: UniPoly.constant("x2", c), _X2RING)
-    return lifted - UniPoly.constant("x1", cert.r * cert.r * g, _X2RING)
 
 
 def _check_fiber(cf: CertifiedFiber, expected_F: UniPoly, r: Fraction) -> list[str]:
@@ -763,7 +761,7 @@ def verify_certificate(cert: CleanPairCertificate) -> VerificationResult:
     run("PairMembership", _check_membership, cert)
     run("RatioMismatch", _check_ratio, cert)
     try:
-        expected_F = _rebuild_fiber_poly(cert)
+        expected_F = _fiber_poly(cert.pair.left.curve, cert.pair.right.curve, cert.r)
     except (ArithmeticError, ValueError, TypeError):
         return VerificationResult(False, tuple(reasons) + ("FiberMismatch",))
     target = (cert.pair.left.marked_point.x, cert.pair.right.marked_point.x)

@@ -162,15 +162,18 @@ class SearchRecord:
         return (self.height_value, self.p, self.q)
 
 
+def _non_torsion(a: int, b: int, x: int, y: int) -> bool:
+    """Whether (x, y) has infinite order on the nonsingular integral
+    model y^2 = x^3 + a x + b."""
+    curve = WeierstrassCurve(Fraction(a), Fraction(b))
+    return not is_torsion_overQ(curve, CurvePoint(Fraction(x), Fraction(y)))
+
+
 def _make_record(pq: tuple[int, int]) -> SearchRecord:
     p, q = pq
     a, b = integral_coefficients(p, q)
-    disc_ok = -16 * (4 * a**3 + 27 * b * b) != 0
-    non_torsion = False
-    if disc_ok:
-        curve = WeierstrassCurve(Fraction(a), Fraction(b))
-        point = CurvePoint(Fraction(-2 * p * q), Fraction(-3 * p * q * q))
-        non_torsion = not is_torsion_overQ(curve, point)
+    disc_ok = 4 * a**3 + 27 * b * b != 0
+    non_torsion = disc_ok and _non_torsion(a, b, -2 * p * q, -3 * p * q * q)
     return SearchRecord(p, q, height_of(p, q), disc_ok, non_torsion)
 
 
@@ -240,6 +243,10 @@ def enumerate_s1(
 # rescaling of the s = 1 fiber at t = 9u^3/v^2.  None of the variants
 # below lands on 823 at H = 10 either, so the sweep exists to report the
 # deltas rather than to pick a winner.
+#
+# The eight rows come from two walks, one over fractions and one over
+# models; "models-v-both" and "models-dedupe-curve" are derived from
+# "models-v-positive" instead of walked (see convention_sweep for why).
 
 
 @dataclass(frozen=True)
@@ -254,94 +261,69 @@ class SweepEntry:
         return None if self.target is None else self.candidates - self.target
 
 
-def _model_is_candidate(u: int, b: int) -> bool:
-    """Non-torsion test for (-2u, v) on y^2 = x^3 - 3u^2 x + b, b = 2u^3 + v^2."""
-    a = -3 * u * u
-    if 4 * a**3 + 27 * b * b == 0:
-        return False
-    v2 = b - 2 * u**3
-    v = isqrt(v2)
-    curve = WeierstrassCurve(Fraction(a), Fraction(b))
-    point = CurvePoint(Fraction(-2 * u), Fraction(v))
-    return not is_torsion_overQ(curve, point)
-
-
-def _sweep_models(
-    H: int, both_sign_v: bool = False, coprime: bool = False, dedupe_curve: bool = False
-) -> tuple[int, int]:
+def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(records, candidates) over the models with v >= 1 and
+    max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6, and over those of them with
+    gcd(u, v) = 1; one torsion test per model."""
     H3 = H**3
     u_max = isqrt(H * H // 3)
-    records = candidates = 0
-    seen: set[tuple[int, int]] = set()
+    records = candidates = coprime_records = coprime_candidates = 0
     for au in range(1, u_max + 1):
         for u in (au, -au):
             head = H3 - 2 * u**3
             if head < 1:
                 continue
+            a = -3 * u * u
             for v in range(1, isqrt(head) + 1):
-                if coprime and gcd(u, v) != 1:
-                    continue
                 b = 2 * u**3 + v * v
-                weight = 2 if both_sign_v else 1
-                if dedupe_curve:
-                    key = (u, b)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    weight = 1
-                records += weight
-                if _model_is_candidate(u, b):
-                    candidates += weight
-    return records, candidates
-
-
-def _sweep_fraction_counts(H: int, convention: SearchConvention) -> tuple[int, int]:
-    records = enumerate_s1(H, convention)
-    return len(records), sum(1 for r in records if r.is_candidate)
-
-
-def _sweep_integer_t(H: int) -> tuple[int, int]:
-    bound6 = H**6
-    records = candidates = 0
-    for at in range(1, isqrt(H * H // 3) + 1):
-        for t in (at, -at):
-            if height_of(t, 1) > bound6:
-                continue
-            records += 1
-            if _make_record((t, 1)).is_candidate:
-                candidates += 1
-    return records, candidates
+                nonsingular = 4 * a**3 + 27 * b * b != 0
+                candidate = nonsingular and _non_torsion(a, b, -2 * u, v)
+                records += 1
+                candidates += candidate
+                if gcd(u, v) == 1:
+                    coprime_records += 1
+                    coprime_candidates += candidate
+    return (records, candidates), (coprime_records, coprime_candidates)
 
 
 def convention_sweep(H: int) -> list[SweepEntry]:
     """Record/candidate counts for each plausible enumeration convention.
 
-    "reduced-both" is the default convention.  The "models-*" entries
-    sweep integral models (u, v) with max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6
-    instead of reduced fractions.
+    "reduced-both" is the default convention.  The fraction rows filter
+    one enumeration of every (p, q) pair: "pairs-any-gcd" keeps them all,
+    "reduced-both" the reduced ones, "reduced-positive" those with p > 0
+    and "integer-t" those with q = 1.
+
+    The "models-*" entries sweep integral models (u, v) with
+    max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6 instead of reduced fractions.
+    One walk over v >= 1 gives "models-v-positive" and, from its
+    gcd(u, v) = 1 part, "models-coprime".  The other two are derived:
+
+    * "models-v-both" is twice "models-v-positive": b = 2u^3 + v^2
+      depends only on v^2, and (-2u, -v) is the negative of (-2u, v), so
+      both signs of v give the same curve with the same torsion status;
+    * "models-dedupe-curve" equals "models-v-positive": for fixed u, b
+      determines v > 0, so no two models of the walk share a curve (u, b).
     """
     target = TABLE_TOTALS.get(H)
-    runs = [
-        ("reduced-both", lambda: _sweep_fraction_counts(H, DEFAULT_CONVENTION)),
-        (
-            "reduced-positive",
-            lambda: _sweep_fraction_counts(H, SearchConvention(sign="positive")),
-        ),
-        (
-            "pairs-any-gcd",
-            lambda: _sweep_fraction_counts(H, SearchConvention(reduced_only=False)),
-        ),
-        ("integer-t", lambda: _sweep_integer_t(H)),
-        ("models-v-positive", lambda: _sweep_models(H)),
-        ("models-v-both", lambda: _sweep_models(H, both_sign_v=True)),
-        ("models-coprime", lambda: _sweep_models(H, coprime=True)),
-        ("models-dedupe-curve", lambda: _sweep_models(H, dedupe_curve=True)),
+    pairs = enumerate_s1(H, SearchConvention(reduced_only=False))
+    reduced = [r for r in pairs if gcd(r.p, r.q) == 1]
+
+    def counts(records):
+        return len(records), sum(1 for r in records if r.is_candidate)
+
+    positive, coprime = _sweep_models(H)
+    rows = [
+        ("reduced-both", counts(reduced)),
+        ("reduced-positive", counts([r for r in reduced if r.p > 0])),
+        ("pairs-any-gcd", counts(pairs)),
+        ("integer-t", counts([r for r in reduced if r.q == 1])),
+        ("models-v-positive", positive),
+        ("models-v-both", (2 * positive[0], 2 * positive[1])),
+        ("models-coprime", coprime),
+        ("models-dedupe-curve", positive),
     ]
-    entries = []
-    for name, run in runs:
-        records, candidates = run()
-        entries.append(SweepEntry(name, records, candidates, target))
-    return entries
+    return [SweepEntry(name, *counted, target) for name, counted in rows]
 
 
 def format_sweep(entries: Sequence[SweepEntry]) -> str:

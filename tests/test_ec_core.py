@@ -158,6 +158,10 @@ def test_are_isomorphic():
     # quartic twist pair (b = 0)
     assert are_isomorphic(WeierstrassCurve(1, 0), WeierstrassCurve(16, 0)).d == 2
     assert are_isomorphic(WeierstrassCurve(1, 0), WeierstrassCurve(0, 1)) is None
+    # twist ratios far beyond float range
+    big = 10**100
+    assert are_isomorphic(WeierstrassCurve(1, 0), WeierstrassCurve(big**4, 0)).d == big
+    assert are_isomorphic(WeierstrassCurve(0, 1), WeierstrassCurve(0, big**6)).d == big
 
 
 def test_witnesses_compose():

@@ -24,6 +24,7 @@ from cleanpair.exactmath import (
     divisor_of,
     factor_rational_poly,
     is_irreducible,
+    nth_root_rational,
     parse_rational,
     poly_discriminant,
     poly_discriminant_cubic,
@@ -67,6 +68,17 @@ def test_sqrt_rational():
     assert sqrt_rational(F(2)) is None
     assert sqrt_rational(F(0)) == 0
     assert sqrt_rational(F(-4)) is None
+
+
+def test_nth_root_rational():
+    assert nth_root_rational(F(16, 81), 4) == F(2, 3)
+    assert nth_root_rational(F(-27, 8), 3) == F(-3, 2)
+    assert nth_root_rational(F(-16), 4) is None
+    assert nth_root_rational(F(2), 2) is None
+    # far beyond float range: the root must come from integer arithmetic
+    assert nth_root_rational(10**400, 4) == 10**100
+    assert nth_root_rational(F(10**400 + 1, 3**600), 4) is None
+    assert nth_root_rational(F(-(7**300), 2**900), 3) == F(-(7**100), 2**300)
 
 
 def test_squarefree_part():

@@ -7,13 +7,13 @@ import pytest
 
 from cleanpair.ec_core import CurvePoint, is_torsion_overQ, normalize_to_family, scalar_mul
 from cleanpair.exactmath import UniPoly
+from cleanpair.ffheights import family_functionfield_curve
 from cleanpair.family import (
     DegeneratePair,
     MembershipFailure,
     NotInU,
     SMismatch,
     discriminant_formula,
-    functionfield_member,
     make_member,
     pair_hypothesis,
     symbolic_coefficients,
@@ -100,7 +100,7 @@ def test_pair_hypothesis():
 
 
 def test_functionfield_member_matches_specializations():
-    curve, point = functionfield_member(1)
+    curve, point = family_functionfield_curve(1)
     assert curve.contains(point)
     rng = random.Random(8)
     for _ in range(10):

@@ -149,22 +149,53 @@ def test_unreduced_pairs_flag():
     assert len(loose) == len(H10_TABLE) + 2
 
 
-def test_convention_sweep_documents_the_mismatch():
+@pytest.mark.parametrize(
+    "H, target, expected",
+    [
+        pytest.param(
+            10,
+            823,
+            {
+                "reduced-both": (14, 14),
+                "reduced-positive": (7, 7),
+                "pairs-any-gcd": (16, 16),
+                "integer-t": (10, 10),
+                "models-v-positive": (310, 308),
+                "models-v-both": (620, 616),
+                "models-coprime": (218, 217),
+                "models-dedupe-curve": (310, 308),
+            },
+            id="H10",
+        ),
+        pytest.param(
+            15,
+            None,
+            {
+                "reduced-both": (26, 26),
+                "reduced-positive": (13, 13),
+                "pairs-any-gcd": (30, 30),
+                "integer-t": (16, 16),
+                "models-v-positive": (919, 916),
+                "models-v-both": (1838, 1832),
+                "models-coprime": (595, 594),
+                "models-dedupe-curve": (919, 916),
+            },
+            id="H15",
+        ),
+    ],
+)
+def test_convention_sweep_documents_the_mismatch(H, target, expected):
     # None of the plausible readings of the height cut reproduces the
-    # published 823 at H = 10; the sweep reports each delta.
-    entries = {e.name: e for e in convention_sweep(10)}
+    # published 823 at H = 10; the sweep reports each delta.  H = 15 has
+    # no published total, so every target and delta is None.
+    entries = {e.name: e for e in convention_sweep(H)}
     observed = {name: (e.records, e.candidates) for name, e in entries.items()}
-    assert observed == {
-        "reduced-both": (14, 14),
-        "reduced-positive": (7, 7),
-        "pairs-any-gcd": (16, 16),
-        "integer-t": (10, 10),
-        "models-v-positive": (310, 308),
-        "models-v-both": (620, 616),
-        "models-coprime": (218, 217),
-        "models-dedupe-curve": (310, 308),
-    }
-    assert all(e.target == 823 and e.delta != 0 for e in entries.values())
+    assert observed == expected
+    assert list(entries) == list(expected)
+    if target is None:
+        assert all(e.target is None and e.delta is None for e in entries.values())
+    else:
+        assert all(e.target == target and e.delta != 0 for e in entries.values())
     text = format_sweep(list(entries.values()))
     assert "delta" in text.splitlines()[0]
     assert len(text.splitlines()) == 1 + len(entries)
@@ -345,6 +376,16 @@ def test_cli_certify_verify_round_trip(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 1 and "cannot read" in err
+
+
+def test_cli_verify_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
+    for i, text in enumerate(["[]", "3", '"cert"', "null"]):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("malformed certificate:") and "JSON object" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_certify_stdout_and_failures(capsys):
