@@ -11,6 +11,8 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 from typing import NamedTuple, Optional
 
+from sympy import factorint
+
 from cleanpair.exactmath import (
     QQ,
     QuadExtElem,
@@ -199,8 +201,9 @@ class WeierstrassCurve:
         while n:
             if n & 1:
                 acc = self.add(acc, base)
-            base = self.add(base, base)
             n >>= 1
+            if n:
+                base = self.add(base, base)
         return acc
 
     def __eq__(self, other):
@@ -326,13 +329,14 @@ def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
     return None
 
 
-def _integer_divisor_squares(n: int):
-    n = abs(n)
-    y = 1
-    while y * y <= n:
-        if n % (y * y) == 0:
-            yield y
-        y += 1
+def _integer_divisor_squares(n: int) -> list[int]:
+    """Every y >= 1 with y^2 dividing n, ascending (none for n = 0)."""
+    if n == 0:
+        return []
+    ys = [1]
+    for p, e in factorint(abs(n)).items():
+        ys = [y * int(p) ** k for y in ys for k in range(e // 2 + 1)]
+    return sorted(ys)
 
 
 def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
@@ -377,32 +381,13 @@ def to_integral_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, Isomorphis
     """
     if E.field != QQ:
         raise TypeError("integral scaling is implemented over Q")
+    fa = factorint(E.a.denominator)
+    fb = factorint(E.b.denominator)
     u = 1
-    den = E.a.denominator * E.b.denominator
-    p = 2
-    while p * p <= den:
-        if den % p == 0:
-            ea = _val_int(E.a.denominator, p)
-            eb = _val_int(E.b.denominator, p)
-            u *= p ** max(-(-ea // 4), -(-eb // 6))
-            while den % p == 0:
-                den //= p
-        p += 1
-    if den > 1:
-        p = den
-        ea = _val_int(E.a.denominator, p)
-        eb = _val_int(E.b.denominator, p)
-        u *= p ** max(-(-ea // 4), -(-eb // 6))
+    for p in fa.keys() | fb.keys():
+        u *= int(p) ** max(-(-fa.get(p, 0) // 4), -(-fb.get(p, 0) // 6))
     w = IsomorphismWitness(Fraction(u))
     return w.apply_curve(E), w
-
-
-def _val_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # -- isomorphism testing ------------------------------------------------------

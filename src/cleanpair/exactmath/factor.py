@@ -1,7 +1,8 @@
 """Irreducible factorization over Q, with a sympy kernel.
 
-The heavy lifting (univariate factorization over the rationals) is
-delegated to sympy; everything around it stays in our own exact types.
+The heavy lifting (univariate factorization of the primitive integer
+form) is delegated to sympy's dense ``dup_factor_list`` over plain Python
+integers; everything around it stays in our own exact types.
 Each factorization is re-multiplied and compared coefficient by
 coefficient before being returned, so a kernel bug cannot leak through
 silently.
@@ -10,9 +11,15 @@ silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from cleanpair.exactmath.poly import UniPoly, sympy_from_unipoly, unipoly_from_sympy
+from sympy.polys.domains import ZZ_python
+from sympy.polys.factortools import dup_factor_list
+
+from cleanpair.exactmath.poly import UniPoly, qq_from_ints, qq_to_ints
 from cleanpair.exactmath.scalars import QQ, Rational, sqrt_rational
+
+_ZZ = ZZ_python()
 
 
 def _require_rational_coeffs(p: UniPoly) -> None:
@@ -35,16 +42,16 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
         raise ValueError("cannot factor the zero polynomial")
     if p.degree() == 0:
         return p.coeffs[0], []
-    const, raw = sympy_from_unipoly(p).factor_list()
-    c = Fraction(const.p, const.q)
+    # p == (content / den) * prim with prim primitive over Z; each integer
+    # factor f is lc(f) times a monic factor over Q.
+    num, den = qq_to_ints(p)
+    content = gcd(*num)
+    const, raw = dup_factor_list([c // content for c in reversed(num)], _ZZ)
+    c = Fraction(content * const, den)
     parts = []
-    for sf, mult in raw:
-        q = unipoly_from_sympy(sf, p.var)
-        lc = q.lc()
-        if lc != 1:
-            c *= lc ** int(mult)
-            q = q.monic()
-        parts.append((q, int(mult)))
+    for f, mult in raw:
+        c *= Fraction(f[0]) ** mult
+        parts.append((qq_from_ints(p.var, f[::-1], f[0]), mult))
     parts.sort(key=lambda qm: _sort_key(qm[0]))
     check = UniPoly.constant(p.var, c, QQ)
     for q, m in parts:

@@ -1,9 +1,21 @@
 """Dense univariate polynomials and rational functions over exact fields.
 
-Coefficients live in any field with exact operator arithmetic (Fraction,
-QuadExtElem, or RatFunc for nested towers).  Each polynomial carries a
-variable tag and a field descriptor; mixing variables or fields in one
-operation is an error rather than a silent coercion.
+Each polynomial carries a variable tag and a field descriptor; mixing
+variables or fields in one operation is an error rather than a silent
+coercion.  There is one code path per coefficient field:
+
+* Rational coefficients (``QQ``) use an integer kernel.  A polynomial is a
+  tuple of integer numerators, lowest degree first, over one positive
+  common denominator, kept canonical: the top numerator is nonzero and the
+  gcd of the denominator and all numerators is 1.  Products are integer
+  convolutions, sums rescale to a common denominator, and division is
+  pseudo-division by the primitive divisor followed by one rescale.  Gcds
+  and their cofactors come from sympy's dense ``dup_inner_gcd`` over plain
+  Python integers, so a ``RatFunc`` is reduced without a trial division.
+  The ``coeffs`` tuple of ``Fraction`` is built from this form on first
+  access and cached; equality and hashing agree with it.
+* Every other field (``QuadExtElem``, or ``RatFunc`` for nested towers)
+  stores a tuple of field elements and loops over their own operators.
 
 The degree of the zero polynomial is the sentinel -1.
 """
@@ -11,10 +23,16 @@ The degree of the zero polynomial is the sentinel -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-import sympy
+from sympy.polys.domains import ZZ_python
+from sympy.polys.euclidtools import dup_inner_gcd
 
-from cleanpair.exactmath.scalars import QQ, as_fraction
+from cleanpair.exactmath.scalars import QQ, RationalField
+
+# Integer ring over plain int whatever ground types sympy picks, so no
+# mpz leaks into a coefficient.
+_ZZ = ZZ_python()
 
 
 class DegreeError(ValueError):
@@ -25,21 +43,149 @@ def _is_zero(c) -> bool:
     return not c
 
 
-class UniPoly:
-    """Immutable dense polynomial; coefficients stored lowest degree first."""
+# -- the integer kernel for rational coefficients -----------------------------
 
-    __slots__ = ("var", "coeffs", "field")
+
+def qq_from_ints(var: str, num, den: int = 1) -> "UniPoly":
+    """The QQ polynomial sum(num[i] * var^i) / den, for integers num, den != 0."""
+    num = list(num)
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den < 0:
+        den = -den
+        num = [-c for c in num]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+    return _qq_wrap(var, tuple(num), den)
+
+
+def qq_to_ints(p: "UniPoly") -> tuple[tuple[int, ...], int]:
+    """The integer numerators (lowest degree first) and the denominator of
+    a QQ polynomial, in canonical form."""
+    if p._num is None:
+        raise TypeError("integer form needs rational coefficients")
+    return p._num, p._den
+
+
+def _qq_wrap(var: str, num: tuple, den: int, coeffs=None) -> "UniPoly":
+    """A QQ polynomial from an integer form that is already canonical."""
+    p = object.__new__(UniPoly)
+    object.__setattr__(p, "var", var)
+    object.__setattr__(p, "field", QQ)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_coeffs", coeffs)
+    return p
+
+
+def _qq_add(var: str, a, da: int, b, db: int) -> "UniPoly":
+    if da != db:
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        a = [c * sa for c in a]
+        b = [c * sb for c in b]
+        da *= sa
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return qq_from_ints(var, out, da)
+
+
+def _qq_mul(var: str, a, da: int, b, db: int) -> "UniPoly":
+    if not a or not b:
+        return _qq_wrap(var, (), 1)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return qq_from_ints(var, out, da * db)
+
+
+def _qq_divmod(var: str, a, da: int, b, db: int):
+    """Quotient and remainder of (a/da) by (b/db) over Q.
+
+    With b = cb * b' for b' primitive with positive leading coefficient l,
+    pseudo-division keeps scale * a == quot * b' + rem in integers; each
+    step scales by l / gcd(l, top) only, so a unit l adds no growth.
+    """
+    cb = gcd(*b)
+    if b[-1] < 0:
+        cb = -cb
+    if cb != 1:
+        b = [c // cb for c in b]
+    lb, n = b[-1], len(b) - 1
+    rem = list(a)
+    quot = [0] * max(0, len(a) - n)
+    scale = 1
+    while len(rem) > n:
+        k = len(rem) - 1 - n
+        top = rem[-1]
+        g = gcd(top, lb)
+        s, u = lb // g, top // g
+        if s != 1:
+            scale *= s
+            rem = [c * s for c in rem]
+            quot = [c * s for c in quot]
+        quot[k] = u
+        for j, c in enumerate(b, k):
+            rem[j] -= u * c
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+    # a/da == (quot * db / (scale * da * cb)) * (b/db) + rem / (scale * da)
+    return (
+        qq_from_ints(var, [c * db for c in quot], scale * da * cb),
+        qq_from_ints(var, rem, scale * da),
+    )
+
+
+# -- polynomials ----------------------------------------------------------------
+
+
+class UniPoly:
+    """Immutable dense polynomial; coefficients stored lowest degree first.
+
+    A QQ polynomial keeps its integer form in ``_num``/``_den`` (see the
+    module docstring); other fields keep ``_num`` None.  ``coeffs`` is the
+    tuple of field elements in both cases.
+    """
+
+    __slots__ = ("var", "field", "_num", "_den", "_coeffs")
 
     def __init__(self, var: str, coeffs, field=QQ):
         coeffs = [field.coerce(c) for c in coeffs]
         while coeffs and _is_zero(coeffs[-1]):
             coeffs.pop()
+        coeffs = tuple(coeffs)
+        num = den = None
+        if isinstance(field, RationalField):
+            den = lcm(*(c.denominator for c in coeffs))
+            num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        c = self._coeffs
+        if c is None:
+            d = self._den
+            c = tuple(Fraction(n, d) for n in self._num)
+            object.__setattr__(self, "_coeffs", c)
+        return c
 
     # -- constructors --------------------------------------------------
 
@@ -58,23 +204,29 @@ class UniPoly:
     # -- basic structure -------------------------------------------------
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        if self._num is not None:
+            return len(self._num) - 1
+        return len(self._coeffs) - 1
 
     def lc(self):
-        if not self.coeffs:
+        if not self:
             raise DegreeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree())
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
+        if not 0 <= i <= self.degree():
+            return self.field.zero()
+        if self._coeffs is None:
+            return Fraction(self._num[i], self._den)
+        return self._coeffs[i]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        if self._num is not None:
+            return bool(self._num) and self._num[-1] == self._den
+        return bool(self._coeffs) and self._coeffs[-1] == self.field.one()
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num if self._num is not None else self._coeffs)
 
     def _check_compat(self, other: "UniPoly"):
         if self.var != other.var:
@@ -103,6 +255,8 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        if self._num is not None:
+            return _qq_add(self.var, self._num, self._den, o._num, o._den)
         n = max(len(self.coeffs), len(o.coeffs))
         return UniPoly(
             self.var,
@@ -113,6 +267,8 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._num is not None:
+            return _qq_wrap(self.var, tuple(-c for c in self._num), self._den)
         return UniPoly(self.var, [-c for c in self.coeffs], self.field)
 
     def __sub__(self, other):
@@ -128,6 +284,8 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        if self._num is not None:
+            return _qq_mul(self.var, self._num, self._den, o._num, o._den)
         if not self.coeffs or not o.coeffs:
             return UniPoly.zero(self.var, self.field)
         out = [self.field.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
@@ -158,6 +316,8 @@ class UniPoly:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
+        if self._num is not None:
+            return _qq_divmod(self.var, self._num, self._den, o._num, o._den)
         q = [self.field.zero()] * max(0, len(self.coeffs) - len(o.coeffs) + 1)
         rem = list(self.coeffs)
         dlc = o.lc()
@@ -199,6 +359,8 @@ class UniPoly:
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "UniPoly":
+        if self._num is not None:
+            return qq_from_ints(self.var, [i * c for i, c in enumerate(self._num)][1:], self._den)
         return UniPoly(
             self.var,
             [i * c for i, c in enumerate(self.coeffs)][1:],
@@ -224,13 +386,11 @@ class UniPoly:
     # -- normalization -----------------------------------------------------
 
     def monic(self) -> "UniPoly":
-        if not self:
+        if not self or self.is_monic():
             return self
-        c = self.lc()
-        one = self.field.one()
-        if c == one:
-            return self
-        inv = one / c
+        if self._num is not None:
+            return qq_from_ints(self.var, self._num, self._num[-1])
+        inv = self.field.one() / self.lc()
         return UniPoly(self.var, [a * inv for a in self.coeffs], self.field)
 
     def with_field(self, field) -> "UniPoly":
@@ -241,13 +401,18 @@ class UniPoly:
         return UniPoly(self.var, [fn(c) for c in self.coeffs], field or self.field)
 
     def rename(self, var: str) -> "UniPoly":
+        if self._num is not None:
+            return _qq_wrap(var, self._num, self._den, self._coeffs)
         return UniPoly(var, self.coeffs, self.field)
 
     def reversed_coeffs(self, length: int | None = None) -> "UniPoly":
         """Coefficient reversal x^n * p(1/x), padded to the given length."""
-        n = length if length is not None else len(self.coeffs)
-        if n < len(self.coeffs):
+        n = length if length is not None else self.degree() + 1
+        if n < self.degree() + 1:
             raise DegreeError("reversal length below polynomial length")
+        if self._num is not None:
+            padded = self._num + (0,) * (n - len(self._num))
+            return qq_from_ints(self.var, padded[::-1], self._den)
         padded = list(self.coeffs) + [self.field.zero()] * (n - len(self.coeffs))
         return UniPoly(self.var, list(reversed(padded)), self.field)
 
@@ -255,15 +420,15 @@ class UniPoly:
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return (
-                self.var == other.var
-                and self.field == other.field
-                and self.coeffs == other.coeffs
-            )
-        if not self.coeffs:
+            if self.var != other.var or self.field != other.field:
+                return False
+            if self._num is not None:
+                return self._num == other._num and self._den == other._den
+            return self.coeffs == other.coeffs
+        if not self:
             return other == 0
-        if len(self.coeffs) == 1:
-            return self.coeffs[0] == other
+        if self.degree() == 0:
+            return self.coeff(0) == other
         return NotImplemented
 
     def __hash__(self):
@@ -273,7 +438,7 @@ class UniPoly:
         return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self:
             return "0"
         parts = []
         for i in range(self.degree(), -1, -1):
@@ -299,37 +464,44 @@ class UniPoly:
 # -- gcd -------------------------------------------------------------------
 
 
-def sympy_from_unipoly(p: UniPoly) -> sympy.Poly:
-    """Rational-coefficient UniPoly to a sympy Poly (shared kernel entry)."""
-    if p.field != QQ:
-        raise TypeError("sympy conversion needs rational coefficients")
-    x = sympy.Symbol(p.var)
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs or [0], x, domain="QQ")
-
-
-def unipoly_from_sympy(sp: sympy.Poly, var: str) -> UniPoly:
-    coeffs = [Fraction(c.p, c.q) for c in reversed(sp.all_coeffs())]
-    return UniPoly(var, coeffs, QQ)
-
-
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd.  Over Q the work is delegated to sympy (fast modular
-    methods); other fields use monic Euclid directly."""
+    """Monic gcd.  Over Q it is the heuristic integer gcd of the numerator
+    forms; other fields use monic Euclid directly."""
     f._check_compat(g)
     if not f:
         return g.monic()
     if not g:
         return f.monic()
-    if f.field == QQ:
-        out = sympy_from_unipoly(f).gcd(sympy_from_unipoly(g))
-        return unipoly_from_sympy(out, f.var).monic()
+    if f._num is not None:
+        h, _, _ = dup_inner_gcd(list(f._num[::-1]), list(g._num[::-1]), _ZZ)
+        return qq_from_ints(f.var, h[::-1], h[0])
     a, b = f.monic(), g.monic()
     while b:
         a, b = b, (a % b)
         if b:
             b = b.monic()
     return a.monic()
+
+
+def _cofactors(f: UniPoly, g: UniPoly):
+    """(h, f/h, g/h) for a gcd h of the nonzero f and g.
+
+    Over Q the cofactors come straight from the integer gcd, with no
+    division; h is then the integer gcd, not made monic.
+    """
+    if f.degree() == 0 or g.degree() == 0:
+        return UniPoly.constant(f.var, f.field.one(), f.field), f, g
+    if f._num is not None:
+        h, cff, cfg = dup_inner_gcd(list(f._num[::-1]), list(g._num[::-1]), _ZZ)
+        return (
+            qq_from_ints(f.var, h[::-1]),
+            qq_from_ints(f.var, cff[::-1], f._den),
+            qq_from_ints(f.var, cfg[::-1], g._den),
+        )
+    h = poly_gcd(f, g)
+    if h.degree() > 0:
+        f, g = f.exact_div(h), g.exact_div(h)
+    return h, f, g
 
 
 # -- resultants and discriminants -------------------------------------------
@@ -406,8 +578,36 @@ def squarefree_decomposition(p: UniPoly):
 # -- rational functions ------------------------------------------------------
 
 
+def _reduced(num: UniPoly, den: UniPoly) -> "RatFunc":
+    """The RatFunc num/den for coprime num and nonzero den, with den made
+    monic; no gcd is taken."""
+    one = num.field.one()
+    if not num:
+        den = UniPoly.constant(num.var, one, num.field)
+    elif not den.is_monic():
+        inv = one / den.lc()
+        num, den = num * inv, den * inv
+    f = object.__new__(RatFunc)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+def _product(a: UniPoly, b: UniPoly, c: UniPoly, d: UniPoly) -> "RatFunc":
+    """(a/b) * (c/d) for coprime pairs (a, b) and (c, d), with a, c nonzero:
+    cancelling gcd(a, d) and gcd(c, b) leaves the product reduced."""
+    _, a, d = _cofactors(a, d)
+    _, c, b = _cofactors(c, b)
+    return _reduced(a * c, b * d)
+
+
 class RatFunc:
-    """Reduced fraction of UniPoly with monic denominator."""
+    """Reduced fraction of UniPoly with monic denominator.
+
+    Sums and products of reduced operands cancel only the gcds that can
+    occur (Henrici's algorithms), so they never take the gcd of the whole
+    result.
+    """
 
     __slots__ = ("num", "den")
 
@@ -418,19 +618,10 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if num:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        else:
-            den = UniPoly.constant(num.var, num.field.one(), num.field)
-        c = den.lc()
-        if c != num.field.one():
-            inv = num.field.one() / c
-            num = num * inv
-            den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            _, num, den = _cofactors(num, den)
+        f = _reduced(num, den)
+        object.__setattr__(self, "num", f.num)
+        object.__setattr__(self, "den", f.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -479,12 +670,18 @@ class RatFunc:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        # With g = gcd(b, d): a/b + c/d = (a*d' + c*b') / (g*b'*d'), and only
+        # a factor of g can divide the new numerator.
+        g, b, d = _cofactors(self.den, o.den)
+        num = self.num * d + o.num * b
+        if num and g.degree() > 0:
+            _, num, g = _cofactors(num, g)
+        return _reduced(num, g * b * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce_operand(other)
@@ -499,7 +696,9 @@ class RatFunc:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not self.num or not o.num:
+            return _reduced(self.num * o.num, self.den)
+        return _product(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -509,7 +708,9 @@ class RatFunc:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        if not self.num:
+            return self
+        return _product(self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce_operand(other)
@@ -521,8 +722,8 @@ class RatFunc:
         if n < 0:
             if not self.num:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+            return _reduced(self.den, self.num) ** (-n)
+        return _reduced(self.num**n, self.den**n)
 
     def evaluate(self, value):
         dv = self.den.evaluate(value)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from sympy import integer_nthroot
+from sympy import factorint, integer_nthroot
 
 Rational = Fraction
 
@@ -104,21 +104,11 @@ def squarefree_part(x) -> Fraction:
     if x == 0:
         return Fraction(0)
     n = x.numerator * x.denominator  # same square class as x
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1
-    out *= n
-    return Fraction(sign * out)
+    out = -1 if n < 0 else 1
+    for p, e in factorint(abs(n)).items():
+        if e % 2:
+            out *= int(p)
+    return Fraction(out)
 
 
 class QuadExtElem:

@@ -5,6 +5,7 @@ formulas before wiring them into assertions.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -89,6 +90,25 @@ def test_scalar_mul_matches_repeated_add():
         acc = add(E11, acc, P)
 
 
+def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
+    affine = []
+    group_add = WeierstrassCurve.add
+
+    def counting_add(self, P, Q):
+        if not P.is_infinity and not Q.is_infinity:
+            affine.append((P, Q))
+        return group_add(self, P, Q)
+
+    two_p = add(E11, P0, P0)
+    eight_p = add(E11, add(E11, two_p, two_p), add(E11, two_p, two_p))
+    monkeypatch.setattr(WeierstrassCurve, "add", counting_add)
+    assert scalar_mul(E11, 2, P0) == two_p
+    assert len(affine) == 1
+    affine.clear()
+    assert scalar_mul(E11, 8, P0) == eight_p
+    assert len(affine) == 3
+
+
 def test_group_law_over_function_field():
     field = RatFuncField("T", QQ)
     T = UniPoly.gen("T")
@@ -121,6 +141,22 @@ def test_torsion_points():
     assert torsion_points_overQ(WeierstrassCurve(1, 0)) == [
         O,
         CurvePoint.affine(F(0), F(0)),
+    ]
+
+
+def test_torsion_points_of_a_model_with_a_huge_discriminant():
+    # y^2 = x^3 + 1 scaled by u = 10^4; |disc| is about 4*10^50, so trial
+    # division up to its square root would need about 10^25 steps.
+    start = time.perf_counter()
+    pts = torsion_points_overQ(WeierstrassCurve(0, 10**24))
+    assert time.perf_counter() - start < 5
+    assert pts == [
+        O,
+        CurvePoint.affine(F(-(10**8)), F(0)),
+        CurvePoint.affine(F(0), F(-(10**12))),
+        CurvePoint.affine(F(0), F(10**12)),
+        CurvePoint.affine(F(2 * 10**8), F(-3 * 10**12)),
+        CurvePoint.affine(F(2 * 10**8), F(3 * 10**12)),
     ]
 
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from cleanpair.exactmath import (
     QQ,
@@ -361,3 +362,122 @@ def test_quotient_field_image():
     assert isinstance(res, UniPoly)
     # T^3 = T*(T^2+1) - T == -T;  1/(T+1) == (1-T)/2  mod T^2+1
     assert res == (-T) * (1 - T) * F(1, 2) % (T**2 + 1)
+
+
+# -- the rational kernel against sympy's Poly over QQ ----------------------------
+
+KERNEL_DEGREES = (-1, 0, 1, 4, 24, 96)  # -1 is the zero polynomial
+
+
+def big_rational(rng, bits=300):
+    # Denominators are smooth, like those of the multiples nP over Q(T).
+    den = 2 ** rng.randint(0, 40) * 3 ** rng.randint(0, 40) * 7 ** rng.randint(0, 20)
+    return F(rng.getrandbits(bits) - (1 << (bits - 1)), den)
+
+
+def big_poly(rng, deg, negative_lc=False):
+    if deg < 0:
+        return UniPoly.zero("T")
+    coeffs = [big_rational(rng) if rng.random() < 0.8 else F(0) for _ in range(deg)]
+    lead = abs(big_rational(rng)) or F(1)
+    return UniPoly("T", coeffs + [-lead if negative_lc else lead])
+
+
+def ref_poly(p):
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
+        sympy.Symbol(p.var),
+        domain="QQ",
+    )
+
+
+def ref_coeffs(sp):
+    coeffs = [F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def assert_exact_coeffs(p):
+    for c in p.coeffs:
+        assert type(c) is F
+        assert type(c.numerator) is int and type(c.denominator) is int
+
+
+def kernel_pairs():
+    rng = random.Random(4111)
+    pairs = []
+    for i, da in enumerate(KERNEL_DEGREES):
+        for j, db in enumerate(KERNEL_DEGREES):
+            a = big_poly(rng, da, negative_lc=(i + j) % 2 == 1)
+            b = big_poly(rng, db, negative_lc=j % 2 == 0)
+            pairs.append(pytest.param(a, b, id=f"deg{da}-deg{db}"))
+    # a shared factor, two associates, a coprime pair and two constants
+    common = big_poly(rng, 4, negative_lc=True)
+    pairs.append(pytest.param(big_poly(rng, 24) * common, big_poly(rng, 20) * common, id="common4"))
+    pairs.append(pytest.param(common * 6, common * F(-3, 7), id="associates"))
+    pairs.append(pytest.param(T**5 - 1, T**3 + T + 1, id="coprime-small"))
+    pairs.append(pytest.param(UniPoly.constant("T", F(-7, 3)), UniPoly.constant("T", 5), id="constants"))
+    return pairs
+
+
+@pytest.mark.parametrize("a,b", kernel_pairs())
+def test_rational_kernel_matches_sympy(a, b):
+    ra, rb = ref_poly(a), ref_poly(b)
+    assert a.coeffs == ref_coeffs(ra) and b.coeffs == ref_coeffs(rb)
+    prod = a * b
+    assert prod.coeffs == ref_coeffs(ra * rb)
+    assert_exact_coeffs(prod)
+    s = a - b
+    assert s.coeffs == ref_coeffs(ra - rb)
+    assert_exact_coeffs(s)
+    if not b:
+        return
+    q, r = divmod(a, b)
+    rq, rr = ra.div(rb)
+    assert (q.coeffs, r.coeffs) == (ref_coeffs(rq), ref_coeffs(rr))
+    assert_exact_coeffs(q)
+    assert_exact_coeffs(r)
+    g = poly_gcd(a, b)
+    rg = ra.gcd(rb)
+    assert g.coeffs == ref_coeffs(rg)
+    assert g.is_monic()
+    assert_exact_coeffs(g)
+    assert_reduced_like_sympy(RatFunc(a, b), ra, rb)
+
+
+def assert_reduced_like_sympy(f, rnum, rden):
+    g = rnum.gcd(rden)
+    num, den = rnum.exquo(g), rden.exquo(g)
+    lc = den.LC()
+    assert (f.num.coeffs, f.den.coeffs) == (ref_coeffs(num.quo_ground(lc)), ref_coeffs(den.quo_ground(lc)))
+    assert f.den.is_monic()
+    assert ref_poly(f.num).gcd(ref_poly(f.den)).degree() <= 0
+    assert_exact_coeffs(f.num)
+    assert_exact_coeffs(f.den)
+
+
+def test_ratfunc_sum_and_product_match_sympy():
+    rng = random.Random(4113)
+    for deg in (1, 4, 12):
+        shared = big_poly(rng, deg)
+        f = RatFunc(big_poly(rng, deg), big_poly(rng, deg) * shared)
+        g = RatFunc(big_poly(rng, deg, negative_lc=True), big_poly(rng, deg // 2) * shared)
+        rfn, rfd, rgn, rgd = (ref_poly(p) for p in (f.num, f.den, g.num, g.den))
+        assert_reduced_like_sympy(f + g, rfn * rgd + rgn * rfd, rfd * rgd)
+        assert_reduced_like_sympy(f - g, rfn * rgd - rgn * rfd, rfd * rgd)
+        assert_reduced_like_sympy(f * g, rfn * rgn, rfd * rgd)
+        assert_reduced_like_sympy(f / g, rfn * rgd, rfd * rgn)
+        assert (f + g) - g == f and (f * g) / g == f
+        assert f - f == 0 and (f / f) == 1
+
+
+def test_rational_kernel_equality_and_hash_follow_the_coefficients():
+    rng = random.Random(4112)
+    a, b = big_poly(rng, 6), big_poly(rng, 5)
+    built = UniPoly("T", list((a * b).coeffs))
+    assert built == a * b and hash(built) == hash(a * b)
+    assert hash(a * b) == hash(("T", tuple((a * b).coeffs)))
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert UniPoly("T", [F(2, 4), 0]) == UniPoly("T", [F(1, 2)]) == F(1, 2)
+    assert UniPoly("T", [F(1, 2)]) != UniPoly("U", [F(1, 2)])
