@@ -45,7 +45,7 @@ from .kummer_cert import (
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 

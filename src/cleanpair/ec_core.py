@@ -7,7 +7,9 @@ the Lutz-Nagell enumeration are specific to curves over Q.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from numbers import Rational as _RationalABC
 from typing import NamedTuple, Optional
 
@@ -329,6 +331,22 @@ def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
     return None
 
 
+def _torsion_order_bound(E: WeierstrassCurve) -> int:
+    """The gcd of #E(F_p) over the good probe primes (0 if none is good);
+    rational torsion injects into E(F_p), so its order divides this."""
+    a, b = int(E.a), int(E.b)
+    disc = 4 * a**3 + 27 * b * b
+    m = 0
+    for p in _PROBE_PRIMES:
+        if disc % p == 0:
+            continue
+        squares = Counter(y * y % p for y in range(p))
+        m = gcd(m, 1 + sum(squares[(x * x * x + a * x + b) % p] for x in range(p)))
+        if m < 3:
+            break
+    return m
+
+
 def _integer_divisor_squares(n: int) -> list[int]:
     """Every y >= 1 with y^2 dividing n, ascending (none for n = 0)."""
     if n == 0:
@@ -343,7 +361,8 @@ def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
     """All rational torsion points of an integral model, O first.
 
     Candidates come from Lutz-Nagell (y = 0, or y^2 dividing the
-    discriminant); each is confirmed by the exact torsion test.
+    discriminant); each is confirmed by the exact torsion test.  The
+    discriminant is not factored when #E(F_p) bounds the torsion by 2.
     """
     if E.field != QQ:
         raise TypeError("torsion enumeration is implemented over Q")
@@ -363,11 +382,12 @@ def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
 
     for x, _ in rational_roots(cubic):
         consider(x, Fraction(0))
-    disc = int(E.discriminant())
-    for y in _integer_divisor_squares(disc):
-        for x, _ in rational_roots(cubic - y * y):
-            consider(x, Fraction(y))
-            consider(x, Fraction(-y))
+    if not 0 < _torsion_order_bound(E) < 3:
+        disc = int(E.discriminant())
+        for y in _integer_divisor_squares(disc):
+            for x, _ in rational_roots(cubic - y * y):
+                consider(x, Fraction(y))
+                consider(x, Fraction(-y))
     found.sort(key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
     return found
 

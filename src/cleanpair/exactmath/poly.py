@@ -397,8 +397,8 @@ class UniPoly:
         """Re-coerce every coefficient into another field descriptor."""
         return UniPoly(self.var, [field.coerce(c) for c in self.coeffs], field)
 
-    def map_coefficients(self, fn, field=None) -> "UniPoly":
-        return UniPoly(self.var, [fn(c) for c in self.coeffs], field or self.field)
+    def map_coefficients(self, fn) -> "UniPoly":
+        return UniPoly(self.var, [fn(c) for c in self.coeffs], self.field)
 
     def rename(self, var: str) -> "UniPoly":
         if self._num is not None:
@@ -764,43 +764,7 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-# -- field/ring descriptors for towers ---------------------------------------
-
-
-class PolyRing:
-    """Coefficient-ring descriptor whose elements are UniPoly in a fixed
-    variable.  Division is not provided; suitable for nested polynomial
-    construction and evaluation only."""
-
-    def __init__(self, var: str, coeff_field=QQ):
-        self.var = var
-        self.coeff_field = coeff_field
-
-    def zero(self):
-        return UniPoly.zero(self.var, self.coeff_field)
-
-    def one(self):
-        return UniPoly.constant(self.var, self.coeff_field.one(), self.coeff_field)
-
-    def coerce(self, value):
-        if isinstance(value, UniPoly):
-            if value.var == self.var and value.field == self.coeff_field:
-                return value
-            raise TypeError("polynomial from a different ring")
-        return UniPoly.constant(self.var, self.coeff_field.coerce(value), self.coeff_field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.var == other.var
-            and self.coeff_field == other.coeff_field
-        )
-
-    def __hash__(self):
-        return hash(("PolyRing", self.var, self.coeff_field))
-
-    def __repr__(self):
-        return f"PolyRing({self.var!r}, {self.coeff_field!r})"
+# -- field descriptor for towers ---------------------------------------------
 
 
 class RatFuncField:

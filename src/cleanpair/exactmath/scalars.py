@@ -36,10 +36,15 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of rational_to_str; also accepts a bare integer string."""
+    """Inverse of rational_to_str; also accepts a bare integer string.
+    Anything else, a zero denominator included, raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational string: {text!r}")
     body = text.strip()
     if "/" in body:
         num, den = body.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(body))
 

@@ -357,16 +357,16 @@ class HeightReport:
 
 def _local_data(E: FunctionFieldCurve, P: CurvePoint, place: Place):
     """(model a, model b, x, y, valuation place) in the chart where the
-    given place is finite."""
+    given place is finite; a and b are polynomials."""
     if place.is_infinity:
         Pm = E.point_to_inf(P)
         field = _coeff_field_of(Pm)
-        a = RatFunc(E.a_inf).with_field(field)
-        b = RatFunc(E.b_inf).with_field(field)
+        a = E.a_inf.with_field(field)
+        b = E.b_inf.with_field(field)
         return a, b, Pm.x, Pm.y, Place.linear(E.inf_var, 0)
     field = _coeff_field_of(P)
-    a = RatFunc(E.a).with_field(field)
-    b = RatFunc(E.b).with_field(field)
+    a = E.a.with_field(field)
+    b = E.b.with_field(field)
     x = _as_ratfunc_coord(P.x, E.var).with_field(field)
     y = _as_ratfunc_coord(P.y, E.var).with_field(field)
     return a, b, x, y, place
@@ -388,7 +388,12 @@ def _local_height_entry(
     if vx < 0 or n == 0:
         lam = Fraction(max(0, -vx), 2) + Fraction(n, 12)
         return entry(True, lam)
-    v_tangent = valuation_or_inf(spot, 3 * x * x + a)
+    # v(x) >= 0 from here on and x = u/w is reduced, so v(w) = 0: 3x^2 + a and
+    # psi3 = 3x^4 + 6ax^2 + 12bx - a^2 have the valuations of their numerators
+    # over w^2 and w^4
+    u, w = x.num, x.den
+    u2, w2 = u * u, w * w
+    v_tangent = valuation_or_inf(spot, 3 * u2 + a * w2)
     if not (v2y > 0 and v_tangent > 0):
         lam = Fraction(n, 12)  # vx >= 0 here, so no max term
         return entry(True, lam)
@@ -400,7 +405,7 @@ def _local_height_entry(
         alpha = Fraction(min(vf2, 2 * n - vf2), 2 * n)
         lam = Fraction(n, 2) * (alpha * alpha - alpha + Fraction(1, 6))
         return entry(False, lam, vf2=vf2)
-    psi3 = 3 * x**4 + 6 * a * x * x + 12 * b * x - a * a
+    psi3 = 3 * u2 * u2 + 6 * a * u2 * w2 + 12 * b * u * w2 * w - a * a * w2 * w2
     vpsi3 = valuation_or_inf(spot, psi3)
     if v2y == _INF and vpsi3 == _INF:
         raise ArithmeticError("degenerate torsion point on a cusp")

@@ -17,28 +17,33 @@ function forward shows that a multiple of the cycle
     ([P1] - [-P1]) (x) ([P2] - [-P2])
 
 dies in CH^2 of the product, which is the content of a clean-pair
-certificate.  The certificate stores every intermediate object; the
-verifier recomputes all of them from the pair data alone and compares,
-so any mutation of a stored field is detected.
+certificate.  F is separable, so the node, its Hessian and the
+parametrization are read from the Taylor coefficients of f at t1 and of
+-r^2 g at t2.
+
+The certificate stores every intermediate object for both fibers, r and
+-r, which agree in everything but r (F depends on r only through r^2).
+The verifier recomputes the +r fiber from the pair data alone and
+compares, and checks the -r fiber against it section by section, so any
+mutation of a stored field is detected.
 
 Serialization: one self-contained JSON document per certificate, with
 rationals as "num/den" strings and polynomials as coefficient arrays,
-lowest degree first.  The bivariate F is an array of arrays (outer index
-the x1-degree, inner arrays coefficients in x2).
+lowest degree first.  F is an array of arrays (outer index the x1-degree,
+inner arrays coefficients in x2).
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve, is_torsion_overQ
 from cleanpair.exactmath import (
     QQ,
-    PolyRing,
     RatFunc,
     UniPoly,
     parse_rational,
@@ -59,7 +64,6 @@ from cleanpair.family import (
 CERTIFICATE_FORMAT = "cleanpair.certificate/1"
 
 _LVAR = "L"  # slope parameter of the lines through the node
-_X2RING = PolyRing("x2", QQ)
 
 
 class TwoTorsionError(ValueError):
@@ -105,11 +109,12 @@ class NodeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PencilFiber:
-    """The cubic F = f(x1) - r^2 g(x2), stored as a polynomial in x1 whose
-    coefficients are polynomials in x2."""
+    """The cubic F = f(x1) - r^2 g(x2), with f and g the right-hand sides of
+    the two source curves.  F holds its four coefficients in x1, lowest
+    degree first, each a polynomial in x2; only F[0] involves x2."""
 
     r: Fraction
-    F: UniPoly
+    F: tuple[UniPoly, ...]
     source_curves: tuple[WeierstrassCurve, WeierstrassCurve]
 
 
@@ -200,23 +205,26 @@ class CleanPairCertificate:
 # -- construction ---------------------------------------------------------------
 
 
-def _eval_bivariate(F: UniPoly, v1, v2):
-    inner = F.evaluate(v1)
-    if isinstance(inner, UniPoly):
-        return inner.evaluate(v2)
-    return inner
+def _fiber_poly(E1: WeierstrassCurve, E2: WeierstrassCurve, r: Fraction) -> tuple[UniPoly, ...]:
+    """F = f(x1) - r^2 g(x2) as its coefficients in x1, polynomials in x2."""
+    F = [UniPoly.constant("x2", c) for c in E1.rhs_poly().coeffs]
+    F[0] = F[0] - r * r * E2.rhs_poly("x2")
+    return tuple(F)
 
 
-def _d_x2(F: UniPoly) -> UniPoly:
-    return F.map_coefficients(lambda c: c.derivative())
+def _on_fiber(fiber: PencilFiber, x1, x2) -> bool:
+    """Whether f(x1) = r^2 g(x2), for rationals or rational functions."""
+    E1, E2 = fiber.source_curves
+    return E1.rhs(x1) == fiber.r * fiber.r * E2.rhs(x2)
 
 
-def _fiber_poly(E1: WeierstrassCurve, E2: WeierstrassCurve, r: Fraction) -> UniPoly:
-    """F = f(x1) - r^2 g(x2) as a polynomial in x1 over Q[x2]."""
-    f = E1.rhs_poly("x1")
-    g = E2.rhs_poly("x2")
-    lifted = f.map_coefficients(lambda c: UniPoly.constant("x2", c), _X2RING)
-    return lifted - UniPoly.constant("x1", r * r * g, _X2RING)
+def _shifts(fiber: PencilFiber, t1: Fraction, t2: Fraction) -> tuple[UniPoly, UniPoly]:
+    """c and d with F(t1 + u, t2 + v) = c(u) + d(v): the shifts of f and of
+    -r^2 g.  Read them with coeff(k), as d is zero when r is."""
+    E1, E2 = fiber.source_curves
+    c = E1.rhs_poly().compose(UniPoly("u", [t1, 1]))
+    d = (-(fiber.r * fiber.r) * E2.rhs_poly()).compose(UniPoly("u", [t2, 1]))
+    return c, d
 
 
 def build_fiber(E1: WeierstrassCurve, E2: WeierstrassCurve, P1: CurvePoint,
@@ -227,51 +235,40 @@ def build_fiber(E1: WeierstrassCurve, E2: WeierstrassCurve, P1: CurvePoint,
         if P.is_infinity or P.y == 0:
             raise TwoTorsionError("source points must be affine with y != 0")
     r = Fraction(P1.y) / Fraction(P2.y)
-    F = _fiber_poly(E1, E2, r)
-    if _eval_bivariate(F, P1.x, P2.x) != 0:
+    fiber = PencilFiber(r, _fiber_poly(E1, E2, r), (E1, E2))
+    if not _on_fiber(fiber, P1.x, P2.x):
         raise ArithmeticError("fiber misses its defining points; construction bug")
-    return r, PencilFiber(r, F, (E1, E2))
+    return r, fiber
 
 
 def find_node(fiber: PencilFiber, t1, t2) -> NodeData:
     """Check that (t1, t2) is a singular point of the fiber and classify
-    it by the determinant of second partials."""
+    it by the determinant of second partials.  The mixed partial of a
+    separable F vanishes, so the determinant is (2 c2)(2 d2)."""
     t1 = Fraction(t1)
     t2 = Fraction(t2)
-    F = fiber.F
-    if _eval_bivariate(F, t1, t2) != 0:
+    c, d = _shifts(fiber, t1, t2)
+    if c.coeff(0) + d.coeff(0) != 0:
         raise NotOnFiber(
             f"F({t1}, {t2}) != 0: critical values do not satisfy f(t1) = r^2 g(t2)"
         )
-    if (
-        _eval_bivariate(F.derivative(), t1, t2) != 0
-        or _eval_bivariate(_d_x2(F), t1, t2) != 0
-    ):
+    if c.coeff(1) or d.coeff(1):
         raise NotSingular(f"({t1}, {t2}) is a smooth point of the fiber")
-    fxx = _eval_bivariate(F.derivative().derivative(), t1, t2)
-    fyy = _eval_bivariate(_d_x2(_d_x2(F)), t1, t2)
-    fxy = _eval_bivariate(_d_x2(F.derivative()), t1, t2)
-    det = fxx * fyy - fxy * fxy
+    det = 4 * c.coeff(2) * d.coeff(2)
     kind = NodeKind.NODE if det != 0 else NodeKind.CUSP
     return NodeData(t1, t2, det, kind)
 
 
 def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
-    """Substitute the pencil of lines through the node into F and read off
-    the third-intersection map tau(L) = -Q2(L)/Q3(L)."""
+    """Substitute the pencil of lines through the node into F, which gives
+    Q_k(L) = c_k L^k + d_k, and read off tau(L) = -Q2(L)/Q3(L)."""
     if node.kind is not NodeKind.NODE:
         raise CuspNotSupported("cuspidal fibers are not parametrized")
-    lring = PolyRing(_LVAR, QQ)
+    c, d = _shifts(fiber, node.t1, node.t2)
     lam = UniPoly.gen(_LVAR)
-    x1_line = UniPoly("tau", [lring.coerce(node.t1), lam], lring)
-    x2_line = UniPoly("tau", [lring.coerce(node.t2), lring.one()], lring)
-    fsub = UniPoly.zero("tau", lring)
-    for i, c in enumerate(fiber.F.coeffs):
-        fsub = fsub + c.evaluate(x2_line) * x1_line**i
-    if fsub.coeff(0) or fsub.coeff(1):
+    q0, q1, q2, q3 = (c.coeff(k) * lam**k + d.coeff(k) for k in range(4))
+    if q0 or q1:
         raise ArithmeticError("low-order terms survived at a singular point")
-    q2 = fsub.coeff(2)
-    q3 = fsub.coeff(3)
     if q2.degree() != 2 or q3.degree() != 3:
         raise ArithmeticError("tangent cone or infinity cubic degenerated")
     if poly_gcd(q2, q3).degree() > 0:
@@ -283,10 +280,7 @@ def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
     lamf = RatFunc.gen(_LVAR)
     x1_of = node.t1 + lamf * tau
     x2_of = node.t2 + tau
-    check = RatFunc.constant(_LVAR, 0)
-    for i, c in enumerate(fiber.F.coeffs):
-        check = check + c.evaluate(x2_of) * x1_of**i
-    if check:
+    if not _on_fiber(fiber, x1_of, x2_of):
         raise ArithmeticError("parametrization does not satisfy F = 0")
     return NodalParametrization(tau, x1_of, x2_of, q2, q3, node)
 
@@ -382,16 +376,11 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
     intermediate object."""
     m1, m2 = pair.left, pair.right
     P1, P2 = m1.marked_point, m2.marked_point
-    for P in (P1, P2):
-        if P.is_infinity or P.y == 0:
-            raise TwoTorsionError("marked points must be affine with y != 0")
     r, cf_plus = _certify_fiber(m1.curve, m2.curve, P1, P2, m1.t, m2.t)
-    P2_neg = CurvePoint.affine(P2.x, -P2.y)
-    r_minus, cf_minus = _certify_fiber(m1.curve, m2.curve, P1, P2_neg, m1.t, m2.t)
-    if r_minus != -r or cf_plus.fiber.F != cf_minus.fiber.F:
-        raise ArithmeticError("mirror fiber disagrees; construction bug")
-    if cf_plus.witness.multiplier != cf_minus.witness.multiplier:
-        raise ArithmeticError("witness multipliers disagree between fibers")
+    # The fiber through (P1, -P2) has ratio -r.  F depends on r only through
+    # r^2 and the target (x(P1), x(P2)) is the same, so everything but r
+    # agrees with the +r fiber.
+    cf_minus = replace(cf_plus, fiber=replace(cf_plus.fiber, r=-r))
     table = _canonical_preimage_table()
     if not _verify_preimage_table(table, P1, P2, r):
         raise ArithmeticError("preimage sign table failed verification")
@@ -425,7 +414,16 @@ def _poly_from(coeffs, var: str) -> UniPoly:
 
 
 def _ratfunc_from(data, var: str) -> RatFunc:
-    return RatFunc(_poly_from(data["num"], var), _poly_from(data["den"], var))
+    den = _poly_from(data["den"], var)
+    if not den:
+        raise ValueError("rational function with a zero denominator")
+    return RatFunc(_poly_from(data["num"], var), den)
+
+
+def _int_from(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _fiber_json(cf: CertifiedFiber) -> dict:
@@ -433,7 +431,7 @@ def _fiber_json(cf: CertifiedFiber) -> dict:
     wit = cf.witness
     return {
         "r": rational_to_str(cf.fiber.r),
-        "F": [_poly_json(c) for c in cf.fiber.F.coeffs],
+        "F": [_poly_json(c) for c in cf.fiber.F],
         "node": {
             "t1": rational_to_str(cf.node.t1),
             "t2": rational_to_str(cf.node.t2),
@@ -501,17 +499,14 @@ def _member_from(data, s: Fraction) -> FamilyMember:
     a = parse_rational(data["a"])
     b = parse_rational(data["b"])
     curve = WeierstrassCurve.possibly_singular(a, b, QQ)
-    point = CurvePoint.affine(
-        parse_rational(data["point"][0]), parse_rational(data["point"][1])
-    )
+    x, y = data["point"]
+    point = CurvePoint.affine(parse_rational(x), parse_rational(y))
     return FamilyMember(s, t, curve, point, True)
 
 
 def _fiber_from(data, curves) -> CertifiedFiber:
     r = parse_rational(data["r"])
-    F = UniPoly(
-        "x1", [ _poly_from(c, "x2") for c in data["F"] ], _X2RING
-    )
+    F = tuple(_poly_from(c, "x2") for c in data["F"])
     nd = data["node"]
     node = NodeData(
         parse_rational(nd["t1"]),
@@ -532,12 +527,13 @@ def _fiber_from(data, curves) -> CertifiedFiber:
     wit = DivisorWitness(
         _ratfunc_from(wd["h"], _LVAR),
         parse_rational(wd["lambda_P"]),
-        int(wd["multiplier"]),
+        _int_from(wd["multiplier"]),
     )
     return CertifiedFiber(PencilFiber(r, F, curves), node, par, wit)
 
 
 def certificate_from_json(data: dict) -> CleanPairCertificate:
+    """A malformed document raises ValueError, KeyError or TypeError."""
     if not isinstance(data, dict):
         raise ValueError(
             f"certificate must be a JSON object, got {type(data).__name__}"
@@ -546,13 +542,14 @@ def certificate_from_json(data: dict) -> CleanPairCertificate:
         raise ValueError(f"unsupported certificate format: {data.get('format')!r}")
     pd = data["pair"]
     s = parse_rational(pd["s"])
-    left = _member_from(pd["members"][0], s)
-    right = _member_from(pd["members"][1], s)
-    flags = tuple(bool(f) for f in pd["rank_one"])
-    pair = PairHypothesis(left, right, s, flags)
+    # unpacking raises ValueError on a list of the wrong length
+    left, right = (_member_from(m, s) for m in pd["members"])
+    flag1, flag2 = pd["rank_one"]
+    pair = PairHypothesis(left, right, s, (bool(flag1), bool(flag2)))
     curves = (left.curve, right.curve)
     pc = data["preimage_check"]
     cd = data["conclusion"]
+    hyp1, hyp2 = cd["rank_one_hypotheses"]
     return CleanPairCertificate(
         pair=pair,
         r=parse_rational(data["r"]),
@@ -564,8 +561,8 @@ def certificate_from_json(data: dict) -> CleanPairCertificate:
         ),
         conclusion=Conclusion(
             statement=cd["statement"],
-            multiplier=int(cd["multiplier"]),
-            rank_one_hypotheses=tuple(bool(f) for f in cd["rank_one_hypotheses"]),
+            multiplier=_int_from(cd["multiplier"]),
+            rank_one_hypotheses=(bool(hyp1), bool(hyp2)),
             rank_one_conditional=bool(cd["rank_one_conditional"]),
             n=cd["n"],
             n_prime=cd["n_prime"],
@@ -630,29 +627,27 @@ def _check_ratio(cert: CleanPairCertificate) -> list[str]:
         bad.append("RatioMismatch")
     if cert.fiber_plus.fiber.r != cert.r or cert.fiber_minus.fiber.r != -cert.r:
         bad.append("RatioMismatch")
-    if cert.fiber_plus.fiber.F != cert.fiber_minus.fiber.F:
-        bad.append("FiberMismatch")
     return bad
 
 
-def _check_fiber(cf: CertifiedFiber, expected_F: UniPoly, r: Fraction) -> list[str]:
+def _check_fiber(cf: CertifiedFiber, fiber: PencilFiber) -> list[str]:
     bad = []
     F = cf.fiber.F
-    if F != expected_F:
+    if F != fiber.F:
         bad.append("FiberMismatch")
-    if F.coeff(3) != _X2RING.one() or F.coeff(0).coeff(3) != -(r * r):
+    if len(F) != 4 or F[3] != 1 or F[0].coeff(3) != -(fiber.r * fiber.r):
         bad.append("FiberMismatch")
-    if any(i + c.degree() > 3 for i, c in enumerate(F.coeffs) if c):
+    if any(i + c.degree() > 3 for i, c in enumerate(F) if c):
         bad.append("FiberMismatch")
     return bad
 
 
-def _check_node(cf: CertifiedFiber, expected_F: UniPoly, t1, t2) -> list[str]:
+def _check_node(cf: CertifiedFiber, fiber: PencilFiber, t1, t2) -> list[str]:
     node = cf.node
     if (node.t1, node.t2) != (t1, t2):
         return ["NodeMismatch"]
     try:
-        fresh = find_node(PencilFiber(cf.fiber.r, expected_F, cf.fiber.source_curves), t1, t2)
+        fresh = find_node(fiber, t1, t2)
     except (NotOnFiber, NotSingular):
         return ["NodeMismatch"]
     if (
@@ -664,11 +659,9 @@ def _check_node(cf: CertifiedFiber, expected_F: UniPoly, t1, t2) -> list[str]:
     return []
 
 
-def _check_parametrization(cf: CertifiedFiber, expected_F: UniPoly) -> list[str]:
+def _check_parametrization(cf: CertifiedFiber, fiber: PencilFiber) -> list[str]:
     try:
-        fresh = parametrize(
-            PencilFiber(cf.fiber.r, expected_F, cf.fiber.source_curves), cf.node
-        )
+        fresh = parametrize(fiber, cf.node)
     except (ValueError, ArithmeticError):
         return ["ParametrizationMismatch"]
     par = cf.parametrization
@@ -681,10 +674,7 @@ def _check_parametrization(cf: CertifiedFiber, expected_F: UniPoly) -> list[str]
     ):
         return ["ParametrizationMismatch"]
     # the stored coordinate functions must satisfy F = 0 on their own
-    check = RatFunc.constant(_LVAR, 0)
-    for i, c in enumerate(expected_F.coeffs):
-        check = check + c.evaluate(par.x2_of) * par.x1_of**i
-    if check:
+    if not _on_fiber(fiber, par.x1_of, par.x2_of):
         return ["ParametrizationMismatch"]
     return []
 
@@ -735,7 +725,6 @@ def _check_conclusion(cert: CleanPairCertificate) -> list[str]:
     expected_cond = con.rank_one_hypotheses[0] and con.rank_one_hypotheses[1]
     ok = (
         con.multiplier == m
-        and cert.fiber_minus.witness.multiplier == m
         and con.rank_one_hypotheses == tuple(cert.pair.rank_one_asserted)
         and con.rank_one_conditional == expected_cond
         and con.n is None
@@ -744,6 +733,22 @@ def _check_conclusion(cert: CleanPairCertificate) -> list[str]:
         and con.torsion_factor == _torsion_factor_text(m)
     )
     return [] if ok else ["ConclusionMismatch"]
+
+
+_MIRROR_REASONS = {
+    "F": "FiberMismatch",
+    "node": "NodeMismatch",
+    "parametrization": "ParametrizationMismatch",
+    "witness": "DivisorMismatch",
+}
+
+
+def _check_mirror(cert: CleanPairCertificate) -> list[str]:
+    """The -r fiber must repeat the +r one in every section but r (see
+    assemble_certificate); its r is checked with the ratio."""
+    plus = _fiber_json(cert.fiber_plus)
+    minus = _fiber_json(cert.fiber_minus)
+    return [reason for key, reason in _MIRROR_REASONS.items() if plus[key] != minus[key]]
 
 
 def verify_certificate(cert: CleanPairCertificate) -> VerificationResult:
@@ -760,16 +765,18 @@ def verify_certificate(cert: CleanPairCertificate) -> VerificationResult:
 
     run("PairMembership", _check_membership, cert)
     run("RatioMismatch", _check_ratio, cert)
+    curves = (cert.pair.left.curve, cert.pair.right.curve)
     try:
-        expected_F = _fiber_poly(cert.pair.left.curve, cert.pair.right.curve, cert.r)
+        fiber = PencilFiber(cert.r, _fiber_poly(*curves, cert.r), curves)
     except (ArithmeticError, ValueError, TypeError):
         return VerificationResult(False, tuple(reasons) + ("FiberMismatch",))
     target = (cert.pair.left.marked_point.x, cert.pair.right.marked_point.x)
-    for cf, r in ((cert.fiber_plus, cert.r), (cert.fiber_minus, -cert.r)):
-        run("FiberMismatch", _check_fiber, cf, expected_F, r)
-        run("NodeMismatch", _check_node, cf, expected_F, cert.pair.left.t, cert.pair.right.t)
-        run("ParametrizationMismatch", _check_parametrization, cf, expected_F)
-        run("DivisorMismatch", _check_witness, cf, target)
+    cf = cert.fiber_plus
+    run("FiberMismatch", _check_fiber, cf, fiber)
+    run("NodeMismatch", _check_node, cf, fiber, cert.pair.left.t, cert.pair.right.t)
+    run("ParametrizationMismatch", _check_parametrization, cf, fiber)
+    run("DivisorMismatch", _check_witness, cf, target)
+    run("FiberMismatch", _check_mirror, cert)
 
     def check_preimage():
         table = cert.preimage_check

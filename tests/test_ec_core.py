@@ -160,6 +160,15 @@ def test_torsion_points_of_a_model_with_a_huge_discriminant():
     ]
 
 
+def test_trivial_torsion_skips_factoring_the_discriminant():
+    # #E(F_7) = 5 and #E(F_11) = 17 bound the torsion order by 1, so no
+    # y^2 | disc candidate is needed; factoring this disc takes tens of seconds.
+    start = time.perf_counter()
+    pts = torsion_points_overQ(WeierstrassCurve(-3 * 10**20, 12345678901234567890))
+    assert time.perf_counter() - start < 5
+    assert pts == [O]
+
+
 def test_torsion_points_form_subgroup():
     E = WeierstrassCurve(0, 1)
     pts = torsion_points_overQ(E)

@@ -14,7 +14,6 @@ from cleanpair.exactmath import (
     QQ,
     DegreeError,
     Place,
-    PolyRing,
     PoleAtPlace,
     QuadExtElem,
     QuadExtField,
@@ -272,12 +271,6 @@ def test_tower_coefficients():
     q = (TT + S) * (TT - S)
     assert q == TT**2 - S * S
     assert q.evaluate(S) == 0
-    ring = PolyRing("x1")
-    x2 = UniPoly.gen("x2", ring)
-    x1 = UniPoly.gen("x1")
-    nested = x2**2 - x1
-    assert nested.coeff(0) == -x1
-    assert nested.evaluate(ring.coerce(x1)) == x1 * x1 - x1
 
 
 # -- places and valuations ----------------------------------------------------

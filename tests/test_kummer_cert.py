@@ -69,10 +69,10 @@ def test_build_fiber_ratio_and_layout():
     pair, r, fiber, _, _ = worked_chain()
     assert r == F(1, 2)
     # F = x1^3 - 3 x1 + 11 - (1/4)(x2^3 - 12 x2 + 52)
-    assert fiber.F.coeff(0) == UniPoly("x2", [-2, 3, 0, F(-1, 4)])
-    assert fiber.F.coeff(1) == UniPoly("x2", [-3])
-    assert not fiber.F.coeff(2)
-    assert fiber.F.coeff(3) == UniPoly("x2", [1])
+    assert fiber.F[0] == UniPoly("x2", [-2, 3, 0, F(-1, 4)])
+    assert fiber.F[1] == UniPoly("x2", [-3])
+    assert not fiber.F[2]
+    assert fiber.F[3] == UniPoly("x2", [1])
     # critical-value ratio: r^2 g(t2) = f(t1) = 9
     f = pair.left.curve.rhs_poly()
     g = pair.right.curve.rhs_poly()
@@ -158,7 +158,7 @@ def test_parametrization_worked_example():
 def test_parametrization_satisfies_fiber_equation():
     _, _, fiber, _, par = worked_chain()
     acc = RatFunc.constant("L", 0)
-    for i, c in enumerate(fiber.F.coeffs):
+    for i, c in enumerate(fiber.F):
         acc = acc + c.evaluate(par.x2_of) * par.x1_of**i
     assert not acc
 
@@ -244,10 +244,8 @@ def test_reducible_fiber_rejected():
     m2 = make_member(s, 1)
     r, fiber = build_fiber(m1.curve, m2.curve, m1.marked_point, m2.marked_point)
     assert r == 8
-    from cleanpair.kummer_cert import _eval_bivariate
-
     for x2 in (F(1), F(-3), F(7, 5)):
-        assert _eval_bivariate(fiber.F, 4 * x2, x2) == 0
+        assert sum(c.evaluate(x2) * (4 * x2) ** i for i, c in enumerate(fiber.F)) == 0
     with pytest.raises(ReducibleFiber):
         assemble_certificate(pair_hypothesis(m1, m2))
 
@@ -440,3 +438,25 @@ def test_every_single_field_corruption_is_caught(pair_args):
             survivors.append(path)
     assert count > 100  # the walk really visited the whole document
     assert survivors == []
+
+
+@pytest.mark.parametrize(
+    "section, reason",
+    [
+        ("F", "FiberMismatch"),
+        ("node", "NodeMismatch"),
+        ("parametrization", "ParametrizationMismatch"),
+        ("witness", "DivisorMismatch"),
+    ],
+)
+def test_mirror_fiber_leaf_names_its_section(section, reason):
+    # the -r fiber is checked against the +r one, so a corrupted leaf in it
+    # gives exactly the reason of its own section
+    base = certificate_to_json(assemble_certificate(worked_pair()))
+    count = 0
+    for path, value in _leaves(base["fiber_minus"][section]):
+        full = ("fiber_minus", section) + path
+        cert = certificate_from_json(_with_mutation(base, full, _mutate(value)))
+        assert verify_certificate(cert).reasons == (reason,), full
+        count += 1
+    assert count > 0

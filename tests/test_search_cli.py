@@ -388,6 +388,31 @@ def test_cli_verify_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("pair", "members"), []),
+        (("pair", "members", 0, "point"), ["-2/1"]),
+        (("pair", "s"), 5),
+        (("r",), "1/0"),
+    ],
+    ids=["no-members", "one-coordinate", "s-not-a-string", "zero-denominator"],
+)
+def test_cli_verify_rejects_malformed_nested_fields(capsys, tmp_path, path, value):
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(cert))
+    assert code == 1 and out == ""
+    assert err.startswith("malformed certificate:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_certify_stdout_and_failures(capsys):
     code, out, _ = run_cli(capsys, "certify", "1", "1", "2")
     assert code == 0
