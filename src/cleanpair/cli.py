@@ -68,6 +68,15 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _write_file(path: str, text: str) -> int:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write: {exc}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -103,10 +112,8 @@ def _cmd_certify(args) -> int:
         return _fail(f"cannot certify: {exc}")
     text = certificate_dumps(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+        return _write_file(args.out, text + "\n")
+    print(text)
     return 0
 
 
@@ -176,7 +183,11 @@ def _cmd_search(args) -> int:
         include_zero=args.include_zero,
         reduced_only=not args.all_pairs,
     )
-    records = searchmod.enumerate_s1(args.H, convention)
+    try:
+        records = searchmod.enumerate_s1(args.H, convention)
+    except ValueError as exc:  # a malformed CLEANPAIR_THREADS; argparse checked H
+        print(exc, file=sys.stderr)
+        return 2
     if args.oracle:
         try:
             with open(args.oracle, "r", encoding="utf-8") as handle:
@@ -185,9 +196,8 @@ def _cmd_search(args) -> int:
             return _fail(f"cannot read oracle: {exc}")
         except searchmod.ParseError as exc:
             return _fail(f"oracle: {exc}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(searchmod.records_to_csv(records))
+    if args.csv and _write_file(args.csv, searchmod.records_to_csv(records)):
+        return 1
     summary = searchmod.pairing_summary(records)
     print(f"H={args.H} records={len(records)} candidates={summary.candidate_count}")
     target = searchmod.TABLE_TOTALS.get(args.H)

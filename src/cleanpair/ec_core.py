@@ -266,34 +266,31 @@ def scalar_mul(E: WeierstrassCurve, n: int, P: CurvePoint) -> CurvePoint:
 # -- torsion over Q -----------------------------------------------------------
 
 
-def _reduction_refutes_torsion(E: WeierstrassCurve, P: CurvePoint) -> bool:
-    """True when some good prime certifies that P is non-torsion.
+def _reduction_refutes_torsion(a, b, x, y) -> bool:
+    """True when some good prime certifies that (x, y) has infinite order
+    on y^2 = x^3 + ax + b; the four values are ints or Fractions.
 
-    Rational torsion injects into E(F_p) for good odd p, so if no multiple
-    nP with n <= 12 reduces to the identity, none is the identity over Q.
+    Rational torsion injects into E(F_p) for every odd prime p of good
+    reduction (Silverman, AEC VII.3.1), so a reduction of order above the
+    Mazur bound at any good probe prime proves infinite order.
     """
-    a_den = E.a.denominator
-    b_den = E.b.denominator
-    x_den = P.x.denominator
-    y_den = P.y.denominator
-    disc_num = E.discriminant().numerator
+    dens = a.denominator * b.denominator * x.denominator * y.denominator
+    disc = (4 * a * a * a + 27 * b * b).numerator
     for p in _PROBE_PRIMES:
-        if (a_den * b_den * x_den * y_den * disc_num) % p == 0:
+        if dens * disc % p == 0:
             continue
-        a = E.a.numerator * pow(a_den, -1, p) % p
-        b = E.b.numerator * pow(b_den, -1, p) % p
-        x0 = P.x.numerator * pow(x_den, -1, p) % p
-        y0 = P.y.numerator * pow(y_den, -1, p) % p
-        pt = (x0, y0)
-        hit_identity = False
-        for _ in range(_MAZUR_BOUND):
+        ap = a.numerator * pow(a.denominator, -1, p) % p
+        start = (
+            x.numerator * pow(x.denominator, -1, p) % p,
+            y.numerator * pow(y.denominator, -1, p) % p,
+        )
+        pt = start
+        for _ in range(_MAZUR_BOUND - 1):  # 2P, ..., 12P
+            pt = _mod_add(ap, pt, start, p)
             if pt is None:
-                hit_identity = True
                 break
-            pt = _mod_add(a, pt, (x0, y0), p)
-        if pt is None:
-            hit_identity = True
-        return not hit_identity
+        else:
+            return True
     return False
 
 
@@ -321,8 +318,15 @@ def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
         raise TypeError("torsion testing is implemented over Q")
     if P.is_infinity:
         return 1
-    if _reduction_refutes_torsion(E, P):
+    if _reduction_refutes_torsion(E.a, E.b, P.x, P.y):
         return None
+    return _exact_torsion_order(E, P)
+
+
+def _exact_torsion_order(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
+    """The order of the affine point P when it is at most the Mazur bound,
+    else None, by exact addition over Q; the proof of last resort behind
+    the reduction probe."""
     Q = P
     for n in range(1, _MAZUR_BOUND + 1):
         if Q.is_infinity:

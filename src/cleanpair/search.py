@@ -49,7 +49,8 @@ import sympy
 from .ec_core import (
     CurvePoint,
     WeierstrassCurve,
-    is_torsion_overQ,
+    _exact_torsion_order,
+    _reduction_refutes_torsion,
     torsion_points_overQ,
 )
 from .family import make_member
@@ -164,9 +165,12 @@ class SearchRecord:
 
 def _non_torsion(a: int, b: int, x: int, y: int) -> bool:
     """Whether (x, y) has infinite order on the nonsingular integral
-    model y^2 = x^3 + a x + b."""
+    model y^2 = x^3 + a x + b.  The reduction probe works on the ints
+    themselves; a curve is built only for the exact fallback."""
+    if _reduction_refutes_torsion(a, b, x, y):
+        return True
     curve = WeierstrassCurve(Fraction(a), Fraction(b))
-    return not is_torsion_overQ(curve, CurvePoint(Fraction(x), Fraction(y)))
+    return _exact_torsion_order(curve, CurvePoint(Fraction(x), Fraction(y))) is None
 
 
 def _make_record(pq: tuple[int, int]) -> SearchRecord:
@@ -199,13 +203,19 @@ def _candidate_pairs(H: int, convention: SearchConvention) -> list[tuple[int, in
     return pairs
 
 
-def _worker_count() -> int:
+def _worker_count(jobs: int) -> int:
+    """CLEANPAIR_THREADS, clamped to the usable CPUs and to the jobs: a
+    fork pool starts every worker up front."""
     raw = os.environ.get("CLEANPAIR_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"CLEANPAIR_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # not Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(n, cpus, jobs))
 
 
 def enumerate_s1(
@@ -221,7 +231,7 @@ def enumerate_s1(
     if H < 1:
         raise ValueError("H must be a positive integer")
     pairs = _candidate_pairs(H, convention)
-    workers = _worker_count()
+    workers = _worker_count(len(pairs))
     if workers == 1 or len(pairs) < 4:
         records = [_make_record(pq) for pq in pairs]
     else:

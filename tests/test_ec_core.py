@@ -19,6 +19,8 @@ from cleanpair.ec_core import (
     SingularCurveError,
     TorsionError,
     WeierstrassCurve,
+    _mod_add,
+    _reduction_refutes_torsion,
     add,
     are_isomorphic,
     curve_discriminant,
@@ -127,6 +129,60 @@ def test_torsion_detection():
     assert is_torsion_overQ(E, CurvePoint.affine(F(2), F(3))) == 6
     assert is_torsion_overQ(E, CurvePoint.affine(F(0), F(1))) == 3
     assert is_torsion_overQ(E, CurvePoint.affine(F(-1), F(0))) == 2
+
+
+# (a, b, x, y, order): a rational point of each order Mazur allows on an
+# integral short model.  Orders 4-12 come from Kubert's Tate normal form
+# y^2 + (1 - c)xy - by = x^3 - bx^2 with P = (0, 0), at the parameter t
+# shown, moved to a short model and stripped of twist content.
+MAZUR_ORDERS = [
+    (-3, 11, None, None, 1),  # O, on a curve with trivial torsion
+    (1, 0, 0, 0, 2),
+    (0, 16, 0, 4, 3),
+    (1, 2, 1, 2, 4),  # b = t, c = 0 at t = -1/2
+    (-432, 8208, 24, 108, 5),  # b = c = t at t = -1
+    (-15, 22, -1, -6, 6),  # b = t + t^2, c = t at t = 1/3
+    (-43, 166, -5, -16, 7),  # b = t^3 - t^2, c = t^2 - t at t = 2
+    (1269, 127386, -15, -324, 8),  # b = (2t - 1)(t - 1), c = b/t at t = 1/4
+    (-219, 1654, -13, -48, 9),  # c = t^2 (t - 1), b = c (t^2 - t + 1) at t = 2
+    (-58347, 3954150, -213, -2592, 10),  # Kubert's order-10 form at t = 2
+    (-1947, 108214, -37, -360, 12),  # Kubert's order-12 form at t = 2/3
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, x, y, order", MAZUR_ORDERS, ids=[f"order{case[-1]}" for case in MAZUR_ORDERS]
+)
+def test_torsion_of_every_order_mazur_allows(a, b, x, y, order):
+    E = WeierstrassCurve(a, b)
+    P = O if x is None else CurvePoint.affine(F(x), F(y))
+    assert E.contains(P)
+    assert is_torsion_overQ(E, P) == order
+    assert scalar_mul(E, order, P) == O
+    assert P in torsion_points_overQ(E)
+    # (x, y) -> (x/4, y/8) onto a model that is not integral
+    Q = O if x is None else CurvePoint.affine(F(x, 4), F(y, 8))
+    assert is_torsion_overQ(WeierstrassCurve(F(a, 16), F(b, 64)), Q) == order
+    if x is not None:
+        assert not _reduction_refutes_torsion(a, b, x, y)
+
+
+def test_probe_reaches_past_the_first_good_prime(monkeypatch):
+    # The first model of the convention sweep, y^2 = x^3 - 3x + 3 with
+    # (-2, 1): 5 divides 4a^3 + 27b^2 = 135, and at p = 7 the point
+    # reduces to order 3, so only a later probe prime can refute torsion
+    # without exact addition.
+    E, P = WeierstrassCurve(-3, 3), CurvePoint.affine(F(-2), F(1))
+    assert (4 * (-3) ** 3 + 27 * 3**2) % 5 == 0
+    double = _mod_add(-3 % 7, (-2 % 7, 1), (-2 % 7, 1), 7)
+    assert _mod_add(-3 % 7, double, (-2 % 7, 1), 7) is None
+
+    def refuse(self, P, Q):
+        raise AssertionError("the probe should have refuted torsion")
+
+    monkeypatch.setattr(WeierstrassCurve, "add", refuse)
+    assert is_torsion_overQ(E, P) is None
+    assert _reduction_refutes_torsion(-3, 3, -2, 1)
 
 
 def test_torsion_points():

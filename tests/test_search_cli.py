@@ -2,6 +2,8 @@
 filter, and the command-line surface."""
 
 import json
+import os
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -31,6 +33,7 @@ from cleanpair.search import (
     records_to_csv,
 )
 from cleanpair.search import _twist_reduce  # the twist content stripper
+from cleanpair.search import _worker_count
 
 
 # Every (p, q, h) with h <= 10^6, frozen from the defining formulas.
@@ -129,6 +132,16 @@ def test_parallel_chunking_is_invisible(monkeypatch):
     assert enumerate_s1(10) == base
 
 
+def test_worker_count_is_clamped_to_cpus_and_jobs(monkeypatch):
+    # Only the count is computed: no pool of this size is ever started.
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setenv("CLEANPAIR_THREADS", str(10**9))
+    assert _worker_count(10**6) == cpus
+    assert _worker_count(1) == 1
+    monkeypatch.setenv("CLEANPAIR_THREADS", "0")
+    assert _worker_count(10) == 1
+
+
 def test_sign_and_zero_flags():
     positive = enumerate_s1(10, SearchConvention(sign="positive"))
     negative = enumerate_s1(10, SearchConvention(sign="negative"))
@@ -182,12 +195,42 @@ def test_unreduced_pairs_flag():
             },
             id="H15",
         ),
+        pytest.param(
+            30,
+            13055,
+            {
+                "reduced-both": (62, 61),
+                "reduced-positive": (31, 31),
+                "pairs-any-gcd": (74, 73),
+                "integer-t": (34, 34),
+                "models-v-positive": (5556, 5550),
+                "models-v-both": (11112, 11100),
+                "models-coprime": (3536, 3535),
+                "models-dedupe-curve": (5556, 5550),
+            },
+            id="H30",
+        ),
+        pytest.param(
+            60,
+            74069,
+            {
+                "reduced-both": (137, 135),
+                "reduced-positive": (68, 68),
+                "pairs-any-gcd": (177, 175),
+                "integer-t": (68, 68),
+                "models-v-positive": (31483, 31475),
+                "models-v-both": (62966, 62950),
+                "models-coprime": (19397, 19396),
+                "models-dedupe-curve": (31483, 31475),
+            },
+            id="H60",
+        ),
     ],
 )
 def test_convention_sweep_documents_the_mismatch(H, target, expected):
     # None of the plausible readings of the height cut reproduces the
-    # published 823 at H = 10; the sweep reports each delta.  H = 15 has
-    # no published total, so every target and delta is None.
+    # published total at H = 10, 30 or 60; the sweep reports each delta.
+    # H = 15 has no published total, so every target and delta is None.
     entries = {e.name: e for e in convention_sweep(H)}
     observed = {name: (e.records, e.candidates) for name, e in entries.items()}
     assert observed == expected
@@ -492,6 +535,40 @@ def test_cli_search_oracle_and_csv(capsys, tmp_path):
     bad.write_text("1 1\n")
     code, _, err = run_cli(capsys, "search", "10", "--oracle", str(bad))
     assert code == 1 and "line 1" in err
+
+
+def test_cli_search_60_meets_its_time_target(capsys, monkeypatch):
+    monkeypatch.delenv("CLEANPAIR_THREADS", raising=False)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "search", "60")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "H=60 records=137 candidates=135"
+    assert lines[1] == "published_total=74069 delta=-73934"
+    assert "models-v-positive         31483      31475   -42594" in lines
+
+
+def test_cli_search_rejects_a_malformed_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("CLEANPAIR_THREADS", "abc")
+    code, out, err = run_cli(capsys, "search", "10")
+    assert code == 2 and out == ""
+    assert "CLEANPAIR_THREADS" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("certify", "1", "1", "2", "--out"), ("search", "10", "--csv")],
+    ids=["certify-out", "search-csv"],
+)
+def test_cli_reports_an_unwritable_output_path(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("cannot write:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not target.exists()
 
 
 def test_cli_dbfilter(capsys, tmp_path):
