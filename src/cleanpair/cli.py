@@ -10,6 +10,9 @@ Subcommands:
     search H              enumerate integral s = 1 members with h <= H^6
     dbfilter file         classify a rank-1 curve table against the family shape
 
+A negative fraction such as -4/3 reads as an option, so put "--" before
+the first one: ``cleanpair member 1 -- -4/3``.
+
 Exit codes: 0 success, 1 verification or data failure, 2 usage error.
 All output is deterministic: JSON is emitted with sorted keys and no
 timestamps, so runs are byte-for-byte reproducible.

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from numbers import Rational as _RationalABC
 from typing import NamedTuple, Optional
 
 from sympy import factorint
@@ -22,7 +21,6 @@ from cleanpair.exactmath import (
     RatFunc,
     RatFuncField,
     UniPoly,
-    nth_root_rational,
     rational_roots,
 )
 
@@ -152,9 +150,6 @@ class WeierstrassCurve:
         a, b = self.a, self.b
         return -16 * (4 * a * a * a + 27 * b * b)
 
-    def is_singular(self) -> bool:
-        return not self.discriminant()
-
     def j_invariant(self):
         a, b = self.a, self.b
         den = 4 * a * a * a + 27 * b * b
@@ -240,19 +235,8 @@ class IsomorphismWitness(NamedTuple):
         d4 = d2 * d2
         return WeierstrassCurve(d4 * E.a, d4 * d2 * E.b, E.field)
 
-    def inverse(self) -> "IsomorphismWitness":
-        return IsomorphismWitness(1 / self.d)
-
-    def then(self, other: "IsomorphismWitness") -> "IsomorphismWitness":
-        """Composite witness: self first, then other."""
-        return IsomorphismWitness(self.d * other.d)
-
 
 # -- function-style operation surface -------------------------------------------
-
-
-def curve_discriminant(E: WeierstrassCurve):
-    return E.discriminant()
 
 
 def add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
@@ -371,7 +355,7 @@ def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
     if E.field != QQ:
         raise TypeError("torsion enumeration is implemented over Q")
     if E.a.denominator != 1 or E.b.denominator != 1:
-        raise ModelError("integral model required; scale with to_integral_model")
+        raise ModelError("integral model required")
     found = [O]
     seen = set()
     cubic = E.rhs_poly()
@@ -394,55 +378,6 @@ def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
                 consider(x, Fraction(-y))
     found.sort(key=lambda pt: (not pt.is_infinity, pt.x, pt.y))
     return found
-
-
-def to_integral_model(E: WeierstrassCurve) -> tuple[WeierstrassCurve, IsomorphismWitness]:
-    """Scale a rational curve to integer coefficients.
-
-    Returns the integral curve and the witness mapping E onto it; the
-    scaling factor is the least positive integer u with u^4 a, u^6 b
-    integral.
-    """
-    if E.field != QQ:
-        raise TypeError("integral scaling is implemented over Q")
-    fa = factorint(E.a.denominator)
-    fb = factorint(E.b.denominator)
-    u = 1
-    for p in fa.keys() | fb.keys():
-        u *= int(p) ** max(-(-fa.get(p, 0) // 4), -(-fb.get(p, 0) // 6))
-    w = IsomorphismWitness(Fraction(u))
-    return w.apply_curve(E), w
-
-
-# -- isomorphism testing ------------------------------------------------------
-
-
-def are_isomorphic(E1: WeierstrassCurve, E2: WeierstrassCurve) -> Optional[IsomorphismWitness]:
-    """A witness d with (x,y) -> (d^2 x, d^3 y) mapping E1 onto E2, or None."""
-    if E1.field != E2.field:
-        raise TypeError("curves live over different fields")
-    field = E1.field
-    a1, b1, a2, b2 = E1.a, E1.b, E2.a, E2.b
-    if bool(a1) != bool(a2) or bool(b1) != bool(b2):
-        return None
-    if a1 and b1:
-        d_sq = (a1 * b2) / (a2 * b1)
-        d = field.sqrt(d_sq)
-        if d is None:
-            return None
-        w = IsomorphismWitness(d)
-        if w.apply_curve(E1) == E2:
-            return w
-        return None
-    if field != QQ:
-        raise NotImplementedError("twist search beyond Q is not supported")
-    if a1:  # b = 0 on both sides: need d^4 = a2/a1
-        r = nth_root_rational(a2 / a1, 4)
-        return IsomorphismWitness(r) if r is not None else None
-    if b1:  # a = 0 on both sides: need d^6 = b2/b1
-        r = nth_root_rational(b2 / b1, 6)
-        return IsomorphismWitness(r) if r is not None else None
-    return None
 
 
 # -- Weierstrass-form normalization into the two-parameter family -------------

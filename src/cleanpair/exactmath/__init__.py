@@ -13,17 +13,13 @@ from cleanpair.exactmath.poly import (
     RatFuncField,
     UniPoly,
     poly_discriminant,
-    poly_discriminant_cubic,
     poly_gcd,
     resultant,
-    squarefree_decomposition,
 )
 from cleanpair.exactmath.places import (
     Place,
-    PoleAtPlace,
     UndefinedValuation,
     divisor_of,
-    quotient_field_image,
     valuation_at,
     valuation_or_inf,
 )
@@ -35,19 +31,16 @@ from cleanpair.exactmath.scalars import (
     RationalField,
     as_fraction,
     is_rational_square,
-    nth_root_rational,
     parse_rational,
     rational_to_str,
     sqrt_int,
     sqrt_rational,
-    squarefree_part,
 )
 
 __all__ = [
     "QQ",
     "DegreeError",
     "Place",
-    "PoleAtPlace",
     "QuadExtElem",
     "QuadExtField",
     "RatFunc",
@@ -61,19 +54,14 @@ __all__ = [
     "factor_rational_poly",
     "is_irreducible",
     "is_rational_square",
-    "nth_root_rational",
     "parse_rational",
     "poly_discriminant",
-    "poly_discriminant_cubic",
     "poly_gcd",
-    "quotient_field_image",
     "rational_roots",
     "rational_to_str",
     "resultant",
     "sqrt_int",
     "sqrt_rational",
-    "squarefree_part",
-    "squarefree_decomposition",
     "stays_irreducible_over_quadratic",
     "valuation_at",
     "valuation_or_inf",

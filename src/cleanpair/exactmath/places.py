@@ -28,10 +28,6 @@ class UndefinedValuation(ArithmeticError):
     """Valuation of the zero function was requested."""
 
 
-class PoleAtPlace(ArithmeticError):
-    """Residue of a function was requested at one of its poles."""
-
-
 class Place:
     """A closed point of the projective T-line over Q."""
 
@@ -179,51 +175,6 @@ def valuation_or_inf(place: Place, f):
         return valuation_at(place, f)
     except UndefinedValuation:
         return float("inf")
-
-
-def quotient_field_image(place: Place, f):
-    """Image of f in the residue field of the place.
-
-    Degree-one places (including infinity) return a Fraction; a place of
-    higher degree returns the reduced representative as a UniPoly.  Raises
-    PoleAtPlace when the function has a pole there.
-    """
-    g = _as_ratfunc(place, f)
-    if g.field != QQ:
-        raise TypeError("residues are implemented for rational coefficients")
-    if place.is_infinity:
-        dn, dd = g.num.degree(), g.den.degree()
-        if dn > dd:
-            raise PoleAtPlace(f"{g} has a pole at infinity")
-        if dn < dd:
-            return Fraction(0)
-        return Fraction(g.num.lc())
-    if not g:
-        return Fraction(0) if place.degree() == 1 else UniPoly.zero(place.var, QQ)
-    if valuation_at(place, g) < 0:
-        raise PoleAtPlace(f"{g} has a pole at {place}")
-    p = place.poly
-    num = g.num % p
-    den = g.den % p
-    res = (num * _inverse_mod(den, p)) % p
-    if place.degree() == 1:
-        return Fraction(res.coeff(0))
-    return res
-
-
-def _inverse_mod(a: UniPoly, p: UniPoly) -> UniPoly:
-    """Inverse of a modulo the irreducible p, by extended Euclid."""
-    if not (a % p):
-        raise ZeroDivisionError("element is not invertible modulo the place")
-    r0, r1 = p, a % p
-    s0 = UniPoly.zero(p.var, p.field)
-    s1 = UniPoly.constant(p.var, p.field.one(), p.field)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    inv = s0 * (p.field.one() / r0.lc())
-    return inv % p
 
 
 def divisor_of(f) -> list[tuple[Place, int]]:

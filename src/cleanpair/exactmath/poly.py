@@ -537,44 +537,6 @@ def poly_discriminant(p: UniPoly):
     return sign * res * (p.field.one() / p.lc())
 
 
-def poly_discriminant_cubic(p: UniPoly):
-    """Discriminant of a cubic; for x^3 + a*x + b this is -4a^3 - 27b^2."""
-    if p.degree() != 3:
-        raise DegreeError(f"expected a cubic, got degree {p.degree()}")
-    return poly_discriminant(p)
-
-
-def squarefree_decomposition(p: UniPoly):
-    """Yun decomposition: returns (constant, [(monic squarefree, mult)]).
-
-    The parts are pairwise coprime and constant * prod part^mult == p.
-    """
-    if not p:
-        raise DegreeError("zero polynomial has no squarefree decomposition")
-    const = p.lc()
-    p = p.monic()
-    if p.degree() == 0:
-        return const, []
-    parts = []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
-    i = 1
-    while b.degree() > 0:
-        d = c - b.derivative()
-        g = poly_gcd(b, d)
-        if g.degree() > 0:
-            parts.append((g, i))
-        b = b.exact_div(g)
-        if d:
-            c = d.exact_div(g)
-        else:
-            c = UniPoly.zero(p.var, p.field)
-        i += 1
-    return const, parts
-
-
 # -- rational functions ------------------------------------------------------
 
 

@@ -11,9 +11,7 @@ visible as ``b != 0 and rad != 1``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-
-from sympy import factorint, integer_nthroot
+from math import isqrt
 
 Rational = Fraction
 
@@ -72,50 +70,6 @@ def is_rational_square(x) -> bool:
     return sqrt_rational(x) is not None
 
 
-def nth_root_rational(x, n: int) -> Fraction | None:
-    """Exact rational n-th root with the sign of x, or None.
-
-    Even n requires x >= 0.  The returned root is nonnegative for even n
-    and has the sign of x for odd n.
-    """
-    x = as_fraction(x)
-    if n <= 0:
-        raise ValueError("root index must be positive")
-    if x == 0:
-        return Fraction(0)
-    negative = x < 0
-    if negative and n % 2 == 0:
-        return None
-    mag = -x if negative else x
-
-    def int_root(m: int) -> int | None:
-        root, exact = integer_nthroot(m, n)
-        return int(root) if exact else None
-
-    rn = int_root(mag.numerator)
-    rd = int_root(mag.denominator)
-    if rn is None or rd is None:
-        return None
-    root = Fraction(rn, rd)
-    return -root if negative else root
-
-
-def squarefree_part(x) -> Fraction:
-    """The canonical radicand equivalent to x modulo rational squares.
-
-    Result is a squarefree integer (as a Fraction) with the sign of x.
-    """
-    x = as_fraction(x)
-    if x == 0:
-        return Fraction(0)
-    n = x.numerator * x.denominator  # same square class as x
-    out = -1 if n < 0 else 1
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            out *= int(p)
-    return Fraction(out)
-
-
 class QuadExtElem:
     """Element a + b*sqrt(rad) of a quadratic extension of Q.
 
@@ -160,9 +114,6 @@ class QuadExtElem:
     def norm(self) -> Fraction:
         """Field norm a^2 - rad*b^2 down to Q."""
         return self.a * self.a - self.rad * self.b * self.b
-
-    def components(self) -> tuple[Fraction, Fraction]:
-        return (self.a, self.b)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -342,35 +293,6 @@ class QuadExtField:
         if isinstance(value, (int, Fraction)):
             return QuadExtElem(as_fraction(value), 0, self.rad)
         raise TypeError(f"cannot coerce {value!r} into Q(sqrt({self.rad}))")
-
-    def sqrt(self, value):
-        """Exact square root inside the extension, or None.
-
-        Solves (u + v*sqrt(d))^2 = a + b*sqrt(d) by radicals over Q.
-        """
-        x = self.coerce(value)
-        a, b, d = x.a, x.b, x.rad
-        if b == 0:
-            r = sqrt_rational(a)
-            if r is not None:
-                return QuadExtElem(r, 0, self.rad)
-            if self.rad != 1 and a != 0:
-                s = sqrt_rational(a / self.rad)
-                if s is not None:
-                    return QuadExtElem(0, s, self.rad)
-            return None
-        n = sqrt_rational(x.norm())
-        if n is None:
-            return None
-        for sign in (1, -1):
-            u2 = (a + sign * n) / 2
-            u = sqrt_rational(u2)
-            if u is not None and u != 0:
-                v = b / (2 * u)
-                cand = QuadExtElem(u, v, d)
-                if cand * cand == x:
-                    return cand
-        return None
 
     def __eq__(self, other):
         return isinstance(other, QuadExtField) and self.rad == other.rad

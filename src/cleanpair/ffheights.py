@@ -38,7 +38,6 @@ from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
     QQ,
     Place,
-    QuadExtElem,
     QuadExtField,
     RatFunc,
     RatFuncField,
@@ -59,10 +58,6 @@ class MinimalityError(ValueError):
 
 class NotRationalSurface(ValueError):
     """Degree-weighted discriminant valuations do not sum to 12."""
-
-
-class IdentityHeight(ValueError):
-    """Local height of the identity point was requested."""
 
 
 class DegenerateS(ValueError):
@@ -336,12 +331,6 @@ class HeightReport:
     entries: tuple[PlaceHeightEntry, ...]
     total: Fraction
 
-    def local_at(self, place: Place) -> Fraction:
-        for e in self.entries:
-            if e.place == place:
-                return e.local
-        return Fraction(0)
-
     def to_table_json(self) -> dict:
         return {
             "places": [str(e.place) for e in self.entries],
@@ -375,8 +364,6 @@ def _local_data(E: FunctionFieldCurve, P: CurvePoint, place: Place):
 def _local_height_entry(
     E: FunctionFieldCurve, P: CurvePoint, place: Place, profile: ReductionProfile
 ) -> PlaceHeightEntry:
-    if P.is_infinity:
-        raise IdentityHeight("local height of the identity is undefined")
     a, b, x, y, spot = _local_data(E, P, place)
     n = profile.val_delta
     vx = valuation_or_inf(spot, x)
@@ -416,10 +403,6 @@ def _local_height_entry(
     else:
         lam = Fraction(n, 12) - Fraction(vf3, 16)
     return entry(False, lam, vf2=vf2, vf3=vf3)
-
-
-def local_height(E: FunctionFieldCurve, P: CurvePoint, place: Place) -> Fraction:
-    return _local_height_entry(E, P, place, reduction_at(E, place)).local
 
 
 def _rational_norm_poly(p: UniPoly) -> UniPoly:
@@ -464,27 +447,6 @@ def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
         if e.local or candidates[place].val_delta:
             entries.append(e)
     return HeightReport(tuple(entries), total)
-
-
-def height_pairing(E: FunctionFieldCurve, P: CurvePoint, Q: CurvePoint) -> Fraction:
-    """<P, Q> = (h(P+Q) - h(P) - h(Q)) / 2."""
-    hsum = canonical_height(E, E.add(P, Q)).total
-    return (hsum - canonical_height(E, P).total - canonical_height(E, Q).total) / 2
-
-
-# -- j-invariant ---------------------------------------------------------------
-
-
-def j_invariant_ff(E: FunctionFieldCurve) -> RatFunc:
-    """j = 1728 * 4a^3 / (4a^3 + 27 b^2), exactly."""
-    a, b = E.a, E.b
-    num = 6912 * a * a * a
-    den = 4 * a * a * a + 27 * b * b
-    return RatFunc(num, den)
-
-
-def is_isotrivial(E: FunctionFieldCurve) -> bool:
-    return j_invariant_ff(E).degree_map() == 0
 
 
 # -- generic rank over Q(T) -----------------------------------------------------

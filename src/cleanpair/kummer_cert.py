@@ -426,6 +426,12 @@ def _int_from(value) -> int:
     return value
 
 
+def _bool_from(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _fiber_json(cf: CertifiedFiber) -> dict:
     par = cf.parametrization
     wit = cf.witness
@@ -545,7 +551,7 @@ def certificate_from_json(data: dict) -> CleanPairCertificate:
     # unpacking raises ValueError on a list of the wrong length
     left, right = (_member_from(m, s) for m in pd["members"])
     flag1, flag2 = pd["rank_one"]
-    pair = PairHypothesis(left, right, s, (bool(flag1), bool(flag2)))
+    pair = PairHypothesis(left, right, s, (_bool_from(flag1), _bool_from(flag2)))
     curves = (left.curve, right.curve)
     pc = data["preimage_check"]
     cd = data["conclusion"]
@@ -562,8 +568,8 @@ def certificate_from_json(data: dict) -> CleanPairCertificate:
         conclusion=Conclusion(
             statement=cd["statement"],
             multiplier=_int_from(cd["multiplier"]),
-            rank_one_hypotheses=(bool(hyp1), bool(hyp2)),
-            rank_one_conditional=bool(cd["rank_one_conditional"]),
+            rank_one_hypotheses=(_bool_from(hyp1), _bool_from(hyp2)),
+            rank_one_conditional=_bool_from(cd["rank_one_conditional"]),
             n=cd["n"],
             n_prime=cd["n_prime"],
             torsion_factor=cd["torsion_factor"],

@@ -53,7 +53,6 @@ from .ec_core import (
     _reduction_refutes_torsion,
     torsion_points_overQ,
 )
-from .family import make_member
 
 __all__ = [
     "TABLE_TOTALS",
@@ -79,7 +78,6 @@ __all__ = [
     "DbCurveClassification",
     "DbFilterReport",
     "filter_db_family_candidates",
-    "candidates_in_family",
 ]
 
 #: Published candidate totals per height bound H; the enumeration
@@ -150,10 +148,6 @@ class SearchRecord:
     @property
     def t(self) -> Fraction:
         return Fraction(self.p, self.q)
-
-    @property
-    def curve_integral(self) -> tuple[int, int]:
-        return integral_coefficients(self.p, self.q)
 
     @property
     def is_candidate(self) -> bool:
@@ -494,7 +488,9 @@ class CurveDbEntry:
 
 
 def parse_curve_db(lines: Iterable[str]) -> list[CurveDbEntry]:
-    """One curve per line: label a1 a2 a3 a4 a6 rank torsionOrder conductor."""
+    """One curve per line: label a1 a2 a3 a4 a6 rank torsionOrder conductor.
+    A singular model on a rank-1 row is malformed; the filter reads only
+    rank-1 rows, so rows of other ranks are left as given."""
     entries = []
     labels = set()
     for line_no, raw in enumerate(lines, start=1):
@@ -512,6 +508,10 @@ def parse_curve_db(lines: Iterable[str]) -> list[CurveDbEntry]:
             nums = [int(tok) for tok in parts[1:]]
         except ValueError:
             raise ParseError(f"non-integer field in {raw.strip()!r}", line_no)
+        if nums[5] == 1:
+            A, B = _short_model(nums[0:5])
+            if 4 * A**3 + 27 * B * B == 0:
+                raise ParseError(f"singular curve {label!r} of rank 1", line_no)
         entries.append(
             CurveDbEntry(label, tuple(nums[0:5]), nums[5], nums[6], nums[7])
         )
@@ -639,10 +639,3 @@ def filter_db_family_candidates(db: Sequence[CurveDbEntry]) -> DbFilterReport:
         classifications=tuple(classifications),
     )
 
-
-def candidates_in_family(records: Sequence[SearchRecord]) -> bool:
-    """Cross-module sanity: every candidate really is a good s = 1 member."""
-    for rec in records:
-        if rec.is_candidate and not make_member(1, rec.t).in_u:
-            return False
-    return True

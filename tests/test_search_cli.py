@@ -18,7 +18,6 @@ from cleanpair.search import (
     SearchConvention,
     SearchRecord,
     attach_ranks,
-    candidates_in_family,
     convention_sweep,
     enumerate_s1,
     filter_db_family_candidates,
@@ -104,11 +103,12 @@ def test_enumeration_monotone_in_h():
 
 def test_candidates_are_good_family_members():
     records = enumerate_s1(10)
-    assert candidates_in_family(records)
-    # and the integral model is exactly the d = q rescaling of the fiber
+    # every candidate is a good s = 1 member, and the integral model is
+    # exactly the d = q rescaling of the fiber
     for r in records:
         member = make_member(1, r.t)
-        a, b = r.curve_integral
+        assert member.in_u or not r.is_candidate
+        a, b = integral_coefficients(r.p, r.q)
         assert F(a) == member.curve.a * r.q**4
         assert F(b) == member.curve.b * r.q**6
 
@@ -404,6 +404,16 @@ def test_cli_member(capsys):
     assert json.loads(out)["failure"] == "ZeroDiscriminant"
 
 
+def test_cli_reads_a_negative_fraction_after_the_option_terminator(capsys):
+    # argparse takes "-4/3" for an option; "--" ends the options, as the
+    # README and the cli docstring say
+    assert run_cli(capsys, "member", "1", "-4/3")[0] == 2
+    code, out, _ = run_cli(capsys, "member", "1", "--", "-4/3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["t"] == "-4/3" and payload["failure"] == "TorsionMarkedPoint"
+
+
 def test_cli_certify_verify_round_trip(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     code, out, err = run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))
@@ -453,6 +463,31 @@ def test_cli_verify_rejects_malformed_nested_fields(capsys, tmp_path, path, valu
     code, out, err = run_cli(capsys, "verify", str(cert))
     assert code == 1 and out == ""
     assert err.startswith("malformed certificate:")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", [True, "no", 1], ids=["true", "string", "int"])
+def test_cli_verify_reads_rank_flags_only_as_json_booleans(capsys, tmp_path, flag):
+    # Every flag set to the same value, with the conditional statement: a
+    # truthy non-boolean must not pass as a supplied rank-1 hypothesis.
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    doc["pair"]["rank_one"] = [flag, flag]
+    conclusion = doc["conclusion"]
+    conclusion["rank_one_hypotheses"] = [flag, flag]
+    conclusion["rank_one_conditional"] = flag
+    conclusion["statement"] = conclusion["statement"].replace(
+        "if both curves have rank 1 then",
+        "rank-1 hypotheses supplied for both curves, so",
+    )
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(cert))
+    if flag is True:
+        assert code == 0 and out.strip() == "OK"
+        return
+    assert code == 1 and out == ""
+    assert err.startswith("malformed certificate:") and repr(flag) in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
@@ -584,6 +619,26 @@ def test_cli_dbfilter(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "dbfilter", str(tmp_path / "absent.txt"))
     assert code == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["s 0 0 0 0 0 1 1 1", "n 0 0 0 -3 2 1 1 1"],
+    ids=["cusp-a-b-zero", "node"],
+)
+def test_cli_dbfilter_rejects_a_singular_row(capsys, tmp_path, row):
+    # y^2 = x^3 and y^2 = x^3 - 3x + 2 have 4A^3 + 27B^2 = 0; the filter
+    # reads only rank-1 rows, so the same model at rank 0 still parses
+    assert len(parse_curve_db([DB_FIXTURE[0], row.replace(" 1 1 1", " 0 1 1")])) == 2
+    with pytest.raises(ParseError) as exc:
+        parse_curve_db([DB_FIXTURE[0], row])
+    assert exc.value.line_no == 2
+    db = tmp_path / "db.txt"
+    db.write_text(DB_FIXTURE[0] + "\n" + row + "\n")
+    code, out, err = run_cli(capsys, "dbfilter", str(db))
+    assert code == 1 and out == ""
+    assert err.startswith("database: line 2: singular curve")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_usage_errors(capsys):
