@@ -43,6 +43,13 @@ class TorsionError(ValueError):
 
 _MAZUR_BOUND = 12  # uniform bound on rational torsion orders
 _PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# The probe primes where a reduction can have order above the Mazur bound,
+# largest first: p + 1 + 2 sqrt(p) >= 13 (Hasse), tested on integers.
+_REFUTING_PRIMES = tuple(
+    p
+    for p in reversed(_PROBE_PRIMES)
+    if p >= _MAZUR_BOUND or (_MAZUR_BOUND - p) ** 2 <= 4 * p
+)
 
 
 def _field_of(*elems):
@@ -256,11 +263,17 @@ def _reduction_refutes_torsion(a, b, x, y) -> bool:
 
     Rational torsion injects into E(F_p) for every odd prime p of good
     reduction (Silverman, AEC VII.3.1), so a reduction of order above the
-    Mazur bound at any good probe prime proves infinite order.
+    Mazur bound at any good probe prime proves infinite order.  Such an
+    order needs #E(F_p) >= 13, and by Hasse #E(F_p) <= p + 1 + 2 sqrt(p),
+    so p = 5 can never refute; `_REFUTING_PRIMES` holds the rest, largest
+    first, as a larger group is likelier to give a large order.  Each
+    prime is settled from P, ..., 6P alone: an order n <= 12 splits as
+    n = i + j with i, j <= 6, so iP = -jP shows as y(iP) = 0 (i = j) or
+    as x(iP) = x(jP) (see `_order_exceeds_mazur_bound`).
     """
     dens = a.denominator * b.denominator * x.denominator * y.denominator
     disc = (4 * a * a * a + 27 * b * b).numerator
-    for p in _PROBE_PRIMES:
+    for p in _REFUTING_PRIMES:
         if dens * disc % p == 0:
             continue
         ap = a.numerator * pow(a.denominator, -1, p) % p
@@ -268,32 +281,34 @@ def _reduction_refutes_torsion(a, b, x, y) -> bool:
             x.numerator * pow(x.denominator, -1, p) % p,
             y.numerator * pow(y.denominator, -1, p) % p,
         )
-        pt = start
-        for _ in range(_MAZUR_BOUND - 1):  # 2P, ..., 12P
-            pt = _mod_add(ap, pt, start, p)
-            if pt is None:
-                break
-        else:
+        if _order_exceeds_mazur_bound(ap, start, p):
             return True
     return False
 
 
-def _mod_add(a: int, P, Q, p: int):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
+def _order_exceeds_mazur_bound(a: int, P: tuple[int, int], p: int) -> bool:
+    """Whether the affine point P of y^2 = x^3 + ax + b over F_p has order
+    above 12, decided from P, 2P, ..., 6P with five additions.
+
+    The order n is at most 12 exactly when some iP with i <= 6 has y = 0
+    (so 2iP = O) or shares its x with some jP, j < i (so iP = +-jP and
+    (i -+ j)P = O with 0 < i -+ j <= 12): n = i + j with i, j <= 6 gives
+    iP = -jP.  The walk stops at the first such iP, so before it every
+    iP has an x of its own and no sum meets O.
+    """
+    x1, y1 = x, y = P
+    xs = []
+    while y and x not in xs:
+        xs.append(x)
+        if len(xs) == _MAZUR_BOUND // 2:
+            return True
+        if len(xs) == 1:
+            lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p  # tangent at P
+        else:
+            lam = (y - y1) * pow(x - x1, -1, p) % p  # chord through iP and P
+        x = (lam * lam - x - x1) % p
+        y = (lam * (x1 - x) - y1) % p
+    return False
 
 
 def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:

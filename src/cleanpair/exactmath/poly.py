@@ -395,6 +395,8 @@ class UniPoly:
 
     def with_field(self, field) -> "UniPoly":
         """Re-coerce every coefficient into another field descriptor."""
+        if field == self.field:
+            return self
         return UniPoly(self.var, [field.coerce(c) for c in self.coeffs], field)
 
     def map_coefficients(self, fn) -> "UniPoly":
@@ -701,6 +703,8 @@ class RatFunc:
         return RatFunc(n, d)
 
     def with_field(self, field) -> "RatFunc":
+        if field == self.field:
+            return self
         return RatFunc(self.num.with_field(field), self.den.with_field(field))
 
     def __eq__(self, other):

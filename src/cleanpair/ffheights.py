@@ -232,8 +232,6 @@ def _promote_point(P: CurvePoint, field, var: str) -> CurvePoint:
         return P
     x = _as_ratfunc_coord(P.x, var)
     y = _as_ratfunc_coord(P.y, var)
-    if x.field == field and y.field == field:
-        return CurvePoint.affine(x, y)
     return CurvePoint.affine(x.with_field(field), y.with_field(field))
 
 

@@ -19,7 +19,9 @@ from cleanpair.ec_core import (
     SingularCurveError,
     TorsionError,
     WeierstrassCurve,
-    _mod_add,
+    _PROBE_PRIMES,
+    _REFUTING_PRIMES,
+    _order_exceeds_mazur_bound,
     _reduction_refutes_torsion,
     add,
     is_torsion_overQ,
@@ -164,22 +166,110 @@ def test_torsion_of_every_order_mazur_allows(a, b, x, y, order):
         assert not _reduction_refutes_torsion(a, b, x, y)
 
 
+def _mod_add(a, P, Q, p):
+    # the chord-tangent law on y^2 = x^3 + ax + b over F_p; None is O
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def _mod_order(a, P, p):
+    n, Q = 1, P
+    while Q is not None:
+        Q = _mod_add(a, Q, P, p)
+        n += 1
+    return n
+
+
+def _reference_refutes_torsion(a, b, x, y):
+    # the probe read directly: walk 2P, ..., 12P at every good prime <= 43
+    a, b, x, y = F(a), F(b), F(x), F(y)
+    bad = (4 * a**3 + 27 * b**2).numerator
+    for v in (a, b, x, y):
+        bad *= v.denominator
+    for p in _PROBE_PRIMES:
+        if bad % p == 0:
+            continue
+        ap, x0, y0 = (v.numerator * pow(v.denominator, -1, p) % p for v in (a, x, y))
+        start = pt = (x0, y0)
+        for _ in range(11):
+            pt = _mod_add(ap, pt, start, p)
+            if pt is None:
+                break
+        else:
+            return True
+    return False
+
+
+def test_probe_matches_the_walk_to_12P_at_every_good_prime():
+    rng = random.Random(8101)
+    cases = []
+    for a, b, x, y, _ in MAZUR_ORDERS[1:]:
+        cases += [(a, b, x, y), (F(a, 16), F(b, 64), F(x, 4), F(y, 8))]
+    while len(cases) < 3000:
+        # a random point (x, y) and a; b puts the point on the curve
+        den = 1 if rng.random() < 0.5 else rng.randint(1, 6)
+        x = F(rng.randint(-30, 30), den * den)
+        y = F(rng.randint(-30, 30), den**3)
+        a = F(rng.randint(-30, 30), rng.choice((1, den**4)))
+        b = y * y - x**3 - a * x
+        if 4 * a**3 + 27 * b * b != 0:
+            cases.append((a, b, x, y))
+    refuted = 0
+    for a, b, x, y in cases:
+        expected = _reference_refutes_torsion(a, b, x, y)
+        assert _reduction_refutes_torsion(a, b, x, y) == expected, (a, b, x, y)
+        refuted += expected
+    # both answers occur, so neither side can pass by a constant
+    assert 0 < refuted < len(cases)
+
+
+def test_six_multiples_decide_order_above_12_at_small_primes():
+    assert _REFUTING_PRIMES == tuple(sorted(set(_PROBE_PRIMES) - {5}, reverse=True))
+    for p in (5, 7, 11, 13):
+        above = 0
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                for x in range(p):
+                    for y in range(p):
+                        if (y * y - x**3 - a * x - b) % p == 0:
+                            large = _mod_order(a, (x, y), p) > 12
+                            got = _order_exceeds_mazur_bound(a, (x, y), p)
+                            assert got == large, (p, a, b, x, y)
+                            above += large
+        # Hasse: #E(F_5) <= 10, but every larger prime has points of order > 12
+        assert (above == 0) == (p == 5)
+
+
 def test_probe_reaches_past_the_first_good_prime(monkeypatch):
-    # The first model of the convention sweep, y^2 = x^3 - 3x + 3 with
-    # (-2, 1): 5 divides 4a^3 + 27b^2 = 135, and at p = 7 the point
-    # reduces to order 3, so only a later probe prime can refute torsion
-    # without exact addition.
-    E, P = WeierstrassCurve(-3, 3), CurvePoint.affine(F(-2), F(1))
-    assert (4 * (-3) ** 3 + 27 * 3**2) % 5 == 0
-    double = _mod_add(-3 % 7, (-2 % 7, 1), (-2 % 7, 1), 7)
-    assert _mod_add(-3 % 7, double, (-2 % 7, 1), 7) is None
+    # y^2 = x^3 - 12x + 9 with (4, 5): 4a^3 + 27b^2 = -4725 = -3^3 5^2 7,
+    # so 43 and 41, the first primes tried, are good, but the point
+    # reduces to order 5 at 43 and to order 11 at 41.  Only a later probe
+    # prime can refute torsion without exact addition.
+    E, P = WeierstrassCurve(-12, 9), CurvePoint.affine(F(4), F(5))
+    assert 4 * (-12) ** 3 + 27 * 9**2 == -(3**3) * 5**2 * 7
+    assert _REFUTING_PRIMES[:2] == (43, 41)
+    assert _mod_order(-12 % 43, (4, 5), 43) == 5
+    assert _mod_order(-12 % 41, (4, 5), 41) == 11
+    assert not _order_exceeds_mazur_bound(-12 % 43, (4, 5), 43)
+    assert not _order_exceeds_mazur_bound(-12 % 41, (4, 5), 41)
 
     def refuse(self, P, Q):
         raise AssertionError("the probe should have refuted torsion")
 
     monkeypatch.setattr(WeierstrassCurve, "add", refuse)
     assert is_torsion_overQ(E, P) is None
-    assert _reduction_refutes_torsion(-3, 3, -2, 1)
+    assert _reduction_refutes_torsion(-12, 9, 4, 5)
 
 
 def test_torsion_points():

@@ -230,6 +230,16 @@ def test_ratfunc_field_ops():
     assert finv == RatFunc(U**2 + 1, U - 2 * U**2)
 
 
+def test_with_field_moves_only_between_fields():
+    f = RatFunc(T**2 + 1, T - 2)
+    assert f.with_field(QQ) is f
+    assert f.num.with_field(QQ) is f.num
+    K = QuadExtField(5)
+    g = f.with_field(K)
+    assert g.field == K and g.with_field(K) is g
+    assert g == RatFunc(UniPoly("T", [1, 0, 1], K), UniPoly("T", [-2, 1], K))
+
+
 def test_tower_coefficients():
     Fs = RatFuncField("S")
     TT = UniPoly.gen("T", Fs)
