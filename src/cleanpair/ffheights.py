@@ -17,14 +17,17 @@ and with N = val(Delta) the cases are:
 
   * P reduces to a smooth point:  lambda = (1/2) max(0, -val(x)) + N/12
   * node (multiplicative), P singular:
-        alpha = min(val(F2), 2N - val(F2)) / (2N)
+        alpha = min(val(F2), N) / (2N)
         lambda = (N/2)(alpha^2 - alpha + 1/6)
   * cusp (additive), P singular:
         lambda = N/12 - val(F2)/6   if val(F3) >= 3 val(F2)
         lambda = N/12 - val(F3)/16  otherwise
 
 The normalization makes the canonical height equal to the degree-weighted
-sum of local values over all places, and satisfies h(2P) = 4 h(P).
+sum of local values over all places, and satisfies h(2P) = 4 h(P).  At a
+good place only the first case applies with N = 0, so the good finite places
+together give half of deg den(x) less the degree-weighted pole orders of x at
+the bad finite places; the denominator of x is never factored.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def _as_poly(value, var: str) -> UniPoly:
 class FunctionFieldCurve:
     """y^2 = x^3 + a(T) x + b(T) with integral models at every place."""
 
-    __slots__ = ("var", "inf_var", "a", "b", "a_inf", "b_inf")
+    __slots__ = ("var", "inf_var", "a", "b", "a_inf", "b_inf", "_profiles")
 
     def __init__(self, a, b, var: str = "T"):
         a = _as_poly(a, var)
@@ -111,6 +114,7 @@ class FunctionFieldCurve:
         # (x, y, T) = (x'/U^2, y'/U^3, 1/U) turns a into U^4 a(1/U), b into U^6 b(1/U)
         object.__setattr__(self, "a_inf", a.reversed_coeffs(5).rename(inf_var))
         object.__setattr__(self, "b_inf", b.reversed_coeffs(7).rename(inf_var))
+        object.__setattr__(self, "_profiles", None)  # filled by _place_profiles
         if not self.discriminant():
             raise ValueError("singular: the discriminant vanishes identically")
 
@@ -280,18 +284,24 @@ def reduction_at(E: FunctionFieldCurve, place: Place) -> ReductionProfile:
     return _classify(vd, vc, place)
 
 
+def _place_profiles(E: FunctionFieldCurve) -> tuple[ReductionProfile, ...]:
+    """Profiles at the bad finite places in sorted order, then at infinity,
+    good or bad.  Delta is factored once; the tuple is kept on the curve."""
+    profiles = E._profiles
+    if profiles is None:
+        _, parts = factor_rational_poly(E.discriminant())
+        finite = sorted(
+            (reduction_at(E, Place.finite(q)) for q, _ in parts),
+            key=lambda pr: pr.place.sort_key(),
+        )
+        profiles = (*finite, reduction_at(E, Place.infinity(E.var)))
+        object.__setattr__(E, "_profiles", profiles)
+    return profiles
+
+
 def bad_places(E: FunctionFieldCurve) -> list[ReductionProfile]:
     """Reduction profile at every place of bad reduction, infinity last."""
-    profiles = []
-    disc = E.discriminant()
-    _, parts = factor_rational_poly(disc)
-    for q, _ in parts:
-        profiles.append(reduction_at(E, Place.finite(q)))
-    inf = reduction_at(E, Place.infinity(E.var))
-    if inf.val_delta:
-        profiles.append(inf)
-    profiles.sort(key=lambda pr: pr.place.sort_key())
-    return profiles
+    return [pr for pr in _place_profiles(E) if pr.val_delta]
 
 
 def shioda_tate_rank(profiles) -> int:
@@ -326,8 +336,14 @@ class PlaceHeightEntry:
 
 @dataclass(frozen=True)
 class HeightReport:
+    """Local heights at the bad places and at infinity (a good infinity only
+    when its value is not 0).  ``good_poles`` is the degree-weighted count of
+    the poles of x at the good finite places, where the local height is half
+    the pole order, so total = sum(degree * local) + good_poles / 2."""
+
     entries: tuple[PlaceHeightEntry, ...]
     total: Fraction
+    good_poles: int
 
     def to_table_json(self) -> dict:
         return {
@@ -387,7 +403,7 @@ def _local_height_entry(
         if v2y == _INF:
             raise ArithmeticError("two-torsion on a node is not supported")
         vf2 = 2 * int(v2y)
-        alpha = Fraction(min(vf2, 2 * n - vf2), 2 * n)
+        alpha = Fraction(min(vf2, n), 2 * n)
         lam = Fraction(n, 2) * (alpha * alpha - alpha + Fraction(1, 6))
         return entry(False, lam, vf2=vf2)
     psi3 = 3 * u2 * u2 + 6 * a * u2 * w2 + 12 * b * u * w2 * w - a * a * w2 * w2
@@ -403,48 +419,28 @@ def _local_height_entry(
     return entry(False, lam, vf2=vf2, vf3=vf3)
 
 
-def _rational_norm_poly(p: UniPoly) -> UniPoly:
-    """p * conj(p) for quadratic-extension coefficients, descended to Q."""
-    if p.field == QQ:
-        return p
-    conj = p.map_coefficients(lambda c: c.conjugate())
-    prod = p * conj
-    return UniPoly(p.var, [c.a for c in prod.coeffs], QQ)
-
-
-def _pole_places(x: RatFunc, var: str) -> list[Place]:
-    den = x.den if x.field == QQ else _rational_norm_poly(x.den)
-    places = []
-    if den.degree() > 0:
-        _, parts = factor_rational_poly(den)
-        places = [Place.finite(q) for q, _ in parts]
-    return places
-
-
 def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
-    """Degree-weighted sum of local heights over every contributing place.
+    """Degree-weighted sum of local heights over every place.
 
-    The identity gets the empty report with total 0.  Entries cover all bad
-    places plus any good place where the point has a pole.
+    The identity gets the empty report with total 0.  Entries cover the bad
+    places and infinity; the good finite places enter through
+    ``good_poles``, so the point is never factored.
     """
     if P.is_infinity:
-        return HeightReport((), Fraction(0))
-    candidates: dict[Place, ReductionProfile] = {}
-    for pr in bad_places(E):
-        candidates[pr.place] = pr
+        return HeightReport((), Fraction(0), 0)
     x = _as_ratfunc_coord(P.x, E.var)
-    for place in _pole_places(x, E.var):
-        candidates.setdefault(place, reduction_at(E, place))
-    inf = Place.infinity(E.var)
-    candidates.setdefault(inf, reduction_at(E, inf))
+    good_poles = x.den.degree()
     entries = []
     total = Fraction(0)
-    for place in sorted(candidates, key=lambda pl: pl.sort_key()):
-        e = _local_height_entry(E, P, place, candidates[place])
+    for profile in _place_profiles(E):
+        place = profile.place
+        e = _local_height_entry(E, P, place, profile)
         total += place.degree() * e.local
-        if e.local or candidates[place].val_delta:
+        if e.local or profile.val_delta:
             entries.append(e)
-    return HeightReport(tuple(entries), total)
+        if not place.is_infinity:
+            good_poles -= place.degree() * max(0, -valuation_or_inf(place, x))
+    return HeightReport(tuple(entries), total + Fraction(good_poles, 2), good_poles)
 
 
 # -- generic rank over Q(T) -----------------------------------------------------

@@ -10,8 +10,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import cleanpair.ffheights as ffheights
 from cleanpair.ec_core import CurvePoint
-from cleanpair.exactmath import Place, RatFunc, UniPoly
+from cleanpair.exactmath import (
+    QQ,
+    Place,
+    RatFunc,
+    UniPoly,
+    factor_rational_poly,
+    valuation_at,
+)
 from cleanpair.ffheights import (
     DegenerateS,
     FunctionFieldCurve,
@@ -153,7 +161,7 @@ def test_canonical_heights_table():
 def test_canonical_height_identity_is_zero():
     E, _ = family_functionfield_curve(1)
     rep = canonical_height(E, CurvePoint.infinity())
-    assert rep.total == 0 and rep.entries == ()
+    assert rep.total == 0 and rep.entries == () and rep.good_poles == 0
 
 
 def test_quadraticity():
@@ -174,6 +182,100 @@ def test_orthogonality_and_pairing():
         hpq = canonical_height(E, E.add(P, Q)).total
         assert hpq == hp + hq
         assert hp > 0 and hq > 0
+
+
+def adds_up(rep: HeightReport) -> bool:
+    """The report's entries and good-place pole count give its total."""
+    weighted = sum(e.place.degree() * e.local for e in rep.entries)
+    return rep.total == weighted + F(rep.good_poles, 2)
+
+
+def test_quadratic_form_on_the_span_of_P_and_Q():
+    # P and Q are orthogonal, so h(mP + nQ) = m^2 h(P) + n^2 h(Q); at s = 2
+    # and 3, 16 of the points (those with |m| = 2 and n != 0) have x-poles at
+    # good places that split over Q(sqrt(s))
+    for s in (2, 3, 4):
+        E, P = family_functionfield_curve(s)
+        Q = second_section(s)
+        hp = canonical_height(E, P).total
+        hq = canonical_height(E, Q).total
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                R = E.add(E.scalar_mul(m, P), E.scalar_mul(n, Q))
+                rep = canonical_height(E, R)
+                assert rep.total == m * m * hp + n * n * hq, (s, m, n)
+                assert adds_up(rep), (s, m, n)
+
+
+def test_node_entry_of_2P_plus_Q():
+    # at the I2 place T = -1/3, v(2y) = 2 exceeds N/2 = 1, so alpha = 1/2
+    E, P = family_functionfield_curve(2)
+    R = E.add(E.scalar_mul(2, P), second_section(2))
+    rep = canonical_height(E, R)
+    node = {e.place: e for e in rep.entries}[Place.linear("T", F(-1, 3))]
+    assert (node.local, node.val_f2, node.smooth) == (F(-1, 12), 4, False)
+    assert rep.total == F(9, 8)
+
+
+def factored_good_poles(E: FunctionFieldCurve, x: RatFunc) -> int:
+    """Sum of deg q * max(0, -v_q(x)) over the good finite places q, found by
+    factoring den(x), or its norm to Q when x has quadratic coefficients.
+    Needs every pole place to stay prime over the quadratic extension."""
+    den = x.den
+    if den.field != QQ:
+        norm = den * den.map_coefficients(lambda c: c.conjugate())
+        den = UniPoly(den.var, [c.a for c in norm.coeffs], QQ)
+    bad = {pr.place for pr in bad_places(E)}
+    count = 0
+    if den.degree() > 0:
+        for q, _ in factor_rational_poly(den)[1]:
+            place = Place.finite(q)
+            if place not in bad:
+                count += q.degree() * max(0, -valuation_at(place, x))
+    return count
+
+
+def test_good_pole_count_matches_factoring_the_denominator():
+    cases = []
+    for s, top in ((2, 9), (1, 5), (F(1, 4), 5), (F(-3, 2), 5)):
+        E, P = family_functionfield_curve(s)
+        R = P
+        for n in range(1, top + 1):
+            cases.append((E, R))
+            R = E.add(R, P)
+    for s in (2, 3):  # every pole place of P + Q is inert in Q(sqrt(s))
+        E, P = family_functionfield_curve(s)
+        cases.append((E, E.add(P, second_section(s))))
+    poles = 0
+    for E, R in cases:
+        rep = canonical_height(E, R)
+        assert rep.good_poles == factored_good_poles(E, R.x)
+        assert adds_up(rep)
+        poles += rep.good_poles
+    assert poles > 0
+
+
+def test_discriminant_is_factored_once_per_curve(monkeypatch):
+    factored = []
+    real = ffheights.factor_rational_poly
+
+    def counted(p):
+        factored.append(p)
+        return real(p)
+
+    monkeypatch.setattr(ffheights, "factor_rational_poly", counted)
+    E, P = family_functionfield_curve(2)
+    R = P
+    for _ in range(6):
+        canonical_height(E, R)
+        R = E.add(R, P)
+    profiles = bad_places(E)
+    assert factored == [E.discriminant()]
+    expected = list(profiles)
+    profiles.pop()
+    profiles.append(profiles[0])
+    assert bad_places(E) == expected
+    assert len(factored) == 1
 
 
 def test_height_positivity_table_points():
