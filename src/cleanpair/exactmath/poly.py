@@ -407,17 +407,6 @@ class UniPoly:
             return _qq_wrap(var, self._num, self._den, self._coeffs)
         return UniPoly(var, self.coeffs, self.field)
 
-    def reversed_coeffs(self, length: int | None = None) -> "UniPoly":
-        """Coefficient reversal x^n * p(1/x), padded to the given length."""
-        n = length if length is not None else self.degree() + 1
-        if n < self.degree() + 1:
-            raise DegreeError("reversal length below polynomial length")
-        if self._num is not None:
-            padded = self._num + (0,) * (n - len(self._num))
-            return qq_from_ints(self.var, padded[::-1], self._den)
-        padded = list(self.coeffs) + [self.field.zero()] * (n - len(self.coeffs))
-        return UniPoly(self.var, list(reversed(padded)), self.field)
-
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other):
@@ -694,13 +683,6 @@ class RatFunc:
         if not dv:
             raise ZeroDivisionError("evaluation at a pole")
         return self.num.evaluate(value) / dv
-
-    def substitute_inverse(self, new_var: str) -> "RatFunc":
-        """The function f(1/u) as a RatFunc in u."""
-        m = max(len(self.num.coeffs), len(self.den.coeffs))
-        n = self.num.reversed_coeffs(m).rename(new_var)
-        d = self.den.reversed_coeffs(m).rename(new_var)
-        return RatFunc(n, d)
 
     def with_field(self, field) -> "RatFunc":
         if field == self.field:

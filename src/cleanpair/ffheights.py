@@ -2,11 +2,23 @@
 heights, and the generic-rank computation for the curve family.
 
 The base field is Q(T) (with points allowed to have coordinates in a real
-quadratic extension Q(sqrt(s))(T)).  A curve carries two integral models:
-the given one, and the one at infinity obtained from the substitution
-(x, y, T) = (x'/U^2, y'/U^3, 1/U), whose coefficients are polynomials in U
-whenever deg a <= 4 and deg b <= 6.  The place at infinity of Q(T) is the
-place (U) of the second model.
+quadratic extension Q(sqrt(s))(T)).  A curve has one model, in the T chart.
+Its chart change at infinity (x, y, T) = (x'/U^2, y'/U^3, 1/U) gives a model
+integral at U = 0 whenever deg a <= 4 and deg b <= 6, and multiplies a
+quantity of weight k by U^k.  So every valuation at the place at infinity is
+read in the T chart, where v(f) = deg den - deg num, plus a fixed weight
+(Silverman 1988).  With x = u/w in lowest terms:
+
+    quantity                   valuation at infinity
+    Delta                      v(Delta) + 12
+    c4                         v(c4) + 4
+    x                          v(x) + 2
+    2y                         v(2y) + 3
+    tangent 3u^2 + aw^2        v(tangent) - 2 v(w) + 4
+    psi3 numerator             v(psi3 num) - 4 v(w) + 8
+
+where psi3 = 3x^4 + 6ax^2 + 12bx - a^2 has numerator
+3u^4 + 6au^2w^2 + 12buw^3 - a^2w^4 over w^4.
 
 Local heights follow the standard valuation-theoretic algorithm.  The
 auxiliary quantities are the squares of the first two division polynomials,
@@ -93,9 +105,11 @@ def _as_poly(value, var: str) -> UniPoly:
 
 
 class FunctionFieldCurve:
-    """y^2 = x^3 + a(T) x + b(T) with integral models at every place."""
+    """y^2 = x^3 + a(T) x + b(T), one model in the T chart.  a and b are in
+    Q[T] with deg a <= 4 and deg b <= 6, so the model is integral at every
+    finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U)."""
 
-    __slots__ = ("var", "inf_var", "a", "b", "a_inf", "b_inf", "_profiles")
+    __slots__ = ("var", "a", "b", "_profiles")
 
     def __init__(self, a, b, var: str = "T"):
         a = _as_poly(a, var)
@@ -106,14 +120,9 @@ class FunctionFieldCurve:
             raise ValueError(
                 "no integral model at infinity: need deg a <= 4 and deg b <= 6"
             )
-        inf_var = var + "'"
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "inf_var", inf_var)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        # (x, y, T) = (x'/U^2, y'/U^3, 1/U) turns a into U^4 a(1/U), b into U^6 b(1/U)
-        object.__setattr__(self, "a_inf", a.reversed_coeffs(5).rename(inf_var))
-        object.__setattr__(self, "b_inf", b.reversed_coeffs(7).rename(inf_var))
         object.__setattr__(self, "_profiles", None)  # filled by _place_profiles
         if not self.discriminant():
             raise ValueError("singular: the discriminant vanishes identically")
@@ -125,15 +134,8 @@ class FunctionFieldCurve:
         a, b = self.a, self.b
         return -16 * (4 * a * a * a + 27 * b * b)
 
-    def discriminant_inf(self) -> UniPoly:
-        a, b = self.a_inf, self.b_inf
-        return -16 * (4 * a * a * a + 27 * b * b)
-
     def c4(self) -> UniPoly:
         return -48 * self.a
-
-    def c4_inf(self) -> UniPoly:
-        return -48 * self.a_inf
 
     def weierstrass(self, coeff_field=QQ) -> WeierstrassCurve:
         field = RatFuncField(self.var, coeff_field)
@@ -143,30 +145,11 @@ class FunctionFieldCurve:
             field,
         )
 
-    def weierstrass_inf(self, coeff_field=QQ) -> WeierstrassCurve:
-        field = RatFuncField(self.inf_var, coeff_field)
-        return WeierstrassCurve(
-            RatFunc(self.a_inf).with_field(coeff_field),
-            RatFunc(self.b_inf).with_field(coeff_field),
-            field,
-        )
-
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
         field = _coeff_field_of(P)
         return self.weierstrass(field).contains(_promote_point(P, field, self.var))
-
-    def point_to_inf(self, P: CurvePoint) -> CurvePoint:
-        """Coordinates of P in the model at infinity."""
-        if P.is_infinity:
-            return P
-        x = _as_ratfunc_coord(P.x, self.var)
-        y = _as_ratfunc_coord(P.y, self.var)
-        u = UniPoly.gen(self.inf_var, x.field)
-        x_inf = x.substitute_inverse(self.inf_var) * (u * u)
-        y_inf = y.substitute_inverse(self.inf_var) * (u * u * u)
-        return CurvePoint.affine(x_inf, y_inf)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         field = _coeff_field_of(P, Q)
@@ -271,14 +254,16 @@ def _classify(val_delta: int, val_c4: int, place: Place) -> ReductionProfile:
     return ReductionProfile(place, val_delta, rtype, m, place.degree())
 
 
+def _weighted(place: Place, f, k: int):
+    """Valuation at the place, in the integral model there, of f of weight k:
+    the chart change at infinity multiplies f by U^k."""
+    v = valuation_or_inf(place, f)
+    return v + k if place.is_infinity else v
+
+
 def reduction_at(E: FunctionFieldCurve, place: Place) -> ReductionProfile:
-    if place.is_infinity:
-        spot = Place.linear(E.inf_var, 0)
-        vd = valuation_or_inf(spot, E.discriminant_inf())
-        vc = valuation_or_inf(spot, E.c4_inf())
-    else:
-        vd = valuation_or_inf(place, E.discriminant())
-        vc = valuation_or_inf(place, E.c4())
+    vd = _weighted(place, E.discriminant(), 12)
+    vc = _weighted(place, E.c4(), 4)
     vd = 0 if vd == _INF else int(vd)
     vc = 4 if vc == _INF else int(vc)  # c4 = 0: deep additive, capped for the tests
     return _classify(vd, vc, place)
@@ -358,30 +343,14 @@ class HeightReport:
         }
 
 
-def _local_data(E: FunctionFieldCurve, P: CurvePoint, place: Place):
-    """(model a, model b, x, y, valuation place) in the chart where the
-    given place is finite; a and b are polynomials."""
-    if place.is_infinity:
-        Pm = E.point_to_inf(P)
-        field = _coeff_field_of(Pm)
-        a = E.a_inf.with_field(field)
-        b = E.b_inf.with_field(field)
-        return a, b, Pm.x, Pm.y, Place.linear(E.inf_var, 0)
-    field = _coeff_field_of(P)
-    a = E.a.with_field(field)
-    b = E.b.with_field(field)
-    x = _as_ratfunc_coord(P.x, E.var).with_field(field)
-    y = _as_ratfunc_coord(P.y, E.var).with_field(field)
-    return a, b, x, y, place
-
-
 def _local_height_entry(
-    E: FunctionFieldCurve, P: CurvePoint, place: Place, profile: ReductionProfile
+    profile: ReductionProfile, a: UniPoly, b: UniPoly, x: RatFunc, y: RatFunc, vx
 ) -> PlaceHeightEntry:
-    a, b, x, y, spot = _local_data(E, P, place)
+    """Local height of (x, y) at the profile's place, where x has valuation
+    vx in the integral model; a, b, x and y share one coefficient field."""
+    place = profile.place
     n = profile.val_delta
-    vx = valuation_or_inf(spot, x)
-    v2y = valuation_or_inf(spot, 2 * y)
+    v2y = _weighted(place, 2 * y, 3)
 
     def entry(smooth, lam, vf2=None, vf3=None):
         return PlaceHeightEntry(place, n, profile.type, smooth, lam, vf2, vf3)
@@ -389,12 +358,13 @@ def _local_height_entry(
     if vx < 0 or n == 0:
         lam = Fraction(max(0, -vx), 2) + Fraction(n, 12)
         return entry(True, lam)
-    # v(x) >= 0 from here on and x = u/w is reduced, so v(w) = 0: 3x^2 + a and
-    # psi3 = 3x^4 + 6ax^2 + 12bx - a^2 have the valuations of their numerators
-    # over w^2 and w^4
+    # v(x) >= 0 from here on and x = u/w is reduced, so v(w) = 0 at a finite
+    # place and -deg w at infinity: 3x^2 + a and psi3 = 3x^4 + 6ax^2 + 12bx - a^2
+    # have the valuations of their numerators over w^2 and w^4
     u, w = x.num, x.den
+    vw = -w.degree() if place.is_infinity else 0
     u2, w2 = u * u, w * w
-    v_tangent = valuation_or_inf(spot, 3 * u2 + a * w2)
+    v_tangent = _weighted(place, 3 * u2 + a * w2, 4) - 2 * vw
     if not (v2y > 0 and v_tangent > 0):
         lam = Fraction(n, 12)  # vx >= 0 here, so no max term
         return entry(True, lam)
@@ -407,7 +377,7 @@ def _local_height_entry(
         lam = Fraction(n, 2) * (alpha * alpha - alpha + Fraction(1, 6))
         return entry(False, lam, vf2=vf2)
     psi3 = 3 * u2 * u2 + 6 * a * u2 * w2 + 12 * b * u * w2 * w - a * a * w2 * w2
-    vpsi3 = valuation_or_inf(spot, psi3)
+    vpsi3 = _weighted(place, psi3, 8) - 4 * vw
     if v2y == _INF and vpsi3 == _INF:
         raise ArithmeticError("degenerate torsion point on a cusp")
     vf2 = None if v2y == _INF else 2 * int(v2y)
@@ -428,18 +398,22 @@ def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
     """
     if P.is_infinity:
         return HeightReport((), Fraction(0), 0)
-    x = _as_ratfunc_coord(P.x, E.var)
+    field = _coeff_field_of(P)
+    a, b = E.a.with_field(field), E.b.with_field(field)
+    Pf = _promote_point(P, field, E.var)
+    x, y = Pf.x, Pf.y
     good_poles = x.den.degree()
     entries = []
     total = Fraction(0)
     for profile in _place_profiles(E):
         place = profile.place
-        e = _local_height_entry(E, P, place, profile)
+        vx = _weighted(place, x, 2)
+        e = _local_height_entry(profile, a, b, x, y, vx)
         total += place.degree() * e.local
         if e.local or profile.val_delta:
             entries.append(e)
         if not place.is_infinity:
-            good_poles -= place.degree() * max(0, -valuation_or_inf(place, x))
+            good_poles -= place.degree() * max(0, -vx)
     return HeightReport(tuple(entries), total + Fraction(good_poles, 2), good_poles)
 
 

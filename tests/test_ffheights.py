@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import cleanpair.ffheights as ffheights
-from cleanpair.ec_core import CurvePoint
+from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
     QQ,
     Place,
@@ -19,6 +19,7 @@ from cleanpair.exactmath import (
     UniPoly,
     factor_rational_poly,
     valuation_at,
+    valuation_or_inf,
 )
 from cleanpair.ffheights import (
     DegenerateS,
@@ -32,6 +33,7 @@ from cleanpair.ffheights import (
     conjugate_point,
     family_functionfield_curve,
     generic_rank,
+    reduction_at,
     second_section,
     shioda_tate_rank,
 )
@@ -387,22 +389,142 @@ def test_j_constant_iff_isotrivial():
 
 
 def test_infinity_model_integrality():
-    E, _ = family_functionfield_curve(1)
-    assert E.a_inf.degree() <= 4 and E.b_inf.degree() <= 6
-    # Delta' = -3888 T'^7 (4 + 9T') for s = 1
-    dinf = E.discriminant_inf()
-    Tp = UniPoly.gen("T'")
-    assert dinf == -3888 * Tp**7 * (9 * Tp + 4)
     with pytest.raises(ValueError):
         FunctionFieldCurve(T**5, T)  # deg a > 4: no integral infinity model
+    # s = 1: the model at infinity has Delta' = -3888 U^7 (9U + 4), and the
+    # T chart reads v(Delta) + 12 = -5 + 12
+    E, _ = family_functionfield_curve(1)
+    prof = reduction_at(E, Place.infinity("T"))
+    assert (prof.val_delta, prof.type) == (7, ReductionType.ADDITIVE)
+
+
+# The model at infinity, built here by coefficient reversal, is the reference
+# for the weights that canonical_height and reduction_at add in the T chart.
+
+
+def reversed_poly(p: UniPoly, length: int) -> UniPoly:
+    """U^(length - 1) p(1/U)."""
+    coeffs = list(p.coeffs) + [p.field.zero()] * (length - len(p.coeffs))
+    return UniPoly("U", coeffs[::-1], p.field)
+
+
+def at_inverse(f: RatFunc) -> RatFunc:
+    """f(1/U)."""
+    m = max(len(f.num.coeffs), len(f.den.coeffs))
+    return RatFunc(reversed_poly(f.num, m), reversed_poly(f.den, m))
+
+
+def infinity_model(E: FunctionFieldCurve, R: CurvePoint):
+    """(a', b', x', y') from (x, y, T) = (x'/U^2, y'/U^3, 1/U), over the
+    coefficient field of R."""
+    field = next((c.field for c in (R.x, R.y) if c.field != QQ), QQ)
+    U = UniPoly.gen("U", field)
+    a = reversed_poly(E.a, 5).with_field(field)
+    b = reversed_poly(E.b, 7).with_field(field)
+    x = at_inverse(R.x.with_field(field)) * (U * U)
+    y = at_inverse(R.y.with_field(field)) * (U * U * U)
+    return a, b, x, y
+
+
+def infinity_entry_in_model(E: FunctionFieldCurve, R: CurvePoint):
+    """(val_delta, reduction, smooth, local, val_f2, val_f3) at U = 0 of the
+    model at infinity, by the valuation algorithm of the module docstring."""
+    a, b, x, y = infinity_model(E, R)
+    U0 = Place.linear("U", 0)
+
+    def v(f):
+        return valuation_or_inf(U0, f)
+
+    n = v(-16 * (4 * a**3 + 27 * b * b))
+    if n == 0:
+        rtype = ReductionType.GOOD
+    elif v(-48 * a) == 0:
+        rtype = ReductionType.MULTIPLICATIVE
+    else:
+        rtype = ReductionType.ADDITIVE
+    vx, v2y = v(x), v(2 * y)
+    if vx < 0 or n == 0:
+        return n, rtype, True, F(max(0, -vx), 2) + F(n, 12), None, None
+    u, w = x.num, x.den
+    if not (v2y > 0 and v(3 * u * u + a * w * w) > 0):
+        return n, rtype, True, F(n, 12), None, None
+    if rtype is ReductionType.MULTIPLICATIVE:
+        alpha = F(min(2 * v2y, n), 2 * n)
+        lam = F(n, 2) * (alpha * alpha - alpha + F(1, 6))
+        return n, rtype, False, lam, 2 * v2y, None
+    vpsi3 = v(3 * u**4 + 6 * a * u**2 * w**2 + 12 * b * u * w**3 - a * a * w**4)
+    vf2 = None if v2y == float("inf") else 2 * v2y
+    vf3 = None if vpsi3 == float("inf") else 2 * vpsi3
+    if vf3 is None or (vf2 is not None and vf3 >= 3 * vf2):
+        lam = F(n, 12) - F(vf2, 6)
+    else:
+        lam = F(n, 12) - F(vf3, 16)
+    return n, rtype, False, lam, vf2, vf3
+
+
+def infinity_entry(E: FunctionFieldCurve, R: CurvePoint):
+    """The infinity entry of canonical_height as the same tuple; a good
+    infinity with local height 0 has no entry."""
+    rep = canonical_height(E, R)
+    for e in rep.entries:
+        if e.place.is_infinity:
+            return e.val_delta, e.reduction, e.smooth, e.local, e.val_f2, e.val_f3
+    return 0, ReductionType.GOOD, True, F(0), None, None
+
+
+def matches_model_at_infinity(E: FunctionFieldCurve, R: CurvePoint):
+    """Assert the T-chart infinity entry and profile equal the reference and
+    return the reference entry."""
+    ref = infinity_entry_in_model(E, R)
+    assert infinity_entry(E, R) == ref
+    prof = reduction_at(E, Place.infinity(E.var))
+    assert (prof.val_delta, prof.type) == ref[:2]
+    return ref
 
 
 def test_point_transport_to_infinity_model():
     E, P = family_functionfield_curve(1)
-    Pi = E.point_to_inf(P)
-    W = E.weierstrass_inf()
-    assert W.contains(Pi)
-    # x' = T'^2 x(1/T') = -2T', y' = T'^3 y(1/T') = -3T'^2
-    Tp = UniPoly.gen("T'")
-    assert Pi.x == RatFunc(-2 * Tp)
-    assert Pi.y == RatFunc(-3 * Tp**2)
+    a, b, x, y = infinity_model(E, P)
+    U = UniPoly.gen("U")
+    # x' = U^2 x(1/U) = -2U, y' = U^3 y(1/U) = -3U^2
+    assert (x, y) == (RatFunc(-2 * U), RatFunc(-3 * U**2))
+    assert WeierstrassCurve(RatFunc(a), RatFunc(b)).contains(CurvePoint.affine(x, y))
+    seen_f3 = set()
+    for s in (1, 2, 3, 4, F(1, 4), F(-3, 2), F(9, 4), 5, -1, F(1, 2)):
+        E, P = family_functionfield_curve(s)
+        Q = second_section(s)
+        minus_q = E.scalar_mul(-1, Q)
+        points = [P]
+        while len(points) < 7:
+            points.append(E.add(points[-1], P))
+        two_p = points[1]
+        points += [Q, E.add(P, Q), E.add(P, minus_q), E.scalar_mul(2, Q)]
+        points += [E.add(two_p, Q), E.add(two_p, minus_q)]
+        for R in points:
+            seen_f3.add(matches_model_at_infinity(E, R)[5])
+    assert {8, 10} <= seen_f3  # the psi3 branch is reached
+
+
+def test_multiplicative_infinity_where_P_meets_the_node():
+    # y^2 = x^3 - 3T^4 x + 2T^6 + T^2 + 2T + 1 has I4 at infinity, and
+    # P = (T^2, T + 1) meets the node there: v(F2) = 4 gives alpha = 1/2
+    E = FunctionFieldCurve(-3 * T**4, 2 * T**6 + T**2 + 2 * T + 1)
+    P = CurvePoint.affine(RatFunc(T**2), RatFunc(T + 1))
+    assert E.contains(P)
+    entry = matches_model_at_infinity(E, P)
+    assert entry == (4, ReductionType.MULTIPLICATIVE, False, F(-1, 6), 4, None)
+    for n, h in ((1, F(1, 4)), (2, F(1)), (3, F(9, 4))):
+        R = E.scalar_mul(n, P)
+        matches_model_at_infinity(E, R)
+        assert canonical_height(E, R).total == h
+    # I2 at infinity with x' = 1 + U at the node: v(3x'^2 + a') = 1 reaches
+    # the weight of the tangent
+    E = FunctionFieldCurve(-3 * T**4, 2 * T**6 - 2 * T**4 - T**3 + 2 * T**2 + 1)
+    P = CurvePoint.affine(RatFunc(T**2 + T), RatFunc(T**2 + 1))
+    assert E.contains(P)
+    entry = matches_model_at_infinity(E, P)
+    assert entry == (2, ReductionType.MULTIPLICATIVE, False, F(-1, 12), 2, None)
+    for n, h in ((1, F(3, 4)), (2, F(3)), (3, F(27, 4))):
+        R = E.scalar_mul(n, P)
+        matches_model_at_infinity(E, R)
+        assert canonical_height(E, R).total == h

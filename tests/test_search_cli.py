@@ -1,8 +1,10 @@
 """Enumeration of integral s = 1 members, rank plumbing, the database
 filter, and the command-line surface."""
 
+import copy
 import json
 import os
+import random
 import time
 from fractions import Fraction as F
 from math import gcd
@@ -489,6 +491,56 @@ def test_cli_verify_reads_rank_flags_only_as_json_booleans(capsys, tmp_path, fla
     assert code == 1 and out == ""
     assert err.startswith("malformed certificate:") and repr(flag) in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _nodes(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, path + (i,))
+
+
+WRONG_TYPES = [None, True, 0, "x", [], {}, "1/0", [[]]]
+
+
+def test_cli_verify_survives_a_wrong_type_at_every_node(capsys, tmp_path):
+    # Two seeded substitutes at each of the 196 nodes, the root included.
+    # Whatever the loader raises (ValueError, KeyError or TypeError), the
+    # verdict is OK, FAIL lines, or one "malformed certificate" line.
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))[0] == 0
+    base = json.loads(cert.read_text())
+    rng = random.Random(1011)
+    case = tmp_path / "case.json"
+    count = 0
+    for path in _nodes(base):
+        for value in rng.sample(WRONG_TYPES, 2):
+            doc = copy.deepcopy(base)
+            if path:
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+            else:
+                doc = value
+            case.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "verify", str(case))
+            where = (path, value)
+            assert code in (0, 1) and "Traceback" not in out + err, where
+            if err:
+                assert code == 1 and out == "", where
+                assert err.startswith("malformed certificate: "), where
+                assert len(err.splitlines()) == 1, where
+            elif code == 0:
+                assert out == "OK\n", where
+            else:
+                lines = out.splitlines()
+                assert lines and all(ln.startswith("FAIL: ") for ln in lines), where
+            count += 1
+    assert count == 2 * 196
 
 
 def test_cli_certify_stdout_and_failures(capsys):
