@@ -13,8 +13,6 @@ one-parameter specialization.
 from cleanpair.exactmath import (
     QQ,
     Place,
-    QuadExtElem,
-    QuadExtField,
     RatFunc,
     Rational,
     UniPoly,
@@ -24,8 +22,6 @@ from cleanpair.exactmath import (
 __all__ = [
     "QQ",
     "Place",
-    "QuadExtElem",
-    "QuadExtField",
     "RatFunc",
     "Rational",
     "UniPoly",

@@ -1,8 +1,8 @@
 """Short-Weierstrass curves y^2 = x^3 + ax + b and their group law.
 
-Everything is exact and field-generic: coefficients may be rationals,
-quadratic-extension elements, or rational functions.  Torsion testing and
-the Lutz-Nagell enumeration are specific to curves over Q.
+Everything is exact and field-generic: coefficients may be rationals or
+rational functions.  Torsion testing and the Lutz-Nagell enumeration are
+specific to curves over Q.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from sympy import factorint
 
 from cleanpair.exactmath import (
     QQ,
-    QuadExtElem,
-    QuadExtField,
     RatFunc,
     RatFuncField,
     UniPoly,
@@ -54,8 +52,6 @@ _REFUTING_PRIMES = tuple(
 
 def _field_of(*elems):
     for e in elems:
-        if isinstance(e, QuadExtElem) and not e.is_rational:
-            return QuadExtField(e.rad)
         if isinstance(e, RatFunc):
             return RatFuncField(e.var, e.field)
         if isinstance(e, UniPoly):

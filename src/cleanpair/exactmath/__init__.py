@@ -1,11 +1,10 @@
-"""Exact arithmetic: rationals, quadratic extensions, polynomials,
-rational functions, and places of Q(T)."""
+"""Exact arithmetic: rationals, polynomials, rational functions, and places
+of Q(T)."""
 
 from cleanpair.exactmath.factor import (
     factor_rational_poly,
     is_irreducible,
     rational_roots,
-    stays_irreducible_over_quadratic,
 )
 from cleanpair.exactmath.poly import (
     DegreeError,
@@ -25,12 +24,9 @@ from cleanpair.exactmath.places import (
 )
 from cleanpair.exactmath.scalars import (
     QQ,
-    QuadExtElem,
-    QuadExtField,
     Rational,
     RationalField,
     as_fraction,
-    is_rational_square,
     parse_rational,
     rational_to_str,
     sqrt_int,
@@ -41,8 +37,6 @@ __all__ = [
     "QQ",
     "DegreeError",
     "Place",
-    "QuadExtElem",
-    "QuadExtField",
     "RatFunc",
     "RatFuncField",
     "Rational",
@@ -53,7 +47,6 @@ __all__ = [
     "divisor_of",
     "factor_rational_poly",
     "is_irreducible",
-    "is_rational_square",
     "parse_rational",
     "poly_discriminant",
     "poly_gcd",
@@ -62,7 +55,6 @@ __all__ = [
     "resultant",
     "sqrt_int",
     "sqrt_rational",
-    "stays_irreducible_over_quadratic",
     "valuation_at",
     "valuation_or_inf",
 ]

@@ -17,7 +17,7 @@ from sympy.polys.domains import ZZ_python
 from sympy.polys.factortools import dup_factor_list
 
 from cleanpair.exactmath.poly import UniPoly, qq_from_ints, qq_to_ints
-from cleanpair.exactmath.scalars import QQ, Rational, sqrt_rational
+from cleanpair.exactmath.scalars import QQ, Rational
 
 _ZZ = ZZ_python()
 
@@ -79,28 +79,3 @@ def rational_roots(p: UniPoly) -> list[tuple[Rational, int]]:
             out.append((-q.coeff(0), m))
     out.sort(key=lambda rm: rm[0])
     return out
-
-
-def stays_irreducible_over_quadratic(p: UniPoly, rad) -> bool:
-    """Whether a monic irreducible p over Q stays irreducible over Q(sqrt(rad)).
-
-    Factors over the extension pair up under the conjugation sqrt(rad) ->
-    -sqrt(rad), and a conjugation-stable proper factor would descend to Q.
-    Hence an odd-degree p cannot split at all, and an even-degree p can only
-    split into one conjugate pair of factors of half degree.  Only degrees
-    one and two and the odd case are needed here; other even degrees raise.
-    """
-    if not is_irreducible(p):
-        raise ValueError("expected an irreducible polynomial")
-    if sqrt_rational(Fraction(rad)) is not None:
-        raise ValueError("radicand must not be a perfect square")
-    n = p.degree()
-    if n % 2 == 1:
-        return True
-    if n == 2:
-        b = p.coeff(1)
-        c = p.coeff(0)
-        disc = b * b - 4 * c
-        # p splits iff sqrt(disc) lies in the extension, i.e. disc = rad * r^2.
-        return sqrt_rational(disc * rad) is None
-    raise NotImplementedError(f"degree {n} over a quadratic extension")

@@ -3,11 +3,7 @@
 A place is either a monic irreducible polynomial in T or the point at
 infinity.  Valuations are normalized so that a uniformizer has value 1;
 at infinity the value of a rational function is deg(den) - deg(num).
-
-Functions whose coefficients lie in a real quadratic extension Q(sqrt(d))
-are supported at places that stay prime in the extension (every odd-degree
-place does, and infinity does).  There the valuation of A + B*sqrt(d) is
-min(v(A), v(B)).
+Valuations are taken of functions with rational coefficients only.
 """
 
 from __future__ import annotations
@@ -15,13 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-from cleanpair.exactmath.factor import (
-    factor_rational_poly,
-    is_irreducible,
-    stays_irreducible_over_quadratic,
-)
+from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
 from cleanpair.exactmath.poly import RatFunc, UniPoly
-from cleanpair.exactmath.scalars import QQ, QuadExtElem, QuadExtField
+from cleanpair.exactmath.scalars import QQ
 
 
 class UndefinedValuation(ArithmeticError):
@@ -102,11 +94,8 @@ def _as_ratfunc(place: Place, f):
         return f
     if isinstance(f, UniPoly):
         return RatFunc(f)
-    if isinstance(f, (int, _RationalABC, QuadExtElem)):
-        field = QQ
-        if isinstance(f, QuadExtElem) and not f.is_rational:
-            field = QuadExtField(f.rad)
-        return RatFunc.constant(place.var, f, field)
+    if isinstance(f, (int, _RationalABC)):
+        return RatFunc.constant(place.var, f, QQ)
     raise TypeError(f"cannot take a valuation of {type(f).__name__}")
 
 
@@ -120,36 +109,10 @@ def _multiplicity(num: UniPoly, p: UniPoly) -> int:
     return count
 
 
-def _split_components(p: UniPoly) -> tuple[UniPoly, UniPoly, Fraction]:
-    """Write a QuadExtField-coefficient polynomial as A + B*sqrt(rad)."""
-    field = p.field
-    a = UniPoly(p.var, [c.a for c in p.coeffs], QQ)
-    b = UniPoly(p.var, [c.b for c in p.coeffs], QQ)
-    return a, b, field.rad
-
-
-def _check_inert(place: Place, rad: int) -> None:
-    if place.is_infinity or place.degree() % 2 == 1:
-        return
-    if place.degree() == 2 and stays_irreducible_over_quadratic(place.poly, rad):
-        return
-    raise ValueError(
-        f"place {place} does not stay prime over the quadratic extension"
-    )
-
-
 def _poly_valuation(place: Place, p: UniPoly) -> int:
     """Valuation of a nonzero polynomial; infinity gives -degree."""
     if p.field != QQ:
-        if isinstance(p.field, QuadExtField):
-            a, b, rad = _split_components(p)
-            if not b:
-                return _poly_valuation(place, a)
-            if not a:
-                return _poly_valuation(place, b)
-            _check_inert(place, rad)
-            return min(_poly_valuation(place, a), _poly_valuation(place, b))
-        raise TypeError("valuations need rational or quadratic coefficients")
+        raise TypeError("valuations need rational coefficients")
     if place.is_infinity:
         return -p.degree()
     return _multiplicity(p, place.poly)

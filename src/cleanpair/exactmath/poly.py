@@ -14,8 +14,8 @@ coercion.  There is one code path per coefficient field:
   Python integers, so a ``RatFunc`` is reduced without a trial division.
   The ``coeffs`` tuple of ``Fraction`` is built from this form on first
   access and cached; equality and hashing agree with it.
-* Every other field (``QuadExtElem``, or ``RatFunc`` for nested towers)
-  stores a tuple of field elements and loops over their own operators.
+* Every other field (``RatFunc``, for nested towers) stores a tuple of
+  field elements and loops over their own operators.
 
 The degree of the zero polynomial is the sentinel -1.
 """
@@ -369,7 +369,7 @@ class UniPoly:
 
     def evaluate(self, value):
         """Horner evaluation; value may live in any ring the coefficients
-        multiply into (scalars, QuadExtElem, UniPoly, RatFunc)."""
+        multiply into (scalars, UniPoly, RatFunc)."""
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * value + c
@@ -392,15 +392,6 @@ class UniPoly:
             return qq_from_ints(self.var, self._num, self._num[-1])
         inv = self.field.one() / self.lc()
         return UniPoly(self.var, [a * inv for a in self.coeffs], self.field)
-
-    def with_field(self, field) -> "UniPoly":
-        """Re-coerce every coefficient into another field descriptor."""
-        if field == self.field:
-            return self
-        return UniPoly(self.var, [field.coerce(c) for c in self.coeffs], field)
-
-    def map_coefficients(self, fn) -> "UniPoly":
-        return UniPoly(self.var, [fn(c) for c in self.coeffs], self.field)
 
     def rename(self, var: str) -> "UniPoly":
         if self._num is not None:
@@ -683,11 +674,6 @@ class RatFunc:
         if not dv:
             raise ZeroDivisionError("evaluation at a pole")
         return self.num.evaluate(value) / dv
-
-    def with_field(self, field) -> "RatFunc":
-        if field == self.field:
-            return self
-        return RatFunc(self.num.with_field(field), self.den.with_field(field))
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):

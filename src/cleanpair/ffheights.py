@@ -1,8 +1,8 @@
 """Elliptic curves over Q(T): reduction data, local heights, canonical
 heights, and the generic-rank computation for the curve family.
 
-The base field is Q(T) (with points allowed to have coordinates in a real
-quadratic extension Q(sqrt(s))(T)).  A curve has one model, in the T chart.
+The base field is Q(T), and every curve and point has coefficients in it.
+A curve has one model, in the T chart.
 Its chart change at infinity (x, y, T) = (x'/U^2, y'/U^3, 1/U) gives a model
 integral at U = 0 whenever deg a <= 4 and deg b <= 6, and multiplies a
 quantity of weight k by U^k.  So every valuation at the place at infinity is
@@ -53,7 +53,6 @@ from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
     QQ,
     Place,
-    QuadExtField,
     RatFunc,
     RatFuncField,
     UniPoly,
@@ -137,29 +136,17 @@ class FunctionFieldCurve:
     def c4(self) -> UniPoly:
         return -48 * self.a
 
-    def weierstrass(self, coeff_field=QQ) -> WeierstrassCurve:
-        field = RatFuncField(self.var, coeff_field)
-        return WeierstrassCurve(
-            RatFunc(self.a).with_field(coeff_field),
-            RatFunc(self.b).with_field(coeff_field),
-            field,
-        )
+    def weierstrass(self) -> WeierstrassCurve:
+        return WeierstrassCurve(RatFunc(self.a), RatFunc(self.b), RatFuncField(self.var))
 
     def contains(self, P: CurvePoint) -> bool:
-        if P.is_infinity:
-            return True
-        field = _coeff_field_of(P)
-        return self.weierstrass(field).contains(_promote_point(P, field, self.var))
+        return self.weierstrass().contains(P)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        field = _coeff_field_of(P, Q)
-        return self.weierstrass(field).add(
-            _promote_point(P, field, self.var), _promote_point(Q, field, self.var)
-        )
+        return self.weierstrass().add(P, Q)
 
     def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
-        field = _coeff_field_of(P)
-        return self.weierstrass(field).scalar_mul(n, _promote_point(P, field, self.var))
+        return self.weierstrass().scalar_mul(n, P)
 
     def __repr__(self):
         return f"FunctionFieldCurve({self.a!r}, {self.b!r})"
@@ -180,60 +167,23 @@ def family_functionfield_curve(s, var: str = "T") -> tuple[FunctionFieldCurve, C
     return curve, CurvePoint.affine(RatFunc(x), RatFunc(y))
 
 
-def second_section(s, var: str = "T") -> CurvePoint:
-    """The point (T, (1 - s - 3T) sqrt(s)); coordinates lie in Q(sqrt(s))(T)."""
+def second_section(E: FunctionFieldCurve, s) -> tuple[FunctionFieldCurve, CurvePoint]:
+    """The second section Q = (T, (1 - s - 3T) sqrt(s)) of the member E at s,
+    read over Q(T), with the curve it lies on.
+
+    At a square s = r^2 that is E itself and Q = (T, r (1 - s - 3T)).
+    Otherwise it is the quadratic twist E^(s): y^2 = x^3 + s^2 a x + s^3 b,
+    where the isomorphism (x, y) -> (sx, s sqrt(s) y) takes Q to
+    Q' = (sT, s^2 (1 - s - 3T)); canonical heights are invariant under it
+    (Silverman, AEC X.2), so h(Q') = h(Q)."""
     s = Fraction(s)
-    t = UniPoly.gen(var, QQ)
+    t = UniPoly.gen(E.var, QQ)
     w = 1 - s - 3 * t
     r = sqrt_rational(s)
     if r is not None:
-        return CurvePoint.affine(RatFunc(t), RatFunc(w * r))
-    K = QuadExtField(s)
-    root = K.sqrt_gen()
-    return CurvePoint.affine(
-        RatFunc(t).with_field(K),
-        RatFunc(w).with_field(K) * root,
-    )
-
-
-def _coeff_field_of(*points):
-    for P in points:
-        if P is None or P.is_infinity:
-            continue
-        for coord in (P.x, P.y):
-            if isinstance(coord, RatFunc) and isinstance(coord.field, QuadExtField):
-                return coord.field
-    return QQ
-
-
-def _as_ratfunc_coord(value, var: str) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, UniPoly):
-        return RatFunc(value)
-    return RatFunc.constant(var, value, QQ)
-
-
-def _promote_point(P: CurvePoint, field, var: str) -> CurvePoint:
-    if P.is_infinity:
-        return P
-    x = _as_ratfunc_coord(P.x, var)
-    y = _as_ratfunc_coord(P.y, var)
-    return CurvePoint.affine(x.with_field(field), y.with_field(field))
-
-
-def _conjugate_ratfunc(f: RatFunc) -> RatFunc:
-    if not isinstance(f.field, QuadExtField):
-        return f
-    conj = lambda c: c.conjugate()  # noqa: E731
-    return RatFunc(f.num.map_coefficients(conj), f.den.map_coefficients(conj))
-
-
-def conjugate_point(P: CurvePoint) -> CurvePoint:
-    """Apply the quadratic-extension conjugation to both coordinates."""
-    if P.is_infinity:
-        return P
-    return CurvePoint.affine(_conjugate_ratfunc(P.x), _conjugate_ratfunc(P.y))
+        return E, CurvePoint.affine(RatFunc(t), RatFunc(w * r))
+    twist = FunctionFieldCurve(s * s * E.a, s * s * s * E.b, E.var)
+    return twist, CurvePoint.affine(RatFunc(s * t), RatFunc(s * s * w))
 
 
 # -- reduction data -----------------------------------------------------------
@@ -347,7 +297,7 @@ def _local_height_entry(
     profile: ReductionProfile, a: UniPoly, b: UniPoly, x: RatFunc, y: RatFunc, vx
 ) -> PlaceHeightEntry:
     """Local height of (x, y) at the profile's place, where x has valuation
-    vx in the integral model; a, b, x and y share one coefficient field."""
+    vx in the integral model."""
     place = profile.place
     n = profile.val_delta
     v2y = _weighted(place, 2 * y, 3)
@@ -398,17 +348,14 @@ def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
     """
     if P.is_infinity:
         return HeightReport((), Fraction(0), 0)
-    field = _coeff_field_of(P)
-    a, b = E.a.with_field(field), E.b.with_field(field)
-    Pf = _promote_point(P, field, E.var)
-    x, y = Pf.x, Pf.y
+    x, y = P.x, P.y
     good_poles = x.den.degree()
     entries = []
     total = Fraction(0)
     for profile in _place_profiles(E):
         place = profile.place
         vx = _weighted(place, x, 2)
-        e = _local_height_entry(profile, a, b, x, y, vx)
+        e = _local_height_entry(profile, E.a, E.b, x, y, vx)
         total += place.degree() * e.local
         if e.local or profile.val_delta:
             entries.append(e)
@@ -433,56 +380,56 @@ def generic_rank(s) -> tuple[int, GenericRankEvidence]:
     """Rank of the family member over the rational function field, with the
     computational evidence that supports it.
 
-    The rank is 1 for s = 1 (the two standard sections are dependent:
-    P = -2Q, checked exactly), 2 for square s not 0 or 1 (two sections of
-    positive height, orthogonal under the pairing), and 1 for non-square s
-    (the conjugation of Q(sqrt(s)) negates the second section and fixes the
-    first, so only a rank-1 piece is Galois-stable; the rank-2 bound and
-    both heights are still verified)."""
+    The Shioda-Tate bound must be 1 at s = 1 and 2 elsewhere.  The rank is 1
+    for s = 1 (the two standard sections are dependent: P = -2Q, checked
+    exactly), 2 for square s not 0 or 1 (two sections of positive height,
+    orthogonal under the pairing), and 1 for non-square s.  There Q is defined
+    over Q(sqrt(s))(T) only, and its height is read on the quadratic twist
+    (see second_section).  The conjugation sqrt(s) -> -sqrt(s) fixes P and
+    negates Q, and the height pairing is Galois invariant, so
+    <P, Q> = <P, -Q> = -<P, Q> is 0 and h(P + Q) = h(P) + h(Q) (Shioda
+    1990); only the span of P is Galois-stable."""
     s = Fraction(s)
     if s == 0:
         raise DegenerateS("s = 0 is outside the family's good locus")
     E, P = family_functionfield_curve(s)
     bound = shioda_tate_rank(bad_places(E))
-    Q = second_section(s)
+    if bound != (1 if s == 1 else 2):
+        raise ArithmeticError(f"Shioda-Tate bound {bound} at s = {s}")
     h_p = canonical_height(E, P).total
     if h_p <= 0:
         raise ArithmeticError("marked point must have positive height")
+    E_q, Q = second_section(E, s)
+    h_q = canonical_height(E_q, Q).total
     if s == 1:
         minus_2q = E.scalar_mul(-2, Q)
         if minus_2q != P:
             raise ArithmeticError("expected the identity P = -2Q at s = 1")
         evidence = GenericRankEvidence(
             shioda_tate_bound=bound,
-            heights={"P": h_p, "Q": canonical_height(E, Q).total},
+            heights={"P": h_p, "Q": h_q},
             orthogonal=None,
             galois_action=None,
             note="P = -2Q: the two sections generate the same rank-1 subgroup",
         )
         return 1, evidence
-    h_q = canonical_height(E, Q).total
-    h_pq = canonical_height(E, E.add(P, Q)).total
-    heights = {"P": h_p, "Q": h_q, "P+Q": h_pq}
-    orthogonal = h_pq == h_p + h_q
-    if sqrt_rational(s) is not None:
-        if not orthogonal:
-            raise ArithmeticError("height pairing of the two sections is not zero")
+    if E_q is not E:  # non-square s: Q' lies on the twist
         evidence = GenericRankEvidence(
             shioda_tate_bound=bound,
-            heights=heights,
+            heights={"P": h_p, "Q": h_q, "P+Q": h_p + h_q},
             orthogonal=True,
-            galois_action=None,
-            note="Gram matrix diag(h(P), h(Q)) is nondegenerate",
+            galois_action="sqrt(s) -> -sqrt(s) sends Q to -Q and fixes P",
+            note="only the span of P is stable under the quadratic conjugation",
         )
-        return 2, evidence
-    sigma_q = conjugate_point(Q)
-    if sigma_q != CurvePoint.affine(Q.x, -Q.y):
-        raise ArithmeticError("conjugation should negate the second section")
+        return 1, evidence
+    h_pq = canonical_height(E, E.add(P, Q)).total
+    if h_pq != h_p + h_q:
+        raise ArithmeticError("height pairing of the two sections is not zero")
     evidence = GenericRankEvidence(
         shioda_tate_bound=bound,
-        heights=heights,
-        orthogonal=orthogonal,
-        galois_action="sqrt(s) -> -sqrt(s) sends Q to -Q and fixes P",
-        note="only the span of P is stable under the quadratic conjugation",
+        heights={"P": h_p, "Q": h_q, "P+Q": h_pq},
+        orthogonal=True,
+        galois_action=None,
+        note="Gram matrix diag(h(P), h(Q)) is nondegenerate",
     )
-    return 1, evidence
+    return 2, evidence

@@ -14,8 +14,6 @@ from cleanpair.exactmath import (
     QQ,
     DegreeError,
     Place,
-    QuadExtElem,
-    QuadExtField,
     RatFunc,
     RatFuncField,
     UndefinedValuation,
@@ -30,7 +28,6 @@ from cleanpair.exactmath import (
     rational_to_str,
     resultant,
     sqrt_rational,
-    stays_irreducible_over_quadratic,
     valuation_at,
     valuation_or_inf,
 )
@@ -62,26 +59,6 @@ def test_sqrt_rational():
     assert sqrt_rational(F(2)) is None
     assert sqrt_rational(F(0)) == 0
     assert sqrt_rational(F(-4)) is None
-
-
-def test_quadext_arithmetic():
-    e = QuadExtElem(1, 2, 3)
-    assert e * e == QuadExtElem(13, 4, 3)
-    assert e.norm() == -11
-    assert (e / e) == 1
-    assert e + e.conjugate() == 2
-    inv = 1 / e
-    assert e * inv == 1
-    # perfect-square radicands fold to plain rationals
-    assert QuadExtElem(1, 3, 4) == 7
-    assert QuadExtElem(1, 3, 4).is_rational
-    with pytest.raises(ValueError):
-        QuadExtElem(0, 1, 2) + QuadExtElem(0, 1, 3)
-
-
-def test_quadext_field_sqrt():
-    K = QuadExtField(5)
-    assert K.sqrt_gen() * K.sqrt_gen() == 5
 
 
 # -- polynomials --------------------------------------------------------------
@@ -193,14 +170,6 @@ def test_rational_roots():
     ]
 
 
-def test_quadratic_extension_splitting():
-    assert stays_irreducible_over_quadratic(T**3 - 2, 5)
-    # T^2 - 5 splits over Q(sqrt(5)) but not over Q(sqrt(2))
-    assert not stays_irreducible_over_quadratic(T**2 - 5, 5)
-    assert stays_irreducible_over_quadratic(T**2 - 5, 2)
-    assert not stays_irreducible_over_quadratic(T**2 - 20, 5)
-
-
 # -- rational functions -------------------------------------------------------
 
 
@@ -223,16 +192,6 @@ def test_ratfunc_field_ops():
         assert (a + b) - b == a
         if b:
             assert (a * b) / b == a
-
-
-def test_with_field_moves_only_between_fields():
-    f = RatFunc(T**2 + 1, T - 2)
-    assert f.with_field(QQ) is f
-    assert f.num.with_field(QQ) is f.num
-    K = QuadExtField(5)
-    g = f.with_field(K)
-    assert g.field == K and g.with_field(K) is g
-    assert g == RatFunc(UniPoly("T", [1, 0, 1], K), UniPoly("T", [-2, 1], K))
 
 
 def test_tower_coefficients():
@@ -298,16 +257,12 @@ def test_valuation_errors_and_inf():
         Place.finite(2 * T - 1)  # not monic
 
 
-def test_quadext_coefficient_valuations():
-    K = QuadExtField(2)
-    root2 = K.sqrt_gen()
-    TK = UniPoly.gen("T", K)
-    f = RatFunc(TK * TK * root2 + TK * 3)  # sqrt(2) T^2 + 3T
-    assert valuation_at(Place.linear("T", 0), f) == 1
-    assert valuation_at(Place.infinity("T"), f) == -2
-    assert valuation_at(Place.finite(T**3 - 2), f) == 0
-    g = RatFunc(TK + root2)
-    assert valuation_at(Place.infinity("T"), g) == -1
+def test_valuation_needs_rational_coefficients():
+    tower = RatFunc(UniPoly.gen("T", RatFuncField("S")))
+    with pytest.raises(TypeError):
+        valuation_at(Place.linear("T", 0), tower)
+    with pytest.raises(TypeError):
+        divisor_of(tower)
 
 
 # -- the rational kernel against sympy's Poly over QQ ----------------------------

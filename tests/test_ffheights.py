@@ -30,7 +30,6 @@ from cleanpair.ffheights import (
     ReductionType,
     bad_places,
     canonical_height,
-    conjugate_point,
     family_functionfield_curve,
     generic_rank,
     reduction_at,
@@ -154,7 +153,7 @@ def test_canonical_heights_table():
     E1, P1 = family_functionfield_curve(1)
     assert canonical_height(E1, P1).total == F(1, 6)
     E4, P4 = family_functionfield_curve(4)
-    Q4 = second_section(4)
+    _, Q4 = second_section(E4, 4)
     assert canonical_height(E4, P4).total == F(1, 4)
     assert canonical_height(E4, Q4).total == F(1, 8)
     assert canonical_height(E4, E4.add(P4, Q4)).total == F(3, 8)
@@ -175,15 +174,35 @@ def test_quadraticity():
 
 
 def test_orthogonality_and_pairing():
-    for s in (4, F(9, 4), 2, 3):
+    for s in (4, F(9, 4), F(1, 4)):
         E, P = family_functionfield_curve(s)
-        Q = second_section(s)
-        assert E.contains(Q)
+        E_q, Q = second_section(E, s)
+        assert E_q is E and E.contains(Q)
         hp = canonical_height(E, P).total
         hq = canonical_height(E, Q).total
         hpq = canonical_height(E, E.add(P, Q)).total
         assert hpq == hp + hq
         assert hp > 0 and hq > 0
+
+
+TWIST_S = (2, 3, 5, -1, F(-3, 2), F(1, 2), F(7, 3), F(-2, 5), 6, F(10, 7))
+
+
+def test_second_section_on_the_quadratic_twist():
+    # at non-square s, Q' = (sT, s^2 (1 - s - 3T)) lies on the twist
+    # y^2 = x^3 + s^2 a x + s^3 b, which has E's bad places and the same
+    # Shioda-Tate bound, and h(Q') = h(Q) = 1/8 as at the square s
+    for s in TWIST_S:
+        E, _ = family_functionfield_curve(s)
+        E_q, Q = second_section(E, s)
+        assert (E_q.a, E_q.b) == (F(s) ** 2 * E.a, F(s) ** 3 * E.b)
+        assert E_q.contains(Q)
+        assert Q == CurvePoint.affine(RatFunc(s * T), RatFunc(F(s) ** 2 * (1 - s - 3 * T)))
+        assert [(pr.place, pr.val_delta, pr.type) for pr in bad_places(E_q)] == [
+            (pr.place, pr.val_delta, pr.type) for pr in bad_places(E)
+        ]
+        assert shioda_tate_rank(bad_places(E_q)) == 2
+        assert canonical_height(E_q, Q).total == F(1, 8), s
 
 
 def adds_up(rep: HeightReport) -> bool:
@@ -192,13 +211,21 @@ def adds_up(rep: HeightReport) -> bool:
     return rep.total == weighted + F(rep.good_poles, 2)
 
 
+def test_multiples_of_the_twisted_section():
+    # h(nQ') = n^2 h(Q') on the twist, and the report adds up
+    for s in (2, F(-3, 2)):
+        E_q, Q = second_section(family_functionfield_curve(s)[0], s)
+        for n in (2, 3):
+            rep = canonical_height(E_q, E_q.scalar_mul(n, Q))
+            assert rep.total == F(n * n, 8)
+            assert adds_up(rep)
+
+
 def test_quadratic_form_on_the_span_of_P_and_Q():
-    # P and Q are orthogonal, so h(mP + nQ) = m^2 h(P) + n^2 h(Q); at s = 2
-    # and 3, 16 of the points (those with |m| = 2 and n != 0) have x-poles at
-    # good places that split over Q(sqrt(s))
-    for s in (2, 3, 4):
+    # P and Q are orthogonal, so h(mP + nQ) = m^2 h(P) + n^2 h(Q)
+    for s in (4, F(9, 4), F(1, 4)):
         E, P = family_functionfield_curve(s)
-        Q = second_section(s)
+        _, Q = second_section(E, s)
         hp = canonical_height(E, P).total
         hq = canonical_height(E, Q).total
         for m in range(-2, 3):
@@ -210,23 +237,27 @@ def test_quadratic_form_on_the_span_of_P_and_Q():
 
 
 def test_node_entry_of_2P_plus_Q():
-    # at the I2 place T = -1/3, v(2y) = 2 exceeds N/2 = 1, so alpha = 1/2
-    E, P = family_functionfield_curve(2)
-    R = E.add(E.scalar_mul(2, P), second_section(2))
-    rep = canonical_height(E, R)
-    node = {e.place: e for e in rep.entries}[Place.linear("T", F(-1, 3))]
+    # y^2 = (x - 1)^2 (x + 2) + T^4 - T^3 - 3T^2 has I2 at T = 0 (Delta =
+    # -432 T^2 (T^2 - T - 3)(T - 2)(T^3 + T^2 - T - 2)), and P = (1 + T, T^2)
+    # meets the node with v(2y) = 2 > N/2 = 1, so alpha = min(4, 2)/4 = 1/2
+    # and lambda = -1/12; min(v(F2), 2N - v(F2))/(2N) would give alpha = 0
+    E = FunctionFieldCurve(UniPoly.constant("T", -3), T**4 - T**3 - 3 * T**2 + 2)
+    P = CurvePoint.affine(RatFunc(1 + T), RatFunc(T**2))
+    assert E.contains(P)
+    rep = canonical_height(E, P)
+    node = {e.place: e for e in rep.entries}[Place.linear("T", 0)]
+    assert (node.val_delta, node.reduction) == (2, ReductionType.MULTIPLICATIVE)
     assert (node.local, node.val_f2, node.smooth) == (F(-1, 12), 4, False)
-    assert rep.total == F(9, 8)
+    h = rep.total
+    assert h == F(5, 12)
+    for n in (2, 3):
+        assert canonical_height(E, E.scalar_mul(n, P)).total == n * n * h
 
 
 def factored_good_poles(E: FunctionFieldCurve, x: RatFunc) -> int:
     """Sum of deg q * max(0, -v_q(x)) over the good finite places q, found by
-    factoring den(x), or its norm to Q when x has quadratic coefficients.
-    Needs every pole place to stay prime over the quadratic extension."""
+    factoring den(x)."""
     den = x.den
-    if den.field != QQ:
-        norm = den * den.map_coefficients(lambda c: c.conjugate())
-        den = UniPoly(den.var, [c.a for c in norm.coeffs], QQ)
     bad = {pr.place for pr in bad_places(E)}
     count = 0
     if den.degree() > 0:
@@ -245,9 +276,13 @@ def test_good_pole_count_matches_factoring_the_denominator():
         for n in range(1, top + 1):
             cases.append((E, R))
             R = E.add(R, P)
-    for s in (2, 3):  # every pole place of P + Q is inert in Q(sqrt(s))
+    for s in (4, F(9, 4), F(1, 4)):
         E, P = family_functionfield_curve(s)
-        cases.append((E, E.add(P, second_section(s))))
+        _, Q = second_section(E, s)
+        cases += [(E, E.add(P, Q)), (E, E.add(E.scalar_mul(2, P), Q))]
+    for s in (2, 3, F(-3, 2)):  # multiples of Q' on the twist
+        E_q, Q = second_section(family_functionfield_curve(s)[0], s)
+        cases += [(E_q, E_q.scalar_mul(n, Q)) for n in (1, 2, 3)]
     poles = 0
     for E, R in cases:
         rep = canonical_height(E, R)
@@ -341,7 +376,21 @@ def test_generic_rank_nonsquare():
         assert r == 1
         assert ev.shioda_tate_bound == 2
         assert ev.galois_action is not None
-        assert ev.heights["Q"] == F(1, 8)
+        assert ev.orthogonal is True
+        assert ev.heights == {"P": F(1, 4), "Q": F(1, 8), "P+Q": F(3, 8)}
+
+
+def test_generic_rank_checks_the_shioda_tate_bound(monkeypatch):
+    real = ffheights.shioda_tate_rank
+    for s in (1, 2, 4):
+        monkeypatch.setattr(ffheights, "shioda_tate_rank", lambda pr: real(pr) + 1)
+        with pytest.raises(ArithmeticError, match="Shioda-Tate bound"):
+            generic_rank(s)
+    monkeypatch.setattr(ffheights, "shioda_tate_rank", lambda pr: 1)
+    with pytest.raises(ArithmeticError, match="Shioda-Tate bound 1 at s = 2"):
+        generic_rank(2)
+    monkeypatch.setattr(ffheights, "shioda_tate_rank", real)
+    assert generic_rank(2)[0] == 1
 
 
 def test_generic_rank_degenerate():
@@ -350,12 +399,18 @@ def test_generic_rank_degenerate():
 
 
 def test_conjugation_negates_second_section():
-    Q = second_section(2)
-    sigma = conjugate_point(Q)
-    assert sigma == CurvePoint.affine(Q.x, -Q.y)
-    # rational points are fixed
-    E, P = family_functionfield_curve(2)
-    assert conjugate_point(P) == P
+    # undoing the twist, Q = (x'/s, y'/(s sqrt(s))) for Q' = (x', y'): x(Q)
+    # lies in Q(T) and y(Q)^2 = y'^2/s^3 is s times a square of Q(T), so
+    # y(Q) lies in sqrt(s) Q(T) and sqrt(s) -> -sqrt(s) sends Q to -Q; P
+    # has rational coordinates and is fixed
+    for s in TWIST_S:
+        E, P = family_functionfield_curve(s)
+        _, Q = second_section(E, s)
+        x = Q.x / s
+        y_over_root = Q.y / (s * s)  # y(Q) / sqrt(s)
+        assert x == RatFunc(T)
+        assert s * y_over_root**2 == E.weierstrass().rhs(x)
+        assert (P.x.field, P.y.field) == (QQ, QQ)
 
 
 # -- j-invariant ----------------------------------------------------------------
@@ -415,14 +470,12 @@ def at_inverse(f: RatFunc) -> RatFunc:
 
 
 def infinity_model(E: FunctionFieldCurve, R: CurvePoint):
-    """(a', b', x', y') from (x, y, T) = (x'/U^2, y'/U^3, 1/U), over the
-    coefficient field of R."""
-    field = next((c.field for c in (R.x, R.y) if c.field != QQ), QQ)
-    U = UniPoly.gen("U", field)
-    a = reversed_poly(E.a, 5).with_field(field)
-    b = reversed_poly(E.b, 7).with_field(field)
-    x = at_inverse(R.x.with_field(field)) * (U * U)
-    y = at_inverse(R.y.with_field(field)) * (U * U * U)
+    """(a', b', x', y') from (x, y, T) = (x'/U^2, y'/U^3, 1/U)."""
+    U = UniPoly.gen("U")
+    a = reversed_poly(E.a, 5)
+    b = reversed_poly(E.b, 7)
+    x = at_inverse(R.x) * (U * U)
+    y = at_inverse(R.y) * (U * U * U)
     return a, b, x, y
 
 
@@ -492,16 +545,20 @@ def test_point_transport_to_infinity_model():
     seen_f3 = set()
     for s in (1, 2, 3, 4, F(1, 4), F(-3, 2), F(9, 4), 5, -1, F(1, 2)):
         E, P = family_functionfield_curve(s)
-        Q = second_section(s)
-        minus_q = E.scalar_mul(-1, Q)
+        E_q, Q = second_section(E, s)
         points = [P]
         while len(points) < 7:
             points.append(E.add(points[-1], P))
-        two_p = points[1]
-        points += [Q, E.add(P, Q), E.add(P, minus_q), E.scalar_mul(2, Q)]
-        points += [E.add(two_p, Q), E.add(two_p, minus_q)]
-        for R in points:
-            seen_f3.add(matches_model_at_infinity(E, R)[5])
+        cases = [(E, R) for R in points]
+        if E_q is E:
+            two_p, minus_q = points[1], E.scalar_mul(-1, Q)
+            more = [Q, E.add(P, Q), E.add(P, minus_q), E.scalar_mul(2, Q)]
+            more += [E.add(two_p, Q), E.add(two_p, minus_q)]
+            cases += [(E, R) for R in more]
+        else:
+            cases += [(E_q, E_q.scalar_mul(n, Q)) for n in (1, 2, 3)]
+        for curve, R in cases:
+            seen_f3.add(matches_model_at_infinity(curve, R)[5])
     assert {8, 10} <= seen_f3  # the psi3 branch is reached
 
 

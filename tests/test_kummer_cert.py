@@ -15,12 +15,12 @@ import pytest
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
     QQ,
-    QuadExtElem,
     RatFunc,
     UniPoly,
     parse_rational,
     rational_to_str,
     resultant,
+    sqrt_rational,
 )
 from cleanpair.family import make_member, pair_hypothesis
 from cleanpair.kummer_cert import (
@@ -180,14 +180,15 @@ def test_infinite_slope_lands_at_minus_two_t1():
 
 
 def test_witness_finite_nonzero_on_node_branches():
-    # branch slopes are +-sqrt(1/2); evaluate h there in Q(sqrt 2)
-    pair, _, fiber, node, par = worked_chain()
+    # the branch slopes +-sqrt(1/2) are the roots of Q2 = 3L^2 - 3/2; h is
+    # finite and nonzero at both exactly when Q2 shares no root with num(h)
+    # or den(h), that is when both resultants are nonzero
+    _, _, _, _, par = worked_chain()
     wit = divisor_witness(par, (-2, -4))
-    for sgn in (1, -1):
-        root = QuadExtElem(0, F(sgn, 2), 2)
-        assert par.node_branch_poly.evaluate(root) == 0
-        assert wit.h.num.evaluate(root) != 0
-        assert wit.h.den.evaluate(root) != 0
+    q2 = par.node_branch_poly
+    assert q2 == 3 * L**2 - F(3, 2) and sqrt_rational(F(1, 2)) is None
+    assert resultant(q2, wit.h.num) != 0
+    assert resultant(q2, wit.h.den) != 0
 
 
 # -- witness --------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -575,15 +576,18 @@ def test_cli_heights(capsys):
     assert code == 1 and "s = 0" in err
 
 
-def test_cli_rank_ff(capsys):
-    code, out, _ = run_cli(capsys, "rank-ff", "4")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["rank"] == 2
-    assert payload["orthogonal"] is True
+RANK_FF_GOLDEN = Path(__file__).parent / "data" / "rank_ff_stdout.json"
 
-    code, out, _ = run_cli(capsys, "rank-ff", "2")
-    assert json.loads(out)["rank"] == 1
+
+def test_cli_rank_ff(capsys):
+    # stdout of `rank-ff -- s` byte for byte, at s = 1 and at square and
+    # non-square s
+    golden = json.loads(RANK_FF_GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 10
+    for s, expected in golden.items():
+        assert run_cli(capsys, "rank-ff", "--", s) == (0, expected, ""), s
+    assert json.loads(golden["4"])["rank"] == 2
+    assert json.loads(golden["2"])["rank"] == 1
 
 
 def test_cli_search_plain(capsys):
