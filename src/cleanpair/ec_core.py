@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from sympy import factorint
-
 from cleanpair.exactmath import (
     QQ,
     RatFunc,
@@ -348,6 +346,8 @@ def _torsion_order_bound(E: WeierstrassCurve) -> int:
 
 def _integer_divisor_squares(n: int) -> list[int]:
     """Every y >= 1 with y^2 dividing n, ascending (none for n = 0)."""
+    from sympy import factorint
+
     if n == 0:
         return []
     ys = [1]

@@ -1,25 +1,23 @@
-"""Irreducible factorization over Q, with a sympy kernel.
+"""Irreducible factorization and rational roots over Q.
 
-The heavy lifting (univariate factorization of the primitive integer
-form) is delegated to sympy's dense ``dup_factor_list`` over plain Python
-integers; everything around it stays in our own exact types.
-Each factorization is re-multiplied and compared coefficient by
+Factorization of the primitive integer form is delegated to sympy's dense
+``dup_factor_list`` over plain Python integers, imported only when a
+factorization is asked for; everything around it stays in our own exact
+types.  Each factorization is re-multiplied and compared coefficient by
 coefficient before being returned, so a kernel bug cannot leak through
-silently.
+silently.  The rational roots of a polynomial of degree at most 3 need no
+factorization: they are found on plain integers by bisection between the
+critical points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-from sympy.polys.domains import ZZ_python
-from sympy.polys.factortools import dup_factor_list
+from functools import reduce
+from math import gcd, isqrt
 
 from cleanpair.exactmath.poly import UniPoly, qq_from_ints, qq_to_ints
 from cleanpair.exactmath.scalars import QQ, Rational
-
-_ZZ = ZZ_python()
 
 
 def _require_rational_coeffs(p: UniPoly) -> None:
@@ -37,6 +35,9 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
     Returns (c, parts) with each part (q, m): q monic irreducible, m >= 1,
     parts sorted by (degree, coefficients), and c * prod q^m == p exactly.
     """
+    from sympy.polys.domains import ZZ_python
+    from sympy.polys.factortools import dup_factor_list
+
     _require_rational_coeffs(p)
     if not p:
         raise ValueError("cannot factor the zero polynomial")
@@ -46,7 +47,7 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
     # factor f is lc(f) times a monic factor over Q.
     num, den = qq_to_ints(p)
     content = gcd(*num)
-    const, raw = dup_factor_list([c // content for c in reversed(num)], _ZZ)
+    const, raw = dup_factor_list([c // content for c in reversed(num)], ZZ_python())
     c = Fraction(content * const, den)
     parts = []
     for f, mult in raw:
@@ -70,12 +71,49 @@ def is_irreducible(p: UniPoly) -> bool:
     return len(parts) == 1 and parts[0][1] == 1
 
 
-def rational_roots(p: UniPoly) -> list[tuple[Rational, int]]:
-    """Roots of p in Q with multiplicities, sorted ascending."""
-    _, parts = factor_rational_poly(p)
+def _eval(q, y: int) -> int:
+    return reduce(lambda v, c: v * y + c, reversed(q), 0)
+
+
+def _monic_integer_roots(q) -> list[tuple[int, int]]:
+    """The integer roots, with multiplicities, of a monic integer q of
+    degree at most 3.  Cutting Z at the floor of each critical point leaves
+    pieces on which q is monotone, alternating in direction and rising on
+    the last; each is bisected within the Cauchy bound."""
+    n = len(q) - 1
+    cuts = []
+    if n == 2:
+        cuts = [-q[1] // 2]
+    elif n == 3 and q[2] * q[2] > 3 * q[1]:
+        # the critical points are (-q2 -+ sqrt(D))/3, D = q2^2 - 3 q1; with
+        # r = ceil(sqrt(D)) the cuts are floor(c1) and ceil(c2) - 1
+        r = isqrt(q[2] * q[2] - 3 * q[1] - 1) + 1
+        cuts = [(-q[2] - r) // 3, -((q[2] - r) // 3) - 1]
+    bound = 1 + max(map(abs, q[:-1]), default=0)
     out = []
-    for q, m in parts:
-        if q.degree() == 1:
-            out.append((-q.coeff(0), m))
-    out.sort(key=lambda rm: rm[0])
+    for i, (lo, hi) in enumerate(zip([-bound] + [c + 1 for c in cuts], cuts + [bound])):
+        sign = (-1) ** (len(cuts) - i)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * _eval(q, mid) < 0 else (lo, mid)
+        if lo == hi and not _eval(q, lo):
+            m, d = 0, q  # the multiplicity counts the derivatives vanishing at the root
+            while not _eval(d, lo):
+                m, d = m + 1, [j * c for j, c in enumerate(d)][1:]
+            out.append((lo, m))
     return out
+
+
+def rational_roots(p: UniPoly) -> list[tuple[Rational, int]]:
+    """Roots of p in Q with multiplicities, sorted ascending.  Up to degree
+    3 the roots y of the monic integer a^(n-1) p(Y/a), a = lc(p), give the
+    roots y/a of p; higher degrees are factored."""
+    if p.degree() > 3 or not p:
+        _, parts = factor_rational_poly(p)
+        out = [(-q.coeff(0), m) for q, m in parts if q.degree() == 1]
+    else:
+        num, _ = qq_to_ints(p)
+        a, n = num[-1], len(num) - 1
+        q = [c * a ** (n - 1 - i) for i, c in enumerate(num[:-1])] + [1]
+        out = [(Fraction(y, a), m) for y, m in _monic_integer_roots(q)]
+    return sorted(out, key=lambda rm: rm[0])

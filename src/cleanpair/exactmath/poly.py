@@ -10,8 +10,10 @@ coercion.  There is one code path per coefficient field:
   gcd of the denominator and all numerators is 1.  Products are integer
   convolutions, sums rescale to a common denominator, and division is
   pseudo-division by the primitive divisor followed by one rescale.  Gcds
-  and their cofactors come from sympy's dense ``dup_inner_gcd`` over plain
-  Python integers, so a ``RatFunc`` is reduced without a trial division.
+  of the integer forms come from a heuristic gcd on plain ints, checked by
+  exact division (the quotients are the cofactors that reduce a
+  ``RatFunc``), with a primitive PRS as the fallback; no computer-algebra
+  system is called.
   The ``coeffs`` tuple of ``Fraction`` is built from this form on first
   access and cached; equality and hashing agree with it.
 * Every other field (``RatFunc``, for nested towers) stores a tuple of
@@ -23,16 +25,10 @@ The degree of the zero polynomial is the sentinel -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
-from sympy.polys.domains import ZZ_python
-from sympy.polys.euclidtools import dup_inner_gcd
-
 from cleanpair.exactmath.scalars import QQ, RationalField
-
-# Integer ring over plain int whatever ground types sympy picks, so no
-# mpz leaks into a coefficient.
-_ZZ = ZZ_python()
 
 
 class DegreeError(ValueError):
@@ -135,8 +131,7 @@ def _qq_divmod(var: str, a, da: int, b, db: int):
             rem = [c * s for c in rem]
             quot = [c * s for c in quot]
         quot[k] = u
-        for j, c in enumerate(b, k):
-            rem[j] -= u * c
+        rem[k:-1] = [x - u * c for x, c in zip(rem[k:-1], b)]
         rem.pop()
         while rem and not rem[-1]:
             rem.pop()
@@ -446,17 +441,88 @@ class UniPoly:
 # -- gcd -------------------------------------------------------------------
 
 
+def _exact_quo(f, h):
+    """f / h for integer coefficient lists, lowest degree first, with h
+    primitive, or None when h does not divide f."""
+    q, r = _qq_divmod("", f, 1, h, 1)
+    return None if r or q._den != 1 else list(q._num)
+
+
+def _primitive(f):
+    c = gcd(*f)
+    return [x // c for x in f] if c != 1 else f
+
+
+def _heu_candidates(f, g):
+    """Candidate gcds of the primitive f and g: GCDHEU (Char, Geddes and
+    Gonnet 1989) at six points xi = 2^k >= 2 min(|f|, |g|) + 2, where |f| is
+    the largest coefficient size, each candidate the primitive part of the
+    symmetric xi-adic digits of gcd(f(xi), g(xi)).  At such a xi a
+    candidate that divides f and g is their gcd, and a constant one is 1
+    (Geddes, Czapor and Labahn, Thm 7.7)."""
+    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 1).bit_length()
+    for _ in range(6):
+        xi = 1 << k
+        v = gcd(*(reduce(lambda v, c: (v << k) + c, reversed(p), 0) for p in (f, g)))
+        h = []
+        while v:
+            d = v & (xi - 1)
+            if 2 * d > xi:
+                d -= xi
+            h.append(d)
+            v = (v >> k) + (d < 0)
+        yield _primitive(h)
+        k += k // 4 + 2
+
+
+def _prs_gcd(f, g):
+    """The gcd of the primitive f and g, deg f >= deg g, from their
+    primitive PRS."""
+    while len(g) > 1:
+        r = _qq_divmod("", f, 1, g, 1)[1]._num
+        if not r:
+            return list(g) if g[-1] > 0 else [-c for c in g]
+        f, g = g, _primitive(r)
+    return [1]
+
+
+def _int_gcd(f, g):
+    """(h, f/h, g/h) for nonzero integer coefficient lists, lowest degree
+    first, with h a gcd in Z[x].  A nonconstant h is accepted only when it
+    divides f and g exactly, and the cofactors are those quotients."""
+    cf, cg = gcd(*f), gcd(*g)
+    c = gcd(cf, cg)
+    fp, gp = _primitive(f), _primitive(g)
+    h, cff, cfg = [1], fp, gp
+    if len(f) > 1 and len(g) > 1:
+        for h in _heu_candidates(fp, gp):
+            if len(h) == 1:
+                cff, cfg = fp, gp
+                break
+            cff = _exact_quo(fp, h)
+            cfg = cff and _exact_quo(gp, h)
+            if cfg:
+                break
+        else:
+            h = _prs_gcd(fp, gp) if len(fp) >= len(gp) else _prs_gcd(gp, fp)
+            cff, cfg = _exact_quo(fp, h), _exact_quo(gp, h)
+            if cff is None or cfg is None:
+                raise ArithmeticError("PRS gcd does not divide its inputs")
+    sf, sg = cf // c, cg // c
+    return [c * x for x in h], [x * sf for x in cff], [x * sg for x in cfg]
+
+
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd.  Over Q it is the heuristic integer gcd of the numerator
-    forms; other fields use monic Euclid directly."""
+    """Monic gcd.  Over Q it is the integer gcd of the numerator forms;
+    other fields use monic Euclid directly."""
     f._check_compat(g)
     if not f:
         return g.monic()
     if not g:
         return f.monic()
     if f._num is not None:
-        h, _, _ = dup_inner_gcd(list(f._num[::-1]), list(g._num[::-1]), _ZZ)
-        return qq_from_ints(f.var, h[::-1], h[0])
+        h, _, _ = _int_gcd(f._num, g._num)
+        return qq_from_ints(f.var, h, h[-1])
     a, b = f.monic(), g.monic()
     while b:
         a, b = b, (a % b)
@@ -468,17 +534,17 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 def _cofactors(f: UniPoly, g: UniPoly):
     """(h, f/h, g/h) for a gcd h of the nonzero f and g.
 
-    Over Q the cofactors come straight from the integer gcd, with no
-    division; h is then the integer gcd, not made monic.
+    Over Q the cofactors are the quotients from the integer gcd's exact
+    division check; h is then the integer gcd, not made monic.
     """
     if f.degree() == 0 or g.degree() == 0:
         return UniPoly.constant(f.var, f.field.one(), f.field), f, g
     if f._num is not None:
-        h, cff, cfg = dup_inner_gcd(list(f._num[::-1]), list(g._num[::-1]), _ZZ)
+        h, cff, cfg = _int_gcd(f._num, g._num)
         return (
-            qq_from_ints(f.var, h[::-1]),
-            qq_from_ints(f.var, cff[::-1], f._den),
-            qq_from_ints(f.var, cfg[::-1], g._den),
+            qq_from_ints(f.var, h),
+            qq_from_ints(f.var, cff, f._den),
+            qq_from_ints(f.var, cfg, g._den),
         )
     h = poly_gcd(f, g)
     if h.degree() > 0:

@@ -108,7 +108,7 @@ class FunctionFieldCurve:
     Q[T] with deg a <= 4 and deg b <= 6, so the model is integral at every
     finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U)."""
 
-    __slots__ = ("var", "a", "b", "_profiles")
+    __slots__ = ("var", "a", "b", "_profiles", "_weierstrass")
 
     def __init__(self, a, b, var: str = "T"):
         a = _as_poly(a, var)
@@ -123,6 +123,7 @@ class FunctionFieldCurve:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_profiles", None)  # filled by _place_profiles
+        object.__setattr__(self, "_weierstrass", None)  # filled by weierstrass
         if not self.discriminant():
             raise ValueError("singular: the discriminant vanishes identically")
 
@@ -137,7 +138,12 @@ class FunctionFieldCurve:
         return -48 * self.a
 
     def weierstrass(self) -> WeierstrassCurve:
-        return WeierstrassCurve(RatFunc(self.a), RatFunc(self.b), RatFuncField(self.var))
+        """The curve over Q(T) for the group law, built once."""
+        W = self._weierstrass
+        if W is None:
+            W = WeierstrassCurve(RatFunc(self.a), RatFunc(self.b), RatFuncField(self.var))
+            object.__setattr__(self, "_weierstrass", W)
+        return W
 
     def contains(self, P: CurvePoint) -> bool:
         return self.weierstrass().contains(P)

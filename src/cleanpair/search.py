@@ -44,8 +44,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-import sympy
-
 from .ec_core import (
     CurvePoint,
     WeierstrassCurve,
@@ -533,6 +531,8 @@ def _short_model(a_invariants: Sequence[int]) -> tuple[int, int]:
 def _twist_reduce(A: int, B: int) -> tuple[int, int]:
     """Divide out the largest u with u^4 | A and u^6 | B (quartic/sextic
     twist content), giving the minimal short model in the twist class."""
+    import sympy
+
     if A == 0 and B == 0:
         raise ValueError("singular model")
     base = abs(A) if B == 0 else abs(B) if A == 0 else gcd(A, B)

@@ -6,10 +6,14 @@ long division) before the implementation existed, and are frozen.
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ_python
+from sympy.polys.euclidtools import dup_inner_gcd
 
+import cleanpair.exactmath.factor as factor_module
 from cleanpair.exactmath import (
     QQ,
     DegreeError,
@@ -31,6 +35,7 @@ from cleanpair.exactmath import (
     valuation_at,
     valuation_or_inf,
 )
+from cleanpair.exactmath.poly import _heu_candidates, _int_gcd, _primitive, _prs_gcd
 
 T = UniPoly.gen("T")
 X = UniPoly.gen("x")
@@ -128,6 +133,81 @@ def test_gcd_and_squarefree():
     assert poly_gcd(a, b) == ((T - 1) * (T**3 + 2)).monic()
 
 
+def int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def int_poly(rng, deg, bits):
+    """Integer coefficients, lowest degree first, each of 1 to bits bits and
+    of either sign; the leading one is nonzero."""
+    coeffs = [rng.getrandbits(rng.randint(1, bits)) * rng.choice((1, -1)) for _ in range(deg)]
+    return coeffs + [(rng.getrandbits(rng.randint(1, bits)) or 1) * rng.choice((1, -1))]
+
+
+def ref_int_gcd(f, g):
+    """sympy's (h, f/h, g/h), lowest degree first, with lc(h) > 0."""
+    h, cff, cfg = (c[::-1] for c in dup_inner_gcd(f[::-1], g[::-1], ZZ_python()))
+    if h[-1] < 0:
+        h, cff, cfg = ([-x for x in c] for c in (h, cff, cfg))
+    return h, cff, cfg
+
+
+def gcd_pairs(seed, count, max_deg=40):
+    """Seeded pairs of degree 0-max_deg with coefficients of 1-300 bits: a
+    quarter unrelated, the rest sharing a factor of degree 1-12, some with
+    it squared in f and some with non-unit contents."""
+    rng = random.Random(seed)
+    for i in range(count):
+        bits = rng.choice((1, 2, 8, 30, 100, 300))
+        da, db = rng.randint(0, max_deg), rng.randint(0, max_deg)
+        if i % 4 == 0:
+            yield int_poly(rng, da, bits), int_poly(rng, db, bits)
+            continue
+        dc = rng.randint(1, 12)
+        common = int_poly(rng, dc, bits)
+        f = int_mul(int_poly(rng, max(0, da - dc), bits), common)
+        g = int_mul(int_poly(rng, max(0, db - dc), bits), common)
+        if i % 4 == 2:
+            k = rng.getrandbits(rng.randint(1, 40)) + 1
+            f, g = [6 * k * x for x in f], [10 * k * x for x in g]
+        elif i % 4 == 3:
+            f = int_mul(f, common)
+        yield f, g
+
+
+def test_integer_gcd_matches_sympy():
+    for f, g in gcd_pairs(4114, 2000):
+        h, cff, cfg = _int_gcd(f, g)
+        assert (h, cff, cfg) == ref_int_gcd(f, g)
+        assert int_mul(h, cff) == f and int_mul(h, cfg) == g
+
+
+def test_prs_fallback_matches_sympy():
+    # the PRS is the slow path, so its pairs stop at degree 20
+    for f, g in gcd_pairs(4115, 200, max_deg=20):
+        fp, gp = _primitive(f), _primitive(g)
+        if len(fp) < len(gp):
+            fp, gp = gp, fp
+        h = _primitive(ref_int_gcd(f, g)[0])
+        assert _prs_gcd(fp, gp) == h
+
+
+def test_unlucky_evaluation_point_is_retried():
+    # f(xi) and g(xi) share the spurious factor s = 2^(k-1) + 1 at the first
+    # point xi = 2^k, so the first candidate is f itself; the next is right.
+    for k in (5, 10, 40):
+        f = int_mul([1, 1], [1 - 2 ** (k - 1), 1])
+        g = int_mul(int_mul([1, 1], [2, 1]), [2 ** (k - 1) + 3, 1])
+        first, second = islice(_heu_candidates(f, g), 2)
+        assert first == f and second == [1, 1]
+        h, cff, cfg = _int_gcd(f, g)
+        assert h == [1, 1] and int_mul(h, cff) == f and int_mul(h, cfg) == g
+
+
 def test_compose_and_reverse():
     p = X**2 + 1
     assert p.compose(X - 3) == X**2 - 6 * X + 10
@@ -168,6 +248,51 @@ def test_rational_roots():
         (F(-3), 1),
         (F(1, 2), 2),
     ]
+
+
+def roots_by_factoring(p):
+    _, parts = factor_rational_poly(p)
+    return sorted((-q.coeff(0), m) for q, m in parts if q.degree() == 1)
+
+
+def test_low_degree_rational_roots_match_factoring(monkeypatch):
+    rng = random.Random(4116)
+    cases = []
+    for i in range(600):
+        size = 10**13 if i % 3 == 0 else 50
+        lead = F(rng.choice((1, -1)) * rng.randint(1, 12), rng.randint(1, 5))
+        roots = [F(rng.randint(-size, size), rng.randint(1, 9 if i % 2 else 1)) for _ in range(3)]
+        if i % 5 == 1:
+            roots[1] = roots[0]  # a double root
+        elif i % 5 == 2:
+            roots[1] = roots[2] = roots[0]  # a triple root
+        elif i % 5 == 3:  # roots next to each other, so next to a critical point
+            roots[1], roots[2] = roots[0] + rng.randint(1, 2), roots[0] + rng.randint(-3, 3)
+        linears = [T - r for r in roots]
+        shape = i % 6
+        if shape == 0:
+            p = lead * linears[0] * linears[1] * linears[2]
+        elif shape == 1:  # a root times an irreducible or split quadratic
+            p = lead * linears[0] * (T**2 + rng.randint(-size, size) * T + rng.randint(-size, size))
+        elif shape == 2:  # x^3 + A x + B, as in the torsion search
+            p = T**3 + rng.randint(-size, size) * T + rng.randint(-size, size)
+        elif shape == 3:
+            p = lead * linears[0] * linears[1]
+        elif shape == 4:
+            p = lead * (T**2 + rng.randint(-size, size) * T + rng.randint(-size, size))
+        else:
+            p = lead * linears[0]
+        cases.append((p, roots_by_factoring(p)))
+    with pytest.raises(ValueError):
+        rational_roots(UniPoly.zero("T"))
+
+    def no_factoring(p):
+        raise AssertionError("a nonzero p of degree <= 3 must not be factored")
+
+    monkeypatch.setattr(factor_module, "factor_rational_poly", no_factoring)
+    for p, expected in cases:
+        assert rational_roots(p) == expected, p
+    assert rational_roots(UniPoly.constant("T", 5)) == []
 
 
 # -- rational functions -------------------------------------------------------

@@ -173,6 +173,14 @@ def test_quadraticity():
         assert h2 == 4 * h1
 
 
+def test_group_law_curve_is_built_once():
+    E, P = family_functionfield_curve(2)
+    W = E.weierstrass()
+    assert W is E.weierstrass()
+    assert (W.a, W.b) == (RatFunc(E.a), RatFunc(E.b))
+    assert E.add(P, P) == W.add(P, P) and E.weierstrass() is W
+
+
 def test_orthogonality_and_pairing():
     for s in (4, F(9, 4), F(1, 4)):
         E, P = family_functionfield_curve(s)

@@ -1,5 +1,6 @@
-"""Package hygiene: exports resolve, no module keeps a dead import, and no
-public top-level name is left without a caller.
+"""Package hygiene: exports resolve, no module keeps a dead import, no
+public top-level name is left without a caller, and sympy stays off the
+proof path.
 
 The checks read the package itself, so a deletion that leaves a stale
 ``__all__`` entry, an import or an orphaned helper behind fails here rather
@@ -8,6 +9,9 @@ than going unnoticed.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cleanpair
@@ -86,3 +90,53 @@ def test_every_public_top_level_name_has_a_caller():
             if node.name not in _referenced(rest):
                 dead.append(f"{path.relative_to(PACKAGE_DIR)}: {node.name}")
     assert dead == []
+
+
+def _module_level_imports(tree: ast.Module):
+    """Import statements that run when the module loads: everything outside
+    function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_sympy_at_load_time():
+    eager = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            if any(name.split(".")[0] == "sympy" for name in names):
+                eager.append(f"{path.relative_to(PACKAGE_DIR)}: line {node.lineno}")
+    assert eager == []
+
+
+_PROBE = """
+import sys
+from cleanpair.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+print("sympy modules:", loaded, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_proof_commands_never_load_sympy(tmp_path):
+    # each command in a fresh interpreter: certify writes the certificate
+    # that verify then checks
+    cert = tmp_path / "cert.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    for argv in (
+        ["certify", "1", "1", "2", "--out", str(cert)],
+        ["verify", str(cert)],
+        ["member", "1", "2"],
+        ["search", "60"],
+    ):
+        run = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, "sympy modules: []\n")
