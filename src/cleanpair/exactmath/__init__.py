@@ -19,8 +19,8 @@ from cleanpair.exactmath.places import (
     Place,
     UndefinedValuation,
     divisor_of,
+    taylor_coefficients,
     valuation_at,
-    valuation_or_inf,
 )
 from cleanpair.exactmath.scalars import (
     QQ,
@@ -55,6 +55,6 @@ __all__ = [
     "resultant",
     "sqrt_int",
     "sqrt_rational",
+    "taylor_coefficients",
     "valuation_at",
-    "valuation_or_inf",
 ]

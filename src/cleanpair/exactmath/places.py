@@ -9,10 +9,11 @@ Valuations are taken of functions with rational coefficients only.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 from numbers import Rational as _RationalABC
 
 from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
-from cleanpair.exactmath.poly import RatFunc, UniPoly
+from cleanpair.exactmath.poly import RatFunc, UniPoly, qq_to_ints
 from cleanpair.exactmath.scalars import QQ
 
 
@@ -99,7 +100,33 @@ def _as_ratfunc(place: Place, f):
     raise TypeError(f"cannot take a valuation of {type(f).__name__}")
 
 
+def taylor_coefficients(p: UniPoly, root):
+    """The Taylor coefficients of p at the rational root, lowest first:
+    p(root), p'(root), p''(root)/2, ...  Each is the remainder of one pass
+    of integer synthetic division (Horner's rule) of c^n p(T/c), whose root
+    a is an integer when root = a/c, so the first costs one evaluation."""
+    root = Fraction(root)
+    a, c = root.numerator, root.denominator
+    num, den = qq_to_ints(p)
+    coeffs, power = [], 1  # den c^n p(T/c), highest degree first
+    for x in reversed(num):
+        coeffs.append(x * power)
+        power *= c
+    scale = den * power // c  # the j-th remainder over den c^(n - j)
+    while coeffs:
+        acc, quot = 0, []
+        for x in coeffs:
+            acc = acc * a + x
+            quot.append(acc)
+        yield Fraction(quot.pop(), scale)
+        coeffs, scale = quot, scale // c
+
+
 def _multiplicity(num: UniPoly, p: UniPoly) -> int:
+    if p.degree() == 1:
+        # the multiplicity of T - r counts the Taylor coefficients at r that
+        # vanish, so v = 0 costs one evaluation
+        return sum(1 for _ in takewhile(lambda c: not c, taylor_coefficients(num, -p.coeff(0))))
     count = 0
     q, r = divmod(num, p)
     while not r and num:
@@ -130,14 +157,6 @@ def valuation_at(place: Place, f) -> int:
     if not g:
         raise UndefinedValuation(f"valuation of 0 at {place}")
     return _poly_valuation(place, g.num) - _poly_valuation(place, g.den)
-
-
-def valuation_or_inf(place: Place, f):
-    """Like valuation_at but maps the zero function to +infinity."""
-    try:
-        return valuation_at(place, f)
-    except UndefinedValuation:
-        return float("inf")
 
 
 def divisor_of(f) -> list[tuple[Place, int]]:

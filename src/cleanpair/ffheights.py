@@ -13,12 +13,18 @@ read in the T chart, where v(f) = deg den - deg num, plus a fixed weight
     Delta                      v(Delta) + 12
     c4                         v(c4) + 4
     x                          v(x) + 2
-    2y                         v(2y) + 3
-    tangent 3u^2 + aw^2        v(tangent) - 2 v(w) + 4
-    psi3 numerator             v(psi3 num) - 4 v(w) + 8
+    2y                         v(y) + 3
+    tangent 3u^2 + aw^2        2 deg w + 4 - deg(tangent)
+    psi3 numerator             4 deg w + 8 - deg(psi3 num)
 
 where psi3 = 3x^4 + 6ax^2 + 12bx - a^2 has numerator
-3u^4 + 6au^2w^2 + 12buw^3 - a^2w^4 over w^4.
+3u^4 + 6au^2w^2 + 12buw^3 - a^2w^4 over w^4.  Neither numerator is
+multiplied out: its first terms come from those of u, w, a and b, which at
+infinity have nominal degrees deg w + 2, deg w, 4 and 6 where v(x) >= 0.
+Those are their values at a linear place (integer Horner), their
+remainders mod a place of degree >= 2, their top coefficients at infinity;
+when the first term of psi3 vanishes, more Taylor or top coefficients, or
+at a place of degree >= 2 the full product, give its valuation.
 
 Local heights follow the standard valuation-theoretic algorithm.  The
 auxiliary quantities are the squares of the first two division polynomials,
@@ -47,6 +53,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, zip_longest
+from math import lcm
 from typing import Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
@@ -59,11 +67,11 @@ from cleanpair.exactmath import (
     factor_rational_poly,
     rational_to_str,
     sqrt_rational,
-    valuation_or_inf,
+    taylor_coefficients,
+    valuation_at,
 )
+from cleanpair.exactmath.poly import qq_to_ints
 from cleanpair.family import functionfield_coefficients, marked_point_coords
-
-_INF = float("inf")
 
 
 class MinimalityError(ValueError):
@@ -210,18 +218,16 @@ def _classify(val_delta: int, val_c4: int, place: Place) -> ReductionProfile:
     return ReductionProfile(place, val_delta, rtype, m, place.degree())
 
 
-def _weighted(place: Place, f, k: int):
-    """Valuation at the place, in the integral model there, of f of weight k:
-    the chart change at infinity multiplies f by U^k."""
-    v = valuation_or_inf(place, f)
+def _weighted(place: Place, f, k: int) -> int:
+    """Valuation at the place, in the integral model there, of the nonzero f
+    of weight k: the chart change at infinity multiplies f by U^k."""
+    v = valuation_at(place, f)
     return v + k if place.is_infinity else v
 
 
 def reduction_at(E: FunctionFieldCurve, place: Place) -> ReductionProfile:
     vd = _weighted(place, E.discriminant(), 12)
-    vc = _weighted(place, E.c4(), 4)
-    vd = 0 if vd == _INF else int(vd)
-    vc = 4 if vc == _INF else int(vc)  # c4 = 0: deep additive, capped for the tests
+    vc = _weighted(place, E.c4(), 4) if E.a else 4  # c4 = 0: deep additive, capped for the tests
     return _classify(vd, vc, place)
 
 
@@ -299,45 +305,117 @@ class HeightReport:
         }
 
 
+def _tangent(u, w, a):
+    return 3 * u * u + a * w * w
+
+
+def _psi3(u, w, a, b):
+    u2, w2 = u * u, w * w
+    return (3 * u2 + 6 * a * w2) * u2 + (12 * b * u * w - a * a * w2) * w2
+
+
+class _Series:
+    """A power series in a uniformizer as integer terms, lowest first, over
+    one denominator, cut after k terms (k None: kept whole).  The first k
+    terms of sums and products of cut series are exact."""
+
+    __slots__ = ("terms", "den", "k")
+
+    def __init__(self, terms, den, k):
+        self.terms, self.den, self.k = terms[:k], den, k
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Series([c * other for c in self.terms], self.den, self.k)
+        out = [0] * (len(self.terms) + len(other.terms) - 1)
+        for i, x in enumerate(self.terms):
+            for j, y in enumerate(other.terms, i):
+                out[j] += x * y
+        return _Series(out, self.den * other.den, self.k)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        da, db = self.den, other.den
+        terms = [x * db + y * da for x, y in zip_longest(self.terms, other.terms, fillvalue=0)]
+        return _Series(terms, da * db, self.k)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+
+def _terms(place: Place, form, polys, degs, k) -> list:
+    """The first k terms of form(*polys) at the place in the integral model,
+    from the first k terms of each of polys: its Taylor coefficients at a
+    linear place, or at infinity its coefficients down from its nominal
+    degree in degs.  At a place q of degree >= 2 the one term is the
+    remainder mod q.  The first term is zero iff the valuation is positive."""
+    if place.degree() > 1:
+        q = place.poly
+        return [form(*(p % q for p in polys)) % q]
+    series = []
+    for p, d in zip(polys, degs):
+        if place.is_infinity:
+            num, den = qq_to_ints(p)
+            series.append(_Series((num + (0,) * (d + 1 - len(num)))[::-1], den, k))
+        else:
+            c = list(islice(taylor_coefficients(p, -place.poly.coeff(0)), k))
+            den = lcm(*(t.denominator for t in c))
+            series.append(_Series([t.numerator * (den // t.denominator) for t in c], den, k))
+    return form(*series).terms
+
+
+def _order(place: Place, form, polys, degs) -> Optional[int]:
+    """Valuation of form(*polys) at the place in the integral model, None
+    for zero: k doubles until one of the first k terms is nonzero, the last
+    round keeps the series whole, and at a place of degree >= 2 the full
+    product settles a vanishing residue."""
+    length = max(degs) + 1 if place.is_infinity else max(p.degree() for p in polys) + 1
+    k = 1
+    while True:
+        v = next((j for j, c in enumerate(_terms(place, form, polys, degs, k)) if c), None)
+        if v is not None or k is None:
+            return v
+        if place.degree() > 1:
+            full = form(*polys)
+            return valuation_at(place, full) if full else None
+        k = 2 * k if 2 * k < length else None
+
+
 def _local_height_entry(
-    profile: ReductionProfile, a: UniPoly, b: UniPoly, x: RatFunc, y: RatFunc, vx
+    profile: ReductionProfile, a: UniPoly, b: UniPoly, x: RatFunc, y: RatFunc, pole: int
 ) -> PlaceHeightEntry:
-    """Local height of (x, y) at the profile's place, where x has valuation
-    vx in the integral model."""
+    """Local height of (x, y) at the profile's place, where x has a pole of
+    order pole in the integral model (0 if none)."""
     place = profile.place
     n = profile.val_delta
-    v2y = _weighted(place, 2 * y, 3)
 
     def entry(smooth, lam, vf2=None, vf3=None):
         return PlaceHeightEntry(place, n, profile.type, smooth, lam, vf2, vf3)
 
-    if vx < 0 or n == 0:
-        lam = Fraction(max(0, -vx), 2) + Fraction(n, 12)
-        return entry(True, lam)
-    # v(x) >= 0 from here on and x = u/w is reduced, so v(w) = 0 at a finite
-    # place and -deg w at infinity: 3x^2 + a and psi3 = 3x^4 + 6ax^2 + 12bx - a^2
-    # have the valuations of their numerators over w^2 and w^4
+    if pole or n == 0:
+        return entry(True, Fraction(pole, 2) + Fraction(n, 12))
+    vy = _weighted(place, y, 3) if y else None  # v(2y) = v(y); None for y = 0
+    # x = u/w is reduced and v(x) >= 0, so w is a unit in the integral
+    # model: the tangent 3x^2 + a and psi3 have the valuations of their
+    # numerators
     u, w = x.num, x.den
-    vw = -w.degree() if place.is_infinity else 0
-    u2, w2 = u * u, w * w
-    v_tangent = _weighted(place, 3 * u2 + a * w2, 4) - 2 * vw
-    if not (v2y > 0 and v_tangent > 0):
-        lam = Fraction(n, 12)  # vx >= 0 here, so no max term
-        return entry(True, lam)
+    degs = (w.degree() + 2, w.degree(), 4, 6)
+    if (vy is not None and vy <= 0) or _terms(place, _tangent, (u, w, a), degs, 1)[0]:
+        return entry(True, Fraction(n, 12))  # v(x) >= 0 here, so no max term
     # P meets the singular point of the fiber
     if profile.type is ReductionType.MULTIPLICATIVE:
-        if v2y == _INF:
+        if vy is None:
             raise ArithmeticError("two-torsion on a node is not supported")
-        vf2 = 2 * int(v2y)
+        vf2 = 2 * vy
         alpha = Fraction(min(vf2, n), 2 * n)
         lam = Fraction(n, 2) * (alpha * alpha - alpha + Fraction(1, 6))
         return entry(False, lam, vf2=vf2)
-    psi3 = 3 * u2 * u2 + 6 * a * u2 * w2 + 12 * b * u * w2 * w - a * a * w2 * w2
-    vpsi3 = _weighted(place, psi3, 8) - 4 * vw
-    if v2y == _INF and vpsi3 == _INF:
+    vpsi3 = _order(place, _psi3, (u, w, a, b), degs)
+    if vy is None and vpsi3 is None:
         raise ArithmeticError("degenerate torsion point on a cusp")
-    vf2 = None if v2y == _INF else 2 * int(v2y)
-    vf3 = None if vpsi3 == _INF else 2 * int(vpsi3)
+    vf2 = None if vy is None else 2 * vy
+    vf3 = None if vpsi3 is None else 2 * vpsi3
     if vf3 is None or (vf2 is not None and vf3 >= 3 * vf2):
         lam = Fraction(n, 12) - Fraction(vf2, 6)
     else:
@@ -360,13 +438,15 @@ def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
     total = Fraction(0)
     for profile in _place_profiles(E):
         place = profile.place
-        vx = _weighted(place, x, 2)
-        e = _local_height_entry(profile, E.a, E.b, x, y, vx)
+        if place.is_infinity:  # v(x) + 2 = deg w - deg u + 2
+            pole = max(0, x.num.degree() - x.den.degree() - 2)
+        else:
+            pole = valuation_at(place, x.den)
+            good_poles -= place.degree() * pole
+        e = _local_height_entry(profile, E.a, E.b, x, y, pole)
         total += place.degree() * e.local
         if e.local or profile.val_delta:
             entries.append(e)
-        if not place.is_infinity:
-            good_poles -= place.degree() * max(0, -vx)
     return HeightReport(tuple(entries), total + Fraction(good_poles, 2), good_poles)
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -227,6 +226,8 @@ def enumerate_s1(
     if workers == 1 or len(pairs) < 4:
         records = [_make_record(pq) for pq in pairs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
         chunk = max(1, len(pairs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_make_record, pairs, chunksize=chunk))

@@ -32,9 +32,10 @@ from cleanpair.exactmath import (
     rational_to_str,
     resultant,
     sqrt_rational,
+    taylor_coefficients,
     valuation_at,
-    valuation_or_inf,
 )
+from cleanpair.exactmath.places import _multiplicity
 from cleanpair.exactmath.poly import _heu_candidates, _int_gcd, _primitive, _prs_gcd
 
 T = UniPoly.gen("T")
@@ -371,10 +372,40 @@ def test_valuation_additive():
             assert valuation_at(pl, a / b) == valuation_at(pl, a) - valuation_at(pl, b)
 
 
+def test_multiplicity_matches_repeated_division():
+    # roots of multiplicity 0-4 at linear places with and without a
+    # denominator in the root, and at a quadratic place
+    rng = random.Random(47)
+    for q in (T + F(1, 3), T, T - F(5, 2), T + 7, T**2 + T + 1):
+        for m in range(5):
+            for _ in range(4):
+                cofactor = rand_poly(rng, deg=rng.randint(0, 6))
+                if not cofactor:
+                    continue
+                p = q**m * cofactor
+                count, num = 0, p
+                while not num % q:
+                    count, num = count + 1, num // q
+                assert _multiplicity(p, q) == count >= m
+
+
+def test_taylor_coefficients_rebuild_the_polynomial():
+    rng = random.Random(53)
+    for root in (F(-1, 3), F(0), F(7, 2), F(-5)):
+        for deg in (0, 1, 5, 12):
+            p = rand_poly(rng, deg=deg)
+            shifted = sum(
+                (c * (T - root) ** j for j, c in enumerate(taylor_coefficients(p, root))),
+                UniPoly.zero("T"),
+            )
+            assert shifted == p
+            assert next(taylor_coefficients(p, root), 0) == p.evaluate(root)
+    assert list(taylor_coefficients(UniPoly.zero("T"), F(1, 3))) == []
+
+
 def test_valuation_errors_and_inf():
     with pytest.raises(UndefinedValuation):
         valuation_at(Place.linear("T", 0), RatFunc(UniPoly.zero("T")))
-    assert valuation_or_inf(Place.linear("T", 0), 0) == float("inf")
     assert valuation_at(Place.linear("T", 0), F(7, 2)) == 0
     with pytest.raises(ValueError):
         Place.finite(T**2 - 1)  # reducible

@@ -19,7 +19,6 @@ from cleanpair.exactmath import (
     UniPoly,
     factor_rational_poly,
     valuation_at,
-    valuation_or_inf,
 )
 from cleanpair.ffheights import (
     DegenerateS,
@@ -358,6 +357,145 @@ def test_report_serialization_layout():
     assert data["total"] == "1/6"
 
 
+# -- the full-product route, kept as the reference ------------------------------
+#
+# canonical_height reads each valuation from residues and leading terms.  The
+# reference below forms u^2, w^2, the tangent 3u^2 + aw^2 and the psi3
+# numerator in full and takes every valuation by repeated division.
+
+
+def divmod_multiplicity(num: UniPoly, p: UniPoly) -> int:
+    count = 0
+    q, r = divmod(num, p)
+    while not r and num:
+        count += 1
+        num = q
+        q, r = divmod(num, p)
+    return count
+
+
+def reference_valuation(place: Place, f, k: int):
+    """Valuation of f of weight k in the integral model at the place, inf
+    for the zero function."""
+    f = f if isinstance(f, RatFunc) else RatFunc(f)
+    if not f:
+        return float("inf")
+    if place.is_infinity:
+        return f.den.degree() - f.num.degree() + k
+    return divmod_multiplicity(f.num, place.poly) - divmod_multiplicity(f.den, place.poly)
+
+
+def reference_entry(profile, a: UniPoly, b: UniPoly, R: CurvePoint) -> ffheights.PlaceHeightEntry:
+    place, n, x, y = profile.place, profile.val_delta, R.x, R.y
+    vx = reference_valuation(place, x, 2)
+    v2y = reference_valuation(place, 2 * y, 3)
+
+    def entry(smooth, lam, vf2=None, vf3=None):
+        return ffheights.PlaceHeightEntry(place, n, profile.type, smooth, lam, vf2, vf3)
+
+    if vx < 0 or n == 0:
+        return entry(True, F(max(0, -vx), 2) + F(n, 12))
+    u, w = x.num, x.den
+    vw = -w.degree() if place.is_infinity else 0
+    u2, w2 = u * u, w * w
+    v_tangent = reference_valuation(place, 3 * u2 + a * w2, 4) - 2 * vw
+    if not (v2y > 0 and v_tangent > 0):
+        return entry(True, F(n, 12))
+    if profile.type is ReductionType.MULTIPLICATIVE:
+        alpha = F(min(2 * v2y, n), 2 * n)
+        return entry(False, F(n, 2) * (alpha * alpha - alpha + F(1, 6)), vf2=2 * v2y)
+    psi3 = 3 * u2 * u2 + 6 * a * u2 * w2 + 12 * b * u * w2 * w - a * a * w2 * w2
+    vpsi3 = reference_valuation(place, psi3, 8) - 4 * vw
+    vf2 = None if v2y == float("inf") else 2 * v2y
+    vf3 = None if vpsi3 == float("inf") else 2 * vpsi3
+    if vf3 is None or (vf2 is not None and vf3 >= 3 * vf2):
+        lam = F(n, 12) - F(vf2, 6)
+    else:
+        lam = F(n, 12) - F(vf3, 16)
+    return entry(False, lam, vf2=vf2, vf3=vf3)
+
+
+def reference_height(E: FunctionFieldCurve, R: CurvePoint) -> HeightReport:
+    good_poles = R.x.den.degree()
+    entries, total = [], F(0)
+    for profile in ffheights._place_profiles(E):
+        place = profile.place
+        e = reference_entry(profile, E.a, E.b, R)
+        total += place.degree() * e.local
+        if e.local or profile.val_delta:
+            entries.append(e)
+        if not place.is_infinity:
+            good_poles -= place.degree() * max(0, -reference_valuation(place, R.x, 2))
+    return HeightReport(tuple(entries), total + F(good_poles, 2), good_poles)
+
+
+def test_heights_match_the_full_product_route():
+    # linear, quadratic and cubic finite places, the additive T = 0 at s = 1,
+    # and additive infinity; nP up to 12P and nQ' up to 3Q' on the twists
+    seen = set()
+    for s in (1, 2, 3, F(-1, 2), 4, F(9, 4)):
+        E, P = family_functionfield_curve(s)
+        E_q, Q = second_section(E, s)
+        cases = []
+        R = P
+        for n in range(1, 13):
+            cases.append((E, R))
+            R = E.add(R, P)
+        cases += [(E_q, E_q.scalar_mul(n, Q)) for n in (1, 2, 3)]
+        for curve, R in cases:
+            rep = canonical_height(curve, R)
+            assert rep == reference_height(curve, R), (s, R)
+            seen |= {(e.place.degree(), e.reduction, e.smooth) for e in rep.entries}
+    assert {(1, ReductionType.ADDITIVE, False), (3, ReductionType.MULTIPLICATIVE, True)} <= seen
+    assert (2, ReductionType.MULTIPLICATIVE, True) in seen
+
+
+def test_order_widens_past_cancelling_leading_terms():
+    # form(f, g) = f^2 - g with g = f^2 - h has the valuation of h, while
+    # the residue and the first terms of f^2 and g cancel
+    def form(f, g):
+        return f * f - g
+
+    f = 3 * T**4 - T**3 + F(1, 2) * T + 7
+    for place, h in (
+        (Place.infinity("T"), 5 * T**3 - 2),  # nominal degree 8, so v = 5
+        (Place.infinity("T"), UniPoly.constant("T", F(2, 3))),  # v = 8
+        (Place.linear("T", F(-1, 3)), (3 * T + 1) ** 3 * (T - 2)),
+        (Place.linear("T", 0), T**7 * (T + 5)),
+        (Place.linear("T", 2), (T - 2) ** 2),
+        (Place.finite(T**2 + 1), (T**2 + 1) ** 2 * (T - 1)),
+    ):
+        g = f * f - h
+        expected = 8 - h.degree() if place.is_infinity else divmod_multiplicity(h, place.poly)
+        assert ffheights._terms(place, form, (f, g), (4, 8), 1) == [0]
+        assert ffheights._order(place, form, (f, g), (4, 8)) == expected, place
+        assert ffheights._order(place, form, (f, f * f), (4, 8)) is None
+    # a residue that does not vanish settles v = 0 at once
+    assert ffheights._order(Place.linear("T", 1), form, (f, T), (4, 8)) == 0
+
+
+def test_heights_form_no_product_above_twice_the_degree_of_x(monkeypatch):
+    # the valuations of the tangent and psi3 come from residues and leading
+    # terms, so no product of degree 4 deg x (164 at 9P) is formed
+    E, P = family_functionfield_curve(2)
+    R = P
+    for _ in range(8):
+        R = E.add(R, P)
+    mul = UniPoly.__mul__
+    degrees = []
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        if out is not NotImplemented:
+            degrees.append(out.degree())
+        return out
+
+    monkeypatch.setattr(UniPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(UniPoly, "__rmul__", recording_mul)
+    assert canonical_height(E, R).total == F(81, 4)
+    assert max(degrees) <= 2 * max(R.x.num.degree(), R.x.den.degree())
+
+
 # -- generic rank ---------------------------------------------------------------
 
 
@@ -494,7 +632,7 @@ def infinity_entry_in_model(E: FunctionFieldCurve, R: CurvePoint):
     U0 = Place.linear("U", 0)
 
     def v(f):
-        return valuation_or_inf(U0, f)
+        return valuation_at(U0, f) if f else float("inf")
 
     n = v(-16 * (4 * a**3 + 27 * b * b))
     if n == 0:

@@ -120,15 +120,17 @@ from cleanpair.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
 print("sympy modules:", loaded, file=sys.stderr)
+print("process pool loaded:", "concurrent.futures.process" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
 
 def test_proof_commands_never_load_sympy(tmp_path):
     # each command in a fresh interpreter: certify writes the certificate
-    # that verify then checks
+    # that verify then checks.  With one worker no command loads the
+    # process-pool machinery either.
     cert = tmp_path / "cert.json"
-    env = dict(os.environ)
+    env = dict(os.environ, CLEANPAIR_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     for argv in (
         ["certify", "1", "1", "2", "--out", str(cert)],
@@ -139,4 +141,5 @@ def test_proof_commands_never_load_sympy(tmp_path):
         run = subprocess.run(
             [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
         )
-        assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, "sympy modules: []\n")
+        expected = "sympy modules: []\nprocess pool loaded: False\n"
+        assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, expected)
