@@ -372,12 +372,6 @@ class UniPoly:
             return self.field.zero()
         return acc
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero(inner.var, inner.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(inner.var, c, inner.field)
-        return acc
-
     # -- normalization -----------------------------------------------------
 
     def monic(self) -> "UniPoly":

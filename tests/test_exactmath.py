@@ -209,11 +209,6 @@ def test_unlucky_evaluation_point_is_retried():
         assert h == [1, 1] and int_mul(h, cff) == f and int_mul(h, cfg) == g
 
 
-def test_compose_and_reverse():
-    p = X**2 + 1
-    assert p.compose(X - 3) == X**2 - 6 * X + 10
-
-
 # -- factorization ------------------------------------------------------------
 
 

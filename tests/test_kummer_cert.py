@@ -4,6 +4,8 @@ certificate round trip.
 The frozen constants (r = 1/2, hessian -18, Q2 = 3L^2 - 3/2, Q3 = L^3 - 1/4,
 lambda_P = 1/2, the m = 1 witness (L+1)/(L-1)) were computed by hand from
 the Taylor expansions f(1+u) = 9 + 3u^2 + u^3 and g(2+v) = 36 + 6v^2 + v^3.
+The closed forms of the node and the parametrization are also compared
+with that Taylor route on seeded pairs.
 """
 
 import copy
@@ -12,16 +14,20 @@ from fractions import Fraction as F
 
 import pytest
 
+from cleanpair import kummer_cert
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
     QQ,
     RatFunc,
     UniPoly,
     parse_rational,
+    poly_gcd,
     rational_to_str,
     resultant,
     sqrt_rational,
+    taylor_coefficients,
 )
+from cleanpair.exactmath import poly as poly_module
 from cleanpair.family import make_member, pair_hypothesis
 from cleanpair.kummer_cert import (
     CuspNotSupported,
@@ -49,6 +55,11 @@ L = UniPoly.gen("L")
 
 def worked_pair():
     return pair_hypothesis(make_member(1, 1), make_member(1, 2))
+
+
+def m1_pair():
+    # Q3 = L^3 - 1 has a rational root, so the witness has degree 1
+    return pair_hypothesis(make_member(1, 1), make_member(1, -1), (True, True))
 
 
 def worked_chain():
@@ -191,6 +202,100 @@ def test_witness_finite_nonzero_on_node_branches():
     assert resultant(q2, wit.h.den) != 0
 
 
+# -- closed forms against the Taylor route --------------------------------------
+
+
+def taylor_shifts(fiber, t1, t2):
+    """c and d with F(t1 + u, t2 + v) = sum c_k u^k + d_k v^k: the Taylor
+    coefficients of f at t1 and of -r^2 g at t2."""
+    E1, E2 = fiber.source_curves
+    c = list(taylor_coefficients(E1.rhs_poly(), t1))
+    d = list(taylor_coefficients(-(fiber.r * fiber.r) * E2.rhs_poly(), t2))
+    return c, d
+
+
+def taylor_node(fiber, t1, t2):
+    """The node test of the Taylor route: the exception find_node must
+    raise, or the Hessian 4 c2 d2 and the kind."""
+    c, d = taylor_shifts(fiber, t1, t2)
+    if c[0] + d[0]:
+        return NotOnFiber
+    if c[1] or d[1]:
+        return NotSingular
+    det = 4 * c[2] * d[2]
+    return det, NodeKind.NODE if det else NodeKind.CUSP
+
+
+def node_outcome(fiber, t1, t2):
+    try:
+        node = find_node(fiber, t1, t2)
+    except (NotOnFiber, NotSingular) as exc:
+        return type(exc)
+    return node.hessian_det, node.kind
+
+
+def seeded_fibers(count, seed=1401):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        s = F(rng.randint(-6, 8), rng.randint(1, 4))
+        t1 = F(rng.randint(-5, 5), rng.randint(1, 3))
+        t2 = F(rng.randint(-5, 5), rng.randint(1, 3))
+        if s == 0 or t1 == t2:
+            continue
+        m1, m2 = make_member(s, t1), make_member(s, t2)
+        if m1.in_u and m2.in_u:
+            P1, P2 = m1.marked_point, m2.marked_point
+            out.append((build_fiber(m1.curve, m2.curve, P1, P2)[1], (t1, t2), (P1.x, P2.x)))
+    return out
+
+
+def reference_fibers():
+    """Seeded pairs (t = 0 among them gives cusps), the cusp fiber and the
+    reducible fiber at s = -5/7, t = 4, 1."""
+    m1, m2 = make_member(F(-5, 7), 4), make_member(F(-5, 7), 1)
+    reducible = build_fiber(m1.curve, m2.curve, m1.marked_point, m2.marked_point)[1]
+    return seeded_fibers(40) + [
+        (cusp_fiber(), (F(0), F(1)), (F(0), F(1))),
+        (reducible, (F(4), F(1)), (m1.marked_point.x, m2.marked_point.x)),
+    ]
+
+
+def test_find_node_matches_the_taylor_route():
+    kinds = set()
+    for fiber, (t1, t2), (x1, x2) in reference_fibers():
+        for point in ((t1, t2), (x1, x2), (t1, t2 + 1), (x1 + 1, x2), (-t1, t2)):
+            expected = taylor_node(fiber, *point)
+            assert node_outcome(fiber, *point) == expected, point
+            kinds.add(expected if isinstance(expected, type) else expected[1])
+    assert kinds == {NotOnFiber, NotSingular, NodeKind.NODE, NodeKind.CUSP}
+
+
+def test_parametrize_matches_the_taylor_route():
+    outcomes = set()
+    for fiber, (t1, t2), _ in reference_fibers():
+        node = find_node(fiber, t1, t2)
+        c, d = taylor_shifts(fiber, t1, t2)
+        q2, q3 = (c[k] * L**k + d[k] for k in (2, 3))
+        if node.kind is NodeKind.CUSP:
+            expected = CuspNotSupported
+        elif poly_gcd(q2, q3).degree() > 0:
+            expected = ReducibleFiber
+        else:
+            par = parametrize(fiber, node)
+            assert (par.node_branch_poly, par.infinity_branch_poly) == (q2, q3)
+            tau = RatFunc(-q2, q3)
+            assert par.tau == tau
+            assert par.x1_of == t1 + RatFunc(L) * tau
+            assert par.x2_of == t2 + tau
+            outcomes.add(NodeKind.NODE)
+            continue
+        with pytest.raises(expected):
+            parametrize(fiber, node)
+        outcomes.add(expected)
+    assert outcomes == {NodeKind.NODE, CuspNotSupported, ReducibleFiber}
+
+
 # -- witness --------------------------------------------------------------------
 
 
@@ -225,8 +330,7 @@ def test_witness_rejects_off_fiber_target():
 
 
 def test_degree_one_witness_when_infinity_cubic_splits():
-    pair = pair_hypothesis(make_member(1, 1), make_member(1, -1), (True, True))
-    cert = assemble_certificate(pair)
+    cert = assemble_certificate(m1_pair())
     assert cert.r == -1
     wit = cert.fiber_plus.witness
     assert wit.multiplier == 1
@@ -378,6 +482,62 @@ def test_named_tamper_reasons():
     doc["r"] = "1/3"
     res = verify_certificate(certificate_from_json(doc))
     assert not res.ok and "RatioMismatch" in res.reasons
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the verifier must not call this")
+
+
+def test_verifier_reruns_no_part_of_the_builder(monkeypatch):
+    certs = [
+        certificate_loads(certificate_dumps(assemble_certificate(pair)))
+        for pair in (worked_pair(), m1_pair())
+    ]
+    assert [c.fiber_plus.witness.multiplier for c in certs] == [3, 1]
+    for name in ("parametrize", "divisor_witness", "_witness_parts"):
+        monkeypatch.setattr(kummer_cert, name, _refuse)
+    # every gcd, RatFunc arithmetic included, goes through _int_gcd
+    monkeypatch.setattr(poly_module, "_int_gcd", _refuse)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(RatFunc, name, _refuse)
+    for cert in certs:
+        assert verify_certificate(cert).ok
+
+
+def _scaled(coeffs, k):
+    return [rational_to_str(k * parse_rational(c)) for c in coeffs]
+
+
+@pytest.mark.parametrize("pair", [worked_pair, m1_pair], ids=["m3", "m1"])
+def test_scaled_q2_and_q3_fail_only_the_parametrization(pair):
+    # tau and the coordinate functions, the on-fiber identity and the
+    # witness all hold for 2 Q2 and 2 Q3; only the monic check catches it
+    doc = certificate_to_json(assemble_certificate(pair()))
+    for side in ("fiber_plus", "fiber_minus"):
+        par = doc[side]["parametrization"]
+        par["Q2"], par["Q3"] = _scaled(par["Q2"], 2), _scaled(par["Q3"], 2)
+    res = verify_certificate(certificate_from_json(doc))
+    assert res.reasons == ("ParametrizationMismatch",)
+
+
+def test_cubic_witness_with_a_rational_pole_is_not_minimal():
+    # Q3 = L^3 - 1 has the rational root 1, so m = 3 is not the least
+    # multiplier, even with h = (L + 1)^3/Q3 and the conclusion rewritten
+    doc = certificate_to_json(assemble_certificate(m1_pair()))
+    h = RatFunc((L + 1) ** 3, L**3 - 1)
+    for side in ("fiber_plus", "fiber_minus"):
+        wit = doc[side]["witness"]
+        assert wit["multiplier"] == 1 and wit["lambda_P"] == "-1/1"
+        wit["multiplier"] = 3
+        wit["h"] = {"num": [rational_to_str(c) for c in h.num.coeffs],
+                    "den": [rational_to_str(c) for c in h.den.coeffs]}
+    con = doc["conclusion"]
+    con["multiplier"] = 3
+    con["statement"] = con["statement"].replace("1 * Phi", "3 * Phi", 1)
+    con["torsion_factor"] = "4*n*n'*3"
+    res = verify_certificate(certificate_from_json(doc))
+    assert res.reasons == ("DivisorMismatch",)
 
 
 # -- mutation walk: every stored leaf must be load-bearing ------------------------

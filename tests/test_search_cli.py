@@ -451,8 +451,13 @@ def test_cli_verify_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
         (("pair", "members", 0, "point"), ["-2/1"]),
         (("pair", "s"), 5),
         (("r",), "1/0"),
+        # strings unpack like two-entry arrays, but they are not the format
+        (("preimage_check",), {"on_r": ["++", "--"], "on_minus_r": ["+-", "-+"]}),
+        (("pair", "members", 0, "point"), "12"),
+        (("fiber_plus", "F", 3), "1"),
     ],
-    ids=["no-members", "one-coordinate", "s-not-a-string", "zero-denominator"],
+    ids=["no-members", "one-coordinate", "s-not-a-string", "zero-denominator",
+         "sign-pairs-as-strings", "point-as-a-string", "coefficients-as-a-string"],
 )
 def test_cli_verify_rejects_malformed_nested_fields(capsys, tmp_path, path, value):
     cert = tmp_path / "cert.json"
