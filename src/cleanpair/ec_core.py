@@ -319,11 +319,16 @@ def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
 def _exact_torsion_order(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
     """The order of the affine point P when it is at most the Mazur bound,
     else None, by exact addition over Q; the proof of last resort behind
-    the reduction probe."""
+    the reduction probe.  On an integral model every torsion point is
+    integral (Nagell-Lutz; Silverman, AEC VIII.7.2), so the walk stops at
+    the first multiple with a non-integral coordinate."""
+    integral = E.a.denominator == 1 and E.b.denominator == 1
     Q = P
     for n in range(1, _MAZUR_BOUND + 1):
         if Q.is_infinity:
             return n
+        if integral and (Q.x.denominator != 1 or Q.y.denominator != 1):
+            return None
         Q = E.add(Q, P)
     return None
 

@@ -322,7 +322,7 @@ def divisor_witness(par: NodalParametrization, target) -> DivisorWitness:
     if q3.evaluate(lam_p) == 0 or par.tau.evaluate(lam_p) != tau_p:
         raise NotOnFiber(f"({x1t}, {x2t}) does not lie on the parametrized fiber")
     m, num, den = _witness_parts(q3, lam_p)
-    if resultant(num, q2) == 0 or resultant(den, q2) == 0:
+    if q2.evaluate(lam_p) == 0 or (m == 1 and q2.evaluate(-den.coeff(0)) == 0):
         raise ArithmeticError("witness divisor touches the node branches")
     return DivisorWitness(RatFunc(num, den), lam_p, m)
 

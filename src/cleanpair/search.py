@@ -18,6 +18,12 @@ point; a record is a *candidate* when both flags hold.  Ranks are not
 computed here: they arrive from an external oracle file and get
 attached to records by key.
 
+Every model tested, here and in the convention sweep, is the s = 1
+fiber at some t with its marked point, so its reduction mod a prime l
+depends on t mod l alone: the torsion probe reads per-prime tables of
+t mod l (`_torsion_tables`), and the few points no prime settles go to
+exact addition, which stops at the first non-integral multiple.
+
 The published totals for h(t) <= H^6 (823 at H = 10 up through 74069 at
 H = 60) could not be reproduced from the stated height cut under this
 convention or any close variant; `convention_sweep` enumerates the
@@ -40,14 +46,16 @@ import io
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .ec_core import (
+    _REFUTING_PRIMES,
     CurvePoint,
     WeierstrassCurve,
     _exact_torsion_order,
-    _reduction_refutes_torsion,
+    _order_exceeds_mazur_bound,
     torsion_points_overQ,
 )
 
@@ -154,21 +162,53 @@ class SearchRecord:
         return (self.height_value, self.p, self.q)
 
 
-def _non_torsion(a: int, b: int, x: int, y: int) -> bool:
-    """Whether (x, y) has infinite order on the nonsingular integral
-    model y^2 = x^3 + a x + b.  The reduction probe works on the ints
-    themselves; a curve is built only for the exact fallback."""
-    if _reduction_refutes_torsion(a, b, x, y):
-        return True
-    curve = WeierstrassCurve(Fraction(a), Fraction(b))
-    return _exact_torsion_order(curve, CurvePoint(Fraction(x), Fraction(y))) is None
+@cache
+def _torsion_tables() -> tuple[tuple[int, tuple[bool, ...]], ...]:
+    """For each refuting prime l, largest first, the reduction probe's
+    verdict at l on the model (u, v) = (tau, 3 tau), for every tau mod l.
+
+    The model (u, v) is the s = 1 fiber at t = 9u^3/v^2, and over F_l the
+    map (u, v) -> (lambda^2 u, lambda^3 v) with lambda = v/(3u) carries
+    (tau, 3 tau) and its marked point onto it for tau = t.  So the verdict
+    depends on t mod l alone.  tau = 0 (u = 0) and tau = -9/4 (bad
+    reduction) read False.  Built on first use, not at import.
+    """
+    tables = []
+    for p in _REFUTING_PRIMES:
+        bad = -9 * pow(4, -1, p) % p
+        row = tuple(
+            tau not in (0, bad)
+            and _order_exceeds_mazur_bound(-3 * tau * tau % p, (-2 * tau % p, 3 * tau % p), p)
+            for tau in range(p)
+        )
+        tables.append((p, row))
+    return tuple(tables)
+
+
+def _non_torsion(u: int, v: int) -> bool:
+    """Whether P = (-2u, v) has infinite order on the nonsingular model
+    y^2 = (x - u)^2 (x + 2u) + v^2 = x^3 - 3u^2 x + 2u^3 + v^2.
+
+    The first refuting prime l whose table holds at t = 9u^3/v^2 mod l
+    proves infinite order.  A prime is skipped when u = 0 mod l (P reduces
+    to (0, v) on y^2 = x^3 + v^2, of order 3) or v = 0 mod l; as
+    4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), the only other bad reduction is
+    4u^3 + v^2 = 0, i.e. t = -9/4, where the table reads False.  Only when
+    no prime refutes is a curve built for the exact fallback."""
+    for p, row in _torsion_tables():
+        up, vp = u % p, v % p
+        if up and vp and row[9 * up**3 * pow(vp, -2, p) % p]:
+            return True
+    curve = WeierstrassCurve(Fraction(-3 * u * u), Fraction(2 * u**3 + v * v))
+    return _exact_torsion_order(curve, CurvePoint(Fraction(-2 * u), Fraction(v))) is None
 
 
 def _make_record(pq: tuple[int, int]) -> SearchRecord:
     p, q = pq
     a, b = integral_coefficients(p, q)
     disc_ok = 4 * a**3 + 27 * b * b != 0
-    non_torsion = disc_ok and _non_torsion(a, b, -2 * p * q, -3 * p * q * q)
+    # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated
+    non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q)
     return SearchRecord(p, q, height_of(p, q), disc_ok, non_torsion)
 
 
@@ -177,14 +217,12 @@ def _candidate_pairs(H: int, convention: SearchConvention) -> list[tuple[int, in
     # term is checked per pair because it is not monotone in |p|.
     bound6 = H**6
     pq_max = isqrt(H * H // 3)
+    signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}[convention.sign]
     pairs = []
     for q in range(1, pq_max + 1):
         for ap in range(1, pq_max // q + 1):
             if convention.reduced_only and gcd(ap, q) != 1:
                 continue
-            signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}[
-                convention.sign
-            ]
             for sign in signs:
                 p = sign * ap
                 if height_of(p, q) <= bound6:
@@ -229,6 +267,7 @@ def enumerate_s1(
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 
         chunk = max(1, len(pairs) // (4 * workers))
+        _torsion_tables()  # built once here, so the forked workers inherit them
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_make_record, pairs, chunksize=chunk))
     records.sort(key=SearchRecord.sort_key)
@@ -276,11 +315,9 @@ def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
             head = H3 - 2 * u**3
             if head < 1:
                 continue
-            a = -3 * u * u
             for v in range(1, isqrt(head) + 1):
-                b = 2 * u**3 + v * v
-                nonsingular = 4 * a**3 + 27 * b * b != 0
-                candidate = nonsingular and _non_torsion(a, b, -2 * u, v)
+                # 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), and v >= 1
+                candidate = 4 * u**3 + v * v != 0 and _non_torsion(u, v)
                 records += 1
                 candidates += candidate
                 if gcd(u, v) == 1:

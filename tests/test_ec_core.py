@@ -21,6 +21,7 @@ from cleanpair.ec_core import (
     WeierstrassCurve,
     _PROBE_PRIMES,
     _REFUTING_PRIMES,
+    _exact_torsion_order,
     _order_exceeds_mazur_bound,
     _reduction_refutes_torsion,
     add,
@@ -230,6 +231,37 @@ def test_probe_matches_the_walk_to_12P_at_every_good_prime():
         refuted += expected
     # both answers occur, so neither side can pass by a constant
     assert 0 < refuted < len(cases)
+
+
+def _reference_exact_order(E, P):
+    # the exact walk without the Nagell-Lutz exit: P, 2P, ..., 12P
+    Q = P
+    for n in range(1, 13):
+        if Q.is_infinity:
+            return n
+        Q = E.add(Q, P)
+    return None
+
+
+def test_nagell_lutz_exit_agrees_with_the_full_walk():
+    cases = []
+    for a, b, x, y, _ in MAZUR_ORDERS:
+        P = O if x is None else CurvePoint.affine(F(x), F(y))
+        Q = O if x is None else CurvePoint.affine(F(x, 4), F(y, 8))
+        cases += [(WeierstrassCurve(a, b), P), (WeierstrassCurve(F(a, 16), F(b, 64)), Q)]
+    rng = random.Random(8102)
+    while len(cases) < 2000 + 2 * len(MAZUR_ORDERS):
+        x, y, a = (rng.randint(-9, 9) for _ in range(3))
+        b = y * y - x**3 - a * x
+        if 4 * a**3 + 27 * b * b != 0:
+            cases.append((WeierstrassCurve(a, b), CurvePoint.affine(F(x), F(y))))
+    torsion = 0
+    for E, P in cases:
+        expected = _reference_exact_order(E, P)
+        assert _exact_torsion_order(E, P) == expected, (E, P)
+        torsion += expected is not None
+    # both answers occur, among the random points as well as the table
+    assert 2 * len(MAZUR_ORDERS) < torsion < len(cases)
 
 
 def test_six_multiples_decide_order_above_12_at_small_primes():

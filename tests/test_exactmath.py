@@ -35,7 +35,7 @@ from cleanpair.exactmath import (
     taylor_coefficients,
     valuation_at,
 )
-from cleanpair.exactmath.places import _multiplicity
+from cleanpair.exactmath.places import _divides, _multiplicity
 from cleanpair.exactmath.poly import _heu_candidates, _int_gcd, _primitive, _prs_gcd
 
 T = UniPoly.gen("T")
@@ -382,6 +382,25 @@ def test_multiplicity_matches_repeated_division():
                 while not num % q:
                     count, num = count + 1, num // q
                 assert _multiplicity(p, q) == count >= m
+
+
+def test_divides_matches_the_remainder():
+    # places with rational coefficients, where a quotient coefficient can
+    # fail to be integral, which the monic integral places above never do;
+    # T^2 over the integer form 2T^2 + 1 has quotient 1/2, and a quotient
+    # floored to 0 would leave a zero remainder
+    assert not _divides(T**2, T**2 + F(1, 2))
+    rng = random.Random(59)
+    places = (T**2 + T + 1, T**2 + F(1, 2), T**2 - F(2, 3) * T + F(5, 7), T**3 - F(1, 4) * T + 3)
+    hits = 0
+    for q in places:
+        for _ in range(40):
+            p = rand_poly(rng, deg=rng.randint(0, 12))
+            if rng.random() < 0.5:
+                p = p * q ** rng.randint(1, 3)
+            assert _divides(p, q) == (not p % q), (p, q)
+            hits += _divides(p, q)
+    assert 0 < hits < 160
 
 
 def test_taylor_coefficients_rebuild_the_polynomial():

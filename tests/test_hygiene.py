@@ -121,6 +121,8 @@ code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
 print("sympy modules:", loaded, file=sys.stderr)
 print("process pool loaded:", "concurrent.futures.process" in sys.modules, file=sys.stderr)
+from cleanpair.search import _torsion_tables
+print("torsion tables built:", _torsion_tables.cache_info().currsize, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -128,7 +130,8 @@ sys.exit(code)
 def test_proof_commands_never_load_sympy(tmp_path):
     # each command in a fresh interpreter: certify writes the certificate
     # that verify then checks.  With one worker no command loads the
-    # process-pool machinery either.
+    # process-pool machinery either, and only search builds the torsion
+    # tables.
     cert = tmp_path / "cert.json"
     env = dict(os.environ, CLEANPAIR_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
@@ -141,5 +144,6 @@ def test_proof_commands_never_load_sympy(tmp_path):
         run = subprocess.run(
             [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
         )
-        expected = "sympy modules: []\nprocess pool loaded: False\n"
+        built = int(argv[0] == "search")
+        expected = f"sympy modules: []\nprocess pool loaded: False\ntorsion tables built: {built}\n"
         assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, expected)

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from cleanpair import cli
+from cleanpair import search as searchmod
+from cleanpair.ec_core import _REFUTING_PRIMES, WeierstrassCurve, _order_exceeds_mazur_bound
 from cleanpair.family import make_member
 from cleanpair.search import (
     DEFAULT_CONVENTION,
@@ -35,7 +37,7 @@ from cleanpair.search import (
     records_to_csv,
 )
 from cleanpair.search import _twist_reduce  # the twist content stripper
-from cleanpair.search import _worker_count
+from cleanpair.search import _torsion_tables, _worker_count
 
 
 # Every (p, q, h) with h <= 10^6, frozen from the defining formulas.
@@ -245,6 +247,56 @@ def test_convention_sweep_documents_the_mismatch(H, target, expected):
     text = format_sweep(list(entries.values()))
     assert "delta" in text.splitlines()[0]
     assert len(text.splitlines()) == 1 + len(entries)
+
+
+def test_torsion_tables_match_the_probe_on_every_model_mod_l():
+    # Every (u, v) mod l, not only the representatives (tau, 3 tau) the
+    # tables are built from: the lookup `_non_torsion` makes must agree
+    # with good reduction and the probe run on the model itself.
+    tables = _torsion_tables()
+    assert [p for p, _ in tables] == list(_REFUTING_PRIMES)
+    cases = refuted = 0
+    for p, row in tables:
+        assert len(row) == p
+        for u in range(p):
+            for v in range(p):
+                a, b = -3 * u * u, 2 * u**3 + v * v
+                good = (4 * a**3 + 27 * b * b) % p != 0
+                expected = good and _order_exceeds_mazur_bound(a % p, (-2 * u % p, v), p)
+                got = bool(u and v and row[9 * u**3 * pow(v, -2, p) % p])
+                assert got == expected, (p, u, v)
+                cases += 1
+                refuted += got
+    assert cases == 8219  # the sum of l^2 over the refuting primes
+    assert 0 < refuted < cases
+
+
+def test_sweep_falls_back_to_exact_addition_only_where_the_walk_did(monkeypatch):
+    # Walking P, ..., 6P at every good prime (`_reduction_refutes_torsion`)
+    # leaves 55 models of the H = 60 sweep to exact addition.  The tables
+    # leave the same 55; 5 are torsion, and each of the other 50 meets a
+    # non-integral multiple (Nagell-Lutz) by 3P.
+    monkeypatch.setenv("CLEANPAIR_THREADS", "1")
+    exact = searchmod._exact_torsion_order
+    plain_add = WeierstrassCurve.add
+    adds, calls = [0], []
+
+    def counted_add(self, P, Q):
+        adds[0] += 1
+        return plain_add(self, P, Q)
+
+    def counted(E, P):
+        adds[0] = 0
+        order = exact(E, P)
+        calls.append((order, adds[0]))
+        return order
+
+    monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
+    monkeypatch.setattr(searchmod, "_exact_torsion_order", counted)
+    convention_sweep(60)
+    assert len(calls) == 55
+    assert sum(order is not None for order, _ in calls) == 5
+    assert all(n <= 2 for order, n in calls if order is None)
 
 
 def test_rank_oracle_parsing():
