@@ -186,11 +186,7 @@ def _cmd_search(args) -> int:
         include_zero=args.include_zero,
         reduced_only=not args.all_pairs,
     )
-    try:
-        records = searchmod.enumerate_s1(args.H, convention)
-    except ValueError as exc:  # a malformed CLEANPAIR_THREADS; argparse checked H
-        print(exc, file=sys.stderr)
-        return 2
+    records = searchmod.enumerate_s1(args.H, convention)
     if args.oracle:
         try:
             with open(args.oracle, "r", encoding="utf-8") as handle:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -203,73 +202,37 @@ def _non_torsion(u: int, v: int) -> bool:
     return _exact_torsion_order(curve, CurvePoint(Fraction(-2 * u), Fraction(v))) is None
 
 
-def _make_record(pq: tuple[int, int]) -> SearchRecord:
-    p, q = pq
-    a, b = integral_coefficients(p, q)
-    disc_ok = 4 * a**3 + 27 * b * b != 0
-    # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated
-    non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q)
-    return SearchRecord(p, q, height_of(p, q), disc_ok, non_torsion)
-
-
-def _candidate_pairs(H: int, convention: SearchConvention) -> list[tuple[int, int]]:
-    # (3 p^2 q^2)^3 <= H^6 pins |pq| <= sqrt(H^2 / 3); the second height
-    # term is checked per pair because it is not monotone in |p|.
-    bound6 = H**6
-    pq_max = isqrt(H * H // 3)
-    signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}[convention.sign]
-    pairs = []
-    for q in range(1, pq_max + 1):
-        for ap in range(1, pq_max // q + 1):
-            if convention.reduced_only and gcd(ap, q) != 1:
-                continue
-            for sign in signs:
-                p = sign * ap
-                if height_of(p, q) <= bound6:
-                    pairs.append((p, q))
-    if convention.include_zero:
-        pairs.append((0, 1))
-    return pairs
-
-
-def _worker_count(jobs: int) -> int:
-    """CLEANPAIR_THREADS, clamped to the usable CPUs and to the jobs: a
-    fork pool starts every worker up front."""
-    raw = os.environ.get("CLEANPAIR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CLEANPAIR_THREADS must be an integer, got {raw!r}")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # not Linux
-        cpus = os.cpu_count() or 1
-    return max(1, min(n, cpus, jobs))
-
-
 def enumerate_s1(
     H: int, convention: SearchConvention = DEFAULT_CONVENTION
 ) -> list[SearchRecord]:
     """All SearchRecords with h(t) <= H^6 under the given convention,
     sorted by (height, p, q).
 
-    The per-record torsion tests are data-parallel; CLEANPAIR_THREADS
-    bounds the pool and the final sort makes the output independent of
-    chunking.
+    One pass over (q, |p|, sign): (3 p^2 q^2)^3 <= H^6 pins
+    |pq| <= sqrt(H^2 / 3), and the second height term is checked per
+    pair because it is not monotone in |p|.
     """
     if H < 1:
         raise ValueError("H must be a positive integer")
-    pairs = _candidate_pairs(H, convention)
-    workers = _worker_count(len(pairs))
-    if workers == 1 or len(pairs) < 4:
-        records = [_make_record(pq) for pq in pairs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
-
-        chunk = max(1, len(pairs) // (4 * workers))
-        _torsion_tables()  # built once here, so the forked workers inherit them
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_make_record, pairs, chunksize=chunk))
+    bound6 = H**6
+    pq_max = isqrt(H * H // 3)
+    signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}[convention.sign]
+    pairs = [(0, 1)] if convention.include_zero else []
+    for q in range(1, pq_max + 1):
+        for ap in range(1, pq_max // q + 1):
+            if convention.reduced_only and gcd(ap, q) != 1:
+                continue
+            pairs.extend((sign * ap, q) for sign in signs)
+    records = []
+    for p, q in pairs:
+        h = height_of(p, q)
+        if h > bound6:
+            continue
+        # 4a^3 + 27b^2 = 243 p^4 q^7 (4p + 9q) for (a, b) = integral_coefficients(p, q)
+        disc_ok = p != 0 and 4 * p + 9 * q != 0
+        # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated
+        non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q)
+        records.append(SearchRecord(p, q, h, disc_ok, non_torsion))
     records.sort(key=SearchRecord.sort_key)
     return records
 

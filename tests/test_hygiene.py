@@ -129,11 +129,11 @@ sys.exit(code)
 
 def test_proof_commands_never_load_sympy(tmp_path):
     # each command in a fresh interpreter: certify writes the certificate
-    # that verify then checks.  With one worker no command loads the
-    # process-pool machinery either, and only search builds the torsion
-    # tables.
+    # that verify then checks.  No command loads the process-pool
+    # machinery either (search enumerates on one process), and only
+    # search builds the torsion tables.
     cert = tmp_path / "cert.json"
-    env = dict(os.environ, CLEANPAIR_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     for argv in (
         ["certify", "1", "1", "2", "--out", str(cert)],

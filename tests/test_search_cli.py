@@ -3,7 +3,6 @@ filter, and the command-line surface."""
 
 import copy
 import json
-import os
 import random
 import time
 from fractions import Fraction as F
@@ -14,7 +13,13 @@ import pytest
 
 from cleanpair import cli
 from cleanpair import search as searchmod
-from cleanpair.ec_core import _REFUTING_PRIMES, WeierstrassCurve, _order_exceeds_mazur_bound
+from cleanpair.ec_core import (
+    _REFUTING_PRIMES,
+    CurvePoint,
+    WeierstrassCurve,
+    _order_exceeds_mazur_bound,
+    is_torsion_overQ,
+)
 from cleanpair.family import make_member
 from cleanpair.search import (
     DEFAULT_CONVENTION,
@@ -37,7 +42,7 @@ from cleanpair.search import (
     records_to_csv,
 )
 from cleanpair.search import _twist_reduce  # the twist content stripper
-from cleanpair.search import _torsion_tables, _worker_count
+from cleanpair.search import _sweep_models, _torsion_tables
 
 
 # Every (p, q, h) with h <= 10^6, frozen from the defining formulas.
@@ -76,6 +81,7 @@ def test_integral_model_carries_its_marked_point():
             a, b = integral_coefficients(p, q)
             x, y = -2 * p * q, -3 * p * q * q
             assert y * y == x**3 + a * x + b
+            assert 4 * a**3 + 27 * b * b == 243 * p**4 * q**7 * (4 * p + 9 * q)
 
 
 def test_h2_against_brute_force_scan():
@@ -131,20 +137,49 @@ def test_torsion_and_discriminant_exclusions_are_real():
     assert height_of(-9, 4) == 58773123072
 
 
-def test_parallel_chunking_is_invisible(monkeypatch):
-    base = enumerate_s1(10)
-    monkeypatch.setenv("CLEANPAIR_THREADS", "3")
-    assert enumerate_s1(10) == base
-
-
-def test_worker_count_is_clamped_to_cpus_and_jobs(monkeypatch):
-    # Only the count is computed: no pool of this size is ever started.
-    cpus = len(os.sched_getaffinity(0))
-    monkeypatch.setenv("CLEANPAIR_THREADS", str(10**9))
-    assert _worker_count(10**6) == cpus
-    assert _worker_count(1) == 1
-    monkeypatch.setenv("CLEANPAIR_THREADS", "0")
-    assert _worker_count(10) == 1
+@pytest.mark.parametrize(
+    "convention",
+    [
+        DEFAULT_CONVENTION,
+        SearchConvention(reduced_only=False),
+        SearchConvention(sign="positive", include_zero=True),
+        SearchConvention(sign="negative"),
+    ],
+    ids=["default", "all-pairs", "positive-with-zero", "negative"],
+)
+def test_records_match_an_independent_reference(convention):
+    # H = 63 takes in t = -9/4 (the discriminant exclusion) and t = -4/3
+    # (5-torsion).  The reference scans a (p, q) box, reads the
+    # discriminant from the integral model and tests torsion by the
+    # walk over Q; (3 p^2 q^2)^3 <= 63^6 already bounds |p| and q by 36.
+    H = 63
+    expected = []
+    for p in range(-40, 41):
+        sign_ok = {"both": True, "positive": p > 0, "negative": p < 0}[convention.sign]
+        for q in range(1, 41):
+            if p == 0:
+                if not (convention.include_zero and q == 1):
+                    continue
+            elif not sign_ok or (convention.reduced_only and gcd(p, q) != 1):
+                continue
+            h = height_of(p, q)
+            if h > H**6:
+                continue
+            a, b = integral_coefficients(p, q)
+            disc_ok = 4 * a**3 + 27 * b * b != 0
+            non_torsion = disc_ok and (
+                is_torsion_overQ(
+                    WeierstrassCurve(F(a), F(b)), CurvePoint(F(-2 * p * q), F(-3 * p * q * q))
+                )
+                is None
+            )
+            expected.append(SearchRecord(p, q, h, disc_ok, non_torsion))
+    expected.sort(key=SearchRecord.sort_key)
+    assert enumerate_s1(H, convention) == expected
+    if convention.sign != "positive":
+        by_key = {(r.p, r.q): r for r in expected}
+        assert not by_key[(-9, 4)].disc_ok
+        assert by_key[(-4, 3)].disc_ok and not by_key[(-4, 3)].non_torsion_ok
 
 
 def test_sign_and_zero_flags():
@@ -249,6 +284,16 @@ def test_convention_sweep_documents_the_mismatch(H, target, expected):
     assert len(text.splitlines()) == 1 + len(entries)
 
 
+def test_model_sweep_grows_like_h_to_the_five_halves():
+    # The "models-*" rows count lattice points (u, v) under the height
+    # cut, about H^(5/2) of them; n^2 / H^5 stays between 5/4 and 4/3
+    # (1.275 at H = 60 up to 1.315 at H = 200), in integers.
+    sweeps = {H: _sweep_models(H) for H in (60, 100, 150, 200)}
+    assert sweeps[200] == ((648646, 648629), (396943, 396942))
+    for H, ((n, _), _) in sweeps.items():
+        assert 15 * H**5 < 12 * n * n < 16 * H**5, H
+
+
 def test_torsion_tables_match_the_probe_on_every_model_mod_l():
     # Every (u, v) mod l, not only the representatives (tau, 3 tau) the
     # tables are built from: the lookup `_non_torsion` makes must agree
@@ -276,7 +321,6 @@ def test_sweep_falls_back_to_exact_addition_only_where_the_walk_did(monkeypatch)
     # leaves 55 models of the H = 60 sweep to exact addition.  The tables
     # leave the same 55; 5 are torsion, and each of the other 50 meets a
     # non-integral multiple (Nagell-Lutz) by 3P.
-    monkeypatch.setenv("CLEANPAIR_THREADS", "1")
     exact = searchmod._exact_torsion_order
     plain_add = WeierstrassCurve.add
     adds, calls = [0], []
@@ -685,8 +729,7 @@ def test_cli_search_oracle_and_csv(capsys, tmp_path):
     assert code == 1 and "line 1" in err
 
 
-def test_cli_search_60_meets_its_time_target(capsys, monkeypatch):
-    monkeypatch.delenv("CLEANPAIR_THREADS", raising=False)
+def test_cli_search_60_meets_its_time_target(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "search", "60")
     assert time.perf_counter() - start < 5
@@ -695,14 +738,6 @@ def test_cli_search_60_meets_its_time_target(capsys, monkeypatch):
     assert lines[0] == "H=60 records=137 candidates=135"
     assert lines[1] == "published_total=74069 delta=-73934"
     assert "models-v-positive         31483      31475   -42594" in lines
-
-
-def test_cli_search_rejects_a_malformed_thread_count(capsys, monkeypatch):
-    monkeypatch.setenv("CLEANPAIR_THREADS", "abc")
-    code, out, err = run_cli(capsys, "search", "10")
-    assert code == 2 and out == ""
-    assert "CLEANPAIR_THREADS" in err
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
