@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
             cert = certificate_loads(handle.read())
     except OSError as exc:
         return _fail(f"cannot read certificate: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail(f"malformed certificate: {exc}")
     result = verify_certificate(cert)
     if result.ok:
@@ -191,7 +191,7 @@ def _cmd_search(args) -> int:
         try:
             with open(args.oracle, "r", encoding="utf-8") as handle:
                 records = searchmod.attach_ranks(records, handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail(f"cannot read oracle: {exc}")
         except searchmod.ParseError as exc:
             return _fail(f"oracle: {exc}")
@@ -228,7 +228,7 @@ def _cmd_dbfilter(args) -> int:
     try:
         with open(args.database, "r", encoding="utf-8") as handle:
             entries = searchmod.parse_curve_db(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read database: {exc}")
     except searchmod.ParseError as exc:
         return _fail(f"database: {exc}")
@@ -309,6 +309,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():
+            # argparse before 3.13 drops a "--" that stands for a later
+            # positional and stores [] without calling its type
+            parser.error("'--' is not a value")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

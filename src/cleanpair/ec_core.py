@@ -52,8 +52,6 @@ def _field_of(*elems):
     for e in elems:
         if isinstance(e, RatFunc):
             return RatFuncField(e.var, e.field)
-        if isinstance(e, UniPoly):
-            return RatFuncField(e.var, e.field)
     return QQ
 
 

@@ -7,7 +7,7 @@ types.  Each factorization is re-multiplied and compared coefficient by
 coefficient before being returned, so a kernel bug cannot leak through
 silently.  The rational roots of a polynomial of degree at most 3 need no
 factorization: they are found on plain integers by bisection between the
-critical points.
+critical points, and they decide its irreducibility too.
 """
 
 from __future__ import annotations
@@ -63,10 +63,14 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
 
 
 def is_irreducible(p: UniPoly) -> bool:
-    """Irreducibility over Q; constants and units count as reducible."""
+    """Irreducibility over Q; constants and units count as reducible.  A
+    polynomial of degree 2 or 3 is irreducible iff it has no rational root,
+    so only degree 4 and up is factored."""
     _require_rational_coeffs(p)
     if p.degree() < 1:
         return False
+    if p.degree() <= 3:
+        return p.degree() == 1 or not rational_roots(p)
     _, parts = factor_rational_poly(p)
     return len(parts) == 1 and parts[0][1] == 1
 

@@ -187,7 +187,9 @@ def valuation_at(place: Place, f) -> int:
 def divisor_of(f) -> list[tuple[Place, int]]:
     """Principal divisor of a nonzero f in Q(T), sorted deterministically.
 
-    The sum of degree * multiplicity over the divisor is zero.
+    The sum of degree * multiplicity over the divisor is zero.  The
+    numerator and denominator of a reduced f share no place, so each of
+    their irreducible factors gives one entry.
     """
     if isinstance(f, UniPoly):
         f = RatFunc(f)
@@ -197,16 +199,13 @@ def divisor_of(f) -> list[tuple[Place, int]]:
         raise UndefinedValuation("the zero function has no divisor")
     if f.field != QQ:
         raise TypeError("divisors are implemented for rational coefficients")
-    entries: dict[Place, int] = {}
-    _, num_parts = factor_rational_poly(f.num)
-    for q, m in num_parts:
-        entries[Place.finite(q)] = m
-    _, den_parts = factor_rational_poly(f.den)
-    for q, m in den_parts:
-        entries[Place.finite(q)] = entries.get(Place.finite(q), 0) - m
+    out = [
+        (Place.finite(q), sign * m)
+        for poly, sign in ((f.num, 1), (f.den, -1))
+        for q, m in factor_rational_poly(poly)[1]
+    ]
     at_inf = f.den.degree() - f.num.degree()
     if at_inf:
-        entries[Place.infinity(f.var)] = at_inf
-    out = [(pl, m) for pl, m in entries.items() if m]
+        out.append((Place.infinity(f.var), at_inf))
     out.sort(key=lambda pm: pm[0].sort_key())
     return out

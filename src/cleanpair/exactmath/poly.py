@@ -336,15 +336,6 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __truediv__(self, other):
-        if isinstance(other, UniPoly):
-            return RatFunc(self, other)
-        try:
-            c = self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self * (self.field.one() / c)
-
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
         if r:
@@ -381,11 +372,6 @@ class UniPoly:
             return qq_from_ints(self.var, self._num, self._num[-1])
         inv = self.field.one() / self.lc()
         return UniPoly(self.var, [a * inv for a in self.coeffs], self.field)
-
-    def rename(self, var: str) -> "UniPoly":
-        if self._num is not None:
-            return _qq_wrap(var, self._num, self._den, self._coeffs)
-        return UniPoly(var, self.coeffs, self.field)
 
     # -- comparison and display ---------------------------------------------
 
@@ -646,9 +632,6 @@ class RatFunc:
     def field(self):
         return self.num.field
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
     def degree_map(self) -> int:
         """Degree as a morphism to the projective line."""
         return max(self.num.degree(), self.den.degree())
@@ -716,17 +699,7 @@ class RatFunc:
             return self
         return _product(self.num, self.den, o.den, o.num)
 
-    def __rtruediv__(self, other):
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, n: int):
-        if n < 0:
-            if not self.num:
-                raise ZeroDivisionError("negative power of zero")
-            return _reduced(self.den, self.num) ** (-n)
         return _reduced(self.num**n, self.den**n)
 
     def evaluate(self, value):
@@ -782,10 +755,6 @@ class RatFuncField:
             if value.var == self.var and value.field == self.coeff_field:
                 return value
             raise TypeError("rational function from a different field")
-        if isinstance(value, UniPoly):
-            if value.var == self.var and value.field == self.coeff_field:
-                return RatFunc(value)
-            raise TypeError("polynomial from a different ring")
         return RatFunc.constant(self.var, self.coeff_field.coerce(value), self.coeff_field)
 
     def __eq__(self, other):

@@ -101,16 +101,6 @@ class ReductionProfile:
     geometric_multiplicity: int
 
 
-def _as_poly(value, var: str) -> UniPoly:
-    if isinstance(value, RatFunc):
-        if not value.is_polynomial():
-            raise ValueError("coefficients must be polynomial in the base model")
-        return value.num.rename(var) if value.var != var else value.num
-    if isinstance(value, UniPoly):
-        return value
-    return UniPoly.constant(var, Fraction(value), QQ)
-
-
 class FunctionFieldCurve:
     """y^2 = x^3 + a(T) x + b(T), one model in the T chart.  a and b are in
     Q[T] with deg a <= 4 and deg b <= 6, so the model is integral at every
@@ -118,11 +108,9 @@ class FunctionFieldCurve:
 
     __slots__ = ("var", "a", "b", "_profiles", "_weierstrass")
 
-    def __init__(self, a, b, var: str = "T"):
-        a = _as_poly(a, var)
-        b = _as_poly(b, var)
-        if a.field != QQ or b.field != QQ:
-            raise TypeError("curve coefficients must be rational")
+    def __init__(self, a: UniPoly, b: UniPoly, var: str = "T"):
+        if not all(isinstance(c, UniPoly) and c.field == QQ for c in (a, b)):
+            raise TypeError("curve coefficients must be polynomials in Q[T]")
         if a.degree() > 4 or b.degree() > 6:
             raise ValueError(
                 "no integral model at infinity: need deg a <= 4 and deg b <= 6"
@@ -225,23 +213,27 @@ def _weighted(place: Place, f, k: int) -> int:
     return v + k if place.is_infinity else v
 
 
+def _val_c4(E: FunctionFieldCurve, place: Place) -> int:
+    return _weighted(place, E.c4(), 4) if E.a else 4  # c4 = 0: deep additive, capped for the tests
+
+
 def reduction_at(E: FunctionFieldCurve, place: Place) -> ReductionProfile:
-    vd = _weighted(place, E.discriminant(), 12)
-    vc = _weighted(place, E.c4(), 4) if E.a else 4  # c4 = 0: deep additive, capped for the tests
-    return _classify(vd, vc, place)
+    return _classify(_weighted(place, E.discriminant(), 12), _val_c4(E, place), place)
 
 
 def _place_profiles(E: FunctionFieldCurve) -> tuple[ReductionProfile, ...]:
     """Profiles at the bad finite places in sorted order, then at infinity,
-    good or bad.  Delta is factored once; the tuple is kept on the curve."""
+    good or bad.  Delta is factored once, and each part (q, m) is a place
+    with v(Delta) = m, in the order of Place.sort_key; the tuple is kept on
+    the curve."""
     profiles = E._profiles
     if profiles is None:
         _, parts = factor_rational_poly(E.discriminant())
-        finite = sorted(
-            (reduction_at(E, Place.finite(q)) for q, _ in parts),
-            key=lambda pr: pr.place.sort_key(),
+        finite = [(Place.finite(q), m) for q, m in parts]
+        profiles = (
+            *(_classify(m, _val_c4(E, place), place) for place, m in finite),
+            reduction_at(E, Place.infinity(E.var)),
         )
-        profiles = (*finite, reduction_at(E, Place.infinity(E.var)))
         object.__setattr__(E, "_profiles", profiles)
     return profiles
 

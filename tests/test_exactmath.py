@@ -291,6 +291,46 @@ def test_low_degree_rational_roots_match_factoring(monkeypatch):
     assert rational_roots(UniPoly.constant("T", 5)) == []
 
 
+def test_low_degree_irreducibility_matches_factoring(monkeypatch):
+    # degree 1-3: products of linear factors with repeated roots and roots
+    # of large denominator, irreducible quadratics and cubics, and a linear
+    # factor times an irreducible quadratic, each under a non-monic lead
+    rng = random.Random(6211)
+    cases = []
+    for i in range(400):
+        lead = F(rng.choice((1, -1)) * rng.randint(1, 12), rng.randint(1, 7))
+        den = 10**9 + 7 if i % 4 == 0 else rng.randint(1, 9)
+        roots = [F(rng.randint(-50, 50), den) for _ in range(3)]
+        c = F(rng.randint(1, 30), rng.randint(1, 5))
+        shapes = (
+            [T - roots[0]],
+            [(T - roots[0]) ** 2],
+            [(T - roots[0]) ** 3],
+            [(T - roots[0]) ** 2, T - roots[1]],
+            [T - roots[0], T - roots[1], T - roots[2]],
+            [T**2 + c],
+            [T**2 - T * roots[0] + c],
+            [T**3 - 2 * c],
+            [T**3 + roots[0] * T + c],
+            [T - roots[0], T**2 + c],
+        )
+        p = UniPoly.constant("T", lead)
+        for f in shapes[i % len(shapes)]:
+            p = p * f
+        _, parts = factor_rational_poly(p)
+        cases.append((p, len(parts) == 1 and parts[0][1] == 1))
+    assert 100 < sum(irreducible for _, irreducible in cases) < 300
+
+    def no_factoring(p):
+        raise AssertionError("a polynomial of degree <= 3 must not be factored")
+
+    monkeypatch.setattr(factor_module, "factor_rational_poly", no_factoring)
+    for p, expected in cases:
+        assert is_irreducible(p) == expected, p
+    assert not is_irreducible(UniPoly.constant("T", 5))
+    assert not is_irreducible(UniPoly.zero("T"))
+
+
 # -- rational functions -------------------------------------------------------
 
 
@@ -298,11 +338,25 @@ def test_ratfunc_normalization():
     f = RatFunc((T**2 - 1) * 2, (T - 1) * 4)
     assert f.num == F(1, 2) * T + F(1, 2)
     assert f.den == UniPoly.constant("T", F(1))
-    assert f.is_polynomial()
+    assert f.den.degree() == 0
     g = RatFunc(T + 1, 2 * T - 3)
     assert g.den.is_monic()
     assert g.evaluate(F(2)) == 3
     assert g.degree_map() == 1
+
+
+def test_q_of_t_elements_have_one_way_in():
+    # a RatFunc is built from polynomials, never by dividing one, and its
+    # powers are non-negative
+    with pytest.raises(TypeError):
+        T / 2
+    with pytest.raises(TypeError):
+        1 / RatFunc(T)
+    with pytest.raises(ValueError):
+        RatFunc(T) ** -1
+    with pytest.raises(TypeError):
+        RatFuncField("T").coerce(T)
+    assert RatFuncField("T").coerce(F(1, 2)) == RatFunc.constant("T", F(1, 2))
 
 
 def test_ratfunc_field_ops():
@@ -352,6 +406,35 @@ def test_divisor_degree_zero():
         if not f or f.degree_map() == 0:
             continue
         assert sum(pl.degree() * m for pl, m in divisor_of(f)) == 0
+
+
+def merged_divisor(f):
+    """The divisor of f from the factors of its numerator and denominator,
+    merged by place, zero entries dropped."""
+    entries = {}
+    for poly, sign in ((f.num, 1), (f.den, -1)):
+        for q, m in factor_rational_poly(poly)[1]:
+            entries[Place.finite(q)] = entries.get(Place.finite(q), 0) + sign * m
+    entries[Place.infinity("T")] = f.den.degree() - f.num.degree()
+    return sorted(((pl, m) for pl, m in entries.items() if m), key=lambda pm: pm[0].sort_key())
+
+
+def test_divisor_matches_a_merged_reference():
+    # shared factors of num and den cancel in RatFunc, repeated and
+    # quadratic factors and constants included
+    rng = random.Random(67)
+    pool = [T, T + F(1, 3), T - 2, T**2 + 1, T**2 - T + F(5, 2), T**3 - 2]
+    for _ in range(150):
+        num, den = (
+            rand_poly(rng, deg=rng.randint(0, 2))
+            * rng.choice(pool) ** rng.randint(0, 3)
+            * rng.choice(pool) ** rng.randint(0, 2)
+            for _ in range(2)
+        )
+        if not num or not den:
+            continue
+        f = RatFunc(num, den)
+        assert divisor_of(f) == merged_divisor(f), f
 
 
 def test_valuation_additive():

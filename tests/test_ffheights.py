@@ -6,6 +6,7 @@ valuations 2/6 and 4/8, and the rank formula instances 8-12+3+2 and
 the module existed; they are frozen here.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from cleanpair.exactmath import (
     QQ,
     Place,
     RatFunc,
+    RatFuncField,
     UniPoly,
     factor_rational_poly,
     valuation_at,
@@ -322,6 +324,44 @@ def test_discriminant_is_factored_once_per_curve(monkeypatch):
     assert len(factored) == 1
 
 
+def reference_profiles(E: FunctionFieldCurve):
+    """reduction_at at each factor place of Delta, sorted, then infinity."""
+    _, parts = factor_rational_poly(E.discriminant())
+    finite = sorted(
+        (reduction_at(E, Place.finite(q)) for q, _ in parts),
+        key=lambda pr: pr.place.sort_key(),
+    )
+    return (*finite, reduction_at(E, Place.infinity("T")))
+
+
+def test_place_profiles_match_reduction_at_each_factor():
+    # the family at seeded s and on its twists, and generic curves; on
+    # y^2 = x^3 + (T^2 + 1) x + (T^2 + 1), Delta = -16 (T^2 + 1)^2 (4T^2 + 31)
+    # has a repeated irreducible quadratic factor
+    rng = random.Random(3301)
+    curves = []
+    for _ in range(25):
+        s = F(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
+        E, _ = family_functionfield_curve(s)
+        curves += [E, second_section(E, s)[0]]
+    q = T**2 + 1
+    curves.append(FunctionFieldCurve(q, q))
+    while len(curves) < 80:
+        a = sum((rng.randint(-3, 3) * T**i for i in range(rng.randint(0, 5))), UniPoly.zero("T"))
+        b = sum((rng.randint(-3, 3) * T**i for i in range(rng.randint(4, 7))), UniPoly.zero("T"))
+        if 4 * a**3 + 27 * b**2:
+            curves.append(FunctionFieldCurve(a, b))
+    degrees = set()
+    for E in curves:
+        profiles = ffheights._place_profiles(E)
+        assert profiles == reference_profiles(E), E
+        degrees |= {(pr.place.degree(), pr.val_delta) for pr in profiles}
+    assert bad_places(curves[50])[0] == ffheights.ReductionProfile(
+        Place.finite(q), 2, ReductionType.ADDITIVE, 1, 2
+    )
+    assert {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)} <= degrees
+
+
 def test_height_positivity_table_points():
     for s in (1, 2, 4):
         E, P = family_functionfield_curve(s)
@@ -587,6 +627,16 @@ def test_j_constant_iff_isotrivial():
 
 
 # -- model handling -------------------------------------------------------------
+
+
+def test_curve_takes_two_polynomials_in_q_t():
+    # a rational function, a scalar or a polynomial over Q(S) is refused
+    tower = UniPoly.gen("T", RatFuncField("S"))
+    for a, b in ((RatFunc(T), T), (0, T), (T, F(1, 2)), (tower, T), (T, tower)):
+        with pytest.raises(TypeError):
+            FunctionFieldCurve(a, b)
+    with pytest.raises(ValueError):
+        FunctionFieldCurve(UniPoly.zero("T"), UniPoly.zero("T"))
 
 
 def test_infinity_model_integrality():

@@ -114,6 +114,13 @@ def test_no_module_imports_sympy_at_load_time():
     assert eager == []
 
 
+def _src_env() -> dict:
+    """The environment for a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    return env
+
+
 _PROBE = """
 import sys
 from cleanpair.cli import main
@@ -133,8 +140,7 @@ def test_proof_commands_never_load_sympy(tmp_path):
     # machinery either (search enumerates on one process), and only
     # search builds the torsion tables.
     cert = tmp_path / "cert.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    env = _src_env()
     for argv in (
         ["certify", "1", "1", "2", "--out", str(cert)],
         ["verify", str(cert)],
@@ -147,3 +153,20 @@ def test_proof_commands_never_load_sympy(tmp_path):
         built = int(argv[0] == "search")
         expected = f"sympy modules: []\nprocess pool loaded: False\ntorsion tables built: {built}\n"
         assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, expected)
+
+
+_PLACES_PROBE = """
+import sys
+from cleanpair.exactmath import Place, UniPoly
+T = UniPoly.gen("T")
+Place.linear("T", 3), Place.finite(T**2 + 1), Place.finite(T**3 - 2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+def test_places_of_degree_at_most_three_load_no_sympy():
+    # their irreducibility is read from rational roots, not a factorization
+    run = subprocess.run(
+        [sys.executable, "-c", _PLACES_PROBE], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

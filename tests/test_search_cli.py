@@ -691,6 +691,21 @@ def test_cli_rank_ff(capsys):
     assert json.loads(golden["2"])["rank"] == 1
 
 
+HEIGHTS_GOLDEN = Path(__file__).parent / "data" / "heights_stdout.json"
+
+
+def test_cli_heights_stdout(capsys):
+    # stdout of `heights -- s` and `heights --markdown -- s` byte for byte:
+    # two linear places, a quadratic place and irreducible cubic places
+    golden = json.loads(HEIGHTS_GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 20
+    for key, expected in golden.items():
+        s, *flags = key.split()
+        assert run_cli(capsys, "heights", *flags, "--", s) == (0, expected, ""), key
+    assert "| (T^2 + 4*T + 1) | 1 | Multiplicative | 1/12 |" in golden["2 --markdown"]
+    assert "| (T^3 + 21/4*T^2 + 14/3*T + 28/27) | 1 |" in golden["7/3 --markdown"]
+
+
 def test_cli_search_plain(capsys):
     code, out, _ = run_cli(capsys, "search", "2")
     assert code == 0
@@ -789,9 +804,173 @@ def test_cli_dbfilter_rejects_a_singular_row(capsys, tmp_path, row):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def assert_one_line_failure(code, out, err, prefix):
+    assert code == 1 and out == ""
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [(("dbfilter",), "cannot read database: "), (("search", "5", "--oracle"), "cannot read oracle: ")],
+    ids=["dbfilter", "oracle"],
+)
+def test_cli_reports_a_file_that_is_not_utf8(capsys, tmp_path, argv, prefix):
+    # a UTF-16 byte-order mark is not UTF-8; the decoder fails while the
+    # parser iterates the handle
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"\xff\xfe" + "43a1 0 1 1 0 0 1 1 43\n".encode("utf-16-le"))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_one_line_failure(code, out, err, prefix)
+    assert "codec can't decode" in err
+
+
+def test_cli_verify_reports_a_document_nested_past_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert_one_line_failure(code, out, err, "malformed certificate: ")
+
+
+FUZZ_TOKENS = ["x", "", "-", "--", "1/", "/2", "1/0", "0/0", "3.5", "1e3", "nan", "0x10",
+               "1//2", " 2", "--markdown", "--sweep", "--out", "--sign", "--bogus"]
+
+
+def _fuzz_rational(rng):
+    n, d = rng.randint(-12, 12), rng.randint(1, 12)
+    return str(n) if rng.random() < 0.3 else f"{n}/{d}"
+
+
+def _fuzz_arg(rng):
+    return rng.choice(FUZZ_TOKENS) if rng.random() < 0.15 else _fuzz_rational(rng)
+
+
+def _fuzz_table_row(rng, label):
+    """A curve-table line: mostly nine integer fields with |a_i| <= 10^4,
+    some of the family shape (a4 = -3t^2) or singular, some malformed."""
+    a = [rng.randint(-2, 2) for _ in range(3)] + [rng.randint(-10**4, 10**4) for _ in range(2)]
+    kind = rng.random()
+    if kind < 0.25:
+        a = [0, 0, 0, -3 * rng.randint(1, 50) ** 2, rng.randint(-10**4, 10**4)]
+    elif kind < 0.35:
+        k = rng.randint(0, 20)
+        a = [0, 0, 0, -3 * k * k, 2 * k**3]  # 4A^3 + 27B^2 = 0
+    fields = [label, *map(str, a), str(rng.choice((1, 1, 1, 0, 2))), "1", str(rng.randint(11, 999))]
+    if rng.random() < 0.04:
+        fields[rng.randrange(len(fields))] = rng.choice(FUZZ_TOKENS[:14]) or "?"
+    if rng.random() < 0.04:
+        del fields[rng.randrange(len(fields)):]
+    return " ".join(fields)
+
+
+def _fuzz_oracle_row(rng):
+    fields = [str(rng.randint(-12, 12)), str(rng.randint(1, 3)), rng.choice(("0", "1", "2", "?"))]
+    if rng.random() < 0.15:
+        fields[rng.randrange(3)] = rng.choice(FUZZ_TOKENS[:14]) or "x"
+    if rng.random() < 0.1:
+        fields = fields[: rng.randint(0, 2)] + ["1"] * rng.randint(0, 2)
+    return " ".join(fields)
+
+
+def _fuzz_file(rng, path, rows):
+    data = "\n".join(rows + [rng.choice(("", "# comment", "  "))]).encode()
+    if rng.random() < 0.15:  # raw bytes that are not UTF-8
+        cut = rng.randint(0, len(data))
+        data = data[:cut] + bytes(rng.choice((0x80, 0xC3, 0xFF, 0xFE)) for _ in range(2)) + data[cut:]
+    path.write_bytes(data)
+    return str(path)
+
+
+def _fuzz_subtree(rng, base, paths):
+    """A replacement for a certificate node: a wrong type, a rational
+    string, a large or odd number, or another node of the same document."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice(WRONG_TYPES + [-1, 10**40, 1.5, "-0/1", {"x": []}])
+    if kind == 1:
+        return [_fuzz_rational(rng) for _ in range(rng.randint(0, 5))]
+    if kind == 2:
+        return copy.deepcopy(_at(base, rng.choice(paths)))
+    return f"{rng.randint(-10**6, 10**6)}/{rng.randint(0, 10**6)}"
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def test_cli_contract_fuzz(capsys, tmp_path):
+    # Seeded argv for all seven commands, malformed curve tables and oracle
+    # files, and certificates with random subtrees replaced.  Every case
+    # ends in 0, 1 or 2 without an exception; 0 and 1 leave at most one
+    # stderr line, and 2 ends with argparse's error line.
+    rng = random.Random(1717)
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))[0] == 0
+    base = json.loads(cert.read_text())
+    paths = list(_nodes(base))
+    cases = []
+    for _ in range(80):
+        count = 2 if rng.random() < 0.8 else rng.choice((0, 1, 3))
+        cases.append(["member", "--", *(_fuzz_arg(rng) for _ in range(count))])
+        count = 3 if rng.random() < 0.8 else rng.choice((0, 2, 4))
+        cases.append(["certify", "--", *(_fuzz_arg(rng) for _ in range(count))])
+    for _ in range(40):
+        for command in ("heights", "rank-ff"):
+            argv = [command, "--", _fuzz_arg(rng)]
+            if rng.random() < 0.3:
+                argv.insert(1, rng.choice(("--markdown", "-x", "1")))
+            cases.append(argv)
+    for i in range(40):
+        rows = [_fuzz_oracle_row(rng) for _ in range(rng.randint(0, 8))]
+        oracle = _fuzz_file(rng, tmp_path / f"oracle{i}.txt", rows)
+        argv = ["search", str(rng.randint(1, 12)) if rng.random() < 0.9 else _fuzz_arg(rng)]
+        argv += rng.sample(["--all-pairs", "--include-zero", "--sweep"], rng.randint(0, 2))
+        if rng.random() < 0.3:
+            argv += ["--sign", rng.choice(("both", "positive", "negative", "none"))]
+        if rng.random() < 0.8:
+            argv += ["--oracle", oracle]
+        cases.append(argv)
+        rows = [_fuzz_table_row(rng, f"c{rng.randint(1, 60)}") for _ in range(rng.randint(0, 8))]
+        table = _fuzz_file(rng, tmp_path / f"table{i}.txt", rows)
+        cases.append(["dbfilter", table])
+    for i in range(100):
+        doc = copy.deepcopy(base)
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            path = rng.choice(paths)
+            value = _fuzz_subtree(rng, base, paths)
+            if not path:
+                doc = value
+                continue
+            try:
+                _at(doc, path[:-1])[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier replacement removed this path
+        case = tmp_path / f"cert{i}.json"
+        case.write_text(json.dumps(doc))
+        cases.append(["verify", str(case)])
+    cases += [["verify", str(tmp_path)], ["dbfilter", str(tmp_path / "absent")], [], ["nosuch"]]
+    codes = {0: 0, 1: 0, 2: 0}
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in codes and "Traceback" not in out + err, argv
+        codes[code] += 1
+        lines = err.splitlines()
+        if code == 2:
+            assert lines and lines[-1].startswith("cleanpair") and ": error: " in lines[-1], argv
+        else:
+            assert len(lines) <= 1, argv
+    assert min(codes.values()) > 20, codes
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "nosuch")[0] == 2
     assert run_cli(capsys, "member", "1")[0] == 2
     assert run_cli(capsys, "member", "x", "1")[0] == 2
     assert run_cli(capsys, "search", "0")[0] == 2
     assert run_cli(capsys)[0] == 2
+    # a "--" in place of a later positional reaches no handler
+    for argv in (("member", "--", "1", "--"), ("certify", "--", "1", "--", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", "cleanpair: error: '--' is not a value")
