@@ -1,22 +1,26 @@
 """Irreducible factorization and rational roots over Q.
 
-Factorization of the primitive integer form is delegated to sympy's dense
-``dup_factor_list`` over plain Python integers, imported only when a
-factorization is asked for; everything around it stays in our own exact
-types.  Each factorization is re-multiplied and compared coefficient by
-coefficient before being returned, so a kernel bug cannot leak through
-silently.  The rational roots of a polynomial of degree at most 3 need no
-factorization: they are found on plain integers by bisection between the
-critical points, and they decide its irreducibility too.
+A polynomial is first split into squarefree parts by Yun's algorithm (Yun
+1976) on the package's own integer gcd.  A part of degree at most 3 splits
+into the linear factors of its rational roots and one irreducible rest,
+since a quadratic or cubic without a rational root is irreducible.  Only a
+part of degree 4 or more goes to sympy's dense ``dup_factor_list`` over
+plain Python integers, imported when such a part occurs; everything around
+it stays in our own exact types.  Each factorization is re-multiplied and
+compared coefficient by coefficient before being returned, so a kernel bug
+cannot leak through silently.  The rational roots of a polynomial of degree
+at most 3 need no factorization: they are found on plain integers by
+bisection between the critical points, and they decide its irreducibility
+too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, isqrt
+from math import isqrt
 
-from cleanpair.exactmath.poly import UniPoly, qq_from_ints, qq_to_ints
+from cleanpair.exactmath.poly import UniPoly, _cofactors, qq_from_ints, qq_to_ints
 from cleanpair.exactmath.scalars import QQ, Rational
 
 
@@ -29,30 +33,53 @@ def _sort_key(p: UniPoly):
     return (p.degree(), tuple(p.coeffs))
 
 
+def _squarefree_parts(p: UniPoly):
+    """Yun's pairs (a, i) for the nonconstant p: the a squarefree,
+    nonconstant and pairwise coprime, and p a constant times prod a^i.
+    Each step is one integer gcd with its exact cofactors."""
+    _, b, c = _cofactors(p, p.derivative())
+    i = 1
+    while b.degree() > 0:
+        d = c - b.derivative()
+        if not d:
+            yield b, i
+            return
+        a, b, c = _cofactors(b, d)
+        if a.degree() > 0:
+            yield a, i
+        i += 1
+
+
+def _irreducible_factors(a: UniPoly) -> list[UniPoly]:
+    """The monic irreducible factors of the squarefree nonconstant a."""
+    if a.degree() > 3:
+        from sympy.polys.domains import ZZ_python
+        from sympy.polys.factortools import dup_factor_list
+
+        num, _ = qq_to_ints(a)
+        _, raw = dup_factor_list(list(num[::-1]), ZZ_python())
+        return [qq_from_ints(a.var, f[::-1], f[0]) for f, _ in raw]
+    t = UniPoly.gen(a.var, QQ)
+    linear = [t - r for r, _ in rational_roots(a)]
+    # with the linear factors out, a rest of degree 2 or 3 has no rational
+    # root, so it is irreducible
+    rest = reduce(lambda f, q: f // q, linear, a)
+    return linear + [rest.monic()] if rest.degree() > 0 else linear
+
+
 def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]]]:
     """Factor a nonzero polynomial over Q.
 
     Returns (c, parts) with each part (q, m): q monic irreducible, m >= 1,
     parts sorted by (degree, coefficients), and c * prod q^m == p exactly.
     """
-    from sympy.polys.domains import ZZ_python
-    from sympy.polys.factortools import dup_factor_list
-
     _require_rational_coeffs(p)
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     if p.degree() == 0:
         return p.coeffs[0], []
-    # p == (content / den) * prim with prim primitive over Z; each integer
-    # factor f is lc(f) times a monic factor over Q.
-    num, den = qq_to_ints(p)
-    content = gcd(*num)
-    const, raw = dup_factor_list([c // content for c in reversed(num)], ZZ_python())
-    c = Fraction(content * const, den)
-    parts = []
-    for f, mult in raw:
-        c *= Fraction(f[0]) ** mult
-        parts.append((qq_from_ints(p.var, f[::-1], f[0]), mult))
+    c = p.lc()
+    parts = [(q, m) for a, m in _squarefree_parts(p) for q in _irreducible_factors(a)]
     parts.sort(key=lambda qm: _sort_key(qm[0]))
     check = UniPoly.constant(p.var, c, QQ)
     for q, m in parts:

@@ -236,6 +236,8 @@ class UniPoly:
             and other.field == self.field
         ):
             return other
+        if self._num is not None and isinstance(other, (int, Fraction)):
+            return qq_from_ints(self.var, [other.numerator], other.denominator)
         # Anything else goes through the coefficient field; on failure the
         # operator returns NotImplemented so reflected ops get a chance
         # (needed when the other side's field can absorb this polynomial).

@@ -106,7 +106,7 @@ class FunctionFieldCurve:
     Q[T] with deg a <= 4 and deg b <= 6, so the model is integral at every
     finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U)."""
 
-    __slots__ = ("var", "a", "b", "_profiles", "_weierstrass")
+    __slots__ = ("var", "a", "b", "_delta", "_profiles", "_weierstrass")
 
     def __init__(self, a: UniPoly, b: UniPoly, var: str = "T"):
         if not all(isinstance(c, UniPoly) and c.field == QQ for c in (a, b)):
@@ -118,26 +118,27 @@ class FunctionFieldCurve:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_delta", -16 * (4 * a * a * a + 27 * b * b))
         object.__setattr__(self, "_profiles", None)  # filled by _place_profiles
         object.__setattr__(self, "_weierstrass", None)  # filled by weierstrass
-        if not self.discriminant():
+        if not self._delta:
             raise ValueError("singular: the discriminant vanishes identically")
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionFieldCurve is immutable")
 
     def discriminant(self) -> UniPoly:
-        a, b = self.a, self.b
-        return -16 * (4 * a * a * a + 27 * b * b)
+        return self._delta
 
     def c4(self) -> UniPoly:
         return -48 * self.a
 
     def weierstrass(self) -> WeierstrassCurve:
-        """The curve over Q(T) for the group law, built once."""
+        """The curve over Q(T) for the group law, built once; __init__ has
+        already shown that Delta is not 0."""
         W = self._weierstrass
         if W is None:
-            W = WeierstrassCurve(RatFunc(self.a), RatFunc(self.b), RatFuncField(self.var))
+            W = WeierstrassCurve.possibly_singular(RatFunc(self.a), RatFunc(self.b), RatFuncField(self.var))
             object.__setattr__(self, "_weierstrass", W)
         return W
 
@@ -177,7 +178,8 @@ def second_section(E: FunctionFieldCurve, s) -> tuple[FunctionFieldCurve, CurveP
     Otherwise it is the quadratic twist E^(s): y^2 = x^3 + s^2 a x + s^3 b,
     where the isomorphism (x, y) -> (sx, s sqrt(s) y) takes Q to
     Q' = (sT, s^2 (1 - s - 3T)); canonical heights are invariant under it
-    (Silverman, AEC X.2), so h(Q') = h(Q)."""
+    (Silverman, AEC X.2), so h(Q') = h(Q).  The twist has Delta scaled by
+    s^6 and c4 by s^2, so it keeps E's reduction profiles."""
     s = Fraction(s)
     t = UniPoly.gen(E.var, QQ)
     w = 1 - s - 3 * t
@@ -185,6 +187,7 @@ def second_section(E: FunctionFieldCurve, s) -> tuple[FunctionFieldCurve, CurveP
     if r is not None:
         return E, CurvePoint.affine(RatFunc(t), RatFunc(w * r))
     twist = FunctionFieldCurve(s * s * E.a, s * s * s * E.b, E.var)
+    object.__setattr__(twist, "_profiles", _place_profiles(E))
     return twist, CurvePoint.affine(RatFunc(s * t), RatFunc(s * s * w))
 
 

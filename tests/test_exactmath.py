@@ -7,11 +7,13 @@ long division) before the implementation existed, and are frozen.
 import random
 from fractions import Fraction as F
 from itertools import islice
+from math import gcd
 
 import pytest
 import sympy
 from sympy.polys.domains import ZZ_python
 from sympy.polys.euclidtools import dup_inner_gcd
+from sympy.polys.factortools import dup_factor_list
 
 import cleanpair.exactmath.factor as factor_module
 from cleanpair.exactmath import (
@@ -36,7 +38,8 @@ from cleanpair.exactmath import (
     valuation_at,
 )
 from cleanpair.exactmath.places import _divides, _multiplicity
-from cleanpair.exactmath.poly import _heu_candidates, _int_gcd, _primitive, _prs_gcd
+from cleanpair.exactmath.poly import _heu_candidates, _int_gcd, _primitive, _prs_gcd, qq_from_ints, qq_to_ints
+from cleanpair.family import functionfield_coefficients
 
 T = UniPoly.gen("T")
 X = UniPoly.gen("x")
@@ -239,6 +242,67 @@ def test_factor_random_recombination():
         assert rebuilt == p
 
 
+def ref_factor(p):
+    """factor_rational_poly's contract from sympy's dup_factor_list on the
+    primitive integer form of p."""
+    num, den = qq_to_ints(p)
+    content = gcd(*num)
+    const, raw = dup_factor_list([c // content for c in reversed(num)], ZZ_python())
+    c = F(content * const, den)
+    parts = []
+    for f, mult in raw:
+        c *= F(f[0]) ** mult
+        parts.append((qq_from_ints(p.var, f[::-1], f[0]), mult))
+    parts.sort(key=lambda qm: (qm[0].degree(), qm[0].coeffs))
+    return c, parts
+
+
+def test_factorization_matches_sympy():
+    # products of linear, quadratic and cubic factors with multiplicities
+    # 1-4 under rational, negative leads; constants; and factors of degree
+    # 4-6 that reach the sympy fallback, alone or repeated
+    rng = random.Random(1817)
+
+    def factor_of(deg):
+        coeffs = [F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(deg)]
+        return UniPoly("T", coeffs + [F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 4))])
+
+    fallback = 0
+    for i in range(200):
+        p = UniPoly.constant("T", F(rng.choice((1, -1)) * rng.randint(1, 50), rng.randint(1, 9)))
+        for _ in range(0 if i % 25 == 0 else rng.randint(1, 4)):
+            f = factor_of(rng.choice((1, 1, 2, 2, 3, 3, 4, 5, 6) if i % 3 == 0 else (1, 2, 3)))
+            p = p * f ** rng.randint(1, 4 if f.degree() < 4 else 2)
+        if i % 7 == 0:
+            p = p * (T**4 - 4) * (T**2 - 2) ** 2  # a quartic that splits into quadratics
+        expected = ref_factor(p)
+        fallback += any(q.degree() > 3 for q, _ in expected[1])
+        assert factor_rational_poly(p) == expected, p
+    assert fallback > 10
+
+
+def test_family_discriminants_factor_without_sympy(monkeypatch):
+    # Delta = c w^2 (s w^2 + 4T^3) with w = 1 - s - 3T, and its twists by
+    # s^6, have squarefree parts of degree <= 3 only
+    rng = random.Random(1818)
+    cases = []
+    for _ in range(40):
+        s = F(rng.choice((1, -1)) * rng.randint(1, 40), rng.randint(1, 40))
+        a, b = functionfield_coefficients(s)
+        for k in (1, s):
+            delta = -16 * (4 * (k * k * a) ** 3 + 27 * (k**3 * b) ** 2)
+            cases.append((delta, ref_factor(delta)))
+
+    def no_sympy(*args):
+        raise AssertionError("a squarefree part of degree <= 3 reached sympy")
+
+    monkeypatch.setattr("sympy.polys.factortools.dup_factor_list", no_sympy)
+    for delta, expected in cases:
+        assert factor_rational_poly(delta) == expected, delta
+    with pytest.raises(AssertionError):
+        factor_rational_poly((T**4 + 1) * T)
+
+
 def test_rational_roots():
     assert rational_roots((2 * T - 1) ** 2 * (T + 3) * (T**2 + 1)) == [
         (F(-3), 1),
@@ -247,7 +311,7 @@ def test_rational_roots():
 
 
 def roots_by_factoring(p):
-    _, parts = factor_rational_poly(p)
+    _, parts = ref_factor(p)
     return sorted((-q.coeff(0), m) for q, m in parts if q.degree() == 1)
 
 
@@ -317,7 +381,7 @@ def test_low_degree_irreducibility_matches_factoring(monkeypatch):
         p = UniPoly.constant("T", lead)
         for f in shapes[i % len(shapes)]:
             p = p * f
-        _, parts = factor_rational_poly(p)
+        _, parts = ref_factor(p)
         cases.append((p, len(parts) == 1 and parts[0][1] == 1))
     assert 100 < sum(irreducible for _, irreducible in cases) < 300
 
@@ -635,3 +699,13 @@ def test_rational_kernel_equality_and_hash_follow_the_coefficients():
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
     assert UniPoly("T", [F(2, 4), 0]) == UniPoly("T", [F(1, 2)]) == F(1, 2)
     assert UniPoly("T", [F(1, 2)]) != UniPoly("U", [F(1, 2)])
+
+
+def test_scalar_operands_equal_the_constant_polynomial():
+    p = F(3, 7) * T**3 - 2 * T + F(1, 5)
+    for k in (3, -16, 0, F(-9, 4), F(0), True):
+        c = UniPoly.constant("T", F(k))
+        assert (p + k, k + p, p - k, k - p, p * k, k * p) == (p + c, c + p, p - c, c - p, p * c, c * p), k
+        for r in (p + k, k - p, p * k):
+            num, den = qq_to_ints(r)
+            assert all(type(x) is int for x in (*num, den))

@@ -362,6 +362,35 @@ def test_place_profiles_match_reduction_at_each_factor():
     assert {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)} <= degrees
 
 
+def test_the_twist_keeps_the_profiles_of_its_curve(monkeypatch):
+    # Delta scales by s^6 and c4 by s^2, so the twist has E's places,
+    # multiplicities and infinity profile: nine generic_rank calls factor
+    # nine discriminants, one per member
+    factored = []
+    real = ffheights.factor_rational_poly
+
+    def counted(p):
+        factored.append(p)
+        return real(p)
+
+    monkeypatch.setattr(ffheights, "factor_rational_poly", counted)
+    for s in (1, 4, 9, F(1, 4), F(9, 4), 2, 3, -1, F(1, 2)):
+        generic_rank(s)
+    assert len(factored) == 9
+    rng = random.Random(1809)
+    twists = 0
+    while twists < 25:
+        s = F(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
+        E, _ = family_functionfield_curve(s)
+        twist = second_section(E, s)[0]
+        if twist is E:
+            continue
+        twists += 1
+        assert twist.discriminant() == s**6 * E.discriminant()
+        assert ffheights._place_profiles(twist) == reference_profiles(twist), s
+        assert twist.discriminant() is twist.discriminant()
+
+
 def test_height_positivity_table_points():
     for s in (1, 2, 4):
         E, P = family_functionfield_curve(s)

@@ -1,6 +1,6 @@
 """Package hygiene: exports resolve, no module keeps a dead import, no
 public top-level name is left without a caller, and sympy stays off the
-proof path.
+proof, height and rank paths.
 
 The checks read the package itself, so a deletion that leaves a stale
 ``__all__`` entry, an import or an orphaned helper behind fails here rather
@@ -136,9 +136,10 @@ sys.exit(code)
 
 def test_proof_commands_never_load_sympy(tmp_path):
     # each command in a fresh interpreter: certify writes the certificate
-    # that verify then checks.  No command loads the process-pool
-    # machinery either (search enumerates on one process), and only
-    # search builds the torsion tables.
+    # that verify then checks.  heights and rank-ff factor each
+    # discriminant through its squarefree parts of degree <= 3.  No command
+    # loads the process-pool machinery either (search enumerates on one
+    # process), and only search builds the torsion tables.
     cert = tmp_path / "cert.json"
     env = _src_env()
     for argv in (
@@ -146,6 +147,10 @@ def test_proof_commands_never_load_sympy(tmp_path):
         ["verify", str(cert)],
         ["member", "1", "2"],
         ["search", "60"],
+        ["heights", "1"],
+        ["heights", "9/4"],
+        ["rank-ff", "2"],
+        ["rank-ff", "3"],
     ):
         run = subprocess.run(
             [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
