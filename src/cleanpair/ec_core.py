@@ -1,8 +1,9 @@
 """Short-Weierstrass curves y^2 = x^3 + ax + b and their group law.
 
-Everything is exact and field-generic: coefficients may be rationals or
-rational functions.  Torsion testing and the Lutz-Nagell enumeration are
-specific to curves over Q.
+Everything is exact.  A curve is over Q or over Q(T), told apart by its
+coefficients: Fractions, or rational functions in one variable.  Torsion
+testing, the Lutz-Nagell enumeration and the normalization into the family
+are specific to curves over Q.
 """
 
 from __future__ import annotations
@@ -12,13 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from cleanpair.exactmath import (
-    QQ,
-    RatFunc,
-    RatFuncField,
-    UniPoly,
-    rational_roots,
-)
+from cleanpair.exactmath import QQ, RatFunc, UniPoly, rational_roots
 
 
 class SingularCurveError(ValueError):
@@ -48,11 +43,17 @@ _REFUTING_PRIMES = tuple(
 )
 
 
-def _field_of(*elems):
-    for e in elems:
-        if isinstance(e, RatFunc):
-            return RatFuncField(e.var, e.field)
-    return QQ
+def _coefficients(a, b):
+    """(a, b) as Fractions, for a curve over Q, or as rational functions in
+    one variable, for a curve over Q(T), where a rational partner becomes a
+    constant; any other value raises TypeError."""
+    for f in (a, b):
+        if isinstance(f, RatFunc):
+            return tuple(
+                c if isinstance(c, RatFunc) and c.var == f.var else RatFunc.constant(f.var, c)
+                for c in (a, b)
+            )
+    return QQ.coerce(a), QQ.coerce(b)
 
 
 class CurvePoint:
@@ -119,16 +120,12 @@ class WeierstrassCurve:
     other intentionally degenerate models go through possibly_singular.
     """
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b, field=None):
-        if field is None:
-            field = _field_of(a, b)
-        a = field.coerce(a)
-        b = field.coerce(b)
+    def __init__(self, a, b):
+        a, b = _coefficients(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "field", field)
         if not self.discriminant():
             raise SingularCurveError(f"singular cubic: a={a}, b={b}")
 
@@ -136,13 +133,11 @@ class WeierstrassCurve:
         raise AttributeError("WeierstrassCurve is immutable")
 
     @classmethod
-    def possibly_singular(cls, a, b, field=None) -> "WeierstrassCurve":
+    def possibly_singular(cls, a, b) -> "WeierstrassCurve":
         self = cls.__new__(cls)
-        if field is None:
-            field = _field_of(a, b)
-        object.__setattr__(self, "a", field.coerce(a))
-        object.__setattr__(self, "b", field.coerce(b))
-        object.__setattr__(self, "field", field)
+        a, b = _coefficients(a, b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         return self
 
     def discriminant(self):
@@ -161,7 +156,8 @@ class WeierstrassCurve:
         return x * x * x + self.a * x + self.b
 
     def rhs_poly(self, var: str = "x") -> UniPoly:
-        return UniPoly(var, [self.b, self.a, self.field.zero(), self.field.one()], self.field)
+        """The cubic as a polynomial over Q; for curves over Q only."""
+        return UniPoly(var, [self.b, self.a, 0, 1])
 
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
@@ -205,7 +201,8 @@ class WeierstrassCurve:
     def __eq__(self, other):
         if not isinstance(other, WeierstrassCurve):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.field == other.field
+        # a constant RatFunc equals its Fraction, so the type tells Q from Q(T)
+        return type(self.a) is type(other.a) and self.a == other.a and self.b == other.b
 
     def __hash__(self):
         return hash((self.a, self.b))
@@ -232,7 +229,7 @@ class IsomorphismWitness(NamedTuple):
     def apply_curve(self, E: WeierstrassCurve) -> WeierstrassCurve:
         d2 = self.d * self.d
         d4 = d2 * d2
-        return WeierstrassCurve(d4 * E.a, d4 * d2 * E.b, E.field)
+        return WeierstrassCurve(d4 * E.a, d4 * d2 * E.b)
 
 
 # -- function-style operation surface -------------------------------------------
@@ -305,7 +302,7 @@ def _order_exceeds_mazur_bound(a: int, P: tuple[int, int], p: int) -> bool:
 
 def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
     """Exact order of P when torsion (1 for O), None when infinite order."""
-    if E.field != QQ:
+    if isinstance(E.a, RatFunc):
         raise TypeError("torsion testing is implemented over Q")
     if P.is_infinity:
         return 1
@@ -366,7 +363,7 @@ def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
     discriminant); each is confirmed by the exact torsion test.  The
     discriminant is not factored when #E(F_p) bounds the torsion by 2.
     """
-    if E.field != QQ:
+    if isinstance(E.a, RatFunc):
         raise TypeError("torsion enumeration is implemented over Q")
     if E.a.denominator != 1 or E.b.denominator != 1:
         raise ModelError("integral model required")
@@ -414,7 +411,7 @@ def normalize_to_family(
     (1 - s - 2t', 1 - s - 3t').  When x(P) = t the point is first replaced
     by -2P, which moves it off that locus.
     """
-    if E.field != QQ:
+    if isinstance(E.a, RatFunc):
         raise TypeError("normalization is implemented over Q")
     t = Fraction(t)
     if E.a != -3 * t * t:

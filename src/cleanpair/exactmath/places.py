@@ -49,8 +49,7 @@ class Place:
     @classmethod
     def linear(cls, var: str, root) -> "Place":
         """The place T = root, i.e. the prime (T - root)."""
-        gen = UniPoly.gen(var, QQ)
-        return cls(var, gen - Fraction(root))
+        return cls(var, UniPoly.gen(var) - Fraction(root))
 
     @classmethod
     def infinity(cls, var: str) -> "Place":
@@ -96,7 +95,7 @@ def _as_ratfunc(place: Place, f):
     if isinstance(f, UniPoly):
         return RatFunc(f)
     if isinstance(f, (int, _RationalABC)):
-        return RatFunc.constant(place.var, f, QQ)
+        return RatFunc.constant(place.var, f)
     raise TypeError(f"cannot take a valuation of {type(f).__name__}")
 
 
@@ -162,9 +161,7 @@ def _multiplicity(num: UniPoly, p: UniPoly) -> int:
 
 
 def _poly_valuation(place: Place, p: UniPoly) -> int:
-    """Valuation of a nonzero polynomial; infinity gives -degree."""
-    if p.field != QQ:
-        raise TypeError("valuations need rational coefficients")
+    """Valuation of a nonzero polynomial over Q; infinity gives -degree."""
     if place.is_infinity:
         return -p.degree()
     return _multiplicity(p, place.poly)
@@ -197,8 +194,6 @@ def divisor_of(f) -> list[tuple[Place, int]]:
         raise TypeError("divisor_of expects a rational function")
     if not f:
         raise UndefinedValuation("the zero function has no divisor")
-    if f.field != QQ:
-        raise TypeError("divisors are implemented for rational coefficients")
     out = [
         (Place.finite(q), sign * m)
         for poly, sign in ((f.num, 1), (f.den, -1))

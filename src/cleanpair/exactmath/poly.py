@@ -1,4 +1,5 @@
-"""Dense univariate polynomials and rational functions over exact fields.
+"""Dense univariate polynomials over exact fields, and rational functions
+over Q.
 
 Each polynomial carries a variable tag and a field descriptor; mixing
 variables or fields in one operation is an error rather than a silent
@@ -16,8 +17,11 @@ coercion.  There is one code path per coefficient field:
   system is called.
   The ``coeffs`` tuple of ``Fraction`` is built from this form on first
   access and cached; equality and hashing agree with it.
-* Every other field (``RatFunc``, for nested towers) stores a tuple of
-  field elements and loops over their own operators.
+* Every other field (``RatFuncField``, only for the Q(S)[T] towers of the
+  symbolic identity checks) stores a tuple of field elements and loops over
+  their own operators.
+
+A ``RatFunc`` is a quotient of two polynomials over Q; it refuses any other.
 
 The degree of the zero polynomial is the sentinel -1.
 """
@@ -519,15 +523,17 @@ def _cofactors(f: UniPoly, g: UniPoly):
     Over Q the cofactors are the quotients from the integer gcd's exact
     division check; h is then the integer gcd, not made monic.
     """
-    if f.degree() == 0 or g.degree() == 0:
-        return UniPoly.constant(f.var, f.field.one(), f.field), f, g
     if f._num is not None:
+        if f.degree() == 0 or g.degree() == 0:
+            return _qq_wrap(f.var, (1,), 1), f, g
         h, cff, cfg = _int_gcd(f._num, g._num)
         return (
             qq_from_ints(f.var, h),
             qq_from_ints(f.var, cff, f._den),
             qq_from_ints(f.var, cfg, g._den),
         )
+    if f.degree() == 0 or g.degree() == 0:
+        return UniPoly.constant(f.var, f.field.one(), f.field), f, g
     h = poly_gcd(f, g)
     if h.degree() > 0:
         f, g = f.exact_div(h), g.exact_div(h)
@@ -573,11 +579,10 @@ def poly_discriminant(p: UniPoly):
 def _reduced(num: UniPoly, den: UniPoly) -> "RatFunc":
     """The RatFunc num/den for coprime num and nonzero den, with den made
     monic; no gcd is taken."""
-    one = num.field.one()
     if not num:
-        den = UniPoly.constant(num.var, one, num.field)
+        den = _qq_wrap(num.var, (1,), 1)
     elif not den.is_monic():
-        inv = one / den.lc()
+        inv = 1 / den.lc()
         num, den = num * inv, den * inv
     f = object.__new__(RatFunc)
     object.__setattr__(f, "num", num)
@@ -594,7 +599,7 @@ def _product(a: UniPoly, b: UniPoly, c: UniPoly, d: UniPoly) -> "RatFunc":
 
 
 class RatFunc:
-    """Reduced fraction of UniPoly with monic denominator.
+    """Reduced fraction of polynomials over Q with monic denominator.
 
     Sums and products of reduced operands cancel only the gcds that can
     occur (Henrici's algorithms), so they never take the gcd of the whole
@@ -605,7 +610,9 @@ class RatFunc:
 
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
         if den is None:
-            den = UniPoly.constant(num.var, num.field.one(), num.field)
+            den = _qq_wrap(num.var, (1,), 1)
+        if num._num is None or den._num is None:
+            raise TypeError("a rational function needs polynomials over Q")
         num._check_compat(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -619,20 +626,16 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
-    def constant(cls, var: str, value, field=QQ):
-        return cls(UniPoly.constant(var, value, field))
+    def constant(cls, var: str, value):
+        return cls(UniPoly.constant(var, value))
 
     @classmethod
-    def gen(cls, var: str, field=QQ):
-        return cls(UniPoly.gen(var, field))
+    def gen(cls, var: str):
+        return cls(UniPoly.gen(var))
 
     @property
     def var(self):
         return self.num.var
-
-    @property
-    def field(self):
-        return self.num.field
 
     def degree_map(self) -> int:
         """Degree as a morphism to the projective line."""
@@ -643,15 +646,11 @@ class RatFunc:
 
     def _coerce_operand(self, other):
         if isinstance(other, RatFunc):
-            if self.var != other.var or self.field != other.field:
-                return None
-            return other
+            return other if other.var == self.var else None
         if isinstance(other, UniPoly):
-            if other.var != self.var or other.field != self.field:
-                return None
-            return RatFunc(other)
+            return RatFunc(other) if other.var == self.var else None
         try:
-            return RatFunc.constant(self.var, self.field.coerce(other), self.field)
+            return RatFunc.constant(self.var, other)
         except TypeError:
             return None
 
@@ -739,35 +738,30 @@ class RatFunc:
 class RatFuncField:
     """Field descriptor whose elements are RatFunc in a fixed variable."""
 
-    def __init__(self, var: str, coeff_field=QQ):
+    def __init__(self, var: str):
         self.var = var
-        self.coeff_field = coeff_field
 
     def zero(self):
-        return RatFunc.constant(self.var, self.coeff_field.zero(), self.coeff_field)
+        return RatFunc.constant(self.var, 0)
 
     def one(self):
-        return RatFunc.constant(self.var, self.coeff_field.one(), self.coeff_field)
+        return RatFunc.constant(self.var, 1)
 
     def gen(self):
-        return RatFunc.gen(self.var, self.coeff_field)
+        return RatFunc.gen(self.var)
 
     def coerce(self, value):
         if isinstance(value, RatFunc):
-            if value.var == self.var and value.field == self.coeff_field:
+            if value.var == self.var:
                 return value
-            raise TypeError("rational function from a different field")
-        return RatFunc.constant(self.var, self.coeff_field.coerce(value), self.coeff_field)
+            raise TypeError("rational function in a different variable")
+        return RatFunc.constant(self.var, value)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RatFuncField)
-            and self.var == other.var
-            and self.coeff_field == other.coeff_field
-        )
+        return isinstance(other, RatFuncField) and self.var == other.var
 
     def __hash__(self):
-        return hash(("RatFuncField", self.var, self.coeff_field))
+        return hash(("RatFuncField", self.var))
 
     def __repr__(self):
-        return f"RatFuncField({self.var!r}, {self.coeff_field!r})"
+        return f"RatFuncField({self.var!r})"

@@ -26,7 +26,7 @@ from cleanpair.ec_core import (
     WeierstrassCurve,
     is_torsion_overQ,
 )
-from cleanpair.exactmath import QQ, RatFuncField, UniPoly
+from cleanpair.exactmath import RatFuncField, UniPoly
 
 
 class SMismatch(ValueError):
@@ -83,7 +83,7 @@ def make_member(s, t) -> FamilyMember:
     s = Fraction(s)
     t = Fraction(t)
     a, b = family_coefficients(s, t)
-    curve = WeierstrassCurve.possibly_singular(a, b, QQ)
+    curve = WeierstrassCurve.possibly_singular(a, b)
     point = CurvePoint.affine(*marked_point_coords(s, t))
     if not curve.contains(point):
         raise ArithmeticError("marked point fell off the curve; construction bug")
@@ -141,17 +141,13 @@ def pair_hypothesis(
 # -- function-field models ----------------------------------------------------
 
 
-def functionfield_coefficients(s, var: str = "T") -> tuple[UniPoly, UniPoly]:
+def functionfield_coefficients(s) -> tuple[UniPoly, UniPoly]:
     """(a(T), b(T)) over Q for a fixed rational s."""
-    t = UniPoly.gen(var, QQ)
-    a, b = family_coefficients(Fraction(s), t)
-    return a, b
+    return family_coefficients(Fraction(s), UniPoly.gen("T"))
 
 
-def symbolic_coefficients(svar: str = "S", tvar: str = "T") -> tuple[UniPoly, UniPoly]:
-    """(a, b) as polynomials in tvar whose coefficients are rational
-    functions of svar; for two-variable identity checks."""
-    base = RatFuncField(svar, QQ)
-    t = UniPoly.gen(tvar, base)
-    s = base.gen()
-    return family_coefficients(s, t)
+def symbolic_coefficients() -> tuple[UniPoly, UniPoly]:
+    """(a, b) as polynomials in T whose coefficients are rational functions
+    of S; for two-variable identity checks."""
+    base = RatFuncField("S")
+    return family_coefficients(base.gen(), UniPoly.gen("T", base))

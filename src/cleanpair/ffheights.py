@@ -62,7 +62,6 @@ from cleanpair.exactmath import (
     QQ,
     Place,
     RatFunc,
-    RatFuncField,
     UniPoly,
     factor_rational_poly,
     rational_to_str,
@@ -104,18 +103,20 @@ class ReductionProfile:
 class FunctionFieldCurve:
     """y^2 = x^3 + a(T) x + b(T), one model in the T chart.  a and b are in
     Q[T] with deg a <= 4 and deg b <= 6, so the model is integral at every
-    finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U)."""
+    finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U).
+    Its variable is a's; a b in another variable raises TypeError when
+    Delta is formed."""
 
     __slots__ = ("var", "a", "b", "_delta", "_profiles", "_weierstrass")
 
-    def __init__(self, a: UniPoly, b: UniPoly, var: str = "T"):
+    def __init__(self, a: UniPoly, b: UniPoly):
         if not all(isinstance(c, UniPoly) and c.field == QQ for c in (a, b)):
             raise TypeError("curve coefficients must be polynomials in Q[T]")
         if a.degree() > 4 or b.degree() > 6:
             raise ValueError(
                 "no integral model at infinity: need deg a <= 4 and deg b <= 6"
             )
-        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "var", a.var)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_delta", -16 * (4 * a * a * a + 27 * b * b))
@@ -138,7 +139,7 @@ class FunctionFieldCurve:
         already shown that Delta is not 0."""
         W = self._weierstrass
         if W is None:
-            W = WeierstrassCurve.possibly_singular(RatFunc(self.a), RatFunc(self.b), RatFuncField(self.var))
+            W = WeierstrassCurve.possibly_singular(RatFunc(self.a), RatFunc(self.b))
             object.__setattr__(self, "_weierstrass", W)
         return W
 
@@ -158,15 +159,14 @@ class FunctionFieldCurve:
         return f"y^2 = x^3 + ({self.a})*x + ({self.b})"
 
 
-def family_functionfield_curve(s, var: str = "T") -> tuple[FunctionFieldCurve, CurvePoint]:
+def family_functionfield_curve(s) -> tuple[FunctionFieldCurve, CurvePoint]:
     """The family member over Q(T) at a fixed rational s with its marked
     point (1 - s - 2T, 1 - s - 3T)."""
     s = Fraction(s)
     if s == 0:
         raise DegenerateS("s = 0 gives a vanishing discriminant")
-    a, b = functionfield_coefficients(s, var)
-    curve = FunctionFieldCurve(a, b, var)
-    x, y = marked_point_coords(s, UniPoly.gen(var, QQ))
+    curve = FunctionFieldCurve(*functionfield_coefficients(s))
+    x, y = marked_point_coords(s, UniPoly.gen(curve.var))
     return curve, CurvePoint.affine(RatFunc(x), RatFunc(y))
 
 
@@ -181,12 +181,12 @@ def second_section(E: FunctionFieldCurve, s) -> tuple[FunctionFieldCurve, CurveP
     (Silverman, AEC X.2), so h(Q') = h(Q).  The twist has Delta scaled by
     s^6 and c4 by s^2, so it keeps E's reduction profiles."""
     s = Fraction(s)
-    t = UniPoly.gen(E.var, QQ)
+    t = UniPoly.gen(E.var)
     w = 1 - s - 3 * t
     r = sqrt_rational(s)
     if r is not None:
         return E, CurvePoint.affine(RatFunc(t), RatFunc(w * r))
-    twist = FunctionFieldCurve(s * s * E.a, s * s * s * E.b, E.var)
+    twist = FunctionFieldCurve(s * s * E.a, s * s * s * E.b)
     object.__setattr__(twist, "_profiles", _place_profiles(E))
     return twist, CurvePoint.affine(RatFunc(s * t), RatFunc(s * s * w))
 

@@ -47,7 +47,6 @@ from typing import Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve, is_torsion_overQ
 from cleanpair.exactmath import (
-    QQ,
     RatFunc,
     UniPoly,
     parse_rational,
@@ -505,7 +504,7 @@ def _member_from(data, s: Fraction) -> FamilyMember:
     t = parse_rational(data["t"])
     a = parse_rational(data["a"])
     b = parse_rational(data["b"])
-    curve = WeierstrassCurve.possibly_singular(a, b, QQ)
+    curve = WeierstrassCurve.possibly_singular(a, b)
     x, y = _two_from(data["point"])
     point = CurvePoint.affine(parse_rational(x), parse_rational(y))
     return FamilyMember(s, t, curve, point, True)

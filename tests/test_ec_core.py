@@ -30,7 +30,7 @@ from cleanpair.ec_core import (
     scalar_mul,
     torsion_points_overQ,
 )
-from cleanpair.exactmath import QQ, RatFunc, RatFuncField, UniPoly
+from cleanpair.exactmath import QQ, RatFunc, UniPoly
 
 E11 = WeierstrassCurve(-3, 11)
 P0 = CurvePoint.affine(F(-2), F(-3))
@@ -112,14 +112,42 @@ def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
 
 
 def test_group_law_over_function_field():
-    field = RatFuncField("T", QQ)
     T = UniPoly.gen("T")
-    E = WeierstrassCurve(RatFunc(-3 * T**2), RatFunc(2 * T**3 + 9 * T**2), field)
+    E = WeierstrassCurve(RatFunc(-3 * T**2), RatFunc(2 * T**3 + 9 * T**2))
     # marked point of the s=1 member: (-2T, -3T)
     P = CurvePoint.affine(RatFunc(-2 * T), RatFunc(-3 * T))
     assert E.contains(P)
     for n in range(2, 5):
         assert E.contains(E.scalar_mul(n, P))
+
+
+def test_coefficients_set_the_field():
+    # a rational partner of a rational function is lifted to a constant in
+    # its variable; any other coefficient is refused
+    T = UniPoly.gen("T")
+    E = WeierstrassCurve(0, RatFunc(T))
+    assert E.a == RatFunc.constant("T", 0) and isinstance(E.a, RatFunc)
+    assert WeierstrassCurve(F(1, 2), RatFunc(T)).a.var == "T"
+    assert isinstance(WeierstrassCurve(-3, 11).a, F)
+    for a, b in (("1", 2), (1.5, 2), (T, 1), (RatFunc(T), RatFunc(UniPoly.gen("U")))):
+        with pytest.raises(TypeError):
+            WeierstrassCurve(a, b)
+        with pytest.raises(TypeError):
+            WeierstrassCurve.possibly_singular(a, b)
+    # a curve over Q and its constant twin over Q(T) are different curves
+    assert WeierstrassCurve(-3, 11) != WeierstrassCurve(-3, RatFunc.constant("T", 11))
+    assert WeierstrassCurve(-3, 11) == WeierstrassCurve(F(-3), F(11))
+
+
+def test_q_only_functions_refuse_a_curve_over_q_of_t():
+    E = WeierstrassCurve(RatFunc.constant("T", -3), 11)
+    P = CurvePoint.affine(RatFunc.constant("T", -2), RatFunc.constant("T", -3))
+    with pytest.raises(TypeError):
+        is_torsion_overQ(E, P)
+    with pytest.raises(TypeError):
+        torsion_points_overQ(E)
+    with pytest.raises(TypeError):
+        normalize_to_family(E, 1, P)
 
 
 def test_torsion_detection():

@@ -423,6 +423,23 @@ def test_q_of_t_elements_have_one_way_in():
     assert RatFuncField("T").coerce(F(1, 2)) == RatFunc.constant("T", F(1, 2))
 
 
+def test_rational_functions_are_over_q():
+    # a polynomial over Q(S) is refused as numerator or denominator; every
+    # way in gives polynomials over Q
+    tower = UniPoly.gen("T", RatFuncField("S"))
+    for num, den in ((tower, None), (tower, T), (T, tower), (tower, tower)):
+        with pytest.raises(TypeError):
+            RatFunc(num, den)
+    for f in (RatFunc(T), RatFunc(T, T + 1), RatFunc(UniPoly.zero("T"), T),
+              RatFunc.constant("T", F(1, 2)), RatFunc.gen("T"), RatFuncField("S").one()):
+        assert (f.num.field, f.den.field) == (QQ, QQ)
+    with pytest.raises(TypeError):
+        RatFuncField("S").coerce(RatFunc(T))
+    # Q(S)[T] arithmetic still mixes RatFunc coefficients in S with T
+    S = RatFuncField("S").gen()
+    assert (S - 3 * tower).coeffs == (S, RatFunc.constant("S", -3))
+
+
 def test_ratfunc_field_ops():
     rng = random.Random(23)
     for _ in range(20):
@@ -575,7 +592,9 @@ def test_valuation_errors_and_inf():
 
 
 def test_valuation_needs_rational_coefficients():
-    tower = RatFunc(UniPoly.gen("T", RatFuncField("S")))
+    tower = UniPoly.gen("T", RatFuncField("S"))
+    with pytest.raises(TypeError):
+        RatFunc(tower)
     with pytest.raises(TypeError):
         valuation_at(Place.linear("T", 0), tower)
     with pytest.raises(TypeError):

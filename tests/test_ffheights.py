@@ -14,7 +14,6 @@ import pytest
 import cleanpair.ffheights as ffheights
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
-    QQ,
     Place,
     RatFunc,
     RatFuncField,
@@ -619,13 +618,12 @@ def test_conjugation_negates_second_section():
     # y(Q) lies in sqrt(s) Q(T) and sqrt(s) -> -sqrt(s) sends Q to -Q; P
     # has rational coordinates and is fixed
     for s in TWIST_S:
-        E, P = family_functionfield_curve(s)
+        E, _ = family_functionfield_curve(s)
         _, Q = second_section(E, s)
         x = Q.x / s
         y_over_root = Q.y / (s * s)  # y(Q) / sqrt(s)
         assert x == RatFunc(T)
         assert s * y_over_root**2 == E.weierstrass().rhs(x)
-        assert (P.x.field, P.y.field) == (QQ, QQ)
 
 
 # -- j-invariant ----------------------------------------------------------------
@@ -666,6 +664,17 @@ def test_curve_takes_two_polynomials_in_q_t():
             FunctionFieldCurve(a, b)
     with pytest.raises(ValueError):
         FunctionFieldCurve(UniPoly.zero("T"), UniPoly.zero("T"))
+
+
+def test_curve_reads_its_variable_from_a():
+    U = UniPoly.gen("U")
+    E = FunctionFieldCurve(-3 * U**2, 2 * U**3 + 9 * U**2)
+    assert E.var == "U" and E.weierstrass().a.var == "U"
+    assert reduction_at(E, Place.infinity("U")).type is ReductionType.ADDITIVE
+    with pytest.raises(TypeError):
+        FunctionFieldCurve(-3 * T**2, 2 * U**3 + 9 * U**2)
+    with pytest.raises(TypeError):
+        FunctionFieldCurve(UniPoly.constant("U", -3), T)
 
 
 def test_infinity_model_integrality():

@@ -92,6 +92,19 @@ def test_every_public_top_level_name_has_a_caller():
     assert dead == []
 
 
+def test_only_family_reaches_coefficient_towers():
+    # Q(S)[T], polynomials with rational-function coefficients, serves only
+    # the symbolic identity checks; every other curve and function is over Q
+    # or Q(T), read from its coefficients.  poly.py defines RatFuncField and
+    # exactmath re-exports it.
+    users = [
+        path.relative_to(PACKAGE_DIR).as_posix()
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if "RatFuncField" in _referenced([ast.parse(path.read_text(encoding="utf-8"))])
+    ]
+    assert users == ["exactmath/__init__.py", "exactmath/poly.py", "family.py"]
+
+
 def _module_level_imports(tree: ast.Module):
     """Import statements that run when the module loads: everything outside
     function bodies."""

@@ -17,7 +17,6 @@ import pytest
 from cleanpair import kummer_cert
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
-    QQ,
     RatFunc,
     UniPoly,
     parse_rational,
@@ -102,9 +101,9 @@ def test_build_fiber_sign():
 
 
 def test_build_fiber_rejects_two_torsion():
-    E = WeierstrassCurve(F(-1), F(0), QQ)  # y^2 = x^3 - x
+    E = WeierstrassCurve(F(-1), F(0))  # y^2 = x^3 - x
     P = CurvePoint.affine(F(1), F(0))
-    good = WeierstrassCurve(F(-3), F(11), QQ)
+    good = WeierstrassCurve(F(-3), F(11))
     Q = CurvePoint.affine(F(-2), F(-3))
     with pytest.raises(TwoTorsionError):
         build_fiber(E, good, P, Q)
@@ -136,8 +135,8 @@ def test_find_node_rejects_smooth_point():
 
 
 def cusp_fiber():
-    E1 = WeierstrassCurve(F(0), F(1), QQ)   # critical point of rhs at x = 0
-    E2 = WeierstrassCurve(F(-3), F(3), QQ)  # critical point at x = 1
+    E1 = WeierstrassCurve(F(0), F(1))   # critical point of rhs at x = 0
+    E2 = WeierstrassCurve(F(-3), F(3))  # critical point at x = 1
     P1 = CurvePoint.affine(F(0), F(1))
     P2 = CurvePoint.affine(F(1), F(1))
     _, fiber = build_fiber(E1, E2, P1, P2)
