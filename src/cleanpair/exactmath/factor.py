@@ -81,7 +81,7 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
     c = p.lc()
     parts = [(q, m) for a, m in _squarefree_parts(p) for q in _irreducible_factors(a)]
     parts.sort(key=lambda qm: _sort_key(qm[0]))
-    check = UniPoly.constant(p.var, c, QQ)
+    check = qq_from_ints(p.var, (c.numerator,), c.denominator)
     for q, m in parts:
         check = check * q**m
     if check != p:

@@ -302,7 +302,7 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(self.var, self.field.one(), self.field)
+        out = self._coerce_operand(1)
         base = self
         while n:
             if n & 1:

@@ -2,11 +2,12 @@
 filter, and the command-line surface."""
 
 import copy
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -138,25 +139,27 @@ def test_torsion_and_discriminant_exclusions_are_real():
 
 
 @pytest.mark.parametrize(
-    "convention",
+    "H, convention",
     [
-        DEFAULT_CONVENTION,
-        SearchConvention(reduced_only=False),
-        SearchConvention(sign="positive", include_zero=True),
-        SearchConvention(sign="negative"),
+        (63, DEFAULT_CONVENTION),
+        (63, SearchConvention(reduced_only=False)),
+        (63, SearchConvention(sign="positive", include_zero=True)),
+        (63, SearchConvention(sign="negative")),
+        (250, DEFAULT_CONVENTION),
     ],
-    ids=["default", "all-pairs", "positive-with-zero", "negative"],
+    ids=["default", "all-pairs", "positive-with-zero", "negative", "default-H250"],
 )
-def test_records_match_an_independent_reference(convention):
+def test_records_match_an_independent_reference(H, convention):
     # H = 63 takes in t = -9/4 (the discriminant exclusion) and t = -4/3
-    # (5-torsion).  The reference scans a (p, q) box, reads the
-    # discriminant from the integral model and tests torsion by the
-    # walk over Q; (3 p^2 q^2)^3 <= 63^6 already bounds |p| and q by 36.
-    H = 63
+    # (5-torsion); at H = 250 the sort and the cut meet many more ties in
+    # |pq|.  The reference scans a (p, q) box, reads the discriminant from
+    # the integral model and tests torsion by the walk over Q;
+    # (3 p^2 q^2)^3 <= H^6 already bounds |p| and q by isqrt(H^2 // 3).
+    box = isqrt(H * H // 3) + 4
     expected = []
-    for p in range(-40, 41):
+    for p in range(-box, box + 1):
         sign_ok = {"both": True, "positive": p > 0, "negative": p < 0}[convention.sign]
-        for q in range(1, 41):
+        for q in range(1, box + 1):
             if p == 0:
                 if not (convention.include_zero and q == 1):
                     continue
@@ -180,6 +183,23 @@ def test_records_match_an_independent_reference(convention):
         by_key = {(r.p, r.q): r for r in expected}
         assert not by_key[(-9, 4)].disc_ok
         assert by_key[(-4, 3)].disc_ok and not by_key[(-4, 3)].non_torsion_ok
+
+
+# (len, candidates, sha256 of repr([(h, p, q, disc_ok, non_torsion_ok)]))
+# at both ends of the perfbench `enumerate` range, captured before the
+# enumeration was rewritten as one pass over plain tuples.
+ENUMERATION_PINS = {
+    994: (3404, 3401, "d2e77e25b47e8e01d86332db719d8c755ab75529834b72b286a2ad71a7e75a9a"),
+    1010: (3467, 3464, "805b5976029663e8f1fdaf335def257a498b0e5aa66c2a7961c0ebee68c814f8"),
+}
+
+
+@pytest.mark.parametrize("H", sorted(ENUMERATION_PINS))
+def test_enumeration_is_pinned_over_the_benchmark_range(H):
+    records = enumerate_s1(H)
+    rows = [(r.height_value, r.p, r.q, r.disc_ok, r.non_torsion_ok) for r in records]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(records), sum(r.is_candidate for r in records), digest) == ENUMERATION_PINS[H]
 
 
 def test_sign_and_zero_flags():
@@ -295,20 +315,21 @@ def test_model_sweep_grows_like_h_to_the_five_halves():
 
 
 def test_torsion_tables_match_the_probe_on_every_model_mod_l():
-    # Every (u, v) mod l, not only the representatives (tau, 3 tau) the
-    # tables are built from: the lookup `_non_torsion` makes must agree
+    # Every cell (u, v) mod l, not only the representatives (tau, 3 tau)
+    # the grids are read from: the lookup `_non_torsion` makes must agree
     # with good reduction and the probe run on the model itself.
     tables = _torsion_tables()
     assert [p for p, _ in tables] == list(_REFUTING_PRIMES)
     cases = refuted = 0
-    for p, row in tables:
-        assert len(row) == p
+    for p, grid in tables:
+        assert len(grid) == p and all(len(row) == p for row in grid)
         for u in range(p):
             for v in range(p):
                 a, b = -3 * u * u, 2 * u**3 + v * v
                 good = (4 * a**3 + 27 * b * b) % p != 0
                 expected = good and _order_exceeds_mazur_bound(a % p, (-2 * u % p, v), p)
-                got = bool(u and v and row[9 * u**3 * pow(v, -2, p) % p])
+                got = grid[u][v]
+                assert got is True or got is False, (p, u, v)
                 assert got == expected, (p, u, v)
                 cases += 1
                 refuted += got
