@@ -11,7 +11,6 @@ one-parameter specialization.
 """
 
 from cleanpair.exactmath import (
-    QQ,
     Place,
     RatFunc,
     Rational,
@@ -20,7 +19,6 @@ from cleanpair.exactmath import (
 )
 
 __all__ = [
-    "QQ",
     "Place",
     "RatFunc",
     "Rational",

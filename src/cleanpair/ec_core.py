@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional
 
-from cleanpair.exactmath import QQ, RatFunc, UniPoly, rational_roots
+from cleanpair.exactmath import RatFunc, UniPoly, as_fraction, rational_roots
 
 
 class SingularCurveError(ValueError):
@@ -53,7 +53,7 @@ def _coefficients(a, b):
                 c if isinstance(c, RatFunc) and c.var == f.var else RatFunc.constant(f.var, c)
                 for c in (a, b)
             )
-    return QQ.coerce(a), QQ.coerce(b)
+    return as_fraction(a), as_fraction(b)
 
 
 class CurvePoint:

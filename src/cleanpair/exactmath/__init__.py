@@ -9,9 +9,7 @@ from cleanpair.exactmath.factor import (
 from cleanpair.exactmath.poly import (
     DegreeError,
     RatFunc,
-    RatFuncField,
     UniPoly,
-    poly_discriminant,
     poly_gcd,
     resultant,
 )
@@ -23,9 +21,7 @@ from cleanpair.exactmath.places import (
     valuation_at,
 )
 from cleanpair.exactmath.scalars import (
-    QQ,
     Rational,
-    RationalField,
     as_fraction,
     parse_rational,
     rational_to_str,
@@ -34,13 +30,10 @@ from cleanpair.exactmath.scalars import (
 )
 
 __all__ = [
-    "QQ",
     "DegreeError",
     "Place",
     "RatFunc",
-    "RatFuncField",
     "Rational",
-    "RationalField",
     "UndefinedValuation",
     "UniPoly",
     "as_fraction",
@@ -48,7 +41,6 @@ __all__ = [
     "factor_rational_poly",
     "is_irreducible",
     "parse_rational",
-    "poly_discriminant",
     "poly_gcd",
     "rational_roots",
     "rational_to_str",

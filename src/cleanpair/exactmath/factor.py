@@ -21,12 +21,7 @@ from functools import reduce
 from math import isqrt
 
 from cleanpair.exactmath.poly import UniPoly, _cofactors, qq_from_ints, qq_to_ints
-from cleanpair.exactmath.scalars import QQ, Rational
-
-
-def _require_rational_coeffs(p: UniPoly) -> None:
-    if p.field != QQ:
-        raise TypeError("factorization is implemented over Q only")
+from cleanpair.exactmath.scalars import Rational
 
 
 def _sort_key(p: UniPoly):
@@ -59,7 +54,7 @@ def _irreducible_factors(a: UniPoly) -> list[UniPoly]:
         num, _ = qq_to_ints(a)
         _, raw = dup_factor_list(list(num[::-1]), ZZ_python())
         return [qq_from_ints(a.var, f[::-1], f[0]) for f, _ in raw]
-    t = UniPoly.gen(a.var, QQ)
+    t = UniPoly.gen(a.var)
     linear = [t - r for r, _ in rational_roots(a)]
     # with the linear factors out, a rest of degree 2 or 3 has no rational
     # root, so it is irreducible
@@ -73,7 +68,6 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
     Returns (c, parts) with each part (q, m): q monic irreducible, m >= 1,
     parts sorted by (degree, coefficients), and c * prod q^m == p exactly.
     """
-    _require_rational_coeffs(p)
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     if p.degree() == 0:
@@ -93,7 +87,6 @@ def is_irreducible(p: UniPoly) -> bool:
     """Irreducibility over Q; constants and units count as reducible.  A
     polynomial of degree 2 or 3 is irreducible iff it has no rational root,
     so only degree 4 and up is factored."""
-    _require_rational_coeffs(p)
     if p.degree() < 1:
         return False
     if p.degree() <= 3:

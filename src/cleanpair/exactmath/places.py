@@ -3,7 +3,6 @@
 A place is either a monic irreducible polynomial in T or the point at
 infinity.  Valuations are normalized so that a uniformizer has value 1;
 at infinity the value of a rational function is deg(den) - deg(num).
-Valuations are taken of functions with rational coefficients only.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from numbers import Rational as _RationalABC
 
 from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
 from cleanpair.exactmath.poly import RatFunc, UniPoly, qq_to_ints
-from cleanpair.exactmath.scalars import QQ
 
 
 class UndefinedValuation(ArithmeticError):
@@ -30,8 +28,6 @@ class Place:
         if poly is not None:
             if poly.var != var:
                 raise ValueError("place polynomial in the wrong variable")
-            if poly.field != QQ:
-                raise TypeError("place polynomials must have rational coefficients")
             if not poly.is_monic():
                 raise ValueError("place polynomial must be monic")
             if not is_irreducible(poly):

@@ -1,27 +1,22 @@
-"""Dense univariate polynomials over exact fields, and rational functions
-over Q.
+"""Dense univariate polynomials over Q, and rational functions over Q.
 
-Each polynomial carries a variable tag and a field descriptor; mixing
-variables or fields in one operation is an error rather than a silent
-coercion.  There is one code path per coefficient field:
+Each polynomial carries a variable tag; mixing variables in one operation
+is an error rather than a silent coercion, and a coefficient that is not an
+``int`` or a ``Fraction`` raises TypeError.
 
-* Rational coefficients (``QQ``) use an integer kernel.  A polynomial is a
-  tuple of integer numerators, lowest degree first, over one positive
-  common denominator, kept canonical: the top numerator is nonzero and the
-  gcd of the denominator and all numerators is 1.  Products are integer
-  convolutions, sums rescale to a common denominator, and division is
-  pseudo-division by the primitive divisor followed by one rescale.  Gcds
-  of the integer forms come from a heuristic gcd on plain ints, checked by
-  exact division (the quotients are the cofactors that reduce a
-  ``RatFunc``), with a primitive PRS as the fallback; no computer-algebra
-  system is called.
-  The ``coeffs`` tuple of ``Fraction`` is built from this form on first
-  access and cached; equality and hashing agree with it.
-* Every other field (``RatFuncField``, only for the Q(S)[T] towers of the
-  symbolic identity checks) stores a tuple of field elements and loops over
-  their own operators.
+A polynomial is a tuple of integer numerators, lowest degree first, over
+one positive common denominator, kept canonical: the top numerator is
+nonzero and the gcd of the denominator and all numerators is 1.  Products
+are integer convolutions, sums rescale to a common denominator, and
+division is pseudo-division by the primitive divisor followed by one
+rescale.  Gcds of the integer forms come from a heuristic gcd on plain
+ints, checked by exact division (the quotients are the cofactors that
+reduce a ``RatFunc``), with a primitive PRS as the fallback; no
+computer-algebra system is called.  The ``coeffs`` tuple of ``Fraction`` is
+built from this form on first access and cached; equality and hashing agree
+with it.
 
-A ``RatFunc`` is a quotient of two polynomials over Q; it refuses any other.
+A ``RatFunc`` is a quotient of two such polynomials in one variable.
 
 The degree of the zero polynomial is the sentinel -1.
 """
@@ -32,22 +27,18 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from cleanpair.exactmath.scalars import QQ, RationalField
+from cleanpair.exactmath.scalars import as_fraction
 
 
 class DegreeError(ValueError):
     """An operation received a polynomial of unsupported degree."""
 
 
-def _is_zero(c) -> bool:
-    return not c
-
-
 # -- the integer kernel for rational coefficients -----------------------------
 
 
 def qq_from_ints(var: str, num, den: int = 1) -> "UniPoly":
-    """The QQ polynomial sum(num[i] * var^i) / den, for integers num, den != 0."""
+    """The polynomial sum(num[i] * var^i) / den, for integers num, den != 0."""
     num = list(num)
     while num and not num[-1]:
         num.pop()
@@ -66,17 +57,14 @@ def qq_from_ints(var: str, num, den: int = 1) -> "UniPoly":
 
 def qq_to_ints(p: "UniPoly") -> tuple[tuple[int, ...], int]:
     """The integer numerators (lowest degree first) and the denominator of
-    a QQ polynomial, in canonical form."""
-    if p._num is None:
-        raise TypeError("integer form needs rational coefficients")
+    a polynomial, in canonical form."""
     return p._num, p._den
 
 
 def _qq_wrap(var: str, num: tuple, den: int, coeffs=None) -> "UniPoly":
-    """A QQ polynomial from an integer form that is already canonical."""
+    """A polynomial from an integer form that is already canonical."""
     p = object.__new__(UniPoly)
     object.__setattr__(p, "var", var)
-    object.__setattr__(p, "field", QQ)
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
     object.__setattr__(p, "_coeffs", coeffs)
@@ -150,27 +138,22 @@ def _qq_divmod(var: str, a, da: int, b, db: int):
 
 
 class UniPoly:
-    """Immutable dense polynomial; coefficients stored lowest degree first.
+    """Immutable dense polynomial over Q, lowest degree first.
 
-    A QQ polynomial keeps its integer form in ``_num``/``_den`` (see the
-    module docstring); other fields keep ``_num`` None.  ``coeffs`` is the
-    tuple of field elements in both cases.
+    It keeps its integer form in ``_num``/``_den`` (see the module
+    docstring); ``coeffs`` is the tuple of ``Fraction``.
     """
 
-    __slots__ = ("var", "field", "_num", "_den", "_coeffs")
+    __slots__ = ("var", "_num", "_den", "_coeffs")
 
-    def __init__(self, var: str, coeffs, field=QQ):
-        coeffs = [field.coerce(c) for c in coeffs]
-        while coeffs and _is_zero(coeffs[-1]):
+    def __init__(self, var: str, coeffs):
+        coeffs = [as_fraction(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         coeffs = tuple(coeffs)
-        num = den = None
-        if isinstance(field, RationalField):
-            den = lcm(*(c.denominator for c in coeffs))
-            num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_coeffs", coeffs)
 
@@ -189,23 +172,21 @@ class UniPoly:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, var: str, value, field=QQ):
-        return cls(var, [value], field)
+    def constant(cls, var: str, value):
+        return cls(var, [value])
 
     @classmethod
-    def gen(cls, var: str, field=QQ):
-        return cls(var, [field.zero(), field.one()], field)
+    def gen(cls, var: str):
+        return cls(var, [0, 1])
 
     @classmethod
-    def zero(cls, var: str, field=QQ):
-        return cls(var, [], field)
+    def zero(cls, var: str):
+        return cls(var, [])
 
     # -- basic structure -------------------------------------------------
 
     def degree(self) -> int:
-        if self._num is not None:
-            return len(self._num) - 1
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def lc(self):
         if not self:
@@ -214,41 +195,29 @@ class UniPoly:
 
     def coeff(self, i: int):
         if not 0 <= i <= self.degree():
-            return self.field.zero()
+            return Fraction(0)
         if self._coeffs is None:
             return Fraction(self._num[i], self._den)
         return self._coeffs[i]
 
     def is_monic(self) -> bool:
-        if self._num is not None:
-            return bool(self._num) and self._num[-1] == self._den
-        return bool(self._coeffs) and self._coeffs[-1] == self.field.one()
+        return bool(self._num) and self._num[-1] == self._den
 
     def __bool__(self):
-        return bool(self._num if self._num is not None else self._coeffs)
+        return bool(self._num)
 
     def _check_compat(self, other: "UniPoly"):
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-        if self.field != other.field:
-            raise ValueError("coefficient field mismatch")
 
     def _coerce_operand(self, other):
-        if (
-            isinstance(other, UniPoly)
-            and other.var == self.var
-            and other.field == self.field
-        ):
-            return other
-        if self._num is not None and isinstance(other, (int, Fraction)):
+        # None makes the operator return NotImplemented, so a RatFunc on the
+        # other side gets its reflected operator
+        if isinstance(other, UniPoly):
+            return other if other.var == self.var else None
+        if isinstance(other, (int, Fraction)):
             return qq_from_ints(self.var, [other.numerator], other.denominator)
-        # Anything else goes through the coefficient field; on failure the
-        # operator returns NotImplemented so reflected ops get a chance
-        # (needed when the other side's field can absorb this polynomial).
-        try:
-            return UniPoly.constant(self.var, self.field.coerce(other), self.field)
-        except TypeError:
-            return None
+        return None
 
     # -- ring operations ---------------------------------------------------
 
@@ -256,21 +225,12 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        if self._num is not None:
-            return _qq_add(self.var, self._num, self._den, o._num, o._den)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(
-            self.var,
-            [self.coeff(i) + o.coeff(i) for i in range(n)],
-            self.field,
-        )
+        return _qq_add(self.var, self._num, self._den, o._num, o._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._num is not None:
-            return _qq_wrap(self.var, tuple(-c for c in self._num), self._den)
-        return UniPoly(self.var, [-c for c in self.coeffs], self.field)
+        return _qq_wrap(self.var, tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         o = self._coerce_operand(other)
@@ -285,24 +245,14 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        if self._num is not None:
-            return _qq_mul(self.var, self._num, self._den, o._num, o._den)
-        if not self.coeffs or not o.coeffs:
-            return UniPoly.zero(self.var, self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.var, out, self.field)
+        return _qq_mul(self.var, self._num, self._den, o._num, o._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self._coerce_operand(1)
+        out = _qq_wrap(self.var, (1,), 1)
         base = self
         while n:
             if n & 1:
@@ -317,24 +267,7 @@ class UniPoly:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        if self._num is not None:
-            return _qq_divmod(self.var, self._num, self._den, o._num, o._den)
-        q = [self.field.zero()] * max(0, len(self.coeffs) - len(o.coeffs) + 1)
-        rem = list(self.coeffs)
-        dlc = o.lc()
-        dd = o.degree()
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dlc
-            q[k] = c
-            for j, b in enumerate(o.coeffs):
-                rem[k + j] = rem[k + j] - c * b
-            while rem and _is_zero(rem[-1]):
-                rem.pop()
-        return (
-            UniPoly(self.var, q, self.field),
-            UniPoly(self.var, rem, self.field),
-        )
+        return _qq_divmod(self.var, self._num, self._den, o._num, o._den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -342,22 +275,10 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if r:
-            raise ValueError("division is not exact")
-        return q
-
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "UniPoly":
-        if self._num is not None:
-            return qq_from_ints(self.var, [i * c for i, c in enumerate(self._num)][1:], self._den)
-        return UniPoly(
-            self.var,
-            [i * c for i, c in enumerate(self.coeffs)][1:],
-            self.field,
-        )
+        return qq_from_ints(self.var, [i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def evaluate(self, value):
         """Horner evaluation; value may live in any ring the coefficients
@@ -366,7 +287,7 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * value + c
         if acc is None:
-            return self.field.zero()
+            return Fraction(0)
         return acc
 
     # -- normalization -----------------------------------------------------
@@ -374,20 +295,13 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self or self.is_monic():
             return self
-        if self._num is not None:
-            return qq_from_ints(self.var, self._num, self._num[-1])
-        inv = self.field.one() / self.lc()
-        return UniPoly(self.var, [a * inv for a in self.coeffs], self.field)
+        return qq_from_ints(self.var, self._num, self._num[-1])
 
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            if self.var != other.var or self.field != other.field:
-                return False
-            if self._num is not None:
-                return self._num == other._num and self._den == other._den
-            return self.coeffs == other.coeffs
+            return self.var == other.var and self._num == other._num and self._den == other._den
         if not self:
             return other == 0
         if self.degree() == 0:
@@ -406,7 +320,7 @@ class UniPoly:
         parts = []
         for i in range(self.degree(), -1, -1):
             c = self.coeff(i)
-            if _is_zero(c):
+            if not c:
                 continue
             cs = str(c)
             if i == 0:
@@ -499,59 +413,43 @@ def _int_gcd(f, g):
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd.  Over Q it is the integer gcd of the numerator forms;
-    other fields use monic Euclid directly."""
+    """Monic gcd: the integer gcd of the numerator forms, made monic."""
     f._check_compat(g)
     if not f:
         return g.monic()
     if not g:
         return f.monic()
-    if f._num is not None:
-        h, _, _ = _int_gcd(f._num, g._num)
-        return qq_from_ints(f.var, h, h[-1])
-    a, b = f.monic(), g.monic()
-    while b:
-        a, b = b, (a % b)
-        if b:
-            b = b.monic()
-    return a.monic()
+    h, _, _ = _int_gcd(f._num, g._num)
+    return qq_from_ints(f.var, h, h[-1])
 
 
 def _cofactors(f: UniPoly, g: UniPoly):
     """(h, f/h, g/h) for a gcd h of the nonzero f and g.
 
-    Over Q the cofactors are the quotients from the integer gcd's exact
-    division check; h is then the integer gcd, not made monic.
+    The cofactors are the quotients from the integer gcd's exact division
+    check; h is the integer gcd, not made monic.
     """
-    if f._num is not None:
-        if f.degree() == 0 or g.degree() == 0:
-            return _qq_wrap(f.var, (1,), 1), f, g
-        h, cff, cfg = _int_gcd(f._num, g._num)
-        return (
-            qq_from_ints(f.var, h),
-            qq_from_ints(f.var, cff, f._den),
-            qq_from_ints(f.var, cfg, g._den),
-        )
     if f.degree() == 0 or g.degree() == 0:
-        return UniPoly.constant(f.var, f.field.one(), f.field), f, g
-    h = poly_gcd(f, g)
-    if h.degree() > 0:
-        f, g = f.exact_div(h), g.exact_div(h)
-    return h, f, g
+        return _qq_wrap(f.var, (1,), 1), f, g
+    h, cff, cfg = _int_gcd(f._num, g._num)
+    return (
+        qq_from_ints(f.var, h),
+        qq_from_ints(f.var, cff, f._den),
+        qq_from_ints(f.var, cfg, g._den),
+    )
 
 
-# -- resultants and discriminants -------------------------------------------
+# -- resultants ----------------------------------------------------------------
 
 
 def resultant(f: UniPoly, g: UniPoly):
     """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f."""
     f._check_compat(g)
-    one = f.field.one()
     m, n = f.degree(), g.degree()
     if m < 0 or n < 0:
-        return f.field.zero()
+        return Fraction(0)
     if m == 0:
-        return f.lc() ** n if n else one
+        return f.lc() ** n if n else Fraction(1)
     if n == 0:
         return g.lc() ** m
     if n < m:
@@ -559,18 +457,8 @@ def resultant(f: UniPoly, g: UniPoly):
         return -swapped if (m * n) % 2 else swapped
     r = g % f
     if not r:
-        return f.field.zero()
+        return Fraction(0)
     return f.lc() ** (n - r.degree()) * resultant(f, r)
-
-
-def poly_discriminant(p: UniPoly):
-    """Discriminant via Res(p, p'); defined for degree >= 1."""
-    n = p.degree()
-    if n < 1:
-        raise DegreeError("discriminant needs degree >= 1")
-    res = resultant(p, p.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res * (p.field.one() / p.lc())
 
 
 # -- rational functions ------------------------------------------------------
@@ -611,8 +499,6 @@ class RatFunc:
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
         if den is None:
             den = _qq_wrap(num.var, (1,), 1)
-        if num._num is None or den._num is None:
-            raise TypeError("a rational function needs polynomials over Q")
         num._check_compat(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -730,38 +616,3 @@ class RatFunc:
         if self.den.degree() == 0:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-# -- field descriptor for towers ---------------------------------------------
-
-
-class RatFuncField:
-    """Field descriptor whose elements are RatFunc in a fixed variable."""
-
-    def __init__(self, var: str):
-        self.var = var
-
-    def zero(self):
-        return RatFunc.constant(self.var, 0)
-
-    def one(self):
-        return RatFunc.constant(self.var, 1)
-
-    def gen(self):
-        return RatFunc.gen(self.var)
-
-    def coerce(self, value):
-        if isinstance(value, RatFunc):
-            if value.var == self.var:
-                return value
-            raise TypeError("rational function in a different variable")
-        return RatFunc.constant(self.var, value)
-
-    def __eq__(self, other):
-        return isinstance(other, RatFuncField) and self.var == other.var
-
-    def __hash__(self):
-        return hash(("RatFuncField", self.var))
-
-    def __repr__(self):
-        return f"RatFuncField({self.var!r})"

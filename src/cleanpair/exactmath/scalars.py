@@ -14,14 +14,12 @@ Rational = Fraction
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction, or integer-like string to Fraction."""
+    """An int or a Fraction as a Fraction; anything else raises TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    raise TypeError(f"{value!r} is not rational")
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -62,34 +60,3 @@ def sqrt_rational(x) -> Fraction | None:
         return None
     return Fraction(rn, rd)
 
-
-class RationalField:
-    """Field descriptor for Q; elements are Fraction."""
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"{value!r} is not rational")
-
-    def sqrt(self, value):
-        return sqrt_rational(self.coerce(value))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()

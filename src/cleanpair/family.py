@@ -9,9 +9,10 @@ for every (s, t), an algebraic identity.  A member is "good" when the
 discriminant is nonzero and the marked point has infinite order; pairs of
 good members sharing the same s are the certificate inputs.
 
-The same coefficients, read as polynomials in t over Q or over Q(S), give
-the function-field models used by the height machinery and the symbolic
-identity checks.
+The same coefficients, read as polynomials in t over Q for one fixed s,
+give the function-field models used by the height machinery.  The
+coefficient and discriminant formulas are duck-typed, so the identities in
+both s and t can be checked on symbols of a computer-algebra system.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from cleanpair.ec_core import (
     WeierstrassCurve,
     is_torsion_overQ,
 )
-from cleanpair.exactmath import RatFuncField, UniPoly
+from cleanpair.exactmath import UniPoly
 
 
 class SMismatch(ValueError):
@@ -49,7 +50,7 @@ class MembershipFailure(enum.Enum):
 
 def family_coefficients(s, t):
     """(a, b) of the member at (s, t); works for rationals, polynomials,
-    or rational functions."""
+    rational functions or symbols."""
     a = -3 * t * t
     w = 1 - s - 3 * t
     b = 2 * t * t * t + w * w * s
@@ -144,10 +145,3 @@ def pair_hypothesis(
 def functionfield_coefficients(s) -> tuple[UniPoly, UniPoly]:
     """(a(T), b(T)) over Q for a fixed rational s."""
     return family_coefficients(Fraction(s), UniPoly.gen("T"))
-
-
-def symbolic_coefficients() -> tuple[UniPoly, UniPoly]:
-    """(a, b) as polynomials in T whose coefficients are rational functions
-    of S; for two-variable identity checks."""
-    base = RatFuncField("S")
-    return family_coefficients(base.gen(), UniPoly.gen("T", base))

