@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
             cert = certificate_loads(handle.read())
     except OSError as exc:
         return _fail(f"cannot read certificate: {exc}")
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         return _fail(f"malformed certificate: {exc}")
     result = verify_certificate(cert)
     if result.ok:

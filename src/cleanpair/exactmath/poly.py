@@ -2,7 +2,8 @@
 
 Each polynomial carries a variable tag; mixing variables in one operation
 is an error rather than a silent coercion, and a coefficient that is not an
-``int`` or a ``Fraction`` raises TypeError.
+``int`` or a ``Fraction`` raises TypeError, as does a RatFunc numerator or
+denominator that is not a polynomial.
 
 A polynomial is a tuple of integer numerators, lowest degree first, over
 one positive common denominator, kept canonical: the top numerator is
@@ -497,6 +498,8 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
+        if not isinstance(num, UniPoly) or not isinstance(den, (UniPoly, type(None))):
+            raise TypeError("a RatFunc is a quotient of two UniPolys")
         if den is None:
             den = _qq_wrap(num.var, (1,), 1)
         num._check_compat(den)

@@ -34,7 +34,10 @@ stored field is detected.
 Serialization: one self-contained JSON document per certificate, with
 rationals as "num/den" strings and polynomials as coefficient arrays,
 lowest degree first.  F is an array of arrays (outer index the x1-degree,
-inner arrays coefficients in x2).
+inner arrays coefficients in x2).  The layout is declared once, in one
+table that both the dump and the load walk, and a load error is a
+ValueError whose message leads with the JSON pointer of the field at
+fault, as in "/fiber_plus/node/t2: missing".
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import enum
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve, is_torsion_overQ
@@ -384,197 +388,145 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
 
 
 # -- serialization --------------------------------------------------------------
+#
+# The /1 document is declared once, by the tables below.  A kind is a pair
+# (dump, load): dump maps a value to JSON, and load(data, scope) maps it back,
+# where scope holds the values already loaded beside the enclosing record.  A
+# load error unwinds as _Malformed and collects its keys, innermost first.
 
 
-def _poly_json(p: UniPoly) -> list[str]:
-    return [rational_to_str(c) for c in p.coeffs]
+class _Malformed(Exception):
+    """args: the reason and the list of keys."""
 
 
-def _ratfunc_json(f: RatFunc) -> dict:
-    return {"num": _poly_json(f.num), "den": _poly_json(f.den)}
+def _entry(key, load, data, scope):
+    try:
+        return load(data, scope)
+    except _Malformed as exc:
+        exc.args[1].append(key)
+        raise
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise _Malformed(str(exc), [key]) from None
 
 
-def _poly_from(coeffs, var: str) -> UniPoly:
-    if not isinstance(coeffs, list):
-        raise ValueError(f"expected a JSON array of coefficients, got {coeffs!r}")
-    return UniPoly(var, [parse_rational(c) for c in coeffs])
+def _plain(test, expected: str):
+    """A JSON value that passes ``test``, stored as it is."""
+    def load(data, scope):
+        if not test(data):
+            raise ValueError(f"expected {expected}, got {data!r}")
+        return data
+    return (lambda value: value), load
 
 
-def _ratfunc_from(data, var: str) -> RatFunc:
-    den = _poly_from(data["den"], var)
-    if not den:
-        raise ValueError("rational function with a zero denominator")
-    return RatFunc(_poly_from(data["num"], var), den)
+def _array(item, length: Optional[int] = None):
+    """A JSON array of items, of exactly ``length`` entries if given."""
+    dump_item, load_item = item
+    def load(data, scope):
+        if type(data) is not list or length not in (None, len(data)):
+            size = "" if length is None else f" of {length} entries"
+            raise ValueError(f"expected a JSON array{size}, got {data!r}")
+        return tuple(_entry(i, load_item, x, scope) for i, x in enumerate(data))
+    return (lambda values: [dump_item(v) for v in values]), load
 
 
-def _int_from(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _record(build, *rows):
+    """A JSON object with one (key, attributes, kind) row per key.  Dump reads
+    the space-separated attributes (a tuple of them if several, the object
+    itself if none); load passes the values, by key, and its scope to build."""
+    fields = [(key, attrgetter(*attrs.split()) if attrs else (lambda obj: obj), *kind)
+              for key, attrs, kind in rows]
+
+    def load(data, scope):
+        if type(data) is not dict:
+            raise ValueError(f"expected a JSON object, got {data!r}")
+        values = {}
+        for key, _, _, load_value in fields:
+            if key not in data:
+                raise _Malformed("missing", [key])
+            values[key] = _entry(key, load_value, data[key], values)
+        return build(values, scope)
+    return (lambda obj: {key: dump(get(obj)) for key, get, dump, _ in fields}), load
 
 
-def _two_from(value) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"expected a JSON array of two entries, got {value!r}")
-    return tuple(value)
+def _polynomial(var: str):
+    dump, load = _array(_RATIONAL)
+    return (lambda p: dump(p.coeffs)), (lambda data, scope: UniPoly(var, load(data, scope)))
 
 
-def _signs_from(value) -> tuple[str, str]:
-    signs = _two_from(value)
-    if any(sign not in ("+", "-") for sign in signs):
-        raise ValueError(f"expected two signs \"+\" or \"-\", got {value!r}")
-    return signs
-
-
-def _bool_from(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _fiber_json(cf: CertifiedFiber) -> dict:
-    par = cf.parametrization
-    wit = cf.witness
-    return {
-        "r": rational_to_str(cf.fiber.r),
-        "F": [_poly_json(c) for c in cf.fiber.F],
-        "node": {
-            "t1": rational_to_str(cf.node.t1),
-            "t2": rational_to_str(cf.node.t2),
-            "hessian": rational_to_str(cf.node.hessian_det),
-            "kind": cf.node.kind.value,
-        },
-        "parametrization": {
-            "Q2": _poly_json(par.node_branch_poly),
-            "Q3": _poly_json(par.infinity_branch_poly),
-            "tau": _ratfunc_json(par.tau),
-            "x1": _ratfunc_json(par.x1_of),
-            "x2": _ratfunc_json(par.x2_of),
-        },
-        "witness": {
-            "lambda_P": rational_to_str(wit.lambda_p),
-            "multiplier": wit.multiplier,
-            "h": _ratfunc_json(wit.h),
-        },
-    }
+_ANY = (lambda value: value), (lambda data, _: data)
+_RATIONAL = rational_to_str, (lambda data, _: parse_rational(data))
+_INTEGER = _plain(lambda v: type(v) is int, "an integer")
+_BOOLEAN = _plain(lambda v: type(v) is bool, "true or false")
+_SIGN_PAIRS = _array(_array(_plain(lambda v: v in ("+", "-"), '"+" or "-"'), 2))
+_POLY_L = _polynomial(_LVAR)
+_RATFUNC_L = _record(lambda v, _: RatFunc(v["num"], v["den"]),
+                     ("num", "num", _POLY_L), ("den", "den", _POLY_L))
+_FIBER = _record(
+    lambda v, cert: CertifiedFiber(
+        PencilFiber(v["r"], v["F"], (cert["pair"].left.curve, cert["pair"].right.curve)),
+        v["node"], v["parametrization"], v["witness"]),
+    ("r", "fiber.r", _RATIONAL),
+    ("F", "fiber.F", _array(_polynomial("x2"))),
+    ("node", "node", _record(
+        lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"], v["kind"]),
+        ("t1", "t1", _RATIONAL), ("t2", "t2", _RATIONAL), ("hessian", "hessian_det", _RATIONAL),
+        ("kind", "kind", (attrgetter("value"), lambda data, _: NodeKind(data))))),
+    ("parametrization", "parametrization", _record(
+        lambda v, fiber: NodalParametrization(
+            v["tau"], v["x1"], v["x2"], v["Q2"], v["Q3"], fiber["node"]),
+        ("Q2", "node_branch_poly", _POLY_L), ("Q3", "infinity_branch_poly", _POLY_L),
+        ("tau", "tau", _RATFUNC_L), ("x1", "x1_of", _RATFUNC_L), ("x2", "x2_of", _RATFUNC_L))),
+    ("witness", "witness", _record(
+        lambda v, _: DivisorWitness(v["h"], v["lambda_P"], v["multiplier"]),
+        ("lambda_P", "lambda_p", _RATIONAL), ("multiplier", "multiplier", _INTEGER),
+        ("h", "h", _RATFUNC_L))),
+)
+_MEMBER = _record(
+    lambda v, pair: FamilyMember(
+        pair["s"], v["t"], WeierstrassCurve.possibly_singular(v["a"], v["b"]),
+        CurvePoint.affine(*v["point"]), True),
+    ("t", "t", _RATIONAL), ("a", "curve.a", _RATIONAL), ("b", "curve.b", _RATIONAL),
+    ("point", "marked_point.x marked_point.y", _array(_RATIONAL, 2)),
+)
+_CERTIFICATE = _record(
+    lambda v, _: CleanPairCertificate(v["pair"], v["r"], v["fiber_plus"], v["fiber_minus"],
+                                      v["preimage_check"], v["conclusion"]),
+    ("format", "", ((lambda _: CERTIFICATE_FORMAT),
+                    _plain(lambda v: v == CERTIFICATE_FORMAT, repr(CERTIFICATE_FORMAT))[1])),
+    ("pair", "pair", _record(
+        lambda v, _: PairHypothesis(*v["members"], v["s"], v["rank_one"]),
+        ("s", "shared_s", _RATIONAL), ("members", "left right", _array(_MEMBER, 2)),
+        ("rank_one", "rank_one_asserted", _array(_BOOLEAN, 2)))),
+    ("r", "r", _RATIONAL), ("fiber_plus", "fiber_plus", _FIBER),
+    ("fiber_minus", "fiber_minus", _FIBER),
+    ("preimage_check", "preimage_check", _record(
+        lambda v, _: PreimageCheck(**v),
+        ("on_r", "on_r", _SIGN_PAIRS), ("on_minus_r", "on_minus_r", _SIGN_PAIRS))),
+    ("conclusion", "conclusion", _record(
+        lambda v, _: Conclusion(**v),
+        ("statement", "statement", _ANY), ("multiplier", "multiplier", _INTEGER),
+        ("rank_one_hypotheses", "rank_one_hypotheses", _array(_BOOLEAN, 2)),
+        ("rank_one_conditional", "rank_one_conditional", _BOOLEAN),
+        ("n", "n", _ANY), ("n_prime", "n_prime", _ANY),
+        ("torsion_factor", "torsion_factor", _ANY))),
+)
 
 
 def certificate_to_json(cert: CleanPairCertificate) -> dict:
-    pair = cert.pair
-    members = []
-    for m in (pair.left, pair.right):
-        members.append(
-            {
-                "t": rational_to_str(m.t),
-                "a": rational_to_str(m.curve.a),
-                "b": rational_to_str(m.curve.b),
-                "point": [
-                    rational_to_str(m.marked_point.x),
-                    rational_to_str(m.marked_point.y),
-                ],
-            }
-        )
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "pair": {
-            "s": rational_to_str(pair.shared_s),
-            "members": members,
-            "rank_one": list(pair.rank_one_asserted),
-        },
-        "r": rational_to_str(cert.r),
-        "fiber_plus": _fiber_json(cert.fiber_plus),
-        "fiber_minus": _fiber_json(cert.fiber_minus),
-        "preimage_check": {
-            "on_r": [list(p) for p in cert.preimage_check.on_r],
-            "on_minus_r": [list(p) for p in cert.preimage_check.on_minus_r],
-        },
-        "conclusion": {
-            "statement": cert.conclusion.statement,
-            "multiplier": cert.conclusion.multiplier,
-            "rank_one_hypotheses": list(cert.conclusion.rank_one_hypotheses),
-            "rank_one_conditional": cert.conclusion.rank_one_conditional,
-            "n": cert.conclusion.n,
-            "n_prime": cert.conclusion.n_prime,
-            "torsion_factor": cert.conclusion.torsion_factor,
-        },
-    }
-
-
-def _member_from(data, s: Fraction) -> FamilyMember:
-    t = parse_rational(data["t"])
-    a = parse_rational(data["a"])
-    b = parse_rational(data["b"])
-    curve = WeierstrassCurve.possibly_singular(a, b)
-    x, y = _two_from(data["point"])
-    point = CurvePoint.affine(parse_rational(x), parse_rational(y))
-    return FamilyMember(s, t, curve, point, True)
-
-
-def _fiber_from(data, curves) -> CertifiedFiber:
-    r = parse_rational(data["r"])
-    F = tuple(_poly_from(c, "x2") for c in data["F"])
-    nd = data["node"]
-    node = NodeData(
-        parse_rational(nd["t1"]),
-        parse_rational(nd["t2"]),
-        parse_rational(nd["hessian"]),
-        NodeKind(nd["kind"]),
-    )
-    pd = data["parametrization"]
-    par = NodalParametrization(
-        _ratfunc_from(pd["tau"], _LVAR),
-        _ratfunc_from(pd["x1"], _LVAR),
-        _ratfunc_from(pd["x2"], _LVAR),
-        _poly_from(pd["Q2"], _LVAR),
-        _poly_from(pd["Q3"], _LVAR),
-        node,
-    )
-    wd = data["witness"]
-    wit = DivisorWitness(
-        _ratfunc_from(wd["h"], _LVAR),
-        parse_rational(wd["lambda_P"]),
-        _int_from(wd["multiplier"]),
-    )
-    return CertifiedFiber(PencilFiber(r, F, curves), node, par, wit)
+    return _CERTIFICATE[0](cert)
 
 
 def certificate_from_json(data: dict) -> CleanPairCertificate:
-    """A malformed document raises ValueError, KeyError or TypeError."""
+    """A malformed document raises ValueError.  Below the root, its message
+    starts with the RFC 6901 JSON pointer of the field at fault."""
     if not isinstance(data, dict):
-        raise ValueError(
-            f"certificate must be a JSON object, got {type(data).__name__}"
-        )
-    if data.get("format") != CERTIFICATE_FORMAT:
-        raise ValueError(f"unsupported certificate format: {data.get('format')!r}")
-    pd = data["pair"]
-    s = parse_rational(pd["s"])
-    # unpacking raises ValueError on a list of the wrong length
-    left, right = (_member_from(m, s) for m in pd["members"])
-    flag1, flag2 = pd["rank_one"]
-    pair = PairHypothesis(left, right, s, (_bool_from(flag1), _bool_from(flag2)))
-    curves = (left.curve, right.curve)
-    pc = data["preimage_check"]
-    cd = data["conclusion"]
-    hyp1, hyp2 = cd["rank_one_hypotheses"]
-    return CleanPairCertificate(
-        pair=pair,
-        r=parse_rational(data["r"]),
-        fiber_plus=_fiber_from(data["fiber_plus"], curves),
-        fiber_minus=_fiber_from(data["fiber_minus"], curves),
-        preimage_check=PreimageCheck(
-            tuple(_signs_from(p) for p in pc["on_r"]),
-            tuple(_signs_from(p) for p in pc["on_minus_r"]),
-        ),
-        conclusion=Conclusion(
-            statement=cd["statement"],
-            multiplier=_int_from(cd["multiplier"]),
-            rank_one_hypotheses=(_bool_from(hyp1), _bool_from(hyp2)),
-            rank_one_conditional=_bool_from(cd["rank_one_conditional"]),
-            n=cd["n"],
-            n_prime=cd["n_prime"],
-            torsion_factor=cd["torsion_factor"],
-        ),
-    )
+        raise ValueError(f"certificate must be a JSON object, got {type(data).__name__}")
+    try:
+        return _CERTIFICATE[1](data, None)
+    except _Malformed as exc:
+        reason, keys = exc.args
+        escaped = (str(key).replace("~", "~0").replace("/", "~1") for key in reversed(keys))
+        raise ValueError("".join("/" + key for key in escaped) + f": {reason}") from None
 
 
 def certificate_dumps(cert: CleanPairCertificate) -> str:
@@ -749,20 +701,24 @@ def _check_conclusion(cert: CleanPairCertificate) -> list[str]:
     return [] if ok else ["ConclusionMismatch"]
 
 
-_MIRROR_REASONS = {
-    "F": "FiberMismatch",
-    "node": "NodeMismatch",
-    "parametrization": "ParametrizationMismatch",
-    "witness": "DivisorMismatch",
-}
+_PARAMETRIZATION_CURVES = attrgetter(
+    "tau", "x1_of", "x2_of", "node_branch_poly", "infinity_branch_poly"
+)
 
 
 def _check_mirror(cert: CleanPairCertificate) -> list[str]:
     """The -r fiber must repeat the +r one in every section but r (see
-    assemble_certificate); its r is checked with the ratio."""
-    plus = _fiber_json(cert.fiber_plus)
-    minus = _fiber_json(cert.fiber_minus)
-    return [reason for key, reason in _MIRROR_REASONS.items() if plus[key] != minus[key]]
+    assemble_certificate); its r is checked with the ratio.  The
+    parametrization's node is its fiber's, so only its curves are compared."""
+    plus, minus = cert.fiber_plus, cert.fiber_minus
+    sections = (
+        ("FiberMismatch", plus.fiber.F, minus.fiber.F),
+        ("NodeMismatch", plus.node, minus.node),
+        ("ParametrizationMismatch", _PARAMETRIZATION_CURVES(plus.parametrization),
+         _PARAMETRIZATION_CURVES(minus.parametrization)),
+        ("DivisorMismatch", plus.witness, minus.witness),
+    )
+    return [reason for reason, a, b in sections if a != b]
 
 
 def verify_certificate(cert: CleanPairCertificate) -> VerificationResult:

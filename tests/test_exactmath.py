@@ -403,6 +403,9 @@ def test_q_of_t_elements_have_one_way_in():
         1 / RatFunc(T)
     with pytest.raises(ValueError):
         RatFunc(T) ** -1
+    for args in ((RatFunc(T),), (F(1, 2),), (T, F(2))):
+        with pytest.raises(TypeError):
+            RatFunc(*args)
 
 
 @pytest.mark.parametrize("c", ["1", 1.5, RatFunc(T), T], ids=["str", "float", "ratfunc", "poly"])

@@ -9,6 +9,7 @@ with that Taylor route on seeded pairs.
 """
 
 import copy
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -467,8 +468,55 @@ def test_roundtrip_is_bit_exact():
 def test_format_string_checked():
     data = certificate_to_json(assemble_certificate(worked_pair()))
     data["format"] = "something-else"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^/format: "):
         certificate_from_json(data)
+    # the tag is read before any other field
+    data["pair"] = None
+    with pytest.raises(ValueError, match="^/format: "):
+        certificate_from_json(data)
+    del data["format"]
+    with pytest.raises(ValueError, match="^/format: missing$"):
+        certificate_from_json(data)
+
+
+def test_load_errors_lead_with_the_json_pointer():
+    base = certificate_to_json(assemble_certificate(worked_pair()))
+    doc = copy.deepcopy(base)
+    del doc["fiber_plus"]["node"]["t2"]
+    with pytest.raises(ValueError) as missing:
+        certificate_from_json(doc)
+    assert str(missing.value) == "/fiber_plus/node/t2: missing"
+    doc = copy.deepcopy(base)
+    doc["fiber_minus"]["parametrization"]["x1"]["den"][1] = "1/0"
+    with pytest.raises(ValueError) as zero:
+        certificate_from_json(doc)
+    assert str(zero.value) == "/fiber_minus/parametrization/x1/den/1: zero denominator: '1/0'"
+
+
+# sha256 over certificate_dumps, each document followed by a NUL byte, for
+# every certifiable pair of the grid below (111 of its 112 triples): it pins
+# the cleanpair.certificate/1 layout byte for byte
+V1_GRID_S = (F(1), F(2), F(-1), F(1, 2))
+V1_GRID_T = (F(-3), F(-2), F(-1), F(1), F(2), F(3), F(1, 2), F(-3, 2))
+V1_GRID_SHA256 = "eb55fa3f944dd5a0fb7d309d2c37e8dbae2b071178134e9696c893dad9d2b4bd"
+
+
+def test_dumps_are_pinned_over_a_grid_of_pairs():
+    digest = hashlib.sha256()
+    count = 0
+    for s in V1_GRID_S:
+        for t1 in V1_GRID_T:
+            for t2 in (t for t in V1_GRID_T if t1 < t):
+                pair = pair_hypothesis(make_member(s, t1), make_member(s, t2))
+                try:
+                    cert = assemble_certificate(pair)
+                except (ValueError, ArithmeticError):
+                    continue
+                doc = certificate_dumps(cert)
+                assert certificate_dumps(certificate_loads(doc)) == doc
+                digest.update(doc.encode() + b"\0")
+                count += 1
+    assert (count, digest.hexdigest()) == (111, V1_GRID_SHA256)
 
 
 def test_named_tamper_reasons():

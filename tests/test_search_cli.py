@@ -551,6 +551,18 @@ def test_cli_certify_verify_round_trip(capsys, tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+CERT_V1_FIXTURE = Path(__file__).parent / "data" / "cert_1_1_2_v1.json"
+
+
+def test_cli_certify_reproduces_the_pinned_v1_document(capsys, tmp_path):
+    # the cleanpair.certificate/1 layout is pinned byte for byte; verify
+    # reads the fixture as it is
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert)) == (0, "", "")
+    assert cert.read_bytes() == CERT_V1_FIXTURE.read_bytes()
+    assert run_cli(capsys, "verify", str(CERT_V1_FIXTURE)) == (0, "OK\n", "")
+
+
 def test_cli_verify_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
     for i, text in enumerate(["[]", "3", '"cert"', "null"]):
         path = tmp_path / f"doc{i}.json"
@@ -562,21 +574,22 @@ def test_cli_verify_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, pointer",
     [
-        (("pair", "members"), []),
-        (("pair", "members", 0, "point"), ["-2/1"]),
-        (("pair", "s"), 5),
-        (("r",), "1/0"),
+        (("pair", "members"), [], "/pair/members"),
+        (("pair", "members", 0, "point"), ["-2/1"], "/pair/members/0/point"),
+        (("pair", "s"), 5, "/pair/s"),
+        (("r",), "1/0", "/r"),
         # strings unpack like two-entry arrays, but they are not the format
-        (("preimage_check",), {"on_r": ["++", "--"], "on_minus_r": ["+-", "-+"]}),
-        (("pair", "members", 0, "point"), "12"),
-        (("fiber_plus", "F", 3), "1"),
+        (("preimage_check",), {"on_r": ["++", "--"], "on_minus_r": ["+-", "-+"]},
+         "/preimage_check/on_r/0"),
+        (("pair", "members", 0, "point"), "12", "/pair/members/0/point"),
+        (("fiber_plus", "F", 3), "1", "/fiber_plus/F/3"),
     ],
     ids=["no-members", "one-coordinate", "s-not-a-string", "zero-denominator",
          "sign-pairs-as-strings", "point-as-a-string", "coefficients-as-a-string"],
 )
-def test_cli_verify_rejects_malformed_nested_fields(capsys, tmp_path, path, value):
+def test_cli_verify_rejects_malformed_nested_fields(capsys, tmp_path, path, value, pointer):
     cert = tmp_path / "cert.json"
     assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))[0] == 0
     doc = json.loads(cert.read_text())
@@ -587,7 +600,7 @@ def test_cli_verify_rejects_malformed_nested_fields(capsys, tmp_path, path, valu
     cert.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", str(cert))
     assert code == 1 and out == ""
-    assert err.startswith("malformed certificate:")
+    assert err.startswith(f"malformed certificate: {pointer}: ")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
@@ -631,8 +644,10 @@ WRONG_TYPES = [None, True, 0, "x", [], {}, "1/0", [[]]]
 
 def test_cli_verify_survives_a_wrong_type_at_every_node(capsys, tmp_path):
     # Two seeded substitutes at each of the 196 nodes, the root included.
-    # Whatever the loader raises (ValueError, KeyError or TypeError), the
-    # verdict is OK, FAIL lines, or one "malformed certificate" line.
+    # The loader raises only ValueError, so the verdict is OK, FAIL lines,
+    # or one "malformed certificate" line.  Below the root, that line names
+    # a field on the substituted node's branch: the node itself, one of its
+    # ancestors, or a field inside the substitute.
     cert = tmp_path / "cert.json"
     assert run_cli(capsys, "certify", "1", "1", "2", "--out", str(cert))[0] == 0
     base = json.loads(cert.read_text())
@@ -657,6 +672,12 @@ def test_cli_verify_survives_a_wrong_type_at_every_node(capsys, tmp_path):
                 assert code == 1 and out == "", where
                 assert err.startswith("malformed certificate: "), where
                 assert len(err.splitlines()) == 1, where
+                if path:
+                    pointer = err[len("malformed certificate: "):].split(": ", 1)[0]
+                    keys = tuple(pointer.split("/")[1:])
+                    names = tuple(map(str, path))
+                    assert pointer.startswith("/"), where
+                    assert keys == names[:len(keys)] or names == keys[:len(names)], where
             elif code == 0:
                 assert out == "OK\n", where
             else:
