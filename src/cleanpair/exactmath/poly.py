@@ -518,10 +518,6 @@ class RatFunc:
     def constant(cls, var: str, value):
         return cls(UniPoly.constant(var, value))
 
-    @classmethod
-    def gen(cls, var: str):
-        return cls(UniPoly.gen(var))
-
     @property
     def var(self):
         return self.num.var

@@ -7,10 +7,21 @@ denominator) and arbitrary precision.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import isqrt
 
 Rational = Fraction
+
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 3
+
+
+def short_repr(value) -> str:
+    """repr(value) for an error message: reprlib's (at most six items a
+    level, three levels deep, 30 characters a string), cut to 120."""
+    text = _REPR.repr(value)
+    return text if len(text) <= 120 else text[:117] + "..."
 
 
 def as_fraction(value) -> Fraction:
@@ -32,14 +43,15 @@ def parse_rational(text: str) -> Fraction:
     """Inverse of rational_to_str; also accepts a bare integer string.
     Anything else, a zero denominator included, raises ValueError."""
     if not isinstance(text, str):
-        raise ValueError(f"not a rational string: {text!r}")
-    body = text.strip()
-    if "/" in body:
-        num, den = body.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
+        raise ValueError(f"not a rational string: {short_repr(text)}")
+    num, slash, den = text.strip().partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"not a rational string: {short_repr(text)}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {short_repr(text)}")
+    return Fraction(num, den)
 
 
 def sqrt_int(n: int) -> int | None:

@@ -58,6 +58,7 @@ from cleanpair.exactmath import (
     rational_to_str,
     resultant,
 )
+from cleanpair.exactmath.scalars import short_repr
 from cleanpair.family import (
     FamilyMember,
     PairHypothesis,
@@ -413,7 +414,7 @@ def _plain(test, expected: str):
     """A JSON value that passes ``test``, stored as it is."""
     def load(data, scope):
         if not test(data):
-            raise ValueError(f"expected {expected}, got {data!r}")
+            raise ValueError(f"expected {expected}, got {short_repr(data)}")
         return data
     return (lambda value: value), load
 
@@ -424,7 +425,7 @@ def _array(item, length: Optional[int] = None):
     def load(data, scope):
         if type(data) is not list or length not in (None, len(data)):
             size = "" if length is None else f" of {length} entries"
-            raise ValueError(f"expected a JSON array{size}, got {data!r}")
+            raise ValueError(f"expected a JSON array{size}, got {short_repr(data)}")
         return tuple(_entry(i, load_item, x, scope) for i, x in enumerate(data))
     return (lambda values: [dump_item(v) for v in values]), load
 
@@ -438,7 +439,7 @@ def _record(build, *rows):
 
     def load(data, scope):
         if type(data) is not dict:
-            raise ValueError(f"expected a JSON object, got {data!r}")
+            raise ValueError(f"expected a JSON object, got {short_repr(data)}")
         values = {}
         for key, _, _, load_value in fields:
             if key not in data:
@@ -458,6 +459,7 @@ _RATIONAL = rational_to_str, (lambda data, _: parse_rational(data))
 _INTEGER = _plain(lambda v: type(v) is int, "an integer")
 _BOOLEAN = _plain(lambda v: type(v) is bool, "true or false")
 _SIGN_PAIRS = _array(_array(_plain(lambda v: v in ("+", "-"), '"+" or "-"'), 2))
+_NODE_KIND = _plain(lambda v: v in [k.value for k in NodeKind], '"Node" or "Cusp"')
 _POLY_L = _polynomial(_LVAR)
 _RATFUNC_L = _record(lambda v, _: RatFunc(v["num"], v["den"]),
                      ("num", "num", _POLY_L), ("den", "den", _POLY_L))
@@ -468,9 +470,9 @@ _FIBER = _record(
     ("r", "fiber.r", _RATIONAL),
     ("F", "fiber.F", _array(_polynomial("x2"))),
     ("node", "node", _record(
-        lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"], v["kind"]),
+        lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"], NodeKind(v["kind"])),
         ("t1", "t1", _RATIONAL), ("t2", "t2", _RATIONAL), ("hessian", "hessian_det", _RATIONAL),
-        ("kind", "kind", (attrgetter("value"), lambda data, _: NodeKind(data))))),
+        ("kind", "kind.value", _NODE_KIND))),
     ("parametrization", "parametrization", _record(
         lambda v, fiber: NodalParametrization(
             v["tau"], v["x1"], v["x2"], v["Q2"], v["Q3"], fiber["node"]),

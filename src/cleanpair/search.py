@@ -33,11 +33,11 @@ instead of being papered over.  See TABLE_TOTALS and the sweep
 docstring.
 
 The module also hosts the small-conductor database filter: given a
-table of rank-1 curves it reduces each to a twist-minimal short
-Weierstrass model, keeps those of the shape y^2 = x^3 - 3t^2 x + b,
-discards the ones whose shape parameter is the x-coordinate of a
-torsion point, and flags those where b - 2t^3 is a perfect square (the
-ones carrying a rational marked point).
+table of rank-1 curves it keeps those whose short model (A, B) =
+(-27 c4, -54 c6), as read, has the shape y^2 = x^3 - 3t^2 x + b, and for
+each sign sigma = +-t with b - 2 sigma^3 = y^2 asks whether (sigma, y) has
+infinite order (the curve then carries a rational marked point).  No twist
+reduction is needed: (u^4 A, u^6 B) scales t by u^2 and keeps each verdict.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .ec_core import (
     WeierstrassCurve,
     _exact_torsion_order,
     _order_exceeds_mazur_bound,
-    torsion_points_overQ,
+    is_torsion_overQ,
 )
+from .exactmath import sqrt_int
 
 __all__ = [
     "TABLE_TOTALS",
@@ -537,40 +538,16 @@ def _short_model(a_invariants: Sequence[int]) -> tuple[int, int]:
     return -27 * c4, -54 * c6
 
 
-def _twist_reduce(A: int, B: int) -> tuple[int, int]:
-    """Divide out the largest u with u^4 | A and u^6 | B (quartic/sextic
-    twist content), giving the minimal short model in the twist class."""
-    import sympy
-
-    if A == 0 and B == 0:
-        raise ValueError("singular model")
-    base = abs(A) if B == 0 else abs(B) if A == 0 else gcd(A, B)
-    u = 1
-    for prime in sympy.factorint(base):
-        exponent = None
-        if A != 0:
-            exponent = sympy.multiplicity(prime, A) // 4
-        if B != 0:
-            eb = sympy.multiplicity(prime, B) // 6
-            exponent = eb if exponent is None else min(exponent, eb)
-        u *= prime**exponent
-    return A // u**4, B // u**6
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 @dataclass(frozen=True)
 class DbCurveClassification:
     label: str
-    short_a: int
-    short_b: int
+    short_a: int  # A = -27 c4 of the model as read, not twist-minimal
+    short_b: int  # B = -54 c6 of the same model
     shape_t: Optional[int]  # |t| with short_a = -3 t^2, when it exists
     shape: bool
-    excluded: bool  # torsion sits at the shape x-coordinate
-    square_shift: bool  # b - 2 sigma^3 is a square for a usable sign sigma
-    square_sign: Optional[int]
+    excluded: bool  # every point at x = sigma with B - 2 sigma^3 a square is torsion
+    square_shift: bool  # B - 2 sigma^3 is a square for a usable sign sigma
+    square_sign: Optional[int]  # that sigma, in the model as read
 
 
 @dataclass(frozen=True)
@@ -589,36 +566,21 @@ class DbFilterReport:
 
 
 def _classify_entry(entry: CurveDbEntry) -> DbCurveClassification:
-    A, B = _twist_reduce(*_short_model(entry.a_invariants))
-    shape_t: Optional[int] = None
-    if A == 0:
-        shape_t = 0
-    elif A < 0 and (-A) % 3 == 0 and _is_square((-A) // 3):
-        shape_t = isqrt((-A) // 3)
+    A, B = _short_model(entry.a_invariants)
+    shape_t = 0 if A == 0 else sqrt_int(-A // 3) if A < 0 and A % 3 == 0 else None
     if shape_t is None:
-        return DbCurveClassification(
-            entry.label, A, B, None, False, False, False, None
-        )
-    curve = WeierstrassCurve(Fraction(A), Fraction(B))
-    torsion_x = {
-        pt.x for pt in torsion_points_overQ(curve) if not pt.is_infinity
-    }
-    # Both sign choices present the curve as y^2 = x^3 - 3t^2 x + b; a
-    # sign is usable when b - 2t^3 is a square there and the point at
-    # x = t (equivalently its double at x = -2t) is non-torsion.
+        return DbCurveClassification(entry.label, A, B, None, False, False, False, None)
+    # Both sign choices present the curve as y^2 = x^3 - 3t^2 x + b.  The
+    # point at x = sigma exists when b - 2 sigma^3 = y^2, and sigma is usable
+    # when it (equivalently its double at x = -2 sigma) has infinite order.
+    curve = WeierstrassCurve(A, B)
     signs = (0,) if shape_t == 0 else (shape_t, -shape_t)
-    square_signs = [s for s in signs if _is_square(B - 2 * s**3)]
-    usable = [s for s in square_signs if Fraction(s) not in torsion_x]
-    excluded = bool(square_signs) and not usable
+    points = [CurvePoint(Fraction(s), Fraction(y))
+              for s in signs if (y := sqrt_int(B - 2 * s**3)) is not None]
+    usable = [int(P.x) for P in points if is_torsion_overQ(curve, P) is None]
+    excluded = bool(points) and not usable
     return DbCurveClassification(
-        entry.label,
-        A,
-        B,
-        abs(shape_t),
-        True,
-        excluded,
-        bool(usable),
-        usable[0] if usable else None,
+        entry.label, A, B, shape_t, True, excluded, bool(usable), usable[0] if usable else None
     )
 
 

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import cleanpair
+from test_search_cli import DB_FIXTURE, HARD_DB_ROWS
 
 PACKAGE_DIR = Path(cleanpair.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
@@ -124,10 +125,17 @@ def _src_env() -> dict:
 
 _PROBE = """
 import sys
+
+
+class NoSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "sympy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoSympy())
 from cleanpair.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
-print("sympy modules:", loaded, file=sys.stderr)
 print("process pool loaded:", "concurrent.futures.process" in sys.modules, file=sys.stderr)
 from cleanpair.search import _torsion_tables
 print("torsion tables built:", _torsion_tables.cache_info().currsize, file=sys.stderr)
@@ -136,12 +144,16 @@ sys.exit(code)
 
 
 def test_proof_commands_never_load_sympy(tmp_path):
-    # each command in a fresh interpreter: certify writes the certificate
-    # that verify then checks.  heights and rank-ff factor each
-    # discriminant through its squarefree parts of degree <= 3.  No command
-    # loads the process-pool machinery either (search enumerates on one
-    # process), and only search builds the torsion tables.
+    # each command in a fresh interpreter where importing sympy raises:
+    # certify writes the certificate that verify then checks.  heights and
+    # rank-ff factor each discriminant through its squarefree parts of
+    # degree <= 3, and dbfilter asks one torsion question per sign, with no
+    # factoring, even on a row whose discriminant has two 21-digit prime
+    # factors.  No command loads the process-pool machinery either (search
+    # enumerates on one process), and only search builds the torsion tables.
     cert = tmp_path / "cert.json"
+    table = tmp_path / "curves.txt"
+    table.write_text("\n".join([*DB_FIXTURE, HARD_DB_ROWS[0]]) + "\n")
     env = _src_env()
     for argv in (
         ["certify", "1", "1", "2", "--out", str(cert)],
@@ -152,12 +164,13 @@ def test_proof_commands_never_load_sympy(tmp_path):
         ["heights", "9/4"],
         ["rank-ff", "2"],
         ["rank-ff", "3"],
+        ["dbfilter", str(table)],
     ):
         run = subprocess.run(
             [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         built = int(argv[0] == "search")
-        expected = f"sympy modules: []\nprocess pool loaded: False\ntorsion tables built: {built}\n"
+        expected = f"process pool loaded: False\ntorsion tables built: {built}\n"
         assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, expected)
 
 

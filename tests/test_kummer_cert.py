@@ -493,6 +493,40 @@ def test_load_errors_lead_with_the_json_pointer():
     assert str(zero.value) == "/fiber_minus/parametrization/x1/den/1: zero denominator: '1/0'"
 
 
+def test_load_errors_quote_a_large_value_cut():
+    # 3,000 array entries or 980 nested arrays in place of any field: the
+    # error quotes the value cut, so verify's "malformed certificate: "
+    # line stays under 300 characters
+    base = certificate_to_json(assemble_certificate(worked_pair()))
+    nested = []
+    for _ in range(979):
+        nested = [nested]
+    paths, stack = [], [((), base)]
+    while stack:
+        path, node = stack.pop()
+        if not isinstance(node, (dict, list)):
+            continue
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            paths.append(path + (key,))
+            stack.append((path + (key,), child))
+    longest = 0
+    for path in paths:
+        for value in (list(range(3000)), nested):
+            doc = copy.deepcopy(base)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                certificate_from_json(doc)
+            except ValueError as exc:
+                longest = max(longest, len(f"malformed certificate: {exc}"))
+                if path == ("fiber_plus", "node", "t1"):
+                    cut = "[[[[...]]]]" if value is nested else "[0, 1, 2, 3, 4, 5, ...]"
+                    assert str(exc) == f"/fiber_plus/node/t1: not a rational string: {cut}"
+    assert len(paths) > 150 and 100 < longest < 300
+
+
 # sha256 over certificate_dumps, each document followed by a NUL byte, for
 # every certifiable pair of the grid below (111 of its 112 triples): it pins
 # the cleanpair.certificate/1 layout byte for byte

@@ -20,6 +20,7 @@ from cleanpair.ec_core import (
     WeierstrassCurve,
     _order_exceeds_mazur_bound,
     is_torsion_overQ,
+    torsion_points_overQ,
 )
 from cleanpair.family import make_member
 from cleanpair.search import (
@@ -42,7 +43,6 @@ from cleanpair.search import (
     records_from_csv,
     records_to_csv,
 )
-from cleanpair.search import _twist_reduce  # the twist content stripper
 from cleanpair.search import _sweep_models, _torsion_tables
 
 
@@ -467,14 +467,6 @@ def test_parse_curve_db():
     assert parse_curve_db(["# only comments", ""]) == []
 
 
-def test_twist_reduction_finds_minimal_models():
-    # 37a1's raw short form (-1296, 11664) strips a cube of 3.
-    assert _twist_reduce(-1296, 11664) == (-16, 16)
-    assert _twist_reduce(0, 419904) == (0, 9)
-    assert _twist_reduce(-1296, 0) == (-1, 0)
-    assert _twist_reduce(-432, 15120) == (-432, 15120)  # already minimal
-
-
 def test_db_filter_classification():
     report = filter_db_family_candidates(parse_curve_db(DB_FIXTURE))
     assert report.total_rank_one == 6  # rank0 never enters
@@ -492,13 +484,147 @@ def test_db_filter_classification():
     c65 = by_label["65a1"]
     assert (c65.short_a, c65.shape_t, c65.square_shift) == (-1323, 21, False)
     assert by_label["37a1"].shape is False
-    assert by_label["syn7"].square_sign == -1  # needs the t = -1 presentation
+    # syn7 is the t = -1 fiber scaled by 6: the model as read has t = -36
+    assert by_label["syn7"].square_sign == -36
 
 
 def test_db_filter_empty():
     report = filter_db_family_candidates([])
     assert report.shape_count == report.eligible_count == report.square_count == 0
     assert report.square_pairs_ordered == 0
+
+
+def _long_invariants(rng, a4, a6):
+    """A long model of y^2 = x^3 + a4 x + a6: the substitution x -> x + r,
+    y -> y + s x + w with small random integers keeps c4 and c6."""
+    r, s, w = (rng.randint(-3, 3) for _ in range(3))
+    return (2 * s, 3 * r - s * s, 2 * w, a4 + 3 * r * r - 2 * s * w, a6 + r * a4 + r**3 - w * w)
+
+
+def _tate_normal_invariants(order, d):
+    """Integral a-invariants of Kubert's Tate normal form
+    y^2 + (1 - c) xy - by = x^3 - bx^2, where (0, 0) has the given order."""
+    b, c = {
+        4: lambda: (d, 0),
+        5: lambda: (d, d),
+        6: lambda: (d + d * d, d),
+        7: lambda: (d**3 - d * d, d * d - d),
+        8: lambda: ((2 * d - 1) * (d - 1), (2 * d - 1) * (d - 1) / d),
+        9: lambda: (d * d * (d - 1) * (d * d - d + 1), d * d * (d - 1)),
+    }[order]()
+    a = (F(1 - c), F(-b), F(-b), F(0), F(0))
+    u = 1
+    while any((x * u**i).denominator != 1 for i, x in zip((1, 2, 3, 4, 6), a)):
+        u += 1
+    return tuple(int(x * u**i) for i, x in zip((1, 2, 3, 4, 6), a))
+
+
+def _reference_classification(a, b):
+    """(shape, excluded, square_shift, sign of square_sign) of the integral
+    model y^2 = x^3 + ax + b, read from the list of all its torsion points."""
+    t = 0 if a == 0 else isqrt(-a // 3) if a < 0 and a % 3 == 0 else None
+    if t is None or 3 * t * t != -a:
+        return False, False, False, None
+    torsion_x = {pt.x for pt in torsion_points_overQ(WeierstrassCurve(a, b)) if not pt.is_infinity}
+    signs = (t, -t) if t else (0,)
+    square = [s for s in signs if b - 2 * s**3 >= 0 and isqrt(b - 2 * s**3) ** 2 == b - 2 * s**3]
+    usable = [s for s in square if s not in torsion_x]
+    sign = (usable[0] > 0) - (usable[0] < 0) if usable else None
+    return True, bool(square) and not usable, bool(usable), sign
+
+
+def _shape_models(rng):
+    """Nonsingular short models (a, b) of the shape a = -3t^2: random b,
+    b - 2 sigma^3 a square, torsion at x = sigma (orders 5 and 6), t = 0
+    (the point at x = 0 has order 3) and rational 2-torsion."""
+    models = []
+    while len(models) < 1850:
+        kind = len(models) % 37
+        t = rng.randint(0, 40)
+        if kind < 28:
+            sigma = rng.choice((t, -t))
+            b = 2 * sigma**3 + rng.randint(1, 300) ** 2 if kind % 2 else rng.randint(-10**4, 10**4)
+        elif kind < 31:
+            lam = rng.randint(1, 6)
+            sigma, v = rng.choice(((-12 * lam**2, 108 * lam**3), (-6 * lam**2, 27 * lam**3)))
+            t, b = -sigma, 2 * sigma**3 + v * v
+        elif kind < 34:
+            t = 0
+            square, cube = rng.randint(1, 200) ** 2, rng.randint(-30, 30) ** 3
+            b = rng.choice((square, cube, -432, rng.randint(-999, 999)))
+        else:
+            r = rng.randint(-50, 50)
+            b = 3 * t * t * r - r**3
+        a = -3 * t * t
+        if 4 * a**3 + 27 * b * b:
+            models.append((a, b))
+    return models
+
+
+def test_db_filter_agrees_with_the_torsion_point_list():
+    # About 2,000 rank-1 rows.  Shape models scaled by u^4, u^6 and written
+    # as long a-invariants must read as (6u)^4 a, (6u)^6 b and classify as
+    # the full torsion list of the unscaled model says; Tate normal forms
+    # (torsion of order 4 to 9) are checked on the model as read.  A row
+    # with b = 2 sigma^3 is (x - sigma)^2 (x + 2 sigma), so it is refused.
+    rng = random.Random(2468)
+    lines, expected = [], {}
+    for i in range(20):
+        sigma, u = rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 6))
+        inv = _long_invariants(rng, -3 * sigma**2 * u**4, 2 * sigma**3 * u**6)
+        lines.append(f"z{i} {' '.join(map(str, inv))} 1 1 11")
+    for i, (a, b) in enumerate(_shape_models(rng)):
+        u = rng.choice((1, 2, 3, 5, 6))
+        inv = _long_invariants(rng, u**4 * a, u**6 * b)
+        label = f"s{i}"
+        lines.append(f"{label} {' '.join(map(str, inv))} 1 1 11")
+        expected[label] = ((6 * u) ** 4 * a, (6 * u) ** 6 * b, _reference_classification(a, b))
+    for i in range(150):
+        d = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+        try:
+            inv = _tate_normal_invariants(4 + i % 6, d)
+        except ZeroDivisionError:
+            continue
+        lines.append(f"k{i} {' '.join(map(str, inv))} 1 1 11")
+    rows, refused = [], []
+    for line in lines:
+        try:
+            rows += parse_curve_db([line])
+        except ParseError as exc:
+            assert "singular" in str(exc)
+            refused.append(line[0])
+    assert refused.count("z") == 20 and set(refused) <= {"z", "k"}
+    report = filter_db_family_candidates(rows)
+    assert report.total_rank_one == len(rows) > 1950
+    outcomes = {}
+    for c in report.classifications:
+        sign = None if c.square_sign is None else (c.square_sign > 0) - (c.square_sign < 0)
+        got = (c.shape, c.excluded, c.square_shift, sign)
+        if c.label in expected:
+            a, b, want = expected[c.label]
+            assert (c.short_a, c.short_b, got) == (a, b, want), c.label
+        else:
+            assert got == _reference_classification(c.short_a, c.short_b), c.label
+        outcomes[got[:3]] = outcomes.get(got[:3], 0) + 1
+    # every outcome is well represented
+    assert min(outcomes.values()) > 100 and len(outcomes) == 4, outcomes
+
+
+# y^2 = x^3 + c^2 with c = (10^20 + 39)(3 10^20 + 53), a product of two
+# 21-digit primes: the point (0, c) has order 3, and |Delta| = 432 c^4 is
+# slow to factor.
+HARD_DB_ROWS = (
+    f"hard1 0 0 0 0 {((10**20 + 39) * (3 * 10**20 + 53)) ** 2} 1 3 11",
+    "hard2 0 0 0 -300000000000000000000 12345678901234567890 1 1 11",
+)
+
+
+def test_db_filter_classifies_a_large_discriminant_row_quickly():
+    start = time.perf_counter()
+    report = filter_db_family_candidates(parse_curve_db(HARD_DB_ROWS[:1]))
+    elapsed = time.perf_counter() - start
+    assert report.excluded_labels == ("hard1",) and report.square_count == 0
+    assert elapsed < 1.0, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +1119,10 @@ def test_cli_contract_fuzz(capsys, tmp_path):
         case.write_text(json.dumps(doc))
         cases.append(["verify", str(case)])
     cases += [["verify", str(tmp_path)], ["dbfilter", str(tmp_path / "absent")], [], ["nosuch"]]
+    for i, row in enumerate(HARD_DB_ROWS):
+        table = tmp_path / f"hard{i}.txt"
+        table.write_text(row + "\n")
+        cases.append(["dbfilter", str(table)])
     codes = {0: 0, 1: 0, 2: 0}
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
