@@ -48,8 +48,8 @@ from .kummer_cert import (
 def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

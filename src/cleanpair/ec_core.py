@@ -346,7 +346,10 @@ def _torsion_order_bound(E: WeierstrassCurve) -> int:
 
 def _integer_divisor_squares(n: int) -> list[int]:
     """Every y >= 1 with y^2 dividing n, ascending (none for n = 0)."""
-    from sympy import factorint
+    try:
+        from sympy import factorint
+    except ImportError:
+        raise ImportError("factoring the discriminant for torsion_points_overQ needs sympy") from None
 
     if n == 0:
         return []

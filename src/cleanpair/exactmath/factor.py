@@ -6,12 +6,13 @@ into the linear factors of its rational roots and one irreducible rest,
 since a quadratic or cubic without a rational root is irreducible.  Only a
 part of degree 4 or more goes to sympy's dense ``dup_factor_list`` over
 plain Python integers, imported when such a part occurs; everything around
-it stays in our own exact types.  Each factorization is re-multiplied and
-compared coefficient by coefficient before being returned, so a kernel bug
-cannot leak through silently.  The rational roots of a polynomial of degree
-at most 3 need no factorization: they are found on plain integers by
-bisection between the critical points, and they decide its irreducibility
-too.
+it stays in our own exact types.  sympy is not a dependency of the package:
+without it, such a part raises ImportError.  Each factorization is
+re-multiplied and compared coefficient by coefficient before being
+returned, so a kernel bug cannot leak through silently.  The rational
+roots of a polynomial of degree at most 3 need no factorization: they are
+found on plain integers by bisection between the critical points, and they
+decide its irreducibility too.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def _squarefree_parts(p: UniPoly):
 def _irreducible_factors(a: UniPoly) -> list[UniPoly]:
     """The monic irreducible factors of the squarefree nonconstant a."""
     if a.degree() > 3:
-        from sympy.polys.domains import ZZ_python
-        from sympy.polys.factortools import dup_factor_list
+        try:
+            from sympy.polys.domains import ZZ_python
+            from sympy.polys.factortools import dup_factor_list
+        except ImportError:
+            raise ImportError("factoring a squarefree part of degree 4 or more needs sympy") from None
 
         num, _ = qq_to_ints(a)
         _, raw = dup_factor_list(list(num[::-1]), ZZ_python())
@@ -103,7 +107,8 @@ def _monic_integer_roots(q) -> list[tuple[int, int]]:
     """The integer roots, with multiplicities, of a monic integer q of
     degree at most 3.  Cutting Z at the floor of each critical point leaves
     pieces on which q is monotone, alternating in direction and rising on
-    the last; each is bisected within the Cauchy bound."""
+    the last; each is bisected within Fujiwara's bound 2 max_k |q_{n-k}|^(1/k)
+    (Fujiwara 1916), each k-th root rounded up to a power of two."""
     n = len(q) - 1
     cuts = []
     if n == 2:
@@ -113,7 +118,8 @@ def _monic_integer_roots(q) -> list[tuple[int, int]]:
         # r = ceil(sqrt(D)) the cuts are floor(c1) and ceil(c2) - 1
         r = isqrt(q[2] * q[2] - 3 * q[1] - 1) + 1
         cuts = [(-q[2] - r) // 3, -((q[2] - r) // 3) - 1]
-    bound = 1 + max(map(abs, q[:-1]), default=0)
+    # |c| < 2^b for b = c.bit_length(), so |c|^(1/k) < 2^ceil(b/k)
+    bound = 2 << max((-(-c.bit_length() // k) for k, c in enumerate(q[-2::-1], 1)), default=0)
     out = []
     for i, (lo, hi) in enumerate(zip([-bound] + [c + 1 for c in cuts], cuts + [bound])):
         sign = (-1) ** (len(cuts) - i)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from cleanpair.exactmath.scalars import as_fraction
+from cleanpair.exactmath.scalars import as_fraction, rational_to_str
 
 
 class DegreeError(ValueError):
@@ -323,7 +323,7 @@ class UniPoly:
             c = self.coeff(i)
             if not c:
                 continue
-            cs = str(c)
+            cs = rational_to_str(c).removesuffix("/1")
             if i == 0:
                 term = cs
             else:

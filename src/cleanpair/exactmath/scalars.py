@@ -8,6 +8,7 @@ denominator) and arbitrary precision.
 from __future__ import annotations
 
 import reprlib
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -34,20 +35,33 @@ def as_fraction(value) -> Fraction:
 
 
 def rational_to_str(x: Fraction) -> str:
-    """Serialize as the canonical "num/den" string (den always present)."""
+    """Serialize as the canonical "num/den" string (den always present), at
+    any size.  CPython refuses to turn an int of more than 4,300 digits into
+    a string (sys.get_int_max_str_digits); that limit guards what is read,
+    and decimal's conversion, exact at any size, prints what is computed."""
     x = as_fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        from decimal import Decimal
+
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of rational_to_str; also accepts a bare integer string.
-    Anything else, a zero denominator included, raises ValueError."""
+    Anything else, a zero denominator or an integer over CPython's digit
+    limit included, raises ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {short_repr(text)}")
     num, slash, den = text.strip().partition("/")
     try:
         num, den = int(num), int(den) if slash else 1
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and max(sum(map(str.isdigit, part)) for part in (num, den)) > limit:
+            raise ValueError(f"more than {limit} digits, the limit on integers read: "
+                             f"{short_repr(text)}") from None
         raise ValueError(f"not a rational string: {short_repr(text)}") from None
     if den == 0:
         raise ValueError(f"zero denominator: {short_repr(text)}")

@@ -20,6 +20,7 @@ dies in CH^2 of the product, which is the content of a clean-pair
 certificate.  f and g are monic cubics, so f(t + u) = f(t) + (3t^2 + a)u
 + 3t u^2 + u^3 gives the node, its Hessian -36 r^2 t1 t2 and the
 parametrization Q2 = 3 t1 L^2 - 3 r^2 t2, Q3 = L^3 - r^2 in closed form.
+Where t1 t2 = 0 the singular point is a cusp, and find_node refuses it.
 
 The certificate stores every intermediate object for both fibers, r and
 -r, which agree in everything but r (F depends on r only through r^2).
@@ -37,12 +38,15 @@ lowest degree first.  F is an array of arrays (outer index the x1-degree,
 inner arrays coefficients in x2).  The layout is declared once, in one
 table that both the dump and the load walk, and a load error is a
 ValueError whose message leads with the JSON pointer of the field at
-fault, as in "/fiber_plus/node/t2: missing".
+fault, as in "/fiber_plus/node/t2: missing".  The format tag, each node's
+kind ("Node") and the preimage sign table are the same in every
+certificate: they are constants of the format, checked where they are
+read, so a document that differs there does not load.
 """
 
 from __future__ import annotations
 
-import enum
+import copy
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -106,11 +110,6 @@ class ReducibleFiber(ArithmeticError):
     coprimality of Q2 and Q3 is exactly irreducibility of the fiber."""
 
 
-class NodeKind(enum.Enum):
-    NODE = "Node"
-    CUSP = "Cusp"
-
-
 # -- data records ---------------------------------------------------------------
 
 
@@ -130,7 +129,6 @@ class NodeData:
     t1: Fraction
     t2: Fraction
     hessian_det: Fraction
-    kind: NodeKind
 
 
 @dataclass(frozen=True)
@@ -177,15 +175,6 @@ class CertifiedFiber:
 
 
 @dataclass(frozen=True)
-class PreimageCheck:
-    """Which sign choices (s1*P1, s2*P2) land on which fiber: the ratio
-    s1*y1/(s2*y2) equals r for matching signs and -r for opposite ones."""
-
-    on_r: tuple[tuple[str, str], ...]
-    on_minus_r: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class Conclusion:
     """The certified statement.  n and n_prime are the integers relating
     the marked points to rank-1 generators; they depend on analytic input
@@ -206,7 +195,6 @@ class CleanPairCertificate:
     r: Fraction
     fiber_plus: CertifiedFiber
     fiber_minus: CertifiedFiber
-    preimage_check: PreimageCheck
     conclusion: Conclusion
 
 
@@ -252,11 +240,11 @@ def build_fiber(E1: WeierstrassCurve, E2: WeierstrassCurve, P1: CurvePoint,
 
 
 def find_node(fiber: PencilFiber, t1, t2) -> NodeData:
-    """Check that (t1, t2) is a singular point of the fiber and classify
-    it by the determinant of second partials.  F is separable, so it
+    """Check that (t1, t2) is a node of the fiber.  F is separable, so it
     vanishes with its gradient where f(t1) = r^2 g(t2), f'(t1) = 0 and
-    r^2 g'(t2) = 0, and the determinant is f''(t1) (-r^2 g''(t2)) =
-    -36 r^2 t1 t2: a node unless t1 t2 = 0."""
+    r^2 g'(t2) = 0, and the determinant of second partials is f''(t1)
+    (-r^2 g''(t2)) = -36 r^2 t1 t2: a node unless t1 t2 = 0, where the
+    cusp raises CuspNotSupported."""
     t1 = Fraction(t1)
     t2 = Fraction(t2)
     E1, E2 = fiber.source_curves
@@ -268,8 +256,9 @@ def find_node(fiber: PencilFiber, t1, t2) -> NodeData:
     if 3 * t1 * t1 + E1.a or r2 * (3 * t2 * t2 + E2.a):
         raise NotSingular(f"({t1}, {t2}) is a smooth point of the fiber")
     det = -36 * r2 * t1 * t2
-    kind = NodeKind.NODE if det != 0 else NodeKind.CUSP
-    return NodeData(t1, t2, det, kind)
+    if det == 0:
+        raise CuspNotSupported("cuspidal fibers are not parametrized")
+    return NodeData(t1, t2, det)
 
 
 def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
@@ -277,8 +266,6 @@ def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
     of F in tau^2 and tau^3 are Q2 = 3 t1 L^2 - 3 r^2 t2 and Q3 = L^3 - r^2
     (the u^2 and u^3 terms of f(t1 + u) and of -r^2 g(t2 + u)); the lower
     ones vanish at a singular point.  Checks the on-fiber identity."""
-    if node.kind is not NodeKind.NODE:
-        raise CuspNotSupported("cuspidal fibers are not parametrized")
     r2 = fiber.r * fiber.r
     q2 = UniPoly(_LVAR, [-3 * r2 * node.t2, 0, 3 * node.t1])
     q3 = UniPoly(_LVAR, [-r2, 0, 0, 1])
@@ -339,29 +326,20 @@ def _certify_fiber(E1, E2, P1, P2, t1, t2) -> tuple[Fraction, CertifiedFiber]:
     return r, CertifiedFiber(fiber, node, par, wit)
 
 
-# Which sign choices (s1*P1, s2*P2) land on which fiber; it holds for every
-# pair, because r = y1/y2.
-_PREIMAGE_TABLE = PreimageCheck(
-    on_r=(("+", "+"), ("-", "-")), on_minus_r=(("+", "-"), ("-", "+"))
-)
+# Which sign choices (s1*P1, s2*P2) land on which fiber: the ratio
+# s1*y1/(s2*y2) is r for matching signs and -r for opposite ones, in every
+# certificate, because r = y1/y2.
+PREIMAGE_SIGNS = {"on_r": [["+", "+"], ["-", "-"]], "on_minus_r": [["+", "-"], ["-", "+"]]}
 
 
-def _statement_text(m: int, conditional: bool) -> str:
-    base = (
-        f"{m} * Phi(([P1] - [-P1]) (x) ([P2] - [-P2])) = 0 in CH^2(E1 x E2)"
-    )
-    if conditional:
-        tail = (
-            "; rank-1 hypotheses supplied for both curves, so the pair "
-            "(E1, E2) is clean"
-        )
-    else:
-        tail = "; if both curves have rank 1 then the pair (E1, E2) is clean"
-    return base + tail
-
-
-def _torsion_factor_text(m: int) -> str:
-    return f"4*n*n'*{m}"
+def _conclusion(m: int, rank_one) -> Conclusion:
+    """The statement certified with multiplier m, given the two rank-1
+    flags of the pair."""
+    conditional = rank_one[0] and rank_one[1]
+    tail = ("rank-1 hypotheses supplied for both curves, so the pair (E1, E2) is clean"
+            if conditional else "if both curves have rank 1 then the pair (E1, E2) is clean")
+    statement = f"{m} * Phi(([P1] - [-P1]) (x) ([P2] - [-P2])) = 0 in CH^2(E1 x E2); {tail}"
+    return Conclusion(statement, m, tuple(rank_one), conditional, None, None, f"4*n*n'*{m}")
 
 
 def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
@@ -374,18 +352,8 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
     # r^2 and the target (x(P1), x(P2)) is the same, so everything but r
     # agrees with the +r fiber.
     cf_minus = replace(cf_plus, fiber=replace(cf_plus.fiber, r=-r))
-    m = cf_plus.witness.multiplier
-    conditional = pair.rank_one_asserted[0] and pair.rank_one_asserted[1]
-    conclusion = Conclusion(
-        statement=_statement_text(m, conditional),
-        multiplier=m,
-        rank_one_hypotheses=tuple(pair.rank_one_asserted),
-        rank_one_conditional=conditional,
-        n=None,
-        n_prime=None,
-        torsion_factor=_torsion_factor_text(m),
-    )
-    return CleanPairCertificate(pair, r, cf_plus, cf_minus, _PREIMAGE_TABLE, conclusion)
+    conclusion = _conclusion(cf_plus.witness.multiplier, pair.rank_one_asserted)
+    return CleanPairCertificate(pair, r, cf_plus, cf_minus, conclusion)
 
 
 # -- serialization --------------------------------------------------------------
@@ -394,6 +362,7 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
 # (dump, load): dump maps a value to JSON, and load(data, scope) maps it back,
 # where scope holds the values already loaded beside the enclosing record.  A
 # load error unwinds as _Malformed and collects its keys, innermost first.
+# A part that is the same in every certificate is a _constant kind.
 
 
 class _Malformed(Exception):
@@ -449,6 +418,32 @@ def _record(build, *rows):
     return (lambda obj: {key: dump(get(obj)) for key, get, dump, _ in fields}), load
 
 
+def _same(data, expected):
+    """Nothing if data is the JSON value expected; else the load error at
+    the first leaf where they differ."""
+    if type(expected) is dict:
+        if type(data) is not dict:
+            raise ValueError(f"expected a JSON object, got {short_repr(data)}")
+        for key, item in expected.items():
+            if key not in data:
+                raise _Malformed("missing", [key])
+            _entry(key, _same, data[key], item)
+    elif type(expected) is list:
+        if type(data) is not list or len(data) != len(expected):
+            size = len(expected)
+            raise ValueError(f"expected a JSON array of {size} entries, got {short_repr(data)}")
+        for i, item in enumerate(expected):
+            _entry(i, _same, data[i], item)
+    elif type(data) is not type(expected) or data != expected:
+        raise ValueError(f"expected {short_repr(expected)}, got {short_repr(data)}")
+
+
+def _constant(value):
+    """A part of the document that is the same in every certificate: dump
+    writes a fresh copy of value, and load requires it."""
+    return (lambda _: copy.deepcopy(value)), (lambda data, _: _same(data, value))
+
+
 def _polynomial(var: str):
     dump, load = _array(_RATIONAL)
     return (lambda p: dump(p.coeffs)), (lambda data, scope: UniPoly(var, load(data, scope)))
@@ -458,8 +453,6 @@ _ANY = (lambda value: value), (lambda data, _: data)
 _RATIONAL = rational_to_str, (lambda data, _: parse_rational(data))
 _INTEGER = _plain(lambda v: type(v) is int, "an integer")
 _BOOLEAN = _plain(lambda v: type(v) is bool, "true or false")
-_SIGN_PAIRS = _array(_array(_plain(lambda v: v in ("+", "-"), '"+" or "-"'), 2))
-_NODE_KIND = _plain(lambda v: v in [k.value for k in NodeKind], '"Node" or "Cusp"')
 _POLY_L = _polynomial(_LVAR)
 _RATFUNC_L = _record(lambda v, _: RatFunc(v["num"], v["den"]),
                      ("num", "num", _POLY_L), ("den", "den", _POLY_L))
@@ -470,9 +463,9 @@ _FIBER = _record(
     ("r", "fiber.r", _RATIONAL),
     ("F", "fiber.F", _array(_polynomial("x2"))),
     ("node", "node", _record(
-        lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"], NodeKind(v["kind"])),
+        lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"]),
         ("t1", "t1", _RATIONAL), ("t2", "t2", _RATIONAL), ("hessian", "hessian_det", _RATIONAL),
-        ("kind", "kind.value", _NODE_KIND))),
+        ("kind", "", _constant("Node")))),
     ("parametrization", "parametrization", _record(
         lambda v, fiber: NodalParametrization(
             v["tau"], v["x1"], v["x2"], v["Q2"], v["Q3"], fiber["node"]),
@@ -492,18 +485,15 @@ _MEMBER = _record(
 )
 _CERTIFICATE = _record(
     lambda v, _: CleanPairCertificate(v["pair"], v["r"], v["fiber_plus"], v["fiber_minus"],
-                                      v["preimage_check"], v["conclusion"]),
-    ("format", "", ((lambda _: CERTIFICATE_FORMAT),
-                    _plain(lambda v: v == CERTIFICATE_FORMAT, repr(CERTIFICATE_FORMAT))[1])),
+                                      v["conclusion"]),
+    ("format", "", _constant(CERTIFICATE_FORMAT)),
     ("pair", "pair", _record(
         lambda v, _: PairHypothesis(*v["members"], v["s"], v["rank_one"]),
         ("s", "shared_s", _RATIONAL), ("members", "left right", _array(_MEMBER, 2)),
         ("rank_one", "rank_one_asserted", _array(_BOOLEAN, 2)))),
     ("r", "r", _RATIONAL), ("fiber_plus", "fiber_plus", _FIBER),
     ("fiber_minus", "fiber_minus", _FIBER),
-    ("preimage_check", "preimage_check", _record(
-        lambda v, _: PreimageCheck(**v),
-        ("on_r", "on_r", _SIGN_PAIRS), ("on_minus_r", "on_minus_r", _SIGN_PAIRS))),
+    ("preimage_check", "", _constant(PREIMAGE_SIGNS)),
     ("conclusion", "conclusion", _record(
         lambda v, _: Conclusion(**v),
         ("statement", "statement", _ANY), ("multiplier", "multiplier", _INTEGER),
@@ -591,30 +581,14 @@ def _check_ratio(cert: CleanPairCertificate) -> list[str]:
 
 
 def _check_fiber(cf: CertifiedFiber, fiber: PencilFiber) -> list[str]:
-    bad = []
-    F = cf.fiber.F
-    if F != fiber.F:
-        bad.append("FiberMismatch")
-    if len(F) != 4 or F[3] != 1 or F[0].coeff(3) != -(fiber.r * fiber.r):
-        bad.append("FiberMismatch")
-    if any(i + c.degree() > 3 for i, c in enumerate(F) if c):
-        bad.append("FiberMismatch")
-    return bad
+    return [] if cf.fiber.F == fiber.F else ["FiberMismatch"]
 
 
 def _check_node(cf: CertifiedFiber, fiber: PencilFiber, t1, t2) -> list[str]:
+    """The stored node is (t1, t2) with find_node's Hessian; find_node
+    raises where (t1, t2) is not a node."""
     node = cf.node
-    if (node.t1, node.t2) != (t1, t2):
-        return ["NodeMismatch"]
-    try:
-        fresh = find_node(fiber, t1, t2)
-    except (NotOnFiber, NotSingular):
-        return ["NodeMismatch"]
-    if (
-        node.hessian_det != fresh.hessian_det
-        or node.kind != fresh.kind
-        or node.kind is not NodeKind.NODE
-    ):
+    if (node.t1, node.t2) != (t1, t2) or node.hessian_det != find_node(fiber, t1, t2).hessian_det:
         return ["NodeMismatch"]
     return []
 
@@ -678,29 +652,9 @@ def _check_witness(cf: CertifiedFiber, target) -> list[str]:
     return []
 
 
-def _check_preimage(cert: CleanPairCertificate) -> list[str]:
-    """The sign table, whose every row s1*y1 = (+-r)*s2*y2 reads y1 = r*y2."""
-    y1 = cert.pair.left.marked_point.y
-    y2 = cert.pair.right.marked_point.y
-    if cert.preimage_check != _PREIMAGE_TABLE or y1 != cert.r * y2:
-        return ["PreimageMismatch"]
-    return []
-
-
 def _check_conclusion(cert: CleanPairCertificate) -> list[str]:
-    con = cert.conclusion
-    m = cert.fiber_plus.witness.multiplier
-    expected_cond = con.rank_one_hypotheses[0] and con.rank_one_hypotheses[1]
-    ok = (
-        con.multiplier == m
-        and con.rank_one_hypotheses == tuple(cert.pair.rank_one_asserted)
-        and con.rank_one_conditional == expected_cond
-        and con.n is None
-        and con.n_prime is None
-        and con.statement == _statement_text(m, expected_cond)
-        and con.torsion_factor == _torsion_factor_text(m)
-    )
-    return [] if ok else ["ConclusionMismatch"]
+    expected = _conclusion(cert.fiber_plus.witness.multiplier, cert.pair.rank_one_asserted)
+    return [] if cert.conclusion == expected else ["ConclusionMismatch"]
 
 
 _PARAMETRIZATION_CURVES = attrgetter(
@@ -749,11 +703,6 @@ def verify_certificate(cert: CleanPairCertificate) -> VerificationResult:
     run("ParametrizationMismatch", _check_parametrization, cf, fiber)
     run("DivisorMismatch", _check_witness, cf, target)
     run("FiberMismatch", _check_mirror, cert)
-
-    run("PreimageMismatch", _check_preimage, cert)
     run("ConclusionMismatch", _check_conclusion, cert)
-    seen = []
-    for tag in reasons:
-        if tag not in seen:
-            seen.append(tag)
-    return VerificationResult(not seen, tuple(seen))
+    seen = tuple(dict.fromkeys(reasons))
+    return VerificationResult(not seen, seen)

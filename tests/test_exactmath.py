@@ -4,10 +4,11 @@ Expected values below were computed by hand (discriminant formulas,
 long division) before the implementation existed, and are frozen.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -57,6 +58,10 @@ def test_rational_string_round_trip():
     assert parse_rational(rational_to_str(F(22, 7))) == F(22, 7)
     with pytest.raises(ValueError):
         parse_rational("3.5x")
+    # computed values print past CPython's 4,300-digit int-to-str limit
+    big = F(-(10**5000) - 1, 3)
+    assert rational_to_str(big) == "-1" + "0" * 4999 + "1/3"
+    assert str(UniPoly("T", [big, 1])) == "T - 1" + "0" * 4999 + "1/3"
 
 
 def test_sqrt_rational():
@@ -338,6 +343,59 @@ def test_low_degree_rational_roots_match_factoring(monkeypatch):
     for p, expected in cases:
         assert rational_roots(p) == expected, p
     assert rational_roots(UniPoly.constant("T", 5)) == []
+
+
+def cauchy_integer_roots(q):
+    """The integer roots of a monic integer q of degree at most 3, by the
+    same bisection on the same monotone pieces, but within the Cauchy bound
+    1 + max |q_i|."""
+    n = len(q) - 1
+    cuts = []
+    if n == 2:
+        cuts = [-q[1] // 2]
+    elif n == 3 and q[2] * q[2] > 3 * q[1]:
+        r = isqrt(q[2] * q[2] - 3 * q[1] - 1) + 1
+        cuts = [(-q[2] - r) // 3, -((q[2] - r) // 3) - 1]
+    bound = 1 + max(map(abs, q[:-1]), default=0)
+    value = lambda coeffs, y: functools.reduce(lambda v, c: v * y + c, reversed(coeffs), 0)
+    out = []
+    for i, (lo, hi) in enumerate(zip([-bound] + [c + 1 for c in cuts], cuts + [bound])):
+        sign = (-1) ** (len(cuts) - i)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * value(q, mid) < 0 else (lo, mid)
+        if lo == hi and not value(q, lo):
+            m, d = 0, q
+            while not value(d, lo):
+                m, d = m + 1, [j * c for j, c in enumerate(d)][1:]
+            out.append((lo, m))
+    return out
+
+
+def test_integer_roots_match_the_cauchy_bisection():
+    # monic cubics with coefficients of about 1,000 digits, for which the
+    # Fujiwara bound is far tighter than 1 + max |q_i|
+    rng = random.Random(2311)
+    big = lambda digits: rng.randint(-10**digits, 10**digits)
+    a, b, c = big(333), big(333), big(333)
+    x = UniPoly.gen("x")
+    cubics = [
+        (x - a) * (x - b) * (x - c),
+        (x - a) ** 2 * (x - b),
+        (x - a) ** 3,
+        (x - a) * (x - a - 1) * (x - a + 1),  # roots next to the critical points
+        (x - a) * (x**2 + big(333) * x + big(666)),
+        x**3 + big(666) * x + big(999),  # x^3 + A x + B, as in the torsion search
+        (x - a) * (x**2 + a * x + big(666)),  # the same shape, with a root
+    ]
+    found = []
+    for p in cubics:
+        q = [int(coeff) for coeff in p.coeffs]
+        assert max(map(abs, q)) > 10**600
+        expected = cauchy_integer_roots(q)
+        assert factor_module._monic_integer_roots(q) == expected, q
+        found.append([m for _, m in expected])
+    assert found == [[1, 1, 1], [2, 1] if a < b else [1, 2], [3], [1, 1, 1], [1], [], [1]]
 
 
 def test_low_degree_irreducibility_matches_factoring(monkeypatch):

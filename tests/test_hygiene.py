@@ -8,13 +8,16 @@ than going unnoticed.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import cleanpair
+from cleanpair import cli
 from test_search_cli import DB_FIXTURE, HARD_DB_ROWS
 
 PACKAGE_DIR = Path(cleanpair.__file__).parent
@@ -123,7 +126,7 @@ def _src_env() -> dict:
     return env
 
 
-_PROBE = """
+_NO_SYMPY = """
 import sys
 
 
@@ -134,6 +137,9 @@ class NoSympy:
 
 
 sys.meta_path.insert(0, NoSympy())
+"""
+
+_PROBE = _NO_SYMPY + """
 from cleanpair.cli import main
 code = main(sys.argv[1:])
 print("process pool loaded:", "concurrent.futures.process" in sys.modules, file=sys.stderr)
@@ -151,6 +157,8 @@ def test_proof_commands_never_load_sympy(tmp_path):
     # factoring, even on a row whose discriminant has two 21-digit prime
     # factors.  No command loads the process-pool machinery either (search
     # enumerates on one process), and only search builds the torsion tables.
+    # Each command's stdout, and the certificate written, are byte for byte
+    # those of this interpreter, where sympy is importable.
     cert = tmp_path / "cert.json"
     table = tmp_path / "curves.txt"
     table.write_text("\n".join([*DB_FIXTURE, HARD_DB_ROWS[0]]) + "\n")
@@ -167,11 +175,35 @@ def test_proof_commands_never_load_sympy(tmp_path):
         ["dbfilter", str(table)],
     ):
         run = subprocess.run(
-            [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, timeout=120
         )
         built = int(argv[0] == "search")
         expected = f"process pool loaded: False\ntorsion tables built: {built}\n"
-        assert (argv[0], run.returncode, run.stderr) == (argv[0], 0, expected)
+        assert (argv[0], run.returncode, run.stderr.decode()) == (argv[0], 0, expected)
+        written = cert.read_bytes()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+        assert (argv[0], stdout.getvalue().encode()) == (argv[0], run.stdout)
+        assert cert.read_bytes() == written
+
+
+_FACTOR_PROBE = _NO_SYMPY + """
+from cleanpair.exactmath import UniPoly, factor_rational_poly
+T = UniPoly.gen("T")
+try:
+    factor_rational_poly(T**4 + 1)
+except ImportError as exc:
+    print(exc)
+"""
+
+
+def test_factoring_past_degree_three_names_sympy_when_it_is_missing():
+    run = subprocess.run(
+        [sys.executable, "-c", _FACTOR_PROBE], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "factoring a squarefree part of degree 4 or more needs sympy\n"
 
 
 _PLACES_PROBE = """

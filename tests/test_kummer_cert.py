@@ -33,9 +33,9 @@ from cleanpair.kummer_cert import (
     CuspNotSupported,
     IrrationalParameter,
     NodeIsTarget,
-    NodeKind,
     NotOnFiber,
     NotSingular,
+    PREIMAGE_SIGNS,
     ReducibleFiber,
     TwoTorsionError,
     assemble_certificate,
@@ -116,10 +116,10 @@ def test_build_fiber_rejects_two_torsion():
 
 
 def test_find_node_worked_example():
+    # find_node returns only at a node: a cusp raises CuspNotSupported
     _, _, fiber, node, _ = worked_chain()
     assert (node.t1, node.t2) == (1, 2)
     assert node.hessian_det == -18
-    assert node.kind is NodeKind.NODE
 
 
 def test_find_node_rejects_off_fiber_point():
@@ -145,12 +145,11 @@ def cusp_fiber():
 
 
 def test_cusp_detected_and_not_parametrized():
+    # (0, 1) is on the fiber and singular, so find_node passes both of those
+    # tests; the Hessian -36 r^2 t1 t2 is 0 there, so it refuses the cusp
     fiber = cusp_fiber()
-    node = find_node(fiber, 0, 1)
-    assert node.kind is NodeKind.CUSP
-    assert node.hessian_det == 0
-    with pytest.raises(CuspNotSupported):
-        parametrize(fiber, node)
+    with pytest.raises(CuspNotSupported, match="^cuspidal fibers are not parametrized$"):
+        find_node(fiber, 0, 1)
 
 
 # -- parametrization ------------------------------------------------------------
@@ -216,22 +215,20 @@ def taylor_shifts(fiber, t1, t2):
 
 def taylor_node(fiber, t1, t2):
     """The node test of the Taylor route: the exception find_node must
-    raise, or the Hessian 4 c2 d2 and the kind."""
+    raise, a cusp's included, or the Hessian 4 c2 d2 of a node."""
     c, d = taylor_shifts(fiber, t1, t2)
     if c[0] + d[0]:
         return NotOnFiber
     if c[1] or d[1]:
         return NotSingular
-    det = 4 * c[2] * d[2]
-    return det, NodeKind.NODE if det else NodeKind.CUSP
+    return 4 * c[2] * d[2] or CuspNotSupported
 
 
 def node_outcome(fiber, t1, t2):
     try:
-        node = find_node(fiber, t1, t2)
-    except (NotOnFiber, NotSingular) as exc:
+        return find_node(fiber, t1, t2).hessian_det
+    except (NotOnFiber, NotSingular, CuspNotSupported) as exc:
         return type(exc)
-    return node.hessian_det, node.kind
 
 
 def seeded_fibers(count, seed=1401):
@@ -267,33 +264,32 @@ def test_find_node_matches_the_taylor_route():
         for point in ((t1, t2), (x1, x2), (t1, t2 + 1), (x1 + 1, x2), (-t1, t2)):
             expected = taylor_node(fiber, *point)
             assert node_outcome(fiber, *point) == expected, point
-            kinds.add(expected if isinstance(expected, type) else expected[1])
-    assert kinds == {NotOnFiber, NotSingular, NodeKind.NODE, NodeKind.CUSP}
+            kinds.add(expected if isinstance(expected, type) else "node")
+    assert kinds == {NotOnFiber, NotSingular, CuspNotSupported, "node"}
 
 
 def test_parametrize_matches_the_taylor_route():
     outcomes = set()
     for fiber, (t1, t2), _ in reference_fibers():
-        node = find_node(fiber, t1, t2)
         c, d = taylor_shifts(fiber, t1, t2)
         q2, q3 = (c[k] * L**k + d[k] for k in (2, 3))
-        if node.kind is NodeKind.CUSP:
-            expected = CuspNotSupported
+        if c[2] * d[2] == 0:
+            expected = CuspNotSupported  # raised by find_node
         elif poly_gcd(q2, q3).degree() > 0:
             expected = ReducibleFiber
         else:
-            par = parametrize(fiber, node)
+            par = parametrize(fiber, find_node(fiber, t1, t2))
             assert (par.node_branch_poly, par.infinity_branch_poly) == (q2, q3)
             tau = RatFunc(-q2, q3)
             assert par.tau == tau
             assert par.x1_of == t1 + RatFunc(L) * tau
             assert par.x2_of == t2 + tau
-            outcomes.add(NodeKind.NODE)
+            outcomes.add("node")
             continue
         with pytest.raises(expected):
-            parametrize(fiber, node)
+            parametrize(fiber, find_node(fiber, t1, t2))
         outcomes.add(expected)
-    assert outcomes == {NodeKind.NODE, CuspNotSupported, ReducibleFiber}
+    assert outcomes == {"node", CuspNotSupported, ReducibleFiber}
 
 
 # -- witness --------------------------------------------------------------------
@@ -373,8 +369,11 @@ def test_assembled_certificate_structure():
     assert cert.fiber_plus.fiber.r == F(1, 2)
     assert cert.fiber_minus.fiber.r == F(-1, 2)
     assert cert.fiber_plus.fiber.F == cert.fiber_minus.fiber.F
-    assert cert.preimage_check.on_r == (("+", "+"), ("-", "-"))
-    assert cert.preimage_check.on_minus_r == (("+", "-"), ("-", "+"))
+    signs = certificate_to_json(cert)["preimage_check"]
+    assert signs == PREIMAGE_SIGNS
+    assert PREIMAGE_SIGNS == {"on_r": [["+", "+"], ["-", "-"]], "on_minus_r": [["+", "-"], ["-", "+"]]}
+    signs["on_r"][0][0] = "-"  # each dump holds a fresh copy of the constant
+    assert PREIMAGE_SIGNS["on_r"] == [["+", "+"], ["-", "-"]]
     con = cert.conclusion
     assert con.multiplier == 3
     assert con.rank_one_hypotheses == (False, False)
@@ -399,9 +398,9 @@ def test_preimage_signs_select_fibers():
     P1 = cert.pair.left.marked_point
     P2 = cert.pair.right.marked_point
     sign = {"+": 1, "-": -1}
-    for s1, s2 in cert.preimage_check.on_r:
+    for s1, s2 in PREIMAGE_SIGNS["on_r"]:
         assert sign[s1] * P1.y == cert.r * sign[s2] * P2.y
-    for s1, s2 in cert.preimage_check.on_minus_r:
+    for s1, s2 in PREIMAGE_SIGNS["on_minus_r"]:
         assert sign[s1] * P1.y == -cert.r * sign[s2] * P2.y
 
 
@@ -663,32 +662,46 @@ def _with_mutation(doc, path, value):
     return doc
 
 
-def _is_caught(doc):
+def _outcome(doc):
+    """What verify says about doc: OK, its FAIL reasons in order, or the
+    load message."""
     try:
         cert = certificate_from_json(doc)
-    except (ValueError, ArithmeticError, TypeError, KeyError):
-        return True
-    return not verify_certificate(cert).ok
+    except ValueError as exc:
+        return f"malformed certificate: {exc}"
+    res = verify_certificate(cert)
+    return "OK" if res.ok else " ".join(f"FAIL: {reason}" for reason in res.reasons)
 
 
 @pytest.mark.parametrize(
-    "pair_args",
-    [((1, 1), (1, 2), (False, False)), ((1, 1), (1, -1), (True, True))],
+    "pair_args, outcomes_sha256",
+    [
+        (((1, 1), (1, 2), (False, False)),
+         "04dbf099df91713ae09c75366db664ee1a050b5306da91a488bd7ab6ced11cd6"),
+        (((1, 1), (1, -1), (True, True)),
+         "affae12ebdc1d4920120fd497875a942086447b7a85f63ade54447bb957c286b"),
+    ],
     ids=["m3", "m1"],
 )
-def test_every_single_field_corruption_is_caught(pair_args):
+def test_every_single_field_corruption_is_caught(pair_args, outcomes_sha256):
+    # and what verify says about each mutation is pinned by one sha256 over
+    # its "<path> => <outcome>" lines
     (s1, t1), (s2, t2), flags = pair_args
     pair = pair_hypothesis(make_member(s1, t1), make_member(s2, t2), flags)
     base = certificate_to_json(assemble_certificate(pair))
     assert verify_certificate(certificate_from_json(base)).ok
     survivors = []
+    digest = hashlib.sha256()
     count = 0
     for path, value in _leaves(base):
         count += 1
-        if not _is_caught(_with_mutation(base, path, _mutate(value))):
+        outcome = _outcome(_with_mutation(base, path, _mutate(value)))
+        if outcome == "OK":
             survivors.append(path)
+        digest.update(f"/{'/'.join(map(str, path))} => {outcome}\n".encode())
     assert count > 100  # the walk really visited the whole document
     assert survivors == []
+    assert digest.hexdigest() == outcomes_sha256
 
 
 @pytest.mark.parametrize(
@@ -702,12 +715,18 @@ def test_every_single_field_corruption_is_caught(pair_args):
 )
 def test_mirror_fiber_leaf_names_its_section(section, reason):
     # the -r fiber is checked against the +r one, so a corrupted leaf in it
-    # gives exactly the reason of its own section
+    # gives exactly the reason of its own section; the node's kind is a
+    # constant of the format, so a corrupted kind does not load
     base = certificate_to_json(assemble_certificate(worked_pair()))
     count = 0
     for path, value in _leaves(base["fiber_minus"][section]):
         full = ("fiber_minus", section) + path
-        cert = certificate_from_json(_with_mutation(base, full, _mutate(value)))
-        assert verify_certificate(cert).reasons == (reason,), full
+        doc = _with_mutation(base, full, _mutate(value))
+        if path == ("kind",):
+            with pytest.raises(ValueError) as exc:
+                certificate_from_json(doc)
+            assert str(exc.value) == "/fiber_minus/node/kind: expected 'Node', got 'Cusp'"
+            continue
+        assert verify_certificate(certificate_from_json(doc)).reasons == (reason,), full
         count += 1
     assert count > 0

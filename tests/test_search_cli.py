@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction as F
 from math import gcd, isqrt
@@ -1134,6 +1135,26 @@ def test_cli_contract_fuzz(capsys, tmp_path):
         else:
             assert len(lines) <= 1, argv
     assert min(codes.values()) > 20, codes
+    # Large numbers: a computed result prints at any size, while what is
+    # read stops at CPython's int-to-str limit, named in one short line.
+    limit = f"more than {sys.get_int_max_str_digits()} digits"
+    code, out, err = run_cli(capsys, "member", "1", "1" + "0" * 1449)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["curve"]["b"]) > sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "member", "1", "1" + "0" * 4999)
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", 2) and lines[0].startswith("usage: ")
+    assert ": error: " in lines[1] and limit in lines[1] and len(lines[1]) < 300
+    doc = json.loads(CERT_V1_FIXTURE.read_text())
+    doc["pair"]["members"][1]["point"][0] = "7" * 10**6 + "/1"
+    case = tmp_path / "huge.json"
+    case.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", str(case))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("malformed certificate: /pair/members/1/point/0: " + limit)
+    assert len(err) < 300
 
 
 def test_cli_usage_errors(capsys):
