@@ -114,6 +114,11 @@ def _cmd_certify(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         return _fail(f"cannot certify: {exc}")
     text = certificate_dumps(cert)
+    try:
+        # what certify writes is exactly what verify can read
+        certificate_loads(text)
+    except ValueError as exc:
+        return _fail(f"cannot certify: the certificate would not load: {exc}")
     if args.out:
         return _write_file(args.out, text + "\n")
     print(text)

@@ -178,10 +178,14 @@ class WeierstrassCurve:
         if x1 == x2:
             if y1 == -y2:
                 return O
-            lam = (3 * x1 * x1 + self.a) / (2 * y1)
+            lam = (3 * x1**2 + self.a) / (2 * y1)
+            x3 = lam**2 - 2 * x1
         else:
+            if type(x1) is RatFunc and x1.den.degree() > x2.den.degree():
+                # lam**2 - x1, x1 - x3 and the last - y1 then meet the smaller one
+                x1, y1, x2, y2 = x2, y2, x1, y1
             lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - x1 - x2
+            x3 = lam**2 - x1 - x2
         y3 = lam * (x1 - x3) - y1
         return CurvePoint(x3, y3)
 

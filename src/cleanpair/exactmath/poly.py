@@ -253,14 +253,15 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = _qq_wrap(self.var, (1,), 1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return _qq_wrap(self.var, (1,), 1) if out is None else out
 
     def __divmod__(self, other):
         o = self._coerce_operand(other)

@@ -4,12 +4,15 @@ The numeric expectations were derived by hand with the chord-tangent
 formulas before wiring them into assertions.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
+import cleanpair.exactmath.poly as poly_module
 from cleanpair.ec_core import (
     CurvePoint,
     IsomorphismWitness,
@@ -31,6 +34,7 @@ from cleanpair.ec_core import (
     torsion_points_overQ,
 )
 from cleanpair.exactmath import RatFunc, UniPoly, sqrt_rational
+from cleanpair.ffheights import family_functionfield_curve
 
 E11 = WeierstrassCurve(-3, 11)
 P0 = CurvePoint.affine(F(-2), F(-3))
@@ -111,6 +115,21 @@ def test_scalar_mul_doubles_only_while_bits_remain(monkeypatch):
     assert len(affine) == 3
 
 
+# sha256 of f"{x}\n{y}" for 9P on the ladder at s = 2, computed with
+# lam * lam - x1 - x2 in the order the points came: however the formulas
+# are arranged, the reduced form must not change
+NINE_P_AT_S2_SHA256 = "3d54bce0e5dadb9c562d08b9e11e52e7c38597838ca45d93bb96e3b67f1a299d"
+
+
+def ladder_at_s2():
+    curve, P = family_functionfield_curve(2)
+    E = curve.weierstrass()
+    multiples = {1: P}
+    for n in range(2, 10):
+        multiples[n] = E.add(multiples[n - 1], P)
+    return E, multiples
+
+
 def test_group_law_over_function_field():
     T = UniPoly.gen("T")
     E = WeierstrassCurve(RatFunc(-3 * T**2), RatFunc(2 * T**3 + 9 * T**2))
@@ -119,6 +138,36 @@ def test_group_law_over_function_field():
     assert E.contains(P)
     for n in range(2, 5):
         assert E.contains(E.scalar_mul(n, P))
+    # at s = 2 the ladder P, ..., 9P is pinned, and sums of its points
+    # commute and associate
+    E, m = ladder_at_s2()
+    for n in range(2, 10):
+        assert m[n] == E.scalar_mul(n, m[1])
+    digest = hashlib.sha256(f"{m[9].x}\n{m[9].y}".encode()).hexdigest()
+    assert digest == NINE_P_AT_S2_SHA256
+    # either order of a chord gives the ladder's multiple
+    for i, j in combinations(range(1, 10), 2):
+        if i + j <= 9:
+            assert E.add(m[i], m[j]) == m[i + j] == E.add(m[j], m[i])
+    triples = [t for t in product(range(1, 10), repeat=3) if sum(t) <= 12]
+    for i, j, k in random.Random(9).sample(triples, 12):
+        assert E.add(E.add(m[i], m[j]), m[k]) == E.add(m[i], E.add(m[j], m[k]))
+
+
+def test_ladder_takes_no_gcd_a_reduced_fraction_cannot_have(monkeypatch):
+    # squares of reduced fractions need no gcd, the doubling subtracts 2 x1
+    # once, and each chord subtracts the point with the smaller denominator
+    # (72 integer gcds for 2P, ..., 9P when written as lam * lam - x1 - x2)
+    calls = []
+    int_gcd = poly_module._int_gcd
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return int_gcd(f, g)
+
+    monkeypatch.setattr(poly_module, "_int_gcd", counting_gcd)
+    ladder_at_s2()
+    assert len(calls) <= 40
 
 
 def test_coefficients_set_the_field():

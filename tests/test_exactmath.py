@@ -17,6 +17,7 @@ from sympy.polys.euclidtools import dup_inner_gcd
 from sympy.polys.factortools import dup_factor_list
 
 import cleanpair.exactmath.factor as factor_module
+import cleanpair.exactmath.poly as poly_module
 from cleanpair.exactmath import (
     Place,
     RatFunc,
@@ -103,6 +104,28 @@ def test_derivative_product_rule():
         a = rand_poly(rng, deg=3)
         b = rand_poly(rng, deg=4)
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    # n = 1 takes no product and each further bit one square, plus one
+    # product per set bit after the lowest: no product by 1, no spare square
+    products = []
+    qq_mul = poly_module._qq_mul
+
+    def counting_mul(*args):
+        products.append(args)
+        return qq_mul(*args)
+
+    p = F(1, 2) * T**2 - 3 * T + 1
+    powers = [UniPoly.constant("T", 1)]
+    for _ in range(13):
+        powers.append(powers[-1] * p)
+    monkeypatch.setattr(poly_module, "_qq_mul", counting_mul)
+    assert p**0 == 1 and not products
+    for n in range(1, 14):
+        products.clear()
+        assert p**n == powers[n]
+        assert len(products) == n.bit_length() + n.bit_count() - 2, n
 
 
 def test_resultant_multiplicative_in_roots():

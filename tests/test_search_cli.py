@@ -1125,16 +1125,25 @@ def test_cli_contract_fuzz(capsys, tmp_path):
         table.write_text(row + "\n")
         cases.append(["dbfilter", str(table)])
     codes = {0: 0, 1: 0, 2: 0}
+    written = []
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code in codes and "Traceback" not in out + err, argv
         codes[code] += 1
+        if argv[:1] == ["certify"] and code == 0:
+            written.append((argv, out))
         lines = err.splitlines()
         if code == 2:
             assert lines and lines[-1].startswith("cleanpair") and ": error: " in lines[-1], argv
         else:
             assert len(lines) <= 1, argv
     assert min(codes.values()) > 20, codes
+    # whatever certify writes with exit 0, verify reads as OK
+    assert written
+    for argv, text in written:
+        case = tmp_path / "written.json"
+        case.write_text(text)
+        assert run_cli(capsys, "verify", str(case)) == (0, "OK\n", ""), argv
     # Large numbers: a computed result prints at any size, while what is
     # read stops at CPython's int-to-str limit, named in one short line.
     limit = f"more than {sys.get_int_max_str_digits()} digits"
@@ -1145,6 +1154,13 @@ def test_cli_contract_fuzz(capsys, tmp_path):
     lines = err.splitlines()
     assert (code, out, len(lines)) == (2, "", 2) and lines[0].startswith("usage: ")
     assert ": error: " in lines[1] and limit in lines[1] and len(lines[1]) < 300
+    # t of 1,451 digits gives a b of more than 4,300; certify reads its own
+    # document back as verify would, so it refuses it and writes nothing
+    big = tmp_path / "big.json"
+    code, out, err = run_cli(capsys, "certify", "1", "1", "1" + "0" * 1450, "--out", str(big))
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("cannot certify: the certificate would not load: /pair/members/1/b: " + limit)
+    assert len(err) < 300 and not big.exists()
     doc = json.loads(CERT_V1_FIXTURE.read_text())
     doc["pair"]["members"][1]["point"][0] = "7" * 10**6 + "/1"
     case = tmp_path / "huge.json"
