@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ec_core import (
     _REFUTING_PRIMES,
@@ -143,8 +143,7 @@ def integral_coefficients(p: int, q: int) -> tuple[int, int]:
     return -3 * p * p * q * q, 2 * p**3 * q**3 + 9 * p * p * q**4
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     p: int
     q: int
     height_value: int
@@ -194,15 +193,16 @@ def _torsion_tables() -> tuple[tuple[int, tuple[tuple[bool, ...], ...]], ...]:
     return tuple(tables)
 
 
-def _non_torsion(u: int, v: int) -> bool:
+def _non_torsion(u: int, v: int, tables: Sequence[tuple[int, Sequence[Sequence[bool]]]]) -> bool:
     """Whether P = (-2u, v) has infinite order on the nonsingular model
     y^2 = (x - u)^2 (x + 2u) + v^2 = x^3 - 3u^2 x + 2u^3 + v^2.
 
     The first refuting prime l whose grid holds at (u mod l, v mod l)
     proves infinite order; as 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), the
     grid's False cells cover every bad reduction.  Only when no prime
-    refutes is a curve built for the exact fallback."""
-    for p, grid in _torsion_tables():
+    refutes is a curve built for the exact fallback.  `tables` is
+    `_torsion_tables()`, read once by the caller."""
+    for p, grid in tables:
         if grid[u % p][v % p]:
             return True
     curve = WeierstrassCurve(Fraction(-3 * u * u), Fraction(2 * u**3 + v * v))
@@ -216,32 +216,35 @@ def enumerate_s1(
     sorted by (height, p, q).
 
     One pass over (q, |p|, sign): (3 p^2 q^2)^3 <= H^6 pins
-    |pq| <= sqrt(H^2 / 3), and the second height term is checked per
-    pair because it is not monotone in |p|.  Records are built once, from
-    the (h, p, q) tuples inside the cut in their plain sort order.
+    |pq| <= sqrt(H^2 / 3), so inside that bound the first height term
+    needs no check, and a pair is inside the cut exactly when the second
+    term's root satisfies |p^2 q^3 (2p + 9q)| <= H^3.  The height is
+    computed only for the pairs kept, and records are built once, from
+    the (h, p, q) tuples in their plain sort order.
     """
     if H < 1:
         raise ValueError("H must be a positive integer")
-    bound6 = H**6
+    H3 = H**3
     pq_max = isqrt(H * H // 3)
+    tables = _torsion_tables()
     signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}[convention.sign]
     kept = [(height_of(0, 1), 0, 1)] if convention.include_zero else []
     for q in range(1, pq_max + 1):
+        q3 = q * q * q
         for ap in range(1, pq_max // q + 1):
             if convention.reduced_only and gcd(ap, q) != 1:
                 continue
             for sign in signs:
                 p = sign * ap
-                h = height_of(p, q)
-                if h <= bound6:
-                    kept.append((h, p, q))
+                if abs(p * p * q3 * (2 * p + 9 * q)) <= H3:
+                    kept.append((height_of(p, q), p, q))
     kept.sort()
     records = []
     for h, p, q in kept:
         # 4a^3 + 27b^2 = 243 p^4 q^7 (4p + 9q) for (a, b) = integral_coefficients(p, q)
         disc_ok = p != 0 and 4 * p + 9 * q != 0
         # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated
-        non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q)
+        non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q, tables)
         records.append(SearchRecord(p, q, h, disc_ok, non_torsion))
     return records
 
@@ -281,15 +284,17 @@ def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
     gcd(u, v) = 1; one torsion test per model."""
     H3 = H**3
     u_max = isqrt(H * H // 3)
+    tables = _torsion_tables()
     records = candidates = coprime_records = coprime_candidates = 0
     for au in range(1, u_max + 1):
         for u in (au, -au):
-            head = H3 - 2 * u**3
+            four_u3 = 4 * u**3
+            head = H3 - four_u3 // 2
             if head < 1:
                 continue
             for v in range(1, isqrt(head) + 1):
                 # 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), and v >= 1
-                candidate = 4 * u**3 + v * v != 0 and _non_torsion(u, v)
+                candidate = four_u3 + v * v != 0 and _non_torsion(u, v, tables)
                 records += 1
                 candidates += candidate
                 if gcd(u, v) == 1:
@@ -390,7 +395,7 @@ def attach_ranks(
     out = []
     for rec in records:
         rank = table.get((rec.p, rec.q))
-        out.append(replace(rec, rank=rank) if rank is not None else rec)
+        out.append(rec._replace(rank=rank) if rank is not None else rec)
     return out
 
 

@@ -203,6 +203,55 @@ def test_enumeration_is_pinned_over_the_benchmark_range(H):
     assert (len(records), sum(r.is_candidate for r in records), digest) == ENUMERATION_PINS[H]
 
 
+def test_enumeration_computes_heights_only_for_the_records_it_returns(monkeypatch):
+    # The loop bound |pq| <= isqrt(H^2 // 3) walks 5,374 reduced pairs at
+    # H = 1000; the H^3 test on the second height term keeps 3,426, and
+    # only those reach `height_of`.
+    H = 1000
+    m = isqrt(H * H // 3)
+    walked = sum(2 for q in range(1, m + 1) for ap in range(1, m // q + 1) if gcd(ap, q) == 1)
+    plain, calls = searchmod.height_of, []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return plain(p, q)
+
+    monkeypatch.setattr(searchmod, "height_of", counted)
+    records = enumerate_s1(H)
+    assert walked == 5374
+    assert len(records) == len(calls) == 3426
+    assert sorted(calls) == sorted((r.p, r.q) for r in records)
+
+
+def test_torsion_tables_are_read_once_per_call():
+    info = _torsion_tables.cache_info
+    _torsion_tables()
+    for run in (lambda: enumerate_s1(30), lambda: _sweep_models(30)):
+        before = info().hits
+        run()
+        assert info().hits - before == 1
+    before = info().hits
+    convention_sweep(12)
+    assert info().hits - before == 2  # one enumeration, one model walk
+
+
+@pytest.mark.parametrize("H, p, q", [(12, 3, 2), (180, -9, 10), (264, -3, 22)])
+def test_height_cut_keeps_its_edge(H, p, q):
+    # Each pair's second height term is exactly H^3, so h(t) = H^6 and the
+    # pair enters at H, not at H - 1; these are the only such pairs with
+    # H < 400.  The edge is never met with 2p + 9q < 0: then
+    # |p^2 q^3 (2p + 9q)| < 2 |pq|^3, so the first term decides the cut.
+    assert p * p * q**3 * (2 * p + 9 * q) == H**3
+    assert height_of(p, q) == H**6
+    assert (p, q) in {(r.p, r.q) for r in enumerate_s1(H)}
+    assert (p, q) not in {(r.p, r.q) for r in enumerate_s1(H - 1)}
+    m = isqrt(H * H // 3)
+    for b in range(1, m + 1):
+        for a in range(-(m // b), 0):
+            if 2 * a + 9 * b < 0:
+                assert (a * a * b**3 * (2 * a + 9 * b)) ** 2 < (3 * a * a * b * b) ** 3
+
+
 def test_sign_and_zero_flags():
     positive = enumerate_s1(10, SearchConvention(sign="positive"))
     negative = enumerate_s1(10, SearchConvention(sign="negative"))
@@ -432,6 +481,24 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(text)
     assert records_from_csv(path.read_text()) == records
+
+
+def test_search_record_is_an_immutable_tuple():
+    records = enumerate_s1(63)
+    rec = records[0]
+    assert rec == (rec.p, rec.q, rec.height_value, rec.disc_ok, rec.non_torsion_ok, None)
+    with pytest.raises(AttributeError):
+        rec.rank = 1
+    with pytest.raises(AttributeError):
+        rec.p = 2
+    oracle = ["-1 1 1\n", "-4 3 0\n", "5 1 2\n", "7 1 ?\n"]
+    before = list(records)
+    ranked = attach_ranks(records, oracle)
+    assert records == before and all(r.rank is None for r in records)
+    ranks = {(r.p, r.q): r.rank for r in ranked if r.rank is not None}
+    assert ranks == {(-1, 1): 1, (-4, 3): 0, (5, 1): 2}
+    assert [r._replace(rank=None) for r in ranked] == records
+    assert records_from_csv(records_to_csv(ranked)) == ranked
 
 
 def test_csv_rejects_foreign_layouts():
