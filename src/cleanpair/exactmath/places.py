@@ -12,7 +12,7 @@ from itertools import takewhile
 from numbers import Rational as _RationalABC
 
 from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
-from cleanpair.exactmath.poly import RatFunc, UniPoly, qq_to_ints
+from cleanpair.exactmath.poly import RatFunc, UniPoly, _exact_quo, qq_to_ints
 
 
 class UndefinedValuation(ArithmeticError):
@@ -117,42 +117,18 @@ def taylor_coefficients(p: UniPoly, root):
         coeffs, scale = quot, scale // c
 
 
-def _divides(num: UniPoly, p: UniPoly) -> bool:
-    """Whether the monic place polynomial p divides num, from the
-    remainder alone: Horner's rule on the integer numerators, reducing mod
-    p at each step and keeping no quotient.  The integer form of p is
-    primitive (its leading coefficient is p's denominator), so by Gauss's
-    lemma it divides num only with integral quotient coefficients; the
-    first that is not one settles the answer."""
-    a, _ = qq_to_ints(num)
-    b, _ = qq_to_ints(p)
-    low, lb = b[:-1], b[-1]
-    rem = [0] * len(low)
-    for c in reversed(a):
-        top = rem.pop()  # rem * T + c, less (top / lb) * b
-        rem.insert(0, c)
-        if top:
-            if top % lb:
-                return False
-            top //= lb
-            for j, y in enumerate(low):
-                rem[j] -= top * y
-    return not any(rem)
-
-
 def _multiplicity(num: UniPoly, p: UniPoly) -> int:
     if p.degree() == 1:
         # the multiplicity of T - r counts the Taylor coefficients at r that
         # vanish, so v = 0 costs one evaluation
         return sum(1 for _ in takewhile(lambda c: not c, taylor_coefficients(num, -p.coeff(0))))
-    if not _divides(num, p):
-        return 0
+    # the integer form of a monic p is primitive (its leading coefficient
+    # is p's denominator), so exact division stops at the first top
+    # coefficient that leaves a remainder
+    a, b = qq_to_ints(num)[0], qq_to_ints(p)[0]
     count = 0
-    q, r = divmod(num, p)
-    while not r and num:
+    while a := _exact_quo(a, b):
         count += 1
-        num = q
-        q, r = divmod(num, p)
     return count
 
 

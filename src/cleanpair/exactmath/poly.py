@@ -8,14 +8,16 @@ denominator that is not a polynomial.
 A polynomial is a tuple of integer numerators, lowest degree first, over
 one positive common denominator, kept canonical: the top numerator is
 nonzero and the gcd of the denominator and all numerators is 1.  Products
-are integer convolutions, sums rescale to a common denominator, and
-division is pseudo-division by the primitive divisor followed by one
-rescale.  Gcds of the integer forms come from a heuristic gcd on plain
-ints, checked by exact division (the quotients are the cofactors that
-reduce a ``RatFunc``), with a primitive PRS as the fallback; no
-computer-algebra system is called.  The ``coeffs`` tuple of ``Fraction`` is
-built from this form on first access and cached; equality and hashing agree
-with it.
+are integer convolutions; a product with a constant scales the numerators,
+and a square takes each cross term once and needs no gcd.  Sums rescale to
+a common denominator, and division is pseudo-division by the primitive
+divisor followed by one rescale.  Gcds of the integer forms come from a
+heuristic gcd on plain ints, checked by exact division, which stops at the
+first non-integral quotient coefficient (Gauss's lemma); its quotients are
+the cofactors that reduce a ``RatFunc``.  A primitive PRS is the fallback;
+no computer-algebra system is called.  The ``coeffs`` tuple of ``Fraction``
+is built from this form on first access and cached; equality and hashing
+agree with it.
 
 A ``RatFunc`` is a quotient of two such polynomials in one variable.
 
@@ -90,6 +92,28 @@ def _qq_add(var: str, a, da: int, b, db: int) -> "UniPoly":
 def _qq_mul(var: str, a, da: int, b, db: int) -> "UniPoly":
     if not a or not b:
         return _qq_wrap(var, (), 1)
+    if len(a) == 1 < len(b):
+        a, da, b, db = b, db, a, da
+    if len(b) == 1:
+        # (a/da) * (c/db): with gcd(da, content a) = gcd(db, c) = 1, the
+        # gcd of da*db and c*a is gcd(da, c) * gcd(db, content a)
+        c = b[0]
+        if c == 1 and db == 1:
+            return _qq_wrap(var, a, da)
+        g, h = gcd(da, c), gcd(db, *a)
+        c //= g
+        return _qq_wrap(var, tuple(x // h * c for x in a), da // g * (db // h))
+    if a is b and da == db:
+        # the square of a canonical form is canonical (Gauss's lemma)
+        n = len(a)
+        out = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[2 * i] += x * x
+                x2 = x << 1
+                for j in range(i + 1, n):
+                    out[i + j] += x2 * a[j]
+        return _qq_wrap(var, tuple(out), da * da)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -345,9 +369,20 @@ class UniPoly:
 
 def _exact_quo(f, h):
     """f / h for integer coefficient lists, lowest degree first, with h
-    primitive, or None when h does not divide f."""
-    q, r = _qq_divmod("", f, 1, h, 1)
-    return None if r or q._den != 1 else list(q._num)
+    primitive, or None when h does not divide f.  By Gauss's lemma a
+    primitive h divides f only with integral quotient coefficients, so
+    the first top coefficient that lc(h) does not divide settles it."""
+    lh, n = h[-1], len(h) - 1
+    rem, quot = list(f), []
+    while len(rem) > n:
+        u, r = divmod(rem.pop(), lh)
+        if r:
+            return None
+        quot.append(u)
+        if u:
+            k = len(rem) - n
+            rem[k:] = [x - u * c for x, c in zip(rem[k:], h)]
+    return None if any(rem) else quot[::-1]
 
 
 def _primitive(f):
@@ -394,7 +429,8 @@ def _int_gcd(f, g):
     divides f and g exactly, and the cofactors are those quotients."""
     cf, cg = gcd(*f), gcd(*g)
     c = gcd(cf, cg)
-    fp, gp = _primitive(f), _primitive(g)
+    fp = [x // cf for x in f] if cf != 1 else f
+    gp = [x // cg for x in g] if cg != 1 else g
     h, cff, cfg = [1], fp, gp
     if len(f) > 1 and len(g) > 1:
         for h in _heu_candidates(fp, gp):
@@ -472,8 +508,7 @@ def _reduced(num: UniPoly, den: UniPoly) -> "RatFunc":
     if not num:
         den = _qq_wrap(num.var, (1,), 1)
     elif not den.is_monic():
-        inv = 1 / den.lc()
-        num, den = num * inv, den * inv
+        num, den = num * (1 / den.lc()), den.monic()
     f = object.__new__(RatFunc)
     object.__setattr__(f, "num", num)
     object.__setattr__(f, "den", den)

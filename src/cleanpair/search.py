@@ -219,8 +219,8 @@ def enumerate_s1(
     |pq| <= sqrt(H^2 / 3), so inside that bound the first height term
     needs no check, and a pair is inside the cut exactly when the second
     term's root satisfies |p^2 q^3 (2p + 9q)| <= H^3.  The height is
-    computed only for the pairs kept, and records are built once, from
-    the (h, p, q) tuples in their plain sort order.
+    computed only for the pairs kept, and each record replaces its
+    (h, p, q) tuple in the sorted list, so no second list is built.
     """
     if H < 1:
         raise ValueError("H must be a positive integer")
@@ -239,14 +239,13 @@ def enumerate_s1(
                 if abs(p * p * q3 * (2 * p + 9 * q)) <= H3:
                     kept.append((height_of(p, q), p, q))
     kept.sort()
-    records = []
-    for h, p, q in kept:
+    for i, (h, p, q) in enumerate(kept):
         # 4a^3 + 27b^2 = 243 p^4 q^7 (4p + 9q) for (a, b) = integral_coefficients(p, q)
         disc_ok = p != 0 and 4 * p + 9 * q != 0
         # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated
         non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q, tables)
-        records.append(SearchRecord(p, q, h, disc_ok, non_torsion))
-    return records
+        kept[i] = SearchRecord(p, q, h, disc_ok, non_torsion)
+    return kept
 
 
 # ---------------------------------------------------------------------------

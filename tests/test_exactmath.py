@@ -35,8 +35,16 @@ from cleanpair.exactmath import (
     taylor_coefficients,
     valuation_at,
 )
-from cleanpair.exactmath.places import _divides, _multiplicity
-from cleanpair.exactmath.poly import _heu_candidates, _int_gcd, _primitive, _prs_gcd, qq_from_ints, qq_to_ints
+from cleanpair.exactmath.places import _multiplicity
+from cleanpair.exactmath.poly import (
+    _exact_quo,
+    _heu_candidates,
+    _int_gcd,
+    _primitive,
+    _prs_gcd,
+    qq_from_ints,
+    qq_to_ints,
+)
 from cleanpair.family import functionfield_coefficients
 
 T = UniPoly.gen("T")
@@ -609,7 +617,10 @@ def test_divides_matches_the_remainder():
     # fail to be integral, which the monic integral places above never do;
     # T^2 over the integer form 2T^2 + 1 has quotient 1/2, and a quotient
     # floored to 0 would leave a zero remainder
-    assert not _divides(T**2, T**2 + F(1, 2))
+    def divides(p, q):
+        return _exact_quo(qq_to_ints(p)[0], qq_to_ints(q)[0]) is not None
+
+    assert not divides(T**2, T**2 + F(1, 2))
     rng = random.Random(59)
     places = (T**2 + T + 1, T**2 + F(1, 2), T**2 - F(2, 3) * T + F(5, 7), T**3 - F(1, 4) * T + 3)
     hits = 0
@@ -618,8 +629,8 @@ def test_divides_matches_the_remainder():
             p = rand_poly(rng, deg=rng.randint(0, 12))
             if rng.random() < 0.5:
                 p = p * q ** rng.randint(1, 3)
-            assert _divides(p, q) == (not p % q), (p, q)
-            hits += _divides(p, q)
+            assert divides(p, q) == (not p % q), (p, q)
+            hits += divides(p, q)
     assert 0 < hits < 160
 
 
@@ -774,3 +785,114 @@ def test_scalar_operands_equal_the_constant_polynomial():
         for r in (p + k, k - p, p * k):
             num, den = qq_to_ints(r)
             assert all(type(x) is int for x in (*num, den))
+
+
+def canonical(p):
+    num, den = qq_to_ints(p)
+    return den > 0 and (num[-1] != 0 and gcd(den, *num) == 1 if num else den == 1)
+
+
+def convolution(p, q):
+    # the general product: every coefficient pair, then a gcd over all of it
+    (a, da), (b, db) = qq_to_ints(p), qq_to_ints(q)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return qq_from_ints(p.var, out, da * db)
+
+
+def big_ints(rng, deg, bits=300):
+    # about a quarter of the coefficients below the top are zero
+    out = [rng.getrandbits(bits) - (1 << (bits - 1)) if rng.random() < 0.75 else 0 for _ in range(deg)]
+    return out + [rng.getrandbits(bits) | 1]
+
+
+def int_form_poly(rng, deg, content=1):
+    # the denominator is prime to 6, so a content of 6 stays in the numerators
+    den = 6 * rng.getrandbits(rng.randint(1, 300)) + 1
+    return qq_from_ints("T", [content * c for c in big_ints(rng, deg)], den)
+
+
+def test_products_by_constants_equal_the_convolution():
+    rng = random.Random(202810)
+    for deg in (0, 1, 2, 7, 31, 64, 96):
+        for _ in range(2):
+            a = int_form_poly(rng, deg, content=6)
+            num, den = qq_to_ints(a)
+            assert gcd(*num) % 6 == 0
+            constants = (
+                1,
+                -1,
+                rng.getrandbits(300) + 2,
+                3 * den,  # shares a factor with a's denominator
+                F(5, 12),  # shares 6 with a's content
+                F(-7 * rng.getrandbits(300), 12 * den + 6),
+                int_form_poly(rng, 0),
+            )
+            for c in constants:
+                k = c if isinstance(c, UniPoly) else UniPoly.constant("T", c)
+                for product in (a * c, c * a, a * k, k * a):
+                    assert qq_to_ints(product) == qq_to_ints(convolution(a, k))
+                    assert canonical(product)
+            assert a * 1 == a and qq_to_ints(a * 1)[0] is num
+
+
+def test_monic_rescale_keeps_the_form_canonical():
+    # den = (..., top) / D with gcd(D, top) > 1, so (D, top) is not a
+    # canonical constant while D / top reduced is
+    rng = random.Random(202811)
+    for deg in (1, 2, 9, 40, 96):
+        low = big_ints(rng, deg - 1) if deg > 1 else []
+        den = qq_from_ints("T", [6 * rng.getrandbits(300) + 1] + low + [6 * rng.getrandbits(300) + 6], 12)
+        assert qq_to_ints(den)[1] == 12 and gcd(12, qq_to_ints(den)[0][-1]) > 1
+        num = int_form_poly(rng, rng.randint(0, 96 - deg))
+        f = RatFunc(num, den)
+        assert f.den.is_monic() and canonical(f.num) and canonical(f.den)
+        assert convolution(f.num, den) == convolution(num, f.den)
+
+
+def test_squares_equal_the_product_with_a_copy():
+    rng = random.Random(202812)
+    for deg in (0, 1, 2, 3, 8, 25, 47, 80, 96):
+        a = int_form_poly(rng, deg, content=rng.choice((1, 6)))
+        num, den = qq_to_ints(a)
+        copy = qq_from_ints("T", list(num), den)
+        assert qq_to_ints(copy)[0] is not num
+        square = a * a
+        assert qq_to_ints(square) == qq_to_ints(a * copy) == qq_to_ints(convolution(a, copy))
+        assert canonical(square) and a**2 == square
+        # the same numerators over another denominator make no square
+        other = poly_module._qq_wrap("T", num, den * (gcd(*num) + 1))
+        assert canonical(other)
+        assert qq_to_ints(a * other) == qq_to_ints(convolution(a, other))
+
+
+def pseudo_division_quotient(f, h):
+    # f / h through the general pseudo-division, the reference for _exact_quo
+    q, r = poly_module._qq_divmod("", f, 1, h, 1)
+    return None if r or qq_to_ints(q)[1] != 1 else list(qq_to_ints(q)[0])
+
+
+def test_exact_quotient_matches_pseudo_division():
+    rng = random.Random(202813)
+    outcomes = set()
+    for dh, dq in ((1, 0), (1, 40), (2, 7), (5, 1), (9, 48), (20, 20), (48, 48), (70, 26)):
+        for sign in (1, -1):
+            low = big_ints(rng, dh)[:-1]
+            low[0] = low[0] or 1
+            h = _primitive(low + [sign * rng.randrange(2, 1 << 64)])
+            assert abs(h[-1]) > 1
+            q = big_ints(rng, dq)
+            f = qq_to_ints(qq_from_ints("T", h) * qq_from_ints("T", q))[0]
+            top, bottom, other = list(f), list(f), list(f)
+            top[-1] += 1  # the first quotient coefficient is not integral
+            bottom[0] += 1  # integral quotient, nonzero remainder
+            for i, c in enumerate(h):
+                other[dq + i] += 7 * c  # divisible, quotient q + 7 T^dq
+            for g in (f, top, bottom, other, big_ints(rng, dh + dq), f[:dh]):
+                quo = _exact_quo(g, h)
+                assert quo == pseudo_division_quotient(g, h)
+                outcomes.add(quo is None)
+            assert _exact_quo(f, h) == q
+    assert _exact_quo([], [3, 2]) == [] and outcomes == {True, False}
