@@ -27,22 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import search as searchmod
 from .exactmath.scalars import parse_rational, rational_to_str
-from .family import make_member, pair_hypothesis
-from .ffheights import (
-    bad_places,
-    canonical_height,
-    family_functionfield_curve,
-    generic_rank,
-    shioda_tate_rank,
-)
-from .kummer_cert import (
-    assemble_certificate,
-    certificate_dumps,
-    certificate_loads,
-    verify_certificate,
-)
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -81,10 +66,12 @@ def _write_file(path: str, text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers; each imports the module it runs, so a command loads no other
 
 
 def _cmd_member(args) -> int:
+    from .family import make_member
+
     member = make_member(args.s, args.t)
     _emit_json(
         {
@@ -106,6 +93,9 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .family import make_member, pair_hypothesis
+    from .kummer_cert import assemble_certificate, certificate_dumps, certificate_loads
+
     left = make_member(args.s, args.t1)
     right = make_member(args.s, args.t2)
     try:
@@ -126,6 +116,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .kummer_cert import certificate_loads, verify_certificate
+
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             cert = certificate_loads(handle.read())
@@ -143,6 +135,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_heights(args) -> int:
+    from .ffheights import (
+        bad_places, canonical_height, family_functionfield_curve, shioda_tate_rank,
+    )
+
     try:
         curve, point = family_functionfield_curve(args.s)
         report = canonical_height(curve, point)
@@ -165,6 +161,8 @@ def _cmd_heights(args) -> int:
 
 
 def _cmd_rank_ff(args) -> int:
+    from .ffheights import generic_rank
+
     try:
         rank, evidence = generic_rank(args.s)
     except (ValueError, ArithmeticError) as exc:
@@ -186,6 +184,8 @@ def _cmd_rank_ff(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search as searchmod
+
     convention = searchmod.SearchConvention(
         sign=args.sign,
         include_zero=args.include_zero,
@@ -230,6 +230,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_dbfilter(args) -> int:
+    from . import search as searchmod
+
     try:
         with open(args.database, "r", encoding="utf-8") as handle:
             entries = searchmod.parse_curve_db(handle)

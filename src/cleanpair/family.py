@@ -18,9 +18,8 @@ both s and t can be checked on symbols of a computer-algebra system.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cleanpair.ec_core import (
     CurvePoint,
@@ -68,8 +67,7 @@ def discriminant_formula(s, t):
     return -432 * s * w * w * (4 * t * t * t + w * w * s)
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     s: Fraction
     t: Fraction
     curve: WeierstrassCurve
@@ -108,8 +106,7 @@ def verify_member_identity(m: FamilyMember) -> bool:
     return f.evaluate(m.t) == m.s * y * y
 
 
-@dataclass(frozen=True)
-class PairHypothesis:
+class PairHypothesis(NamedTuple):
     left: FamilyMember
     right: FamilyMember
     shared_s: Fraction

@@ -51,11 +51,10 @@ the bad finite places; the denominator of x is never factored.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, zip_longest
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
@@ -90,8 +89,7 @@ class ReductionType(enum.Enum):
     ADDITIVE = "Additive"
 
 
-@dataclass(frozen=True)
-class ReductionProfile:
+class ReductionProfile(NamedTuple):
     place: Place
     val_delta: int
     type: ReductionType
@@ -264,8 +262,7 @@ def shioda_tate_rank(profiles) -> int:
 # -- local heights -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaceHeightEntry:
+class PlaceHeightEntry(NamedTuple):
     place: Place
     val_delta: int
     reduction: ReductionType
@@ -275,8 +272,7 @@ class PlaceHeightEntry:
     val_f3: Optional[int]
 
 
-@dataclass(frozen=True)
-class HeightReport:
+class HeightReport(NamedTuple):
     """Local heights at the bad places and at infinity (a good infinity only
     when its value is not 0).  ``good_poles`` is the degree-weighted count of
     the poles of x at the good finite places, where the local height is half
@@ -447,8 +443,7 @@ def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
 # -- generic rank over Q(T) -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenericRankEvidence:
+class GenericRankEvidence(NamedTuple):
     shioda_tate_bound: int
     heights: dict
     orthogonal: Optional[bool]

@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve, is_torsion_overQ
 from cleanpair.exactmath import (
@@ -113,8 +112,7 @@ class ReducibleFiber(ArithmeticError):
 # -- data records ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilFiber:
+class PencilFiber(NamedTuple):
     """The cubic F = f(x1) - r^2 g(x2), with f and g the right-hand sides of
     the two source curves.  F holds its four coefficients in x1, lowest
     degree first, each a polynomial in x2; only F[0] involves x2."""
@@ -124,15 +122,13 @@ class PencilFiber:
     source_curves: tuple[WeierstrassCurve, WeierstrassCurve]
 
 
-@dataclass(frozen=True)
-class NodeData:
+class NodeData(NamedTuple):
     t1: Fraction
     t2: Fraction
     hessian_det: Fraction
 
 
-@dataclass(frozen=True)
-class NodalParametrization:
+class NodalParametrization(NamedTuple):
     """Lines x1 = t1 + L*tau, x2 = t2 + tau through the node; substituting
     into F leaves Q2(L) tau^2 + Q3(L) tau^3, so the third intersection is
     at tau(L) = -Q2(L)/Q3(L), with x1 = N1/Q3 and x2 = N2/Q3 for
@@ -151,8 +147,7 @@ class NodalParametrization:
     node: NodeData
 
 
-@dataclass(frozen=True)
-class DivisorWitness:
+class DivisorWitness(NamedTuple):
     """h(L) with zeros only over the target and poles only over points at
     infinity of the fiber.
 
@@ -166,16 +161,13 @@ class DivisorWitness:
     multiplier: int
 
 
-@dataclass(frozen=True)
-class CertifiedFiber:
+class CertifiedFiber(NamedTuple):
     fiber: PencilFiber
-    node: NodeData
     parametrization: NodalParametrization
     witness: DivisorWitness
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     """The certified statement.  n and n_prime are the integers relating
     the marked points to rank-1 generators; they depend on analytic input
     the certificate does not carry, so the slots stay empty."""
@@ -189,8 +181,7 @@ class Conclusion:
     torsion_factor: str
 
 
-@dataclass(frozen=True)
-class CleanPairCertificate:
+class CleanPairCertificate(NamedTuple):
     pair: PairHypothesis
     r: Fraction
     fiber_plus: CertifiedFiber
@@ -323,7 +314,7 @@ def _certify_fiber(E1, E2, P1, P2, t1, t2) -> tuple[Fraction, CertifiedFiber]:
     node = find_node(fiber, t1, t2)
     par = parametrize(fiber, node)
     wit = divisor_witness(par, (P1.x, P2.x))
-    return r, CertifiedFiber(fiber, node, par, wit)
+    return r, CertifiedFiber(fiber, par, wit)
 
 
 # Which sign choices (s1*P1, s2*P2) land on which fiber: the ratio
@@ -351,7 +342,7 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
     # The fiber through (P1, -P2) has ratio -r.  F depends on r only through
     # r^2 and the target (x(P1), x(P2)) is the same, so everything but r
     # agrees with the +r fiber.
-    cf_minus = replace(cf_plus, fiber=replace(cf_plus.fiber, r=-r))
+    cf_minus = cf_plus._replace(fiber=cf_plus.fiber._replace(r=-r))
     conclusion = _conclusion(cf_plus.witness.multiplier, pair.rank_one_asserted)
     return CleanPairCertificate(pair, r, cf_plus, cf_minus, conclusion)
 
@@ -459,10 +450,10 @@ _RATFUNC_L = _record(lambda v, _: RatFunc(v["num"], v["den"]),
 _FIBER = _record(
     lambda v, cert: CertifiedFiber(
         PencilFiber(v["r"], v["F"], (cert["pair"].left.curve, cert["pair"].right.curve)),
-        v["node"], v["parametrization"], v["witness"]),
+        v["parametrization"], v["witness"]),
     ("r", "fiber.r", _RATIONAL),
     ("F", "fiber.F", _array(_polynomial("x2"))),
-    ("node", "node", _record(
+    ("node", "parametrization.node", _record(
         lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"]),
         ("t1", "t1", _RATIONAL), ("t2", "t2", _RATIONAL), ("hessian", "hessian_det", _RATIONAL),
         ("kind", "", _constant("Node")))),
@@ -532,12 +523,12 @@ def certificate_loads(text: str) -> CleanPairCertificate:
 # -- verification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reasons: tuple[str, ...]
 
     def __bool__(self) -> bool:
+        """A failed verdict is falsy, though a tuple of two fields is not."""
         return self.ok
 
 
@@ -587,7 +578,7 @@ def _check_fiber(cf: CertifiedFiber, fiber: PencilFiber) -> list[str]:
 def _check_node(cf: CertifiedFiber, fiber: PencilFiber, t1, t2) -> list[str]:
     """The stored node is (t1, t2) with find_node's Hessian; find_node
     raises where (t1, t2) is not a node."""
-    node = cf.node
+    node = cf.parametrization.node
     if (node.t1, node.t2) != (t1, t2) or node.hessian_det != find_node(fiber, t1, t2).hessian_det:
         return ["NodeMismatch"]
     return []
@@ -608,7 +599,7 @@ def _check_parametrization(cf: CertifiedFiber, fiber: PencilFiber) -> list[str]:
         or resultant(q2, q3) == 0
     ):
         return ["ParametrizationMismatch"]
-    n1, n2 = _numerators(cf.node, q2, q3)
+    n1, n2 = _numerators(par.node, q2, q3)
     for stored, num in ((par.tau, -q2), (par.x1_of, n1), (par.x2_of, n2)):
         if stored.num * q3 != num * stored.den:
             return ["ParametrizationMismatch"]
@@ -624,7 +615,7 @@ def _check_witness(cf: CertifiedFiber, target) -> list[str]:
     branches."""
     par = cf.parametrization
     wit = cf.witness
-    t1, t2 = cf.node.t1, cf.node.t2
+    t1, t2 = par.node.t1, par.node.t2
     tau_p = Fraction(target[1]) - t2
     if tau_p == 0:
         return ["DivisorMismatch"]
@@ -664,12 +655,12 @@ _PARAMETRIZATION_CURVES = attrgetter(
 
 def _check_mirror(cert: CleanPairCertificate) -> list[str]:
     """The -r fiber must repeat the +r one in every section but r (see
-    assemble_certificate); its r is checked with the ratio.  The
-    parametrization's node is its fiber's, so only its curves are compared."""
+    assemble_certificate); its r is checked with the ratio.  The node is a
+    section of its own, so the parametrization is compared by its curves."""
     plus, minus = cert.fiber_plus, cert.fiber_minus
     sections = (
         ("FiberMismatch", plus.fiber.F, minus.fiber.F),
-        ("NodeMismatch", plus.node, minus.node),
+        ("NodeMismatch", plus.parametrization.node, minus.parametrization.node),
         ("ParametrizationMismatch", _PARAMETRIZATION_CURVES(plus.parametrization),
          _PARAMETRIZATION_CURVES(minus.parametrization)),
         ("DivisorMismatch", plus.witness, minus.witness),

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -107,8 +106,7 @@ class ParseError(ValueError):
 # enumeration
 
 
-@dataclass(frozen=True)
-class SearchConvention:
+class SearchConvention(NamedTuple):
     """Flags selecting how the t-line is swept.
 
     sign: "both" sweeps p over both signs, "positive"/"negative"
@@ -121,10 +119,6 @@ class SearchConvention:
     sign: str = "both"
     include_zero: bool = False
     reduced_only: bool = True
-
-    def __post_init__(self):
-        if self.sign not in ("both", "positive", "negative"):
-            raise ValueError(f"unknown sign convention {self.sign!r}")
 
 
 DEFAULT_CONVENTION = SearchConvention()
@@ -222,12 +216,14 @@ def enumerate_s1(
     computed only for the pairs kept, and each record replaces its
     (h, p, q) tuple in the sorted list, so no second list is built.
     """
+    signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}.get(convention.sign)
+    if signs is None:
+        raise ValueError(f"unknown sign convention {convention.sign!r}")
     if H < 1:
         raise ValueError("H must be a positive integer")
     H3 = H**3
     pq_max = isqrt(H * H // 3)
     tables = _torsion_tables()
-    signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}[convention.sign]
     kept = [(height_of(0, 1), 0, 1)] if convention.include_zero else []
     for q in range(1, pq_max + 1):
         q3 = q * q * q
@@ -265,8 +261,7 @@ def enumerate_s1(
 # "models-v-positive" instead of walked (see convention_sweep for why).
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     name: str
     records: int
     candidates: int
@@ -407,8 +402,7 @@ def pair_counts(n: int) -> tuple[int, int]:
     return n * (n - 1) // 2, n * n - n
 
 
-@dataclass(frozen=True)
-class PairingSummary:
+class PairingSummary(NamedTuple):
     candidate_count: int
     rank_buckets: tuple[tuple[str, int], ...]
     rank_one_count: int
@@ -490,8 +484,7 @@ def records_from_csv(text: str) -> list[SearchRecord]:
 # curve database filter
 
 
-@dataclass(frozen=True)
-class CurveDbEntry:
+class CurveDbEntry(NamedTuple):
     label: str
     a_invariants: tuple[int, int, int, int, int]
     rank: int
@@ -542,8 +535,7 @@ def _short_model(a_invariants: Sequence[int]) -> tuple[int, int]:
     return -27 * c4, -54 * c6
 
 
-@dataclass(frozen=True)
-class DbCurveClassification:
+class DbCurveClassification(NamedTuple):
     label: str
     short_a: int  # A = -27 c4 of the model as read, not twist-minimal
     short_b: int  # B = -54 c6 of the same model
@@ -554,8 +546,7 @@ class DbCurveClassification:
     square_sign: Optional[int]  # that sigma, in the model as read
 
 
-@dataclass(frozen=True)
-class DbFilterReport:
+class DbFilterReport(NamedTuple):
     total_rank_one: int
     shape_count: int
     eligible_count: int

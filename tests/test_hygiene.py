@@ -142,11 +142,25 @@ sys.meta_path.insert(0, NoSympy())
 _PROBE = _NO_SYMPY + """
 from cleanpair.cli import main
 code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("cleanpair.")), file=sys.stderr)
+print("dataclasses loaded:", "dataclasses" in sys.modules, file=sys.stderr)
 print("process pool loaded:", "concurrent.futures.process" in sys.modules, file=sys.stderr)
 from cleanpair.search import _torsion_tables
 print("torsion tables built:", _torsion_tables.cache_info().currsize, file=sys.stderr)
 sys.exit(code)
 """
+
+# the package modules each command must not load: a command imports only
+# the module it runs and what that module imports
+_NOT_LOADED = {
+    "member": {"kummer_cert", "ffheights", "search"},
+    "certify": {"ffheights", "search"},
+    "verify": {"ffheights", "search"},
+    "heights": {"kummer_cert", "search"},
+    "rank-ff": {"kummer_cert", "search"},
+    "search": {"family", "kummer_cert", "ffheights"},
+    "dbfilter": {"family", "kummer_cert", "ffheights"},
+}
 
 
 def test_proof_commands_never_load_sympy(tmp_path):
@@ -157,6 +171,7 @@ def test_proof_commands_never_load_sympy(tmp_path):
     # factoring, even on a row whose discriminant has two 21-digit prime
     # factors.  No command loads the process-pool machinery either (search
     # enumerates on one process), and only search builds the torsion tables.
+    # No command loads dataclasses, or a package module of another command.
     # Each command's stdout, and the certificate written, are byte for byte
     # those of this interpreter, where sympy is importable.
     cert = tmp_path / "cert.json"
@@ -178,8 +193,11 @@ def test_proof_commands_never_load_sympy(tmp_path):
             [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, timeout=120
         )
         built = int(argv[0] == "search")
-        expected = f"process pool loaded: False\ntorsion tables built: {built}\n"
-        assert (argv[0], run.returncode, run.stderr.decode()) == (argv[0], 0, expected)
+        expected = ("dataclasses loaded: False\nprocess pool loaded: False\n"
+                    f"torsion tables built: {built}\n")
+        loaded, rest = run.stderr.decode().split("\n", 1)
+        foreign = {m.removeprefix("cleanpair.") for m in loaded.split()} & _NOT_LOADED[argv[0]]
+        assert (argv[0], run.returncode, foreign, rest) == (argv[0], 0, set(), expected)
         written = cert.read_bytes()
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

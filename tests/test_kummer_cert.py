@@ -554,14 +554,17 @@ def test_dumps_are_pinned_over_a_grid_of_pairs():
 
 def test_named_tamper_reasons():
     base = certificate_to_json(assemble_certificate(worked_pair()))
+    assert verify_certificate(certificate_from_json(base))
     doc = copy.deepcopy(base)
     doc["fiber_plus"]["witness"]["lambda_P"] = "2/3"
     res = verify_certificate(certificate_from_json(doc))
     assert not res.ok and res.reasons == ("DivisorMismatch",)
+    assert not res
     doc = copy.deepcopy(base)
     doc["r"] = "1/3"
     res = verify_certificate(certificate_from_json(doc))
     assert not res.ok and "RatioMismatch" in res.reasons
+    assert not res
 
 
 def _refuse(*args, **kwargs):

@@ -262,7 +262,7 @@ def test_sign_and_zero_flags():
     assert len(zero) == 1 and not zero[0].disc_ok and not zero[0].is_candidate
     assert len(with_zero) == len(H10_TABLE) + 1
     with pytest.raises(ValueError):
-        SearchConvention(sign="sideways")
+        enumerate_s1(10, SearchConvention(sign="sideways"))
 
 
 def test_unreduced_pairs_flag():
