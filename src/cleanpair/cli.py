@@ -38,13 +38,12 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    value = _rational_arg(text)
+    if "/" in text:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("H must be >= 1")
-    return value
+    return value.numerator
 
 
 def _emit_json(payload) -> None:

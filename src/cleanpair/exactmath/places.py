@@ -12,7 +12,7 @@ from itertools import takewhile
 from numbers import Rational as _RationalABC
 
 from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
-from cleanpair.exactmath.poly import RatFunc, UniPoly, _exact_quo, qq_to_ints
+from cleanpair.exactmath.poly import RatFunc, UniPoly, _exact_quo, qq_to_ints, taylor_coefficients
 
 
 class UndefinedValuation(ArithmeticError):
@@ -93,28 +93,6 @@ def _as_ratfunc(place: Place, f):
     if isinstance(f, (int, _RationalABC)):
         return RatFunc.constant(place.var, f)
     raise TypeError(f"cannot take a valuation of {type(f).__name__}")
-
-
-def taylor_coefficients(p: UniPoly, root):
-    """The Taylor coefficients of p at the rational root, lowest first:
-    p(root), p'(root), p''(root)/2, ...  Each is the remainder of one pass
-    of integer synthetic division (Horner's rule) of c^n p(T/c), whose root
-    a is an integer when root = a/c, so the first costs one evaluation."""
-    root = Fraction(root)
-    a, c = root.numerator, root.denominator
-    num, den = qq_to_ints(p)
-    coeffs, power = [], 1  # den c^n p(T/c), highest degree first
-    for x in reversed(num):
-        coeffs.append(x * power)
-        power *= c
-    scale = den * power // c  # the j-th remainder over den c^(n - j)
-    while coeffs:
-        acc, quot = 0, []
-        for x in coeffs:
-            acc = acc * a + x
-            quot.append(acc)
-        yield Fraction(quot.pop(), scale)
-        coeffs, scale = quot, scale // c
 
 
 def _multiplicity(num: UniPoly, p: UniPoly) -> int:

@@ -307,8 +307,11 @@ class UniPoly:
         return qq_from_ints(self.var, [i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def evaluate(self, value):
-        """Horner evaluation; value may live in any ring the coefficients
-        multiply into (scalars, UniPoly, RatFunc)."""
+        """The value at value: at an int or a Fraction, the first Taylor
+        coefficient (integer Horner); else Horner's rule in any ring the
+        coefficients multiply into (UniPoly, RatFunc)."""
+        if isinstance(value, (int, Fraction)):
+            return next(taylor_coefficients(self, value), Fraction(0))
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * value + c
@@ -362,6 +365,28 @@ class UniPoly:
             else:
                 out += " + " + term
         return out
+
+
+def taylor_coefficients(p: UniPoly, root):
+    """The Taylor coefficients of p at the rational root, lowest first:
+    p(root), p'(root), p''(root)/2, ...  Each is the remainder of one pass
+    of integer synthetic division (Horner's rule) of c^n p(T/c), whose root
+    a is an integer when root = a/c, so the first costs one evaluation."""
+    root = Fraction(root)
+    a, c = root.numerator, root.denominator
+    num, den = p._num, p._den
+    coeffs, power = [], 1  # den c^n p(T/c), highest degree first
+    for x in reversed(num):
+        coeffs.append(x * power)
+        power *= c
+    scale = den * power // c  # the j-th remainder over den c^(n - j)
+    while coeffs:
+        acc, quot = 0, []
+        for x in coeffs:
+            acc = acc * a + x
+            quot.append(acc)
+        yield Fraction(quot.pop(), scale)
+        coeffs, scale = quot, scale // c
 
 
 # -- gcd -------------------------------------------------------------------

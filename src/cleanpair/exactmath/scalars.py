@@ -7,6 +7,7 @@ denominator) and arbitrary precision.
 
 from __future__ import annotations
 
+import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -48,24 +49,30 @@ def rational_to_str(x: Fraction) -> str:
         return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of rational_to_str; also accepts a bare integer string.
-    Anything else, a zero denominator or an integer over CPython's digit
-    limit included, raises ValueError."""
-    if not isinstance(text, str):
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (n, d), as written, of a string n/d, or (n, 1) of n, in
+    the ASCII form -?[0-9]+(/[0-9]+)?.  Anything else, a zero denominator or
+    an integer over CPython's digit limit included, raises ValueError."""
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational string: {short_repr(text)}")
-    num, slash, den = text.strip().partition("/")
+    num, den = match.groups()
     try:
-        num, den = int(num), int(den) if slash else 1
+        num, den = int(num), int(den) if den else 1
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and max(sum(map(str.isdigit, part)) for part in (num, den)) > limit:
-            raise ValueError(f"more than {limit} digits, the limit on integers read: "
-                             f"{short_repr(text)}") from None
-        raise ValueError(f"not a rational string: {short_repr(text)}") from None
+        raise ValueError(f"more than {sys.get_int_max_str_digits()} digits, the limit on "
+                         f"integers read: {short_repr(text)}") from None
     if den == 0:
         raise ValueError(f"zero denominator: {short_repr(text)}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Inverse of rational_to_str; also reads a bare integer (parse_ratio)."""
+    return Fraction(*parse_ratio(text))
 
 
 def sqrt_int(n: int) -> int | None:

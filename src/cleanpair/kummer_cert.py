@@ -41,7 +41,9 @@ ValueError whose message leads with the JSON pointer of the field at
 fault, as in "/fiber_plus/node/t2: missing".  The format tag, each node's
 kind ("Node") and the preimage sign table are the same in every
 certificate: they are constants of the format, checked where they are
-read, so a document that differs there does not load.
+read, so a document that differs there does not load.  A load builds each
+distinct polynomial and rational function once, so the -r fiber shares the
++r fiber's objects.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from __future__ import annotations
 import copy
 import json
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -61,7 +64,8 @@ from cleanpair.exactmath import (
     rational_to_str,
     resultant,
 )
-from cleanpair.exactmath.scalars import short_repr
+from cleanpair.exactmath.poly import qq_from_ints
+from cleanpair.exactmath.scalars import parse_ratio, short_repr
 from cleanpair.family import (
     FamilyMember,
     PairHypothesis,
@@ -351,9 +355,14 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
 #
 # The /1 document is declared once, by the tables below.  A kind is a pair
 # (dump, load): dump maps a value to JSON, and load(data, scope) maps it back,
-# where scope holds the values already loaded beside the enclosing record.  A
-# load error unwinds as _Malformed and collects its keys, innermost first.
-# A part that is the same in every certificate is a _constant kind.
+# where scope holds the values already loaded beside the enclosing record, and
+# scope.table what _shared has made so far in the whole load.  A load error
+# unwinds as _Malformed and collects its keys, innermost first.  A part that
+# is the same in every certificate is a _constant kind.
+
+
+class _Scope(dict):
+    __slots__ = ("table",)
 
 
 class _Malformed(Exception):
@@ -400,7 +409,8 @@ def _record(build, *rows):
     def load(data, scope):
         if type(data) is not dict:
             raise ValueError(f"expected a JSON object, got {short_repr(data)}")
-        values = {}
+        values = _Scope()
+        values.table = scope.table
         for key, _, _, load_value in fields:
             if key not in data:
                 raise _Malformed("missing", [key])
@@ -435,9 +445,28 @@ def _constant(value):
     return (lambda _: copy.deepcopy(value)), (lambda data, _: _same(data, value))
 
 
+def _shared(scope, key, make, *args):
+    """make(*args), made once for each key in one load; certificate_from_json
+    starts each call with an empty table, so nothing outlives the call."""
+    table = scope.table
+    if key not in table:
+        table[key] = make(*args)
+    return table[key]
+
+
 def _polynomial(var: str):
-    dump, load = _array(_RATIONAL)
-    return (lambda p: dump(p.coeffs)), (lambda data, scope: UniPoly(var, load(data, scope)))
+    """Coefficient strings, lowest degree first, read straight into the
+    integer form, once for each distinct array in one load."""
+    dump, load = _array((rational_to_str, lambda data, _: parse_ratio(data)))
+    def load_poly(data, scope):
+        pairs = load(data, scope)
+        den = lcm(*(d for _, d in pairs))
+        return qq_from_ints(var, [n * (den // d) for n, d in pairs], den)
+    def load_shared(data, scope):
+        if type(data) is list and all(type(x) is str for x in data):
+            return _shared(scope, (var, *data), load_poly, data, scope)
+        return load_poly(data, scope)  # no array of strings: fails as it would alone
+    return (lambda p: dump(p.coeffs)), load_shared
 
 
 _ANY = (lambda value: value), (lambda data, _: data)
@@ -445,8 +474,9 @@ _RATIONAL = rational_to_str, (lambda data, _: parse_rational(data))
 _INTEGER = _plain(lambda v: type(v) is int, "an integer")
 _BOOLEAN = _plain(lambda v: type(v) is bool, "true or false")
 _POLY_L = _polynomial(_LVAR)
-_RATFUNC_L = _record(lambda v, _: RatFunc(v["num"], v["den"]),
-                     ("num", "num", _POLY_L), ("den", "den", _POLY_L))
+_RATFUNC_L = _record(  # the table keeps both polynomials, so their ids are keys
+    lambda v, scope: _shared(scope, (id(v["num"]), id(v["den"])), RatFunc, v["num"], v["den"]),
+    ("num", "num", _POLY_L), ("den", "den", _POLY_L))
 _FIBER = _record(
     lambda v, cert: CertifiedFiber(
         PencilFiber(v["r"], v["F"], (cert["pair"].left.curve, cert["pair"].right.curve)),
@@ -504,8 +534,10 @@ def certificate_from_json(data: dict) -> CleanPairCertificate:
     starts with the RFC 6901 JSON pointer of the field at fault."""
     if not isinstance(data, dict):
         raise ValueError(f"certificate must be a JSON object, got {type(data).__name__}")
+    root = _Scope()
+    root.table = {}
     try:
-        return _CERTIFICATE[1](data, None)
+        return _CERTIFICATE[1](data, root)
     except _Malformed as exc:
         reason, keys = exc.args
         escaped = (str(key).replace("~", "~0").replace("/", "~1") for key in reversed(keys))

@@ -67,6 +67,14 @@ def test_rational_string_round_trip():
     assert parse_rational(rational_to_str(F(22, 7))) == F(22, 7)
     with pytest.raises(ValueError):
         parse_rational("3.5x")
+    assert [parse_rational(t) for t in ("0", "-0", "007", "6/8", "-6/8")] == [0, 0, 7, F(3, 4), F(-3, 4)]
+    # only the ASCII form -?[0-9]+(/[0-9]+)? is read: Python's int() would
+    # also take these
+    for text in ("1_0", "\uff12", "\u0661", " 1_0/1_0 ", "\uff11/\uff12", "\u0663/4", "+5/+7",
+                 "1/-2", " 3 / 4 ", "3\n", "5/"):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"not a rational string: {text!r}"
     # computed values print past CPython's 4,300-digit int-to-str limit
     big = F(-(10**5000) - 1, 3)
     assert rational_to_str(big) == "-1" + "0" * 4999 + "1/3"
@@ -646,6 +654,20 @@ def test_taylor_coefficients_rebuild_the_polynomial():
             assert shifted == p
             assert next(taylor_coefficients(p, root), 0) == p.evaluate(root)
     assert list(taylor_coefficients(UniPoly.zero("T"), F(1, 3))) == []
+
+
+def test_evaluate_at_a_rational_matches_the_power_sum():
+    # evaluate at an int or a Fraction runs integer Horner; the reference
+    # sums c * v**i in Fractions, with mixed denominators in p and in v
+    rng = random.Random(61)
+    values = [0, 1, -1, 7, -12, F(1, 3), F(-5, 2), F(22, 7), F(-1, 1024), F(10**12, 3**7)]
+    for deg in range(-1, 9):
+        for _ in range(4):
+            p = UniPoly("T", [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+                              for _ in range(deg + 1)])
+            for v in values:
+                got = p.evaluate(v)
+                assert type(got) is F and got == sum(c * v**i for i, c in enumerate(p.coeffs))
 
 
 def test_valuation_errors_and_inf():

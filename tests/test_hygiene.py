@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cleanpair
 from cleanpair import cli
 from test_search_cli import DB_FIXTURE, HARD_DB_ROWS
@@ -23,6 +25,7 @@ from test_search_cli import DB_FIXTURE, HARD_DB_ROWS
 PACKAGE_DIR = Path(cleanpair.__file__).parent
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 PERFBENCH_PROBE = Path(__file__).parent.parent / "perfbench" / "probe.py"
+CERT_V1 = Path(__file__).parent / "data" / "cert_1_1_2_v1.json"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -239,3 +242,41 @@ def test_places_of_degree_at_most_three_load_no_sympy():
         [sys.executable, "-c", _PLACES_PROBE], env=_src_env(), capture_output=True, text=True, timeout=120
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+# Distinct package source lines that `verify` runs on the pinned fixture.
+# A change may lower the bound; one that raises it says so in CHANGES.md.
+VERIFY_LINES_BOUND = 524
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="line numbers of multi-line expressions differ between CPython versions")
+def test_verify_runs_few_lines_of_the_package():
+    # a gauge of the verifier's size: every (file, line) of the package that
+    # `verify` executes, with kummer_cert already imported so its module body
+    # is not counted
+    import cleanpair.kummer_cert  # noqa: F401
+
+    package = str(PACKAGE_DIR)
+    lines, codes = set(), set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        codes.add(frame.f_code)
+        return local
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        sys.settrace(trace)
+        try:
+            code = cli.main(["verify", str(CERT_V1)])
+        finally:
+            sys.settrace(None)
+    assert (code, stdout.getvalue()) == (0, "OK\n")
+    assert len(codes) > 100 and len(lines) <= VERIFY_LINES_BOUND, (len(lines), len(codes))

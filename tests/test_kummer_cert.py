@@ -10,8 +10,10 @@ with that Taylor route on seeded pairs.
 
 import copy
 import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -586,6 +588,75 @@ def test_verifier_reruns_no_part_of_the_builder(monkeypatch):
         monkeypatch.setattr(RatFunc, name, _refuse)
     for cert in certs:
         assert verify_certificate(cert).ok
+
+
+CERT_V1 = Path(__file__).parent / "data" / "cert_1_1_2_v1.json"
+
+
+def _loaded_sections(cf):
+    """The four polynomials of F, Q2, Q3, tau, x1, x2 and h of a fiber."""
+    par = cf.parametrization
+    return (*cf.fiber.F, par.node_branch_poly, par.infinity_branch_poly,
+            par.tau, par.x1_of, par.x2_of, cf.witness.h)
+
+
+def test_a_load_builds_each_distinct_polynomial_once(monkeypatch):
+    # the -r fiber repeats the +r one and Q3 is the denominator of tau, x1
+    # and x2: 28 coefficient arrays and 8 rational functions, of which a
+    # load builds 10 and 4, straight into the integer form
+    text = CERT_V1.read_text()
+    calls = {"_int_gcd": 0, "UniPoly.__init__": 0}
+    int_gcd, init = poly_module._int_gcd, UniPoly.__init__
+
+    def counted_gcd(*args):
+        calls["_int_gcd"] += 1
+        return int_gcd(*args)
+
+    def counted_init(self, *args):
+        calls["UniPoly.__init__"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(poly_module, "_int_gcd", counted_gcd)
+    monkeypatch.setattr(UniPoly, "__init__", counted_init)
+    cert = certificate_loads(text)
+    assert calls == {"_int_gcd": 4, "UniPoly.__init__": 0}
+    monkeypatch.undo()
+    plus, minus = _loaded_sections(cert.fiber_plus), _loaded_sections(cert.fiber_minus)
+    assert len(plus) == 10 and all(p is m for p, m in zip(plus, minus))
+    assert cert == certificate_loads(certificate_dumps(assemble_certificate(worked_pair())))
+    assert verify_certificate(cert)
+
+    # the table lasts one call: two loads of one text share no object
+    def objects(c):
+        out = []
+        for value in _loaded_sections(c.fiber_plus):
+            out += [value.num, value.den] if isinstance(value, RatFunc) else [value]
+        return out
+
+    again = certificate_loads(text)
+    ids = {id(x) for x in objects(again)}
+    assert again == cert and not ids & {id(x) for x in objects(cert)}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("parametrization", "Q2"), ["-3/2", 0, "3/1"], "parametrization/Q2/1: not a rational string: 0"),
+        (("parametrization", "Q3"), "-1/4", "parametrization/Q3: expected a JSON array, got '-1/4'"),
+        (("F", 1), [-3], "F/1/0: not a rational string: -3"),
+        (("parametrization", "tau", "num"), ["3/2", "0/1", None],
+         "parametrization/tau/num/2: not a rational string: None"),
+        (("witness", "h"), [["-1/8"], ["1/1"]], "witness/h: expected a JSON object, got [['-1/8'], ['1/1']]"),
+    ],
+)
+@pytest.mark.parametrize("side", ["fiber_plus", "fiber_minus"])
+def test_an_array_of_anything_but_strings_fails_as_alone(side, path, value, message):
+    # the other fiber's copy of the array loads first or after; neither
+    # order lets the broken one through or changes its message
+    doc = _with_mutation(json.loads(CERT_V1.read_text()), (side, *path), value)
+    with pytest.raises(ValueError) as exc:
+        certificate_from_json(doc)
+    assert str(exc.value) == f"/{side}/{message}"
 
 
 def _scaled(coeffs, k):

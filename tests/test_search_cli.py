@@ -1250,3 +1250,38 @@ def test_cli_usage_errors(capsys):
     for argv in (("member", "--", "1", "--"), ("certify", "--", "1", "--", "2")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err.splitlines()[-1]) == (2, "", "cleanpair: error: '--' is not a value")
+
+
+# Python's int() reads all of these; the documented grammar, -?[0-9]+ with
+# an optional /[0-9]+, none of them
+OFF_GRAMMAR = ("1_0", "\uff12", "\u0661", " 1_0/1_0 ", "\uff11/\uff12", "\u0663/4", "+5/+7",
+               "1/-2", " 3 / 4 ")
+
+
+def test_numbers_outside_the_grammar_are_refused(capsys, tmp_path):
+    doc = json.loads(CERT_V1_FIXTURE.read_text())
+    case = tmp_path / "case.json"
+    for text in OFF_GRAMMAR:
+        argvs = [("member", "1", text), ("certify", text, "1", "2")]
+        if "/" not in text:
+            argvs.append(("search", text))
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert (code, out, len(errors)) == (2, "", 1), argv
+            assert errors[0].endswith(f"not a rational string: {text!r}"), argv
+        doc["pair"]["members"][0]["t"] = text
+        case.write_text(json.dumps(doc))
+        assert run_cli(capsys, "verify", str(case)) == (
+            1, "", f"malformed certificate: /pair/members/0/t: not a rational string: {text!r}\n")
+    # in the grammar: the canonical forms, and integers for H
+    doc["pair"]["members"][0]["t"] = "1/1"
+    case.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", str(case)) == (0, "OK\n", "")
+    assert run_cli(capsys, "member", "2", "--", "-4/2")[0] == 0
+    assert run_cli(capsys, "search", "2")[0] == 0
+    code, _, err = run_cli(capsys, "search", "2/1")
+    assert (code, err.splitlines()[-1]) == (2, "cleanpair search: error: argument H: not an integer: '2/1'")
+    code, _, err = run_cli(capsys, "search", "1" + "0" * 4999)
+    limit = f"more than {sys.get_int_max_str_digits()} digits, the limit on integers read"
+    assert code == 2 and limit in err.splitlines()[-1] and len(err.splitlines()[-1]) < 300
