@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath.scalars import parse_rational, rational_to_str
+from .exactmath.scalars import parse_ints, parse_rational, rational_to_str
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -38,12 +38,13 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    value = _rational_arg(text)
-    if "/" in text:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    try:
+        (value,) = parse_ints([text])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError("H must be >= 1")
-    return value.numerator
+    return value
 
 
 def _emit_json(payload) -> None:

@@ -4,6 +4,12 @@ Everything is exact.  A curve is over Q or over Q(T), told apart by its
 coefficients: Fractions, or rational functions in one variable.  Torsion
 testing, the Lutz-Nagell enumeration and the normalization into the family
 are specific to curves over Q.
+
+On an integral model over Q(T), a and b in Q[T], a reduced point is
+(u/w^2, v/w^3) with w monic, as the equation makes y's pole order 3/2 of
+x's.  The points with a pole at a place, with O, form a subgroup E1
+(Silverman, AEC VII.2), so where only one summand has a pole the sum has
+none, and the gcd that reduces the slope fixes the sum's denominators.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from cleanpair.exactmath import RatFunc, UniPoly, as_fraction, rational_roots
+from cleanpair.exactmath.poly import _cofactors, _monic_quo, _reduced
 
 
 class SingularCurveError(ValueError):
@@ -170,24 +177,29 @@ class WeierstrassCurve:
         return P
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        """P + Q: from (u, v, w) on an integral model over Q(T), else (over
+        Q, other models, w's sharing a factor, slope 0) by the generic law."""
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        if x1 == x2:
-            if y1 == -y2:
-                return O
-            lam = (3 * x1**2 + self.a) / (2 * y1)
+        tangent = x1 == x2
+        if tangent and y1 == -y2:
+            return O
+        a = self.a
+        integral = type(a) is RatFunc and not (a.den.degree() or self.b.den.degree())
+        if integral and all(type(c) is RatFunc for c in (x1, y1, x2, y2)):
+            S = _integral_sum(a.num, P, Q, tangent)
+            if S is not None:
+                return S
+        if tangent:
+            lam = (3 * x1**2 + a) / (2 * y1)
             x3 = lam**2 - 2 * x1
         else:
-            if type(x1) is RatFunc and x1.den.degree() > x2.den.degree():
-                # lam**2 - x1, x1 - x3 and the last - y1 then meet the smaller one
-                x1, y1, x2, y2 = x2, y2, x1, y1
             lam = (y2 - y1) / (x2 - x1)
             x3 = lam**2 - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return CurvePoint(x3, y3)
+        return CurvePoint(x3, lam * (x1 - x3) - y1)
 
     def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
         if n < 0:
@@ -216,6 +228,44 @@ class WeierstrassCurve:
 
     def __str__(self):
         return f"y^2 = x^3 + ({self.a})*x + ({self.b})"
+
+
+def _integral_sum(a: UniPoly, P: CurvePoint, Q: CurvePoint, tangent: bool):
+    """P + Q != O on y^2 = x^3 + ax + b with a, b in Q[T] (P == Q when
+    tangent), or None where add takes the generic route; x = u/d and
+    y = v/e with d = w^2, e = w^3.
+
+    Tangent: M = 3u^2 + a d^2 is 3u^2 mod w, so with M = g M', v = g v' the
+    slope M'/(2 v' w), x3 = X/(4 v'^2 d) and y3 = Y/(8 v'^3 e) are reduced.
+    Chord, w1 of lower degree and prime to w2: R = v2 e1 - v1 e2 = g R' and
+    H = u2 d1 - u1 d2 = g H' give the slope R'/(H' w1 w2).  The sum is not in
+    E1 where just one of P, Q is, so w1 w2 divides out exactly (in y3 first
+    w2, then e1), leaving x3 = u3/H'^2 and y3 = v3/H'^3 reduced.
+    """
+    if P.x.den.degree() > Q.x.den.degree():
+        P, Q = Q, P
+    (u1, d1), (v1, e1) = (P.x.num, P.x.den), (P.y.num, P.y.den)
+    if tangent:
+        M = 3 * (u1 * u1) + a * (d1 * d1)
+        if not M:
+            return None
+        _, M, v = _cofactors(M, v1)
+        vv = v * v
+        vvv = vv * v
+        uvv = u1 * vv
+        X = M * M - 8 * uvv
+        Y = M * (4 * uvv - X) - 8 * v1 * vvv
+        return CurvePoint(_reduced(X, 4 * vv * d1), _reduced(Y, 8 * vvv * e1))
+    (u2, d2), (v2, e2) = (Q.x.num, Q.x.den), (Q.y.num, Q.y.den)
+    w2 = _monic_quo(e2, d2)
+    R = v2 * e1 - v1 * e2
+    if not R or _cofactors(_monic_quo(e1, d1), w2)[0].degree():
+        return None
+    _, R, H = _cofactors(R, u2 * d1 - u1 * d2)
+    H2 = H * H
+    u3 = _monic_quo(R * R - (u1 * d2 + u2 * d1) * H2, d1 * d2)
+    v3 = _monic_quo(_monic_quo(R * (u1 * H2 - u3 * d1), w2) - v1 * H2 * H, e1)
+    return CurvePoint(_reduced(u3, H2), _reduced(v3, H2 * H))
 
 
 class IsomorphismWitness(NamedTuple):

@@ -410,6 +410,17 @@ def _exact_quo(f, h):
     return None if any(rem) else quot[::-1]
 
 
+def _monic_quo(f: UniPoly, h: UniPoly) -> UniPoly:
+    """f / h for a monic h that divides f.  The integer numerator of a monic
+    polynomial is primitive, so _exact_quo divides the integer forms."""
+    if not h.degree():
+        return f
+    q = _exact_quo(f._num, h._num)
+    if q is None:
+        raise ArithmeticError("the divisor does not divide")
+    return qq_from_ints(f.var, [c * h._den for c in q], f._den)
+
+
 def _primitive(f):
     c = gcd(*f)
     return [x // c for x in f] if c != 1 else f

@@ -70,6 +70,24 @@ def parse_ratio(text: str) -> tuple[int, int]:
     return num, den
 
 
+def parse_ints(texts: list[str]) -> list[int]:
+    """The integers of strings in the ASCII form -?[0-9]+; the first string
+    outside it or over CPython's digit limit raises ValueError.  int refuses
+    a misplaced minus sign, so ASCII digits and minus signs pass one test."""
+    digits = "".join(texts).replace("-", "")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return list(map(int, texts))
+        except ValueError:
+            pass
+    for text in texts:
+        body = text[1:] if text[:1] == "-" else text
+        if not (body.isascii() and body.isdigit()):
+            raise ValueError(f"not an integer: {short_repr(text)}")
+        parse_ratio(text)  # raises over the digit limit
+    return []  # no strings
+
+
 def parse_rational(text: str) -> Fraction:
     """Inverse of rational_to_str; also reads a bare integer (parse_ratio)."""
     return Fraction(*parse_ratio(text))

@@ -58,6 +58,7 @@ from .ec_core import (
     is_torsion_overQ,
 )
 from .exactmath import sqrt_int
+from .exactmath.scalars import parse_ints, short_repr
 
 __all__ = [
     "TABLE_TOTALS",
@@ -354,23 +355,16 @@ def load_rank_oracle(lines: Iterable[str]) -> dict[tuple[int, int], Optional[int
     may be '?' for explicitly-unknown).  Conflicting duplicates raise."""
     table: dict[tuple[int, int], Optional[int]] = {}
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"expected 'p q rank', got {raw.strip()!r}", line_no)
+            raise ParseError(f"expected 'p q rank', got {short_repr(raw.strip())}", line_no)
         try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer key in {raw.strip()!r}", line_no)
-        if parts[2] == "?":
-            rank: Optional[int] = None
-        else:
-            try:
-                rank = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad rank token {parts[2]!r}", line_no)
+            p, q, rank = parse_ints(parts) if parts[2] != "?" else [*parse_ints(parts[:2]), None]
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {short_repr(raw.strip())}", line_no) from None
         key = (p, q)
         if key in table and table[key] != rank:
             raise ParseError(
@@ -499,7 +493,7 @@ def parse_curve_db(lines: Iterable[str]) -> list[CurveDbEntry]:
     entries = []
     labels = set()
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -507,16 +501,16 @@ def parse_curve_db(lines: Iterable[str]) -> list[CurveDbEntry]:
             raise ParseError(f"expected 9 fields, got {len(parts)}", line_no)
         label = parts[0]
         if label in labels:
-            raise ParseError(f"duplicate label {label!r}", line_no)
+            raise ParseError(f"duplicate label {short_repr(label)}", line_no)
         labels.add(label)
         try:
-            nums = [int(tok) for tok in parts[1:]]
-        except ValueError:
-            raise ParseError(f"non-integer field in {raw.strip()!r}", line_no)
+            nums = parse_ints(parts[1:])
+        except ValueError as exc:
+            raise ParseError(f"{exc} in {short_repr(raw.strip())}", line_no) from None
         if nums[5] == 1:
             A, B = _short_model(nums[0:5])
             if 4 * A**3 + 27 * B * B == 0:
-                raise ParseError(f"singular curve {label!r} of rank 1", line_no)
+                raise ParseError(f"singular curve {short_repr(label)} of rank 1", line_no)
         entries.append(
             CurveDbEntry(label, tuple(nums[0:5]), nums[5], nums[6], nums[7])
         )

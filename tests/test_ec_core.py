@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
+import cleanpair.ec_core as ec_core
 import cleanpair.exactmath.poly as poly_module
 from cleanpair.ec_core import (
     CurvePoint,
@@ -155,9 +156,10 @@ def test_group_law_over_function_field():
 
 
 def test_ladder_takes_no_gcd_a_reduced_fraction_cannot_have(monkeypatch):
-    # squares of reduced fractions need no gcd, the doubling subtracts 2 x1
-    # once, and each chord subtracts the point with the smaller denominator
-    # (72 integer gcds for 2P, ..., 9P when written as lam * lam - x1 - x2)
+    # on the integral model a point is (u/w^2, v/w^3): a chord with P, whose
+    # w is 1, and a doubling each take one gcd, the one that reduces the
+    # slope (72 integer gcds for 2P, ..., 9P when written as lam * lam - x1
+    # - x2 with RatFunc operators, 40 with Henrici's rules alone)
     calls = []
     int_gcd = poly_module._int_gcd
 
@@ -166,8 +168,74 @@ def test_ladder_takes_no_gcd_a_reduced_fraction_cannot_have(monkeypatch):
         return int_gcd(f, g)
 
     monkeypatch.setattr(poly_module, "_int_gcd", counting_gcd)
-    ladder_at_s2()
-    assert len(calls) <= 40
+    E, m = ladder_at_s2()
+    assert len(calls) <= 8
+    calls.clear()
+    assert E.scalar_mul(8, m[1]) == m[8]
+    assert len(calls) == 3
+
+
+def generic_add(E, P, Q):
+    """The chord and tangent written with RatFunc operators alone."""
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return O
+        lam = (3 * P.x * P.x + E.a) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return CurvePoint(x3, lam * (P.x - x3) - P.y)
+
+
+@pytest.mark.parametrize("s", [2, 3, -1, F(1, 2), F(5, 7), F(9, 4), 1])
+def test_integral_route_equals_the_generic_chord_and_tangent(s):
+    curve, P = family_functionfield_curve(s)
+    E = curve.weierstrass()
+    m = {1: P}
+    for n in range(2, 12):
+        m[n] = E.add(m[n - 1], P)  # checked against generic_add below
+    for i, j in product(range(1, 12), repeat=2):
+        if i + j > 11 or i > j:
+            continue
+        for sign in (1, -1):
+            Q = m[j] if sign > 0 else -m[j]
+            expected = generic_add(E, m[i], Q)
+            # the group law commutes and -1 is a homomorphism
+            for R, S, want in ((m[i], Q, expected), (-m[i], -Q, -expected)):
+                assert E.add(R, S) == want == E.add(S, R), (s, i, sign * j)
+            if i == j:
+                break  # a doubling, and m[i] + (-m[i]) = O below
+    assert E.add(m[5], -m[5]) == O
+
+
+def test_group_law_edge_cases_over_function_field():
+    T = UniPoly.gen("T")
+    E = WeierstrassCurve(RatFunc(-(T**2)), RatFunc.constant("T", 0))
+    zero, t, minus_t = (
+        CurvePoint.affine(RatFunc(x), RatFunc.constant("T", 0)) for x in (0 * T, T, -T)
+    )
+    assert E.add(zero, zero) == O
+    assert E.add(zero, t) == minus_t == E.add(t, zero)
+    for c in (1, 5):
+        E = WeierstrassCurve(RatFunc(-3 * T**2), RatFunc(2 * T**3 + c * c))
+        P = CurvePoint.affine(RatFunc(T), RatFunc.constant("T", c))
+        assert E.add(P, P) == CurvePoint.affine(RatFunc(-2 * T), RatFunc.constant("T", -c))
+    # 3P and 6P at s = 3 have w sharing a factor: the generic route adds them
+    curve, P = family_functionfield_curve(3)
+    E = curve.weierstrass()
+    three, six = E.scalar_mul(3, P), E.scalar_mul(6, P)
+    assert ec_core._integral_sum(E.a.num, three, six, False) is None
+    assert E.add(three, six) == generic_add(E, three, six) == E.scalar_mul(9, P)
+    assert E.contains(E.add(three, six))
+    # points with rational coordinates on a curve over Q(T) add as before
+    E = WeierstrassCurve(RatFunc.constant("T", -3), RatFunc.constant("T", 11))
+    assert E.add(P0, P0) == CurvePoint.affine(F(25, 4), F(123, 8)) == add(E11, P0, P0)
+    # a model with a = 1/T is not integral: the generic route again
+    E = WeierstrassCurve(RatFunc(T**0, T), RatFunc(-(T**3)))
+    P = CurvePoint.affine(RatFunc(T), RatFunc.constant("T", 1))
+    two = E.add(P, P)
+    assert two == generic_add(E, P, P) and E.contains(two)
+    assert E.add(two, P) == generic_add(E, two, P) and E.contains(E.add(two, P))
 
 
 def test_coefficients_set_the_field():

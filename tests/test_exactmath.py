@@ -6,6 +6,7 @@ long division) before the implementation existed, and are frozen.
 
 import functools
 import random
+import sys
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd, isqrt
@@ -36,6 +37,7 @@ from cleanpair.exactmath import (
     valuation_at,
 )
 from cleanpair.exactmath.places import _multiplicity
+from cleanpair.exactmath.scalars import parse_ints
 from cleanpair.exactmath.poly import (
     _exact_quo,
     _heu_candidates,
@@ -79,6 +81,21 @@ def test_rational_string_round_trip():
     big = F(-(10**5000) - 1, 3)
     assert rational_to_str(big) == "-1" + "0" * 4999 + "1/3"
     assert str(UniPoly("T", [big, 1])) == "T - 1" + "0" * 4999 + "1/3"
+
+
+def test_integer_strings_read_only_the_ascii_form():
+    assert parse_ints(["0", "-0", "007", "-12"]) == [0, 0, 7, -12]
+    assert parse_ints([]) == []
+    # the first string outside -?[0-9]+ is named, wherever it stands
+    for text in ("1_0", "\uff13", "\u0661", "+2", "1 0", " 1", "-", "--1", "1-2", "", "3/4", "0x10"):
+        for texts in ([text], ["1", text], [text, "-1_0"]):
+            with pytest.raises(ValueError) as exc:
+                parse_ints(texts)
+            assert str(exc.value) == f"not an integer: {text!r}", texts
+    limit = f"more than {sys.get_int_max_str_digits()} digits, the limit on integers read: '1"
+    with pytest.raises(ValueError) as exc:
+        parse_ints(["5", "1" + "0" * 4999])
+    assert str(exc.value).startswith(limit) and len(str(exc.value)) < 200
 
 
 def test_sqrt_rational():

@@ -1269,7 +1269,8 @@ def test_numbers_outside_the_grammar_are_refused(capsys, tmp_path):
             code, out, err = run_cli(capsys, *argv)
             errors = [line for line in err.splitlines() if "error:" in line]
             assert (code, out, len(errors)) == (2, "", 1), argv
-            assert errors[0].endswith(f"not a rational string: {text!r}"), argv
+            refusal = "not an integer" if argv[0] == "search" else "not a rational string"
+            assert errors[0].endswith(f"{refusal}: {text!r}"), argv
         doc["pair"]["members"][0]["t"] = text
         case.write_text(json.dumps(doc))
         assert run_cli(capsys, "verify", str(case)) == (
@@ -1285,3 +1286,17 @@ def test_numbers_outside_the_grammar_are_refused(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", "1" + "0" * 4999)
     limit = f"more than {sys.get_int_max_str_digits()} digits, the limit on integers read"
     assert code == 2 and limit in err.splitlines()[-1] and len(err.splitlines()[-1]) < 300
+    # oracle files and curve tables: one short line that names the line
+    oracle, table = tmp_path / "oracle.txt", tmp_path / "table.txt"
+    for text in ("1_0", "\uff13", "\u0661", "+2", "1 0", "1" + "0" * 4999):
+        for row in (f"{text} 1 1", f"1 {text} 1", f"1 1 {text}"):
+            oracle.write_text(f"1 1 1\n{row}\n")
+            code, out, err = run_cli(capsys, "search", "5", "--oracle", str(oracle))
+            assert (code, out, len(err.splitlines())) == (1, "", 1), row
+            assert err.startswith("oracle: line 2: ") and len(err) < 300, row
+        table.write_text(f"{DB_FIXTURE[0]}\nc2 0 0 0 -3 {text} 1 1 11\n")
+        code, out, err = run_cli(capsys, "dbfilter", str(table))
+        assert (code, out, len(err.splitlines())) == (1, "", 1), text
+        assert err.startswith("database: line 2: ") and len(err) < 300, text
+        assert (limit in err) == (len(text) > 4999), text
+    assert load_rank_oracle(["1 1 1", "-2 7 ?", "10 3 -1"]) == {(1, 1): 1, (-2, 7): None, (10, 3): -1}
