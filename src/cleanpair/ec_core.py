@@ -263,9 +263,10 @@ def _integral_sum(a: UniPoly, P: CurvePoint, Q: CurvePoint, tangent: bool):
         return None
     _, R, H = _cofactors(R, u2 * d1 - u1 * d2)
     H2 = H * H
+    H3 = H2 * H
     u3 = _monic_quo(R * R - (u1 * d2 + u2 * d1) * H2, d1 * d2)
-    v3 = _monic_quo(_monic_quo(R * (u1 * H2 - u3 * d1), w2) - v1 * H2 * H, e1)
-    return CurvePoint(_reduced(u3, H2), _reduced(v3, H2 * H))
+    v3 = _monic_quo(_monic_quo(R * (u1 * H2 - u3 * d1), w2) - v1 * H3, e1)
+    return CurvePoint(_reduced(u3, H2), _reduced(v3, H3))
 
 
 class IsomorphismWitness(NamedTuple):

@@ -12,12 +12,12 @@ from cleanpair.exactmath.poly import (
     UniPoly,
     poly_gcd,
     resultant,
+    taylor_coefficients,
 )
 from cleanpair.exactmath.places import (
     Place,
     UndefinedValuation,
     divisor_of,
-    taylor_coefficients,
     valuation_at,
 )
 from cleanpair.exactmath.scalars import (

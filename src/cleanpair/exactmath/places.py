@@ -8,11 +8,10 @@ at infinity the value of a rational function is deg(den) - deg(num).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
 from numbers import Rational as _RationalABC
 
 from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
-from cleanpair.exactmath.poly import RatFunc, UniPoly, _exact_quo, qq_to_ints, taylor_coefficients
+from cleanpair.exactmath.poly import RatFunc, UniPoly, _exact_quo, qq_to_ints, taylor_numerators
 
 
 class UndefinedValuation(ArithmeticError):
@@ -99,11 +98,19 @@ def _multiplicity(num: UniPoly, p: UniPoly) -> int:
     if p.degree() == 1:
         # the multiplicity of T - r counts the Taylor coefficients at r that
         # vanish, so v = 0 costs one evaluation
-        return sum(1 for _ in takewhile(lambda c: not c, taylor_coefficients(num, -p.coeff(0))))
+        return next((j for j, c in enumerate(taylor_numerators(num, -p.coeff(0))) if c), 0)
     # the integer form of a monic p is primitive (its leading coefficient
     # is p's denominator), so exact division stops at the first top
     # coefficient that leaves a remainder
     a, b = qq_to_ints(num)[0], qq_to_ints(p)[0]
+    if len(b) == 3 and b[2] == 1:
+        # an integral quadratic divides every top coefficient, so its
+        # residue, (r1 T + r0) T + x mod p from the top down, settles v = 0
+        r1 = r0 = 0
+        for x in reversed(a):
+            r1, r0 = r0 - r1 * b[1], x - r1 * b[0]
+        if r1 or r0:
+            return 0
     count = 0
     while a := _exact_quo(a, b):
         count += 1

@@ -311,7 +311,8 @@ class UniPoly:
         coefficient (integer Horner); else Horner's rule in any ring the
         coefficients multiply into (UniPoly, RatFunc)."""
         if isinstance(value, (int, Fraction)):
-            return next(taylor_coefficients(self, value), Fraction(0))
+            scale = self._den * value.denominator ** max(self.degree(), 0)
+            return Fraction(next(taylor_numerators(self, value), 0), scale)
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * value + c
@@ -367,26 +368,29 @@ class UniPoly:
         return out
 
 
-def taylor_coefficients(p: UniPoly, root):
-    """The Taylor coefficients of p at the rational root, lowest first:
-    p(root), p'(root), p''(root)/2, ...  Each is the remainder of one pass
-    of integer synthetic division (Horner's rule) of c^n p(T/c), whose root
-    a is an integer when root = a/c, so the first costs one evaluation."""
-    root = Fraction(root)
+def taylor_numerators(p: UniPoly, root):
+    """The Taylor coefficients of p = num/den of degree n at root = a/c,
+    lowest first, each times den c^(n - j): the remainders of integer
+    synthetic division (Horner's rule) of den c^n p(T/c) by T - a, so the
+    first costs one evaluation."""
     a, c = root.numerator, root.denominator
-    num, den = p._num, p._den
     coeffs, power = [], 1  # den c^n p(T/c), highest degree first
-    for x in reversed(num):
+    for x in reversed(p._num):
         coeffs.append(x * power)
         power *= c
-    scale = den * power // c  # the j-th remainder over den c^(n - j)
     while coeffs:
-        acc, quot = 0, []
-        for x in coeffs:
-            acc = acc * a + x
-            quot.append(acc)
-        yield Fraction(quot.pop(), scale)
-        coeffs, scale = quot, scale // c
+        acc = 0
+        for i, x in enumerate(coeffs):  # the quotient overwrites the dividend
+            acc = coeffs[i] = acc * a + x
+        yield coeffs.pop()
+
+
+def taylor_coefficients(p: UniPoly, root):
+    """The Taylor coefficients of p at the rational root, lowest first:
+    p(root), p'(root), p''(root)/2, ..., from taylor_numerators."""
+    root = Fraction(root)
+    c, n = root.denominator, p.degree()
+    return (Fraction(r, p._den * c ** (n - j)) for j, r in enumerate(taylor_numerators(p, root)))
 
 
 # -- gcd -------------------------------------------------------------------

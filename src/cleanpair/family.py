@@ -26,7 +26,7 @@ from cleanpair.ec_core import (
     WeierstrassCurve,
     is_torsion_overQ,
 )
-from cleanpair.exactmath import UniPoly
+from cleanpair.exactmath import UniPoly, taylor_coefficients
 
 
 class SMismatch(ValueError):
@@ -97,13 +97,13 @@ def verify_member_identity(m: FamilyMember) -> bool:
     """The two defining identities of a good member, checked exactly:
     the cubic has a critical point at t, and its value there is s times
     the square of the marked point's y-coordinate."""
-    f = m.curve.rhs_poly()
-    if f.derivative().evaluate(m.t) != 0:
+    value, slope, *_ = taylor_coefficients(m.curve.rhs_poly(), m.t)
+    if slope != 0:
         return False
     y = m.marked_point.y
     if y == 0:
         return False
-    return f.evaluate(m.t) == m.s * y * y
+    return value == m.s * y * y
 
 
 class PairHypothesis(NamedTuple):

@@ -21,10 +21,17 @@ where psi3 = 3x^4 + 6ax^2 + 12bx - a^2 has numerator
 3u^4 + 6au^2w^2 + 12buw^3 - a^2w^4 over w^4.  Neither numerator is
 multiplied out: its first terms come from those of u, w, a and b, which at
 infinity have nominal degrees deg w + 2, deg w, 4 and 6 where v(x) >= 0.
-Those are their values at a linear place (integer Horner), their
-remainders mod a place of degree >= 2, their top coefficients at infinity;
-when the first term of psi3 vanishes, more Taylor or top coefficients, or
-at a place of degree >= 2 the full product, give its valuation.
+Those are their integer Taylor numerators at a linear place T = e/c (over
+one denominator in the uniformizer cT - e), their remainders mod a place
+of degree >= 2, their top coefficients at infinity; when the first term of
+psi3 vanishes, more Taylor or top coefficients, or at a place of degree
+>= 2 the full product, give its valuation.
+
+Where x has no pole neither has y, by y^2 = x^3 + ax + b, and y is reduced,
+so its denominator is a unit at a finite place: v(y) is read from its
+numerator alone (at infinity, from the degrees).  The cusp rule below
+compares v(psi3) with 3 v(y), so psi3's order starts from its first 3 v(y)
+terms (from one for y = 0) and doubles on, which keeps val(F3) exact.
 
 Local heights follow the standard valuation-theoretic algorithm.  The
 auxiliary quantities are the squares of the first two division polynomials,
@@ -53,7 +60,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import islice, zip_longest
-from math import lcm
 from typing import NamedTuple, Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
@@ -64,10 +70,10 @@ from cleanpair.exactmath import (
     factor_rational_poly,
     rational_to_str,
     sqrt_rational,
-    taylor_coefficients,
     valuation_at,
 )
-from cleanpair.exactmath.poly import qq_to_ints
+from cleanpair.exactmath.places import _poly_valuation
+from cleanpair.exactmath.poly import qq_to_ints, taylor_numerators
 from cleanpair.family import functionfield_coefficients, marked_point_coords
 
 
@@ -336,32 +342,33 @@ class _Series:
 
 def _terms(place: Place, form, polys, degs, k) -> list:
     """The first k terms of form(*polys) at the place in the integral model,
-    from the first k terms of each of polys: its Taylor coefficients at a
-    linear place, or at infinity its coefficients down from its nominal
-    degree in degs.  At a place q of degree >= 2 the one term is the
-    remainder mod q.  The first term is zero iff the valuation is positive."""
+    from the first k terms of each of polys: at infinity its coefficients
+    down from its nominal degree in degs; at T = e/c its Taylor numerators,
+    over den c^n for p = num/den of degree n in the uniformizer cT - e.  At
+    a place q of degree >= 2 the one term is the remainder mod q.  The
+    first term is zero iff the valuation is positive."""
     if place.degree() > 1:
         q = place.poly
         return [form(*(p % q for p in polys)) % q]
+    root = None if place.is_infinity else -place.poly.coeff(0)
     series = []
     for p, d in zip(polys, degs):
-        if place.is_infinity:
-            num, den = qq_to_ints(p)
+        num, den = qq_to_ints(p)
+        if root is None:
             series.append(_Series((num + (0,) * (d + 1 - len(num)))[::-1], den, k))
         else:
-            c = list(islice(taylor_coefficients(p, -place.poly.coeff(0)), k))
-            den = lcm(*(t.denominator for t in c))
-            series.append(_Series([t.numerator * (den // t.denominator) for t in c], den, k))
+            scale = den * root.denominator ** max(len(num) - 1, 0)
+            series.append(_Series(list(islice(taylor_numerators(p, root), k)), scale, k))
     return form(*series).terms
 
 
-def _order(place: Place, form, polys, degs) -> Optional[int]:
+def _order(place: Place, form, polys, degs, k: int = 1) -> Optional[int]:
     """Valuation of form(*polys) at the place in the integral model, None
-    for zero: k doubles until one of the first k terms is nonzero, the last
-    round keeps the series whole, and at a place of degree >= 2 the full
-    product settles a vanishing residue."""
+    for zero: from k terms, k doubles until one of the first k terms is
+    nonzero, the last round keeps the series whole, and at a place of
+    degree >= 2 the full product settles a vanishing residue."""
     length = max(degs) + 1 if place.is_infinity else max(p.degree() for p in polys) + 1
-    k = 1
+    k = k if k < length else None
     while True:
         v = next((j for j, c in enumerate(_terms(place, form, polys, degs, k)) if c), None)
         if v is not None or k is None:
@@ -385,7 +392,9 @@ def _local_height_entry(
 
     if pole or n == 0:
         return entry(True, Fraction(pole, 2) + Fraction(n, 12))
-    vy = _weighted(place, y, 3) if y else None  # v(2y) = v(y); None for y = 0
+    vy = None  # v(2y) = v(y), read from y's numerator (see the module docstring)
+    if y:
+        vy = _poly_valuation(place, y.num) + (y.den.degree() + 3 if place.is_infinity else 0)
     # x = u/w is reduced and v(x) >= 0, so w is a unit in the integral
     # model: the tangent 3x^2 + a and psi3 have the valuations of their
     # numerators
@@ -401,7 +410,8 @@ def _local_height_entry(
         alpha = Fraction(min(vf2, n), 2 * n)
         lam = Fraction(n, 2) * (alpha * alpha - alpha + Fraction(1, 6))
         return entry(False, lam, vf2=vf2)
-    vpsi3 = _order(place, _psi3, (u, w, a, b), degs)
+    # the cusp rule compares v(psi3) with 3 v(y): read 3 v(y) terms at once
+    vpsi3 = _order(place, _psi3, (u, w, a, b), degs, 3 * vy if vy else 1)
     if vy is None and vpsi3 is None:
         raise ArithmeticError("degenerate torsion point on a cusp")
     vf2 = None if vy is None else 2 * vy
@@ -431,7 +441,7 @@ def canonical_height(E: FunctionFieldCurve, P: CurvePoint) -> HeightReport:
         if place.is_infinity:  # v(x) + 2 = deg w - deg u + 2
             pole = max(0, x.num.degree() - x.den.degree() - 2)
         else:
-            pole = valuation_at(place, x.den)
+            pole = _poly_valuation(place, x.den)
             good_poles -= place.degree() * pole
         e = _local_height_entry(profile, E.a, E.b, x, y, pole)
         total += place.degree() * e.local

@@ -427,6 +427,7 @@ def pairing_summary(records: Sequence[SearchRecord]) -> PairingSummary:
 # CSV persistence
 
 _CSV_HEADER = ["p", "q", "height", "disc_ok", "nontorsion_ok", "rank"]
+_CSV_FLAGS = ("0", "1")
 
 
 def records_to_csv(records: Sequence[SearchRecord]) -> str:
@@ -458,19 +459,15 @@ def records_from_csv(text: str) -> list[SearchRecord]:
             continue
         if len(row) != 6:
             raise ParseError(f"expected 6 fields, got {len(row)}", line_no)
+        p, q, height, disc_ok, non_torsion_ok, rank = row
         try:
-            out.append(
-                SearchRecord(
-                    p=int(row[0]),
-                    q=int(row[1]),
-                    height_value=int(row[2]),
-                    disc_ok=bool(int(row[3])),
-                    non_torsion_ok=bool(int(row[4])),
-                    rank=None if row[5] == "" else int(row[5]),
-                )
-            )
+            if disc_ok not in _CSV_FLAGS or non_torsion_ok not in _CSV_FLAGS:
+                raise ValueError("flags must be 0 or 1")
+            nums = parse_ints([p, q, height, rank] if rank else [p, q, height])
         except ValueError as exc:
-            raise ParseError(str(exc), line_no)
+            raise ParseError(f"{exc} in {short_repr(','.join(row))}", line_no) from None
+        rank = nums[3] if rank else None
+        out.append(SearchRecord(nums[0], nums[1], nums[2], disc_ok == "1", non_torsion_ok == "1", rank))
     return out
 
 

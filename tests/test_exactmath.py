@@ -46,6 +46,7 @@ from cleanpair.exactmath.poly import (
     _prs_gcd,
     qq_from_ints,
     qq_to_ints,
+    taylor_numerators,
 )
 from cleanpair.family import functionfield_coefficients
 
@@ -622,9 +623,11 @@ def test_valuation_additive():
 
 def test_multiplicity_matches_repeated_division():
     # roots of multiplicity 0-4 at linear places with and without a
-    # denominator in the root, and at a quadratic place
+    # denominator in the root, and at quadratic places with integral
+    # coefficients (read from a residue first) and without
     rng = random.Random(47)
-    for q in (T + F(1, 3), T, T - F(5, 2), T + 7, T**2 + T + 1):
+    quadratics = (T**2 + T + 1, T**2 + 4 * T + 1, T**2 - F(1, 2) * T + 3)
+    for q in (T + F(1, 3), T, T - F(5, 2), T + 7, *quadratics):
         for m in range(5):
             for _ in range(4):
                 cofactor = rand_poly(rng, deg=rng.randint(0, 6))
@@ -660,17 +663,24 @@ def test_divides_matches_the_remainder():
 
 
 def test_taylor_coefficients_rebuild_the_polynomial():
+    # the j-th integer numerator at root = a/c is the j-th coefficient times
+    # den c^(n - j), for p = num/den of degree n
     rng = random.Random(53)
-    for root in (F(-1, 3), F(0), F(7, 2), F(-5)):
+    for root in (F(-1, 3), F(1, 3), F(0), F(7, 2), F(4), F(-5)):
         for deg in (0, 1, 5, 12):
             p = rand_poly(rng, deg=deg)
-            shifted = sum(
-                (c * (T - root) ** j for j, c in enumerate(taylor_coefficients(p, root))),
-                UniPoly.zero("T"),
-            )
+            coeffs = list(taylor_coefficients(p, root))
+            shifted = sum((c * (T - root) ** j for j, c in enumerate(coeffs)), UniPoly.zero("T"))
             assert shifted == p
             assert next(taylor_coefficients(p, root), 0) == p.evaluate(root)
-    assert list(taylor_coefficients(UniPoly.zero("T"), F(1, 3))) == []
+            den, c, n = qq_to_ints(p)[1], root.denominator, p.degree()
+            numerators = list(taylor_numerators(p, root))
+            assert all(type(r) is int for r in numerators)
+            assert [F(r, den * c ** (n - j)) for j, r in enumerate(numerators)] == coeffs
+    for root in (F(1, 3), F(-1, 3), F(2), F(-2)):
+        assert list(taylor_coefficients(UniPoly.zero("T"), root)) == []
+        assert list(taylor_numerators(UniPoly.zero("T"), root)) == []
+        assert list(taylor_numerators(UniPoly.constant("T", F(-5, 6)), root)) == [-5]
 
 
 def test_evaluate_at_a_rational_matches_the_power_sum():

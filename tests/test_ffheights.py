@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import cleanpair.exactmath.places as places_module
 import cleanpair.ffheights as ffheights
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve
 from cleanpair.exactmath import (
@@ -539,6 +540,12 @@ def test_order_widens_past_cancelling_leading_terms():
         assert ffheights._order(place, form, (f, f * f), (4, 8)) is None
     # a residue that does not vanish settles v = 0 at once
     assert ffheights._order(Place.linear("T", 1), form, (f, T), (4, 8)) == 0
+    # f^2 has degree 4 and g degree 5, so at T = -1/3 their Taylor
+    # numerators stand over different powers of 3
+    f = T**2 + F(1, 2) * T - 4
+    g = f * f - (3 * T + 1) ** 2 * (T**3 - 2)
+    for k in (1, 2, 3):
+        assert ffheights._order(Place.linear("T", F(-1, 3)), form, (f, g), (2, 5), k) == 2
 
 
 def test_heights_form_no_product_above_twice_the_degree_of_x(monkeypatch):
@@ -561,6 +568,99 @@ def test_heights_form_no_product_above_twice_the_degree_of_x(monkeypatch):
     monkeypatch.setattr(UniPoly, "__rmul__", recording_mul)
     assert canonical_height(E, R).total == F(81, 4)
     assert max(degrees) <= 2 * max(R.x.num.degree(), R.x.den.degree())
+
+
+def full_valuation_entry(profile, a: UniPoly, b: UniPoly, R: CurvePoint) -> ffheights.PlaceHeightEntry:
+    """The local height read from valuation_at on the whole of x and y, with
+    psi3's order doubled from k = 1."""
+    place, n = profile.place, profile.val_delta
+    inf = place.is_infinity
+
+    def entry(smooth, lam, vf2=None, vf3=None):
+        return ffheights.PlaceHeightEntry(place, n, profile.type, smooth, lam, vf2, vf3)
+
+    pole = max(0, -valuation_at(place, R.x) - (2 if inf else 0)) if R.x else 0
+    if pole or n == 0:
+        return entry(True, F(pole, 2) + F(n, 12))
+    vy = valuation_at(place, R.y) + (3 if inf else 0) if R.y else None
+    u, w = R.x.num, R.x.den
+    degs = (w.degree() + 2, w.degree(), 4, 6)
+    if (vy is not None and vy <= 0) or ffheights._terms(place, ffheights._tangent, (u, w, a), degs, 1)[0]:
+        return entry(True, F(n, 12))
+    if profile.type is ReductionType.MULTIPLICATIVE:
+        alpha = F(min(2 * vy, n), 2 * n)
+        return entry(False, F(n, 2) * (alpha * alpha - alpha + F(1, 6)), vf2=2 * vy)
+    vpsi3 = ffheights._order(place, ffheights._psi3, (u, w, a, b), degs)
+    vf2 = None if vy is None else 2 * vy
+    vf3 = None if vpsi3 is None else 2 * vpsi3
+    if vf3 is None or (vf2 is not None and vf3 >= 3 * vf2):
+        return entry(False, F(n, 12) - F(vf2, 6), vf2, vf3)
+    return entry(False, F(n, 12) - F(vf3, 16), vf2, vf3)
+
+
+def test_canonical_height_equals_the_full_valuation_route():
+    # y's numerator alone, degrees at infinity and psi3 from 3 v(y) terms
+    # give every entry that valuations of the whole x and y give
+    cases = []
+    for s in (2, 3, -1, F(1, 2), F(5, 7), F(9, 4), 1):
+        E, P = family_functionfield_curve(s)
+        cases += [(E, P), second_section(E, s)]
+        R = P
+        for _ in range(2, 12):
+            R = E.add(R, P)
+            cases.append((E, R))
+    # y^2 = x^3 - T^2 x: (0, 0) meets the cusps at T = 0 and at infinity
+    cusp = FunctionFieldCurve(-T * T, UniPoly.zero("T"))
+    cases.append((cusp, CurvePoint.affine(RatFunc(UniPoly.zero("T")), RatFunc(UniPoly.zero("T")))))
+    seen = set()
+    for E, R in cases:
+        rep = canonical_height(E, R)
+        good_poles = R.x.den.degree()
+        entries, total = [], F(0)
+        for profile in ffheights._place_profiles(E):
+            e = full_valuation_entry(profile, E.a, E.b, R)
+            total += profile.place.degree() * e.local
+            if e.local or profile.val_delta:
+                entries.append(e)
+            if not profile.place.is_infinity:
+                good_poles -= profile.place.degree() * valuation_at(profile.place, R.x.den)
+        assert rep.entries == tuple(entries), (E, R)
+        assert rep.total == total + F(good_poles, 2), (E, R)
+        seen |= {(e.reduction, e.smooth, e.val_f3 is None) for e in rep.entries}
+    assert (ReductionType.ADDITIVE, False, False) in seen
+    assert (ReductionType.MULTIPLICATIVE, False, True) in seen
+    assert any(e.val_f2 is None and e.val_f3 for e in canonical_height(*cases[-1]).entries)
+
+
+def test_heights_skip_the_denominator_of_y_and_start_psi3_at_3_vy(monkeypatch):
+    # where x has no pole the reduced y has a unit denominator, so no
+    # valuation pass reads y.den (w^3, degree 60 at 9P); at infinity on the
+    # odd multiples v(y) = 2 and v(psi3) = 4 < 3 v(y), so the first round of
+    # psi3's terms settles it (k = 1, 2, 4, 8 took four)
+    E, P = family_functionfield_curve(2)
+    m = {1: P}
+    for n in range(2, 10):
+        m[n] = E.add(m[n - 1], P)
+    canonical_height(E, P)
+    handed, rounds = [], []
+    multiplicity, terms = places_module._multiplicity, ffheights._terms
+
+    def counting_multiplicity(num, p):
+        handed.append(num)
+        return multiplicity(num, p)
+
+    def counting_terms(place, form, polys, degs, k):
+        rounds.append(form)
+        return terms(place, form, polys, degs, k)
+
+    monkeypatch.setattr(places_module, "_multiplicity", counting_multiplicity)
+    monkeypatch.setattr(ffheights, "_terms", counting_terms)
+    for n in range(2, 10):
+        handed.clear()
+        rounds.clear()
+        assert canonical_height(E, m[n]).total == n * n * F(1, 4)
+        assert handed and not any(num is m[n].y.den for num in handed), n
+        assert rounds.count(ffheights._psi3) == n % 2, n
 
 
 # -- generic rank ---------------------------------------------------------------

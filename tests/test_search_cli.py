@@ -504,9 +504,24 @@ def test_search_record_is_an_immutable_tuple():
 def test_csv_rejects_foreign_layouts():
     with pytest.raises(ParseError):
         records_from_csv("a,b,c\n1,2,3\n")
+    header = "p,q,height,disc_ok,nontorsion_ok,rank\n"
     with pytest.raises(ParseError) as err:
-        records_from_csv("p,q,height,disc_ok,nontorsion_ok,rank\n1,1,121,1\n")
+        records_from_csv(header + "1,1,121,1\n")
     assert err.value.line_no == 2
+    # numbers read -?[0-9]+ and flags only 0 or 1; each bad row names its line
+    good = "-2,7,121,1,0,\n"
+    assert records_from_csv(header + good + "10,3,5,0,1,-1\n") == [
+        SearchRecord(-2, 7, 121, True, False), SearchRecord(10, 3, 5, False, True, -1)]
+    bad_rows = ["1_0,+1,\u0661\u0662\u0661,2,-1,\u0663", "1_0,1,121,1,1,", "1,+1,121,1,1,",
+                "1,1,\u0661\u0662\u0661,1,1,", "1,1,121,1,1,\u0663", "1,1,121,2,1,",
+                "1,1,121,1,-1,", "1,1,121,,1,", "1,1,121,01,1,", " 1,1,121,1,1,",
+                "1,1," + "9" * 5000 + ",1,1,"]
+    for row in bad_rows:
+        with pytest.raises(ParseError) as err:
+            records_from_csv(header + good + row + "\n")
+        message = str(err.value)
+        assert err.value.line_no == 3 and message.startswith("line 3: "), row
+        assert "\n" not in message and len(message) < 300, row
 
 
 # ---------------------------------------------------------------------------
