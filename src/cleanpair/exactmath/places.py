@@ -19,9 +19,9 @@ class UndefinedValuation(ArithmeticError):
 
 
 class Place:
-    """A closed point of the projective T-line over Q."""
+    """A closed point of the projective T-line over Q; `root` is r at T - r, else None."""
 
-    __slots__ = ("var", "poly")
+    __slots__ = ("var", "poly", "root")
 
     def __init__(self, var: str, poly: UniPoly | None):
         if poly is not None:
@@ -33,6 +33,7 @@ class Place:
                 raise ValueError(f"place polynomial must be irreducible: {poly}")
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "root", -poly.coeff(0) if poly is not None and poly.degree() == 1 else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Place is immutable")
@@ -94,15 +95,15 @@ def _as_ratfunc(place: Place, f):
     raise TypeError(f"cannot take a valuation of {type(f).__name__}")
 
 
-def _multiplicity(num: UniPoly, p: UniPoly) -> int:
-    if p.degree() == 1:
+def _multiplicity(num: UniPoly, place: Place) -> int:
+    if place.root is not None:
         # the multiplicity of T - r counts the Taylor coefficients at r that
         # vanish, so v = 0 costs one evaluation
-        return next((j for j, c in enumerate(taylor_numerators(num, -p.coeff(0))) if c), 0)
+        return next((j for j, c in enumerate(taylor_numerators(num, place.root)) if c), 0)
     # the integer form of a monic p is primitive (its leading coefficient
     # is p's denominator), so exact division stops at the first top
     # coefficient that leaves a remainder
-    a, b = qq_to_ints(num)[0], qq_to_ints(p)[0]
+    a, b = qq_to_ints(num)[0], qq_to_ints(place.poly)[0]
     if len(b) == 3 and b[2] == 1:
         # an integral quadratic divides every top coefficient, so its
         # residue, (r1 T + r0) T + x mod p from the top down, settles v = 0
@@ -121,7 +122,7 @@ def _poly_valuation(place: Place, p: UniPoly) -> int:
     """Valuation of a nonzero polynomial over Q; infinity gives -degree."""
     if place.is_infinity:
         return -p.degree()
-    return _multiplicity(p, place.poly)
+    return _multiplicity(p, place)
 
 
 # -- public API ---------------------------------------------------------------

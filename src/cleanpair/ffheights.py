@@ -350,8 +350,7 @@ def _terms(place: Place, form, polys, degs, k) -> list:
     if place.degree() > 1:
         q = place.poly
         return [form(*(p % q for p in polys)) % q]
-    root = None if place.is_infinity else -place.poly.coeff(0)
-    series = []
+    root, series = place.root, []
     for p, d in zip(polys, degs):
         num, den = qq_to_ints(p)
         if root is None:

@@ -22,8 +22,9 @@ Every model tested, here and in the convention sweep, is the s = 1
 fiber at some t with its marked point, so its reduction mod a prime l
 depends on t mod l alone: the torsion probe reads per-prime grids of
 (u mod l, v mod l) filled from the verdicts on t mod l (`_torsion_tables`),
-and the few points no prime settles go to exact addition, which stops at
-the first non-integral multiple.
+a point at a time here and, as a row is periodic in v, a row at a time in
+the sweep; the few points no prime settles go to exact addition, which
+stops at the first non-integral multiple.
 
 The published totals for h(t) <= H^6 (823 at H = 10 up through 74069 at
 H = 60) could not be reproduced from the stated height cut under this
@@ -159,16 +160,16 @@ class SearchRecord(NamedTuple):
 
 
 @cache
-def _torsion_tables() -> tuple[tuple[int, tuple[tuple[bool, ...], ...]], ...]:
-    """For each refuting prime l, largest first, the reduction probe's
-    verdict at l on the model (u, v) as `grid[u % l][v % l]`.
+def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
+    """For each refuting prime l, largest first, the byte `grid[u % l][v % l]`:
+    1 when the reduction probe at l proves P of infinite order on (u, v).
 
     The model (u, v) is the s = 1 fiber at t = 9u^3/v^2, and over F_l the
     map (u, v) -> (lambda^2 u, lambda^3 v) with lambda = v/(3u) carries
     (tau, 3 tau) and its marked point onto it for tau = t.  So a grid is
     read from the verdicts on (tau, 3 tau), tau mod l, with one inverse
     square per v.  The cells u = 0 (P reduces to (0, v), of order 3),
-    v = 0 and tau = -9/4 (bad reduction) read False.  Built on first use,
+    v = 0 and tau = -9/4 (bad reduction) read 0.  Built on first use,
     not at import: about 2.5 ms for the eleven grids (8,219 cells).
     """
     tables = []
@@ -180,23 +181,23 @@ def _torsion_tables() -> tuple[tuple[int, tuple[tuple[bool, ...], ...]], ...]:
             for tau in range(p)
         ]
         inverse_squares = [pow(v, -2, p) for v in range(1, p)]
-        grid = [(False,) * p]
+        grid = [bytes(p)]
         for u in range(1, p):
             nine_u3 = 9 * u**3
-            grid.append((False, *(row[nine_u3 * w % p] for w in inverse_squares)))
+            grid.append(bytes((0, *(row[nine_u3 * w % p] for w in inverse_squares))))
         tables.append((p, tuple(grid)))
     return tuple(tables)
 
 
-def _non_torsion(u: int, v: int, tables: Sequence[tuple[int, Sequence[Sequence[bool]]]]) -> bool:
+def _non_torsion(u: int, v: int, tables: Sequence[tuple[int, Sequence[bytes]]]) -> bool:
     """Whether P = (-2u, v) has infinite order on the nonsingular model
     y^2 = (x - u)^2 (x + 2u) + v^2 = x^3 - 3u^2 x + 2u^3 + v^2.
 
     The first refuting prime l whose grid holds at (u mod l, v mod l)
     proves infinite order; as 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), the
-    grid's False cells cover every bad reduction.  Only when no prime
-    refutes is a curve built for the exact fallback.  `tables` is
-    `_torsion_tables()`, read once by the caller."""
+    grid's 0 cells cover every bad reduction.  Only when no prime
+    refutes is a curve built for the exact fallback (all of it for
+    `tables` = ()).  `tables` is `_torsion_tables()`, read once by the caller."""
     for p, grid in tables:
         if grid[u % p][v % p]:
             return True
@@ -274,27 +275,40 @@ class SweepEntry(NamedTuple):
 
 
 def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(records, candidates) over the models with v >= 1 and
-    max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6, and over those of them with
-    gcd(u, v) = 1; one torsion test per model."""
+    """(records, candidates) over the models with u != 0, v >= 1 and
+    max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6, and over those with gcd(u, v) = 1.
+    For fixed u, prime l's verdict `grid[u % l][v % l]` has period l in v,
+    so its row repeated over v = 0..V reads as one integer, a byte per v.
+    The OR over l marks the refuted models, and the multiples of the primes
+    dividing u mark those sharing a factor with u; bit_count counts each."""
     H3 = H**3
     u_max = isqrt(H * H // 3)
     tables = _torsion_tables()
     records = candidates = coprime_records = coprime_candidates = 0
     for au in range(1, u_max + 1):
+        factors = [d for d in range(2, au + 1) if au % d == 0 and all(d % e for e in range(2, d))]
         for u in (au, -au):
             four_u3 = 4 * u**3
             head = H3 - four_u3 // 2
             if head < 1:
                 continue
-            for v in range(1, isqrt(head) + 1):
+            n = isqrt(head) + 1  # one byte for each v = 0..V
+            infinite = shared = 0
+            for p, grid in tables:
+                infinite |= int.from_bytes((grid[u % p] * (n // p + 1))[:n], "little")
+            for d in factors:
+                shared |= int.from_bytes(((b"\1" + bytes(d - 1)) * (n // d + 1))[:n], "little")
+            verdicts = infinite.to_bytes(n, "little")
+            v = verdicts.find(0, 1)
+            while v != -1:  # refuted by no prime: the exact test
                 # 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), and v >= 1
-                candidate = four_u3 + v * v != 0 and _non_torsion(u, v, tables)
-                records += 1
-                candidates += candidate
-                if gcd(u, v) == 1:
-                    coprime_records += 1
-                    coprime_candidates += candidate
+                if four_u3 + v * v != 0 and _non_torsion(u, v, ()):
+                    infinite |= 1 << 8 * v
+                v = verdicts.find(0, v + 1)
+            records += n - 1
+            candidates += infinite.bit_count()
+            coprime_records += n - (shared | 1).bit_count()
+            coprime_candidates += (infinite & ~shared).bit_count()
     return (records, candidates), (coprime_records, coprime_candidates)
 
 

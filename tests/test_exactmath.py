@@ -637,7 +637,7 @@ def test_multiplicity_matches_repeated_division():
                 count, num = 0, p
                 while not num % q:
                     count, num = count + 1, num // q
-                assert _multiplicity(p, q) == count >= m
+                assert _multiplicity(p, Place.finite(q)) == count >= m
 
 
 def test_divides_matches_the_remainder():

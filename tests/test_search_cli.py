@@ -364,6 +364,32 @@ def test_model_sweep_grows_like_h_to_the_five_halves():
         assert 15 * H**5 < 12 * n * n < 16 * H**5, H
 
 
+def test_model_sweep_matches_a_recount_model_by_model():
+    # The sweep reads each prime's verdict row as a period in v; here each
+    # model under the cut is tested alone, by the probe walked on the model
+    # itself and exact addition.  The singular models u = -k^2, v = 2k^3
+    # (4u^3 + v^2 = 0) are records and never candidates.
+    verdicts, singular = {}, []
+    for u in range(-40, 41):
+        for v in range(1, isqrt(2 * 40**3) + 1):
+            height = max((3 * u * u) ** 3, (2 * u**3 + v * v) ** 2)
+            if u == 0 or height > 40**6:
+                continue
+            if 4 * u**3 + v * v == 0:
+                singular.append((u, v))
+                verdicts[u, v] = (height, False)
+                continue
+            E = WeierstrassCurve(F(-3 * u * u), F(2 * u**3 + v * v))
+            verdicts[u, v] = (height, is_torsion_overQ(E, CurvePoint(F(-2 * u), F(v))) is None)
+    assert singular == [(-16, 128), (-9, 54), (-4, 16), (-1, 2)]
+    for H in (*range(1, 25), 40):
+        kept = [(gcd(u, v) == 1, candidate)
+                for (u, v), (height, candidate) in verdicts.items() if height <= H**6]
+        every = (len(kept), sum(c for _, c in kept))
+        coprime = (sum(g for g, _ in kept), sum(g and c for g, c in kept))
+        assert _sweep_models(H) == (every, coprime), H
+
+
 def test_torsion_tables_match_the_probe_on_every_model_mod_l():
     # Every cell (u, v) mod l, not only the representatives (tau, 3 tau)
     # the grids are read from: the lookup `_non_torsion` makes must agree
@@ -372,14 +398,14 @@ def test_torsion_tables_match_the_probe_on_every_model_mod_l():
     assert [p for p, _ in tables] == list(_REFUTING_PRIMES)
     cases = refuted = 0
     for p, grid in tables:
-        assert len(grid) == p and all(len(row) == p for row in grid)
+        assert len(grid) == p and all(type(row) is bytes and len(row) == p for row in grid)
         for u in range(p):
             for v in range(p):
                 a, b = -3 * u * u, 2 * u**3 + v * v
                 good = (4 * a**3 + 27 * b * b) % p != 0
                 expected = good and _order_exceeds_mazur_bound(a % p, (-2 * u % p, v), p)
                 got = grid[u][v]
-                assert got is True or got is False, (p, u, v)
+                assert got in (0, 1), (p, u, v)
                 assert got == expected, (p, u, v)
                 cases += 1
                 refuted += got
@@ -1004,6 +1030,19 @@ def test_cli_search_60_meets_its_time_target(capsys):
     assert lines[0] == "H=60 records=137 candidates=135"
     assert lines[1] == "published_total=74069 delta=-73934"
     assert "models-v-positive         31483      31475   -42594" in lines
+
+
+SEARCH_GOLDEN = Path(__file__).parent / "data" / "search_stdout.json"
+
+
+def test_cli_search_stdout(capsys):
+    # stdout of `search 60` (the sweep runs on the mismatch) and of
+    # `search 30 --sweep`, byte for byte
+    golden = json.loads(SEARCH_GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == ["60", "30 --sweep"]
+    for argv, expected in golden.items():
+        assert run_cli(capsys, "search", *argv.split()) == (0, expected, ""), argv
+    assert "models-coprime             3536       3535    -9520" in golden["30 --sweep"]
 
 
 @pytest.mark.parametrize(
