@@ -151,13 +151,6 @@ class WeierstrassCurve:
         a, b = self.a, self.b
         return -16 * (4 * a * a * a + 27 * b * b)
 
-    def j_invariant(self):
-        a, b = self.a, self.b
-        den = 4 * a * a * a + 27 * b * b
-        if not den:
-            raise SingularCurveError("j-invariant of a singular cubic")
-        return 6912 * a * a * a / den
-
     def rhs(self, x):
         """The cubic x^3 + ax + b."""
         return x * x * x + self.a * x + self.b

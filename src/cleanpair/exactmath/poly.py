@@ -204,10 +204,6 @@ class UniPoly:
     def gen(cls, var: str):
         return cls(var, [0, 1])
 
-    @classmethod
-    def zero(cls, var: str):
-        return cls(var, [])
-
     # -- basic structure -------------------------------------------------
 
     def degree(self) -> int:
@@ -306,19 +302,11 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return qq_from_ints(self.var, [i * c for i, c in enumerate(self._num)][1:], self._den)
 
-    def evaluate(self, value):
-        """The value at value: at an int or a Fraction, the first Taylor
-        coefficient (integer Horner); else Horner's rule in any ring the
-        coefficients multiply into (UniPoly, RatFunc)."""
-        if isinstance(value, (int, Fraction)):
-            scale = self._den * value.denominator ** max(self.degree(), 0)
-            return Fraction(next(taylor_numerators(self, value), 0), scale)
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * value + c
-        if acc is None:
-            return Fraction(0)
-        return acc
+    def evaluate(self, value) -> Fraction:
+        """The value at an int or a Fraction: the first Taylor coefficient
+        (integer Horner)."""
+        scale = self._den * value.denominator ** max(self.degree(), 0)
+        return Fraction(next(taylor_numerators(self, value), 0), scale)
 
     # -- normalization -----------------------------------------------------
 
@@ -597,10 +585,6 @@ class RatFunc:
     @property
     def var(self):
         return self.num.var
-
-    def degree_map(self) -> int:
-        """Degree as a morphism to the projective line."""
-        return max(self.num.degree(), self.den.degree())
 
     def __bool__(self):
         return bool(self.num)

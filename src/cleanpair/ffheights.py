@@ -99,8 +99,6 @@ class ReductionProfile(NamedTuple):
     place: Place
     val_delta: int
     type: ReductionType
-    component_count: int
-    geometric_multiplicity: int
 
 
 class FunctionFieldCurve:
@@ -145,9 +143,6 @@ class FunctionFieldCurve:
             W = WeierstrassCurve.possibly_singular(RatFunc(self.a), RatFunc(self.b))
             object.__setattr__(self, "_weierstrass", W)
         return W
-
-    def contains(self, P: CurvePoint) -> bool:
-        return self.weierstrass().contains(P)
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return self.weierstrass().add(P, Q)
@@ -200,16 +195,13 @@ def second_section(E: FunctionFieldCurve, s) -> tuple[FunctionFieldCurve, CurveP
 def _classify(val_delta: int, val_c4: int, place: Place) -> ReductionProfile:
     if val_delta == 0:
         rtype = ReductionType.GOOD
-        m = 1
     elif val_c4 == 0:
         rtype = ReductionType.MULTIPLICATIVE
-        m = val_delta
     else:
         rtype = ReductionType.ADDITIVE
-        m = val_delta - 1
     if val_delta and not (val_delta < 12 or val_c4 < 4):
         raise MinimalityError(f"model is not minimal at {place}")
-    return ReductionProfile(place, val_delta, rtype, m, place.degree())
+    return ReductionProfile(place, val_delta, rtype)
 
 
 def _weighted(place: Place, f, k: int) -> int:
@@ -253,15 +245,11 @@ def shioda_tate_rank(profiles) -> int:
     """Geometric Mordell-Weil rank bound for a rational elliptic surface:
     8 - sum(val Delta) + #(bad places) + #(additive places), all counts
     degree-weighted."""
-    total = sum(pr.geometric_multiplicity * pr.val_delta for pr in profiles)
+    total = sum(pr.place.degree() * pr.val_delta for pr in profiles)
     if total != 12:
         raise NotRationalSurface(f"valuations of Delta sum to {total}, not 12")
-    n_bad = sum(pr.geometric_multiplicity for pr in profiles if pr.val_delta)
-    n_add = sum(
-        pr.geometric_multiplicity
-        for pr in profiles
-        if pr.type is ReductionType.ADDITIVE
-    )
+    n_bad = sum(pr.place.degree() for pr in profiles if pr.val_delta)
+    n_add = sum(pr.place.degree() for pr in profiles if pr.type is ReductionType.ADDITIVE)
     return 8 - total + n_bad + n_add
 
 

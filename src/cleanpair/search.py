@@ -148,15 +148,8 @@ class SearchRecord(NamedTuple):
     rank: Optional[int] = None
 
     @property
-    def t(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    @property
     def is_candidate(self) -> bool:
         return self.disc_ok and self.non_torsion_ok
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.height_value, self.p, self.q)
 
 
 @cache
@@ -544,11 +537,9 @@ class DbCurveClassification(NamedTuple):
     label: str
     short_a: int  # A = -27 c4 of the model as read, not twist-minimal
     short_b: int  # B = -54 c6 of the same model
-    shape_t: Optional[int]  # |t| with short_a = -3 t^2, when it exists
-    shape: bool
+    shape: bool  # short_a = -3 t^2 for an integer t
     excluded: bool  # every point at x = sigma with B - 2 sigma^3 a square is torsion
     square_shift: bool  # B - 2 sigma^3 is a square for a usable sign sigma
-    square_sign: Optional[int]  # that sigma, in the model as read
 
 
 class DbFilterReport(NamedTuple):
@@ -569,7 +560,7 @@ def _classify_entry(entry: CurveDbEntry) -> DbCurveClassification:
     A, B = _short_model(entry.a_invariants)
     shape_t = 0 if A == 0 else sqrt_int(-A // 3) if A < 0 and A % 3 == 0 else None
     if shape_t is None:
-        return DbCurveClassification(entry.label, A, B, None, False, False, False, None)
+        return DbCurveClassification(entry.label, A, B, False, False, False)
     # Both sign choices present the curve as y^2 = x^3 - 3t^2 x + b.  The
     # point at x = sigma exists when b - 2 sigma^3 = y^2, and sigma is usable
     # when it (equivalently its double at x = -2 sigma) has infinite order.
@@ -577,11 +568,8 @@ def _classify_entry(entry: CurveDbEntry) -> DbCurveClassification:
     signs = (0,) if shape_t == 0 else (shape_t, -shape_t)
     points = [CurvePoint(Fraction(s), Fraction(y))
               for s in signs if (y := sqrt_int(B - 2 * s**3)) is not None]
-    usable = [int(P.x) for P in points if is_torsion_overQ(curve, P) is None]
-    excluded = bool(points) and not usable
-    return DbCurveClassification(
-        entry.label, A, B, shape_t, True, excluded, bool(usable), usable[0] if usable else None
-    )
+    usable = any(is_torsion_overQ(curve, P) is None for P in points)
+    return DbCurveClassification(entry.label, A, B, True, bool(points) and not usable, usable)
 
 
 def filter_db_family_candidates(db: Sequence[CurveDbEntry]) -> DbFilterReport:

@@ -117,7 +117,7 @@ def test_poly_ring_axioms():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
-        assert a - a == UniPoly.zero("T")
+        assert a - a == UniPoly("T", [])
 
 
 def test_poly_divmod_identity():
@@ -391,7 +391,7 @@ def test_low_degree_rational_roots_match_factoring(monkeypatch):
             p = lead * linears[0]
         cases.append((p, roots_by_factoring(p)))
     with pytest.raises(ValueError):
-        rational_roots(UniPoly.zero("T"))
+        rational_roots(UniPoly("T", []))
 
     def no_factoring(p):
         raise AssertionError("a nonzero p of degree <= 3 must not be factored")
@@ -492,7 +492,7 @@ def test_low_degree_irreducibility_matches_factoring(monkeypatch):
     for p, expected in cases:
         assert is_irreducible(p) == expected, p
     assert not is_irreducible(UniPoly.constant("T", 5))
-    assert not is_irreducible(UniPoly.zero("T"))
+    assert not is_irreducible(UniPoly("T", []))
 
 
 # -- rational functions -------------------------------------------------------
@@ -506,7 +506,7 @@ def test_ratfunc_normalization():
     g = RatFunc(T + 1, 2 * T - 3)
     assert g.den.is_monic()
     assert g.evaluate(F(2)) == 3
-    assert g.degree_map() == 1
+    assert max(g.num.degree(), g.den.degree()) == 1
 
 
 def test_q_of_t_elements_have_one_way_in():
@@ -574,7 +574,7 @@ def test_divisor_degree_zero():
         if not num or not den:
             continue
         f = RatFunc(num, den)
-        if not f or f.degree_map() == 0:
+        if not f or max(f.num.degree(), f.den.degree()) == 0:
             continue
         assert sum(pl.degree() * m for pl, m in divisor_of(f)) == 0
 
@@ -670,7 +670,7 @@ def test_taylor_coefficients_rebuild_the_polynomial():
         for deg in (0, 1, 5, 12):
             p = rand_poly(rng, deg=deg)
             coeffs = list(taylor_coefficients(p, root))
-            shifted = sum((c * (T - root) ** j for j, c in enumerate(coeffs)), UniPoly.zero("T"))
+            shifted = sum((c * (T - root) ** j for j, c in enumerate(coeffs)), UniPoly("T", []))
             assert shifted == p
             assert next(taylor_coefficients(p, root), 0) == p.evaluate(root)
             den, c, n = qq_to_ints(p)[1], root.denominator, p.degree()
@@ -678,8 +678,8 @@ def test_taylor_coefficients_rebuild_the_polynomial():
             assert all(type(r) is int for r in numerators)
             assert [F(r, den * c ** (n - j)) for j, r in enumerate(numerators)] == coeffs
     for root in (F(1, 3), F(-1, 3), F(2), F(-2)):
-        assert list(taylor_coefficients(UniPoly.zero("T"), root)) == []
-        assert list(taylor_numerators(UniPoly.zero("T"), root)) == []
+        assert list(taylor_coefficients(UniPoly("T", []), root)) == []
+        assert list(taylor_numerators(UniPoly("T", []), root)) == []
         assert list(taylor_numerators(UniPoly.constant("T", F(-5, 6)), root)) == [-5]
 
 
@@ -699,7 +699,7 @@ def test_evaluate_at_a_rational_matches_the_power_sum():
 
 def test_valuation_errors_and_inf():
     with pytest.raises(UndefinedValuation):
-        valuation_at(Place.linear("T", 0), RatFunc(UniPoly.zero("T")))
+        valuation_at(Place.linear("T", 0), RatFunc(UniPoly("T", [])))
     assert valuation_at(Place.linear("T", 0), F(7, 2)) == 0
     with pytest.raises(ValueError):
         Place.finite(T**2 - 1)  # reducible
@@ -720,7 +720,7 @@ def big_rational(rng, bits=300):
 
 def big_poly(rng, deg, negative_lc=False):
     if deg < 0:
-        return UniPoly.zero("T")
+        return UniPoly("T", [])
     coeffs = [big_rational(rng) if rng.random() < 0.8 else F(0) for _ in range(deg)]
     lead = abs(big_rational(rng)) or F(1)
     return UniPoly("T", coeffs + [-lead if negative_lc else lead])

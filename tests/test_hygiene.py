@@ -1,6 +1,7 @@
 """Package hygiene: exports resolve, no module keeps a dead import, no
-public top-level name is left without a caller, and sympy stays off the
-proof, height and rank paths.
+public top-level name is left without a caller, no def goes uncalled by the
+commands unless UNCALLED names its caller, and sympy stays off the proof,
+height and rank paths.
 
 The checks read the package itself, so a deletion that leaves a stale
 ``__all__`` entry, an import or an orphaned helper behind fails here rather
@@ -11,6 +12,7 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -246,7 +248,7 @@ def test_places_of_degree_at_most_three_load_no_sympy():
 
 # Distinct package source lines that `verify` runs on the pinned fixture.
 # A change may lower the bound; one that raises it says so in CHANGES.md.
-VERIFY_LINES_BOUND = 524
+VERIFY_LINES_BOUND = 522
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -280,3 +282,142 @@ def test_verify_runs_few_lines_of_the_package():
             sys.settrace(None)
     assert (code, stdout.getvalue()) == (0, "OK\n")
     assert len(codes) > 100 and len(lines) <= VERIFY_LINES_BOUND, (len(lines), len(codes))
+
+
+# ---------------------------------------------------------------------------
+# reachability: a def counts as reached when the command corpus below enters
+# it, import time included.  Every other def but a dunder is named here with
+# the caller that keeps it (an acceptance check, the benchmark, or a fallback
+# the corpus cannot trigger).  A def that newly goes uncalled fails the test,
+# and so does an entry the corpus now calls: delete the one, drop the other.
+
+_ACCEPTANCE_7 = "acceptance 7: the normalization round trip and the divisor degree formula"
+_PERFBENCH = "perfbench's layer probes"
+UNCALLED = {
+    "normalize_to_family": _ACCEPTANCE_7,
+    "IsomorphismWitness.apply_point": _ACCEPTANCE_7 + ", through normalize_to_family",
+    "IsomorphismWitness.apply_curve": _ACCEPTANCE_7 + ", through normalize_to_family",
+    "WeierstrassCurve.require_on_curve": _ACCEPTANCE_7 + ", through normalize_to_family",
+    "divisor_of": _ACCEPTANCE_7,
+    "Place.sort_key": _ACCEPTANCE_7 + ", through divisor_of",
+    "Place.linear": "acceptance 3: the place where 1 - s - 3T vanishes",
+    "add": "acceptance 7's associativity check and " + _PERFBENCH,
+    "scalar_mul": "acceptance 7's quadraticity check and " + _PERFBENCH,
+    "torsion_points_overQ": _PERFBENCH + ": the full torsion group of each dbfilter shape row",
+    "torsion_points_overQ.<locals>.consider": _PERFBENCH + ", through torsion_points_overQ",
+    "_torsion_order_bound": _PERFBENCH + ", through torsion_points_overQ",
+    "_integer_divisor_squares": _PERFBENCH + ", through torsion_points_overQ",
+    "poly_gcd": _PERFBENCH + ": the gcd kernel at each degree band",
+    "integral_coefficients": _PERFBENCH + ": the integral model of each s = 1 record",
+    "records_from_csv": _PERFBENCH + ": the CSV round trip of search --csv",
+    "_prs_gcd": "_int_gcd's fallback when the heuristic gcd runs out of evaluation points",
+}
+
+_REACH_PROBE = """
+import contextlib, io, json, sys
+
+package = sys.argv[1]
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(profile)
+from cleanpair.cli import main
+
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def _defs(tree: ast.Module) -> dict[int, str]:
+    """The qualname of each def, keyed by its code object's first line: the
+    line of its first decorator, or of the def."""
+    defs = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                defs[line] = prefix + child.name
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return defs
+
+
+def _reach_corpus(tmp: Path) -> list[list[str]]:
+    cert, tampered, empty, not_json = (
+        tmp / n for n in ("cert.json", "tampered.json", "empty.json", "not.json")
+    )
+    tampered.write_text(CERT_V1.read_text().replace('"1/2"', '"2/3"', 1))
+    empty.write_text("[]")
+    not_json.write_text("{")
+    table, short_row, oracle, bad_oracle, not_utf8 = (
+        tmp / n for n in ("curves.txt", "short.txt", "oracle.txt", "bad_oracle.txt", "utf16.txt")
+    )
+    table.write_text("\n".join([*DB_FIXTURE, *HARD_DB_ROWS]) + "\n")
+    short_row.write_text(f"{DB_FIXTURE[0]}\n65a1 1 0 0 -1 0 1 1\n")
+    oracle.write_text("# oracle\n1 1 1\n-1 1 1\n2 1 2\n-4 3 ?\n")
+    bad_oracle.write_text("1 1\n")
+    not_utf8.write_bytes(b"\xff\xfe" + "1 1 1\n".encode("utf-16-le"))
+    return [
+        ["certify", "1", "1", "2", "--out", str(cert)],
+        ["certify", "1", "1", "1"],
+        ["verify", str(cert)],
+        ["verify", str(tampered)],
+        ["verify", str(empty)],
+        ["verify", str(not_json)],
+        ["verify", str(tmp / "missing.json")],
+        ["member", "1", "2"],
+        ["member", "x", "1"],
+        ["member", "--", "1", "--"],
+        ["heights", "1"],
+        ["heights", "9/4", "--markdown"],
+        ["rank-ff", "0"],
+        ["rank-ff", "1"],
+        ["rank-ff", "2"],
+        ["rank-ff", "4"],
+        ["search", "0"],
+        ["search", "60"],
+        ["search", "10", "--oracle", str(oracle), "--csv", str(tmp / "records.csv"), "--sweep",
+         "--sign", "positive", "--include-zero", "--all-pairs"],
+        ["search", "5", "--oracle", str(bad_oracle)],
+        ["search", "5", "--oracle", str(not_utf8)],
+        ["dbfilter", str(table)],
+        ["dbfilter", str(short_row)],
+        ["dbfilter", str(not_utf8)],
+    ]
+
+
+def test_only_the_allowlist_goes_uncalled(tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-c", _REACH_PROBE, str(PACKAGE_DIR)], input=json.dumps(_reach_corpus(tmp_path)),
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    entered = {(Path(name), line) for name, line in json.loads(run.stdout)}
+    called, uncalled = {}, {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for line, name in _defs(ast.parse(path.read_text(encoding="utf-8"))).items():
+            short = name.rsplit(".", 1)[-1]
+            if short.startswith("__") and short.endswith("__"):
+                continue
+            assert name not in called and name not in uncalled, f"{name} is defined twice"
+            found = called if (path, line) in entered else uncalled
+            found[name] = f"{path.relative_to(PACKAGE_DIR)}:{line} {name}"
+    new = [where for name, where in uncalled.items() if name not in UNCALLED]
+    stale = [called.get(name, f"(no such def) {name}") for name in UNCALLED if name not in uncalled]
+    assert not (new or stale), "\n".join(
+        ["uncalled, and not in UNCALLED:", *new, "in UNCALLED, but called or gone:", *stale]
+    )

@@ -171,7 +171,10 @@ def test_parametrization_satisfies_fiber_equation():
     _, _, fiber, _, par = worked_chain()
     acc = RatFunc.constant("L", 0)
     for i, c in enumerate(fiber.F):
-        acc = acc + c.evaluate(par.x2_of) * par.x1_of**i
+        c_at_x2 = RatFunc.constant("L", 0)
+        for coeff in reversed(c.coeffs):  # Horner's rule in Q(L)
+            c_at_x2 = c_at_x2 * par.x2_of + coeff
+        acc = acc + c_at_x2 * par.x1_of**i
     assert not acc
 
 

@@ -9,6 +9,7 @@ import sys
 import time
 from fractions import Fraction as F
 from math import gcd, isqrt
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -104,7 +105,7 @@ def test_h10_records_frozen():
     records = enumerate_s1(10)
     assert [(r.p, r.q, r.height_value) for r in records] == H10_TABLE
     assert all(r.is_candidate for r in records)
-    assert records == sorted(records, key=SearchRecord.sort_key)
+    assert records == sorted(records, key=attrgetter("height_value", "p", "q"))
 
 
 def test_enumeration_monotone_in_h():
@@ -119,7 +120,7 @@ def test_candidates_are_good_family_members():
     # every candidate is a good s = 1 member, and the integral model is
     # exactly the d = q rescaling of the fiber
     for r in records:
-        member = make_member(1, r.t)
+        member = make_member(1, F(r.p, r.q))
         assert member.in_u or not r.is_candidate
         a, b = integral_coefficients(r.p, r.q)
         assert F(a) == member.curve.a * r.q**4
@@ -178,7 +179,7 @@ def test_records_match_an_independent_reference(H, convention):
                 is None
             )
             expected.append(SearchRecord(p, q, h, disc_ok, non_torsion))
-    expected.sort(key=SearchRecord.sort_key)
+    expected.sort(key=attrgetter("height_value", "p", "q"))
     assert enumerate_s1(H, convention) == expected
     if convention.sign != "positive":
         by_key = {(r.p, r.q): r for r in expected}
@@ -588,13 +589,11 @@ def test_db_filter_classification():
 
     by_label = {c.label: c for c in report.classifications}
     c43 = by_label["43a1"]
-    assert (c43.short_a, c43.short_b, c43.shape_t) == (-432, 15120, 12)
-    assert c43.square_sign == 12  # 15120 - 2*12^3 = 108^2
+    # -432 = -3 * 12^2 and 15120 - 2 * 12^3 = 108^2
+    assert (c43.short_a, c43.short_b, c43.shape, c43.square_shift) == (-432, 15120, True, True)
     c65 = by_label["65a1"]
-    assert (c65.short_a, c65.shape_t, c65.square_shift) == (-1323, 21, False)
+    assert (c65.short_a, c65.shape, c65.square_shift) == (-1323, True, False)
     assert by_label["37a1"].shape is False
-    # syn7 is the t = -1 fiber scaled by 6: the model as read has t = -36
-    assert by_label["syn7"].square_sign == -36
 
 
 def test_db_filter_empty():
@@ -629,17 +628,16 @@ def _tate_normal_invariants(order, d):
 
 
 def _reference_classification(a, b):
-    """(shape, excluded, square_shift, sign of square_sign) of the integral
+    """(shape, excluded, square_shift) of the integral
     model y^2 = x^3 + ax + b, read from the list of all its torsion points."""
     t = 0 if a == 0 else isqrt(-a // 3) if a < 0 and a % 3 == 0 else None
     if t is None or 3 * t * t != -a:
-        return False, False, False, None
+        return False, False, False
     torsion_x = {pt.x for pt in torsion_points_overQ(WeierstrassCurve(a, b)) if not pt.is_infinity}
     signs = (t, -t) if t else (0,)
     square = [s for s in signs if b - 2 * s**3 >= 0 and isqrt(b - 2 * s**3) ** 2 == b - 2 * s**3]
     usable = [s for s in square if s not in torsion_x]
-    sign = (usable[0] > 0) - (usable[0] < 0) if usable else None
-    return True, bool(square) and not usable, bool(usable), sign
+    return True, bool(square) and not usable, bool(usable)
 
 
 def _shape_models(rng):
@@ -707,8 +705,7 @@ def test_db_filter_agrees_with_the_torsion_point_list():
     assert report.total_rank_one == len(rows) > 1950
     outcomes = {}
     for c in report.classifications:
-        sign = None if c.square_sign is None else (c.square_sign > 0) - (c.square_sign < 0)
-        got = (c.shape, c.excluded, c.square_shift, sign)
+        got = (c.shape, c.excluded, c.square_shift)
         if c.label in expected:
             a, b, want = expected[c.label]
             assert (c.short_a, c.short_b, got) == (a, b, want), c.label
