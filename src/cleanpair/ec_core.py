@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from cleanpair.exactmath import RatFunc, UniPoly, as_fraction, rational_roots
@@ -356,23 +356,32 @@ def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
         return 1
     if _reduction_refutes_torsion(E.a, E.b, P.x, P.y):
         return None
-    return _exact_torsion_order(E, P)
+    return _exact_torsion_order(E.a, E.b, P.x, P.y)
 
 
-def _exact_torsion_order(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
-    """The order of the affine point P when it is at most the Mazur bound,
-    else None, by exact addition over Q; the proof of last resort behind
-    the reduction probe.  On an integral model every torsion point is
-    integral (Nagell-Lutz; Silverman, AEC VIII.7.2), so the walk stops at
-    the first multiple with a non-integral coordinate."""
-    integral = E.a.denominator == 1 and E.b.denominator == 1
-    Q = P
-    for n in range(1, _MAZUR_BOUND + 1):
-        if Q.is_infinity:
+def _exact_torsion_order(a, b, x, y) -> Optional[int]:
+    """The order of the affine point (x, y) on y^2 = x^3 + ax + b (ints or
+    Fractions) when at most the Mazur bound, else None; the proof of last
+    resort behind the reduction probe.  (x, y) -> (d^2 x, d^3 y), with d the
+    lcm of the denominators of a and b, lands on an integral model, where
+    torsion points are integral (Nagell-Lutz; Silverman, AEC VIII.7.2).  So
+    P, 2P, ... are walked in ints, and a slope whose division leaves a
+    remainder proves infinite order, as x(nP + P) = lam^2 - x(nP) - x(P) is
+    an integer exactly when lam is.  nP = -P gives order n + 1."""
+    d = lcm(a.denominator, b.denominator)
+    x, y = x * d * d, y * d**3
+    if x.denominator != 1 or y.denominator != 1:
+        return None
+    a, x1, y1 = (a * d**4).numerator, x.numerator, y.numerator
+    x, y = x1, y1
+    for n in range(2, _MAZUR_BOUND + 1):
+        if x == x1 and y == -y1:
             return n
-        if integral and (Q.x.denominator != 1 or Q.y.denominator != 1):
+        lam, r = divmod(3 * x1 * x1 + a, 2 * y1) if x == x1 else divmod(y - y1, x - x1)
+        if r:
             return None
-        Q = E.add(Q, P)
+        x = lam * lam - x - x1
+        y = lam * (x1 - x) - y1
     return None
 
 

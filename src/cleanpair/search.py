@@ -23,8 +23,9 @@ fiber at some t with its marked point, so its reduction mod a prime l
 depends on t mod l alone: the torsion probe reads per-prime grids of
 (u mod l, v mod l) filled from the verdicts on t mod l (`_torsion_tables`),
 a point at a time here and, as a row is periodic in v, a row at a time in
-the sweep; the few points no prime settles go to exact addition, which
-stops at the first non-integral multiple.
+the sweep; the few points no prime settles go to exact addition, walked
+in ints on the integral model, which stops at the first non-integral
+multiple.
 
 The published totals for h(t) <= H^6 (823 at H = 10 up through 74069 at
 H = 60) could not be reproduced from the stated height cut under this
@@ -189,13 +190,13 @@ def _non_torsion(u: int, v: int, tables: Sequence[tuple[int, Sequence[bytes]]]) 
     The first refuting prime l whose grid holds at (u mod l, v mod l)
     proves infinite order; as 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), the
     grid's 0 cells cover every bad reduction.  Only when no prime
-    refutes is a curve built for the exact fallback (all of it for
+    refutes does the exact fallback walk P, 2P, ... in ints, on this
+    integral model, to the first non-integral multiple (all of it for
     `tables` = ()).  `tables` is `_torsion_tables()`, read once by the caller."""
     for p, grid in tables:
         if grid[u % p][v % p]:
             return True
-    curve = WeierstrassCurve(Fraction(-3 * u * u), Fraction(2 * u**3 + v * v))
-    return _exact_torsion_order(curve, CurvePoint(Fraction(-2 * u), Fraction(v))) is None
+    return _exact_torsion_order(-3 * u * u, 2 * u**3 + v * v, -2 * u, v) is None
 
 
 def enumerate_s1(

@@ -21,6 +21,7 @@ from cleanpair.ec_core import (
     CurvePoint,
     WeierstrassCurve,
     _order_exceeds_mazur_bound,
+    _reduction_refutes_torsion,
     is_torsion_overQ,
     torsion_points_overQ,
 )
@@ -414,31 +415,55 @@ def test_torsion_tables_match_the_probe_on_every_model_mod_l():
     assert 0 < refuted < cases
 
 
+def _record_exact_walks(monkeypatch):
+    # each call of the exact torsion walk from search, with its verdict
+    exact = searchmod._exact_torsion_order
+    calls = []
+
+    def recorded(a, b, x, y):
+        order = exact(a, b, x, y)
+        calls.append(((a, b, x, y), order))
+        return order
+
+    monkeypatch.setattr(searchmod, "_exact_torsion_order", recorded)
+    return calls
+
+
 def test_sweep_falls_back_to_exact_addition_only_where_the_walk_did(monkeypatch):
     # Walking P, ..., 6P at every good prime (`_reduction_refutes_torsion`)
     # leaves 55 models of the H = 60 sweep to exact addition.  The tables
     # leave the same 55; 5 are torsion, and each of the other 50 meets a
-    # non-integral multiple (Nagell-Lutz) by 3P.
-    exact = searchmod._exact_torsion_order
-    plain_add = WeierstrassCurve.add
-    adds, calls = [0], []
-
-    def counted_add(self, P, Q):
-        adds[0] += 1
-        return plain_add(self, P, Q)
-
-    def counted(E, P):
-        adds[0] = 0
-        order = exact(E, P)
-        calls.append((order, adds[0]))
-        return order
-
-    monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
-    monkeypatch.setattr(searchmod, "_exact_torsion_order", counted)
+    # non-integral multiple (Nagell-Lutz) by 3P, counted here by E.add.
+    calls = _record_exact_walks(monkeypatch)
     convention_sweep(60)
     assert len(calls) == 55
-    assert sum(order is not None for order, _ in calls) == 5
-    assert all(n <= 2 for order, n in calls if order is None)
+    assert sum(order is not None for _, order in calls) == 5
+    for (a, b, x, y), order in calls:
+        assert not _reduction_refutes_torsion(a, b, x, y)
+        E, P = WeierstrassCurve(a, b), CurvePoint.affine(F(x), F(y))
+        n, Q = 1, P
+        while n <= 12 and not Q.is_infinity and Q.x.denominator == 1:
+            n, Q = n + 1, E.add(Q, P)
+        # nP is O, at n the order, or the first non-integral multiple
+        assert Q.is_infinity == (order is not None)
+        assert n == order if order else n <= 3
+
+
+def test_enumeration_falls_back_to_the_exact_walk_at_seven_t(monkeypatch):
+    # The tables settle all but seven records of enumerate_s1(1000); the
+    # model of t = p/q has P = (-2u, v) with u = pq and v = 3pq^2, so
+    # t = 9u^3/v^2.  Two are torsion, of orders 5 and 3.
+    calls = _record_exact_walks(monkeypatch)
+    records = enumerate_s1(1000)
+    assert len(calls) == 7
+    verdicts = {F(9 * (-x // 2) ** 3, y * y): order for (_, _, x, y), order in calls}
+    assert verdicts == {
+        F(-4, 3): 5, F(-8, 3): 3,
+        F(19, 6): None, F(-44, 5): None, F(-23, 19): None, F(-456): None, F(533): None,
+    }
+    for r in records:
+        if F(r.p, r.q) in verdicts:
+            assert r.non_torsion_ok == (verdicts[F(r.p, r.q)] is None)
 
 
 def test_rank_oracle_parsing():
