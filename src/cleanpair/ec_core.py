@@ -41,8 +41,12 @@ class TorsionError(ValueError):
 
 _MAZUR_BOUND = 12  # uniform bound on rational torsion orders
 _PROBE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-# The probe primes where a reduction can have order above the Mazur bound,
-# largest first: p + 1 + 2 sqrt(p) >= 13 (Hasse), tested on integers.
+# Rational torsion injects into E(F_p) at every odd prime p of good reduction
+# (Silverman, AEC VII.3.1), so a reduction of order above the Mazur bound
+# proves infinite order.  Such an order needs #E(F_p) >= 13, and by Hasse
+# #E(F_p) <= p + 1 + 2 sqrt(p), so p = 5 can never refute.  These are the
+# probe primes that can, largest first, as a larger group is likelier to
+# give a large order; the Hasse test runs on integers.
 _REFUTING_PRIMES = tuple(
     p
     for p in reversed(_PROBE_PRIMES)
@@ -107,11 +111,6 @@ class CurvePoint:
         if self.is_infinity:
             return hash(("pt", None))
         return hash(("pt", self.x, self.y))
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "CurvePoint.infinity()"
-        return f"CurvePoint.affine({self.x!r}, {self.y!r})"
 
     def __str__(self):
         return "O" if self.is_infinity else f"({self.x}, {self.y})"
@@ -207,21 +206,6 @@ class WeierstrassCurve:
                 base = self.add(base, base)
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, WeierstrassCurve):
-            return NotImplemented
-        # a constant RatFunc equals its Fraction, so the type tells Q from Q(T)
-        return type(self.a) is type(other.a) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"WeierstrassCurve({self.a!r}, {self.b!r})"
-
-    def __str__(self):
-        return f"y^2 = x^3 + ({self.a})*x + ({self.b})"
-
 
 def _integral_sum(a: UniPoly, P: CurvePoint, Q: CurvePoint, tangent: bool):
     """P + Q != O on y^2 = x^3 + ax + b with a, b in Q[T] (P == Q when
@@ -294,35 +278,6 @@ def scalar_mul(E: WeierstrassCurve, n: int, P: CurvePoint) -> CurvePoint:
 # -- torsion over Q -----------------------------------------------------------
 
 
-def _reduction_refutes_torsion(a, b, x, y) -> bool:
-    """True when some good prime certifies that (x, y) has infinite order
-    on y^2 = x^3 + ax + b; the four values are ints or Fractions.
-
-    Rational torsion injects into E(F_p) for every odd prime p of good
-    reduction (Silverman, AEC VII.3.1), so a reduction of order above the
-    Mazur bound at any good probe prime proves infinite order.  Such an
-    order needs #E(F_p) >= 13, and by Hasse #E(F_p) <= p + 1 + 2 sqrt(p),
-    so p = 5 can never refute; `_REFUTING_PRIMES` holds the rest, largest
-    first, as a larger group is likelier to give a large order.  Each
-    prime is settled from P, ..., 6P alone: an order n <= 12 splits as
-    n = i + j with i, j <= 6, so iP = -jP shows as y(iP) = 0 (i = j) or
-    as x(iP) = x(jP) (see `_order_exceeds_mazur_bound`).
-    """
-    dens = a.denominator * b.denominator * x.denominator * y.denominator
-    disc = (4 * a * a * a + 27 * b * b).numerator
-    for p in _REFUTING_PRIMES:
-        if dens * disc % p == 0:
-            continue
-        ap = a.numerator * pow(a.denominator, -1, p) % p
-        start = (
-            x.numerator * pow(x.denominator, -1, p) % p,
-            y.numerator * pow(y.denominator, -1, p) % p,
-        )
-        if _order_exceeds_mazur_bound(ap, start, p):
-            return True
-    return False
-
-
 def _order_exceeds_mazur_bound(a: int, P: tuple[int, int], p: int) -> bool:
     """Whether the affine point P of y^2 = x^3 + ax + b over F_p has order
     above 12, decided from P, 2P, ..., 6P with five additions.
@@ -354,20 +309,19 @@ def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
         raise TypeError("torsion testing is implemented over Q")
     if P.is_infinity:
         return 1
-    if _reduction_refutes_torsion(E.a, E.b, P.x, P.y):
-        return None
     return _exact_torsion_order(E.a, E.b, P.x, P.y)
 
 
 def _exact_torsion_order(a, b, x, y) -> Optional[int]:
     """The order of the affine point (x, y) on y^2 = x^3 + ax + b (ints or
-    Fractions) when at most the Mazur bound, else None; the proof of last
-    resort behind the reduction probe.  (x, y) -> (d^2 x, d^3 y), with d the
-    lcm of the denominators of a and b, lands on an integral model, where
-    torsion points are integral (Nagell-Lutz; Silverman, AEC VIII.7.2).  So
-    P, 2P, ... are walked in ints, and a slope whose division leaves a
-    remainder proves infinite order, as x(nP + P) = lam^2 - x(nP) - x(P) is
-    an integer exactly when lam is.  nP = -P gives order n + 1."""
+    Fractions) when at most the Mazur bound, else None: the one decision of
+    torsion over Q.  (x, y) -> (d^2 x, d^3 y), with d the lcm of the
+    denominators of a and b, lands on an integral model, where torsion
+    points are integral (Nagell-Lutz; Silverman, AEC VIII.7.2).  So P, 2P,
+    ... are walked in ints, and a slope whose division leaves a remainder
+    proves infinite order, as x(nP + P) = lam^2 - x(nP) - x(P) is an
+    integer exactly when lam is.  nP = -P gives order n + 1; no such n up
+    to the bound proves infinite order (Mazur)."""
     d = lcm(a.denominator, b.denominator)
     x, y = x * d * d, y * d**3
     if x.denominator != 1 or y.denominator != 1:

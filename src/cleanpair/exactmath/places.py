@@ -73,11 +73,6 @@ class Place:
     def __hash__(self):
         return hash((self.var, self.poly))
 
-    def __repr__(self):
-        if self.poly is None:
-            return f"Place.infinity({self.var!r})"
-        return f"Place.finite({self.poly!r})"
-
     def __str__(self):
         return "infinity" if self.poly is None else f"({self.poly})"
 

@@ -622,9 +622,6 @@ class RatFunc:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce_operand(other)
         if o is None:
@@ -664,9 +661,6 @@ class RatFunc:
         if self.den.degree() == 0:
             return self.num == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -150,12 +150,6 @@ class FunctionFieldCurve:
     def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
         return self.weierstrass().scalar_mul(n, P)
 
-    def __repr__(self):
-        return f"FunctionFieldCurve({self.a!r}, {self.b!r})"
-
-    def __str__(self):
-        return f"y^2 = x^3 + ({self.a})*x + ({self.b})"
-
 
 def family_functionfield_curve(s) -> tuple[FunctionFieldCurve, CurvePoint]:
     """The family member over Q(T) at a fixed rational s with its marked

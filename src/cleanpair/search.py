@@ -18,14 +18,14 @@ point; a record is a *candidate* when both flags hold.  Ranks are not
 computed here: they arrive from an external oracle file and get
 attached to records by key.
 
-Every model tested, here and in the convention sweep, is the s = 1
-fiber at some t with its marked point, so its reduction mod a prime l
-depends on t mod l alone: the torsion probe reads per-prime grids of
-(u mod l, v mod l) filled from the verdicts on t mod l (`_torsion_tables`),
-a point at a time here and, as a row is periodic in v, a row at a time in
-the sweep; the few points no prime settles go to exact addition, walked
-in ints on the integral model, which stops at the first non-integral
-multiple.
+Torsion over Q is decided by one integer walk, `ec_core._exact_torsion_order`,
+which is all `is_torsion_overQ` (and so the database filter) runs: P, 2P, ...
+on the integral model, to the first non-integral multiple.  Every model
+tested here and in the convention sweep is the s = 1 fiber at some t with
+its marked point, so its reduction mod a prime l depends on t mod l alone:
+per-prime grids of (u mod l, v mod l) filled from the verdicts on t mod l
+(`_torsion_tables`) refute most points before the walk, a point at a time
+here and, as a row is periodic in v, a row at a time in the sweep.
 
 The published totals for h(t) <= H^6 (823 at H = 10 up through 74069 at
 H = 60) could not be reproduced from the stated height cut under this
@@ -156,7 +156,8 @@ class SearchRecord(NamedTuple):
 @cache
 def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
     """For each refuting prime l, largest first, the byte `grid[u % l][v % l]`:
-    1 when the reduction probe at l proves P of infinite order on (u, v).
+    1 when P on (u, v) reduces at l to order above the Mazur bound, which
+    proves infinite order; the grids only spare `_non_torsion` the walk.
 
     The model (u, v) is the s = 1 fiber at t = 9u^3/v^2, and over F_l the
     map (u, v) -> (lambda^2 u, lambda^3 v) with lambda = v/(3u) carries
@@ -189,10 +190,10 @@ def _non_torsion(u: int, v: int, tables: Sequence[tuple[int, Sequence[bytes]]]) 
 
     The first refuting prime l whose grid holds at (u mod l, v mod l)
     proves infinite order; as 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), the
-    grid's 0 cells cover every bad reduction.  Only when no prime
-    refutes does the exact fallback walk P, 2P, ... in ints, on this
-    integral model, to the first non-integral multiple (all of it for
-    `tables` = ()).  `tables` is `_torsion_tables()`, read once by the caller."""
+    grid's 0 cells cover every bad reduction.  Where no prime refutes,
+    the integer walk that decides torsion over Q settles it on this
+    integral model (every model for `tables` = ()).  `tables` is
+    `_torsion_tables()`, read once by the caller."""
     for p, grid in tables:
         if grid[u % p][v % p]:
             return True

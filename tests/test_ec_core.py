@@ -14,6 +14,7 @@ import pytest
 
 import cleanpair.ec_core as ec_core
 import cleanpair.exactmath.poly as poly_module
+import cleanpair.search as searchmod
 from cleanpair.ec_core import (
     CurvePoint,
     IsomorphismWitness,
@@ -27,7 +28,6 @@ from cleanpair.ec_core import (
     _REFUTING_PRIMES,
     _exact_torsion_order,
     _order_exceeds_mazur_bound,
-    _reduction_refutes_torsion,
     add,
     is_torsion_overQ,
     normalize_to_family,
@@ -36,9 +36,15 @@ from cleanpair.ec_core import (
 )
 from cleanpair.exactmath import RatFunc, UniPoly, sqrt_rational
 from cleanpair.ffheights import family_functionfield_curve
+from cleanpair.search import _non_torsion, _torsion_tables
 
 E11 = WeierstrassCurve(-3, 11)
 P0 = CurvePoint.affine(F(-2), F(-3))
+
+
+def _key(E):
+    # a constant RatFunc equals its Fraction, so the type tells Q from Q(T)
+    return (type(E.a), E.a, E.b)
 
 
 def random_point(E, rng, tries=400):
@@ -227,9 +233,10 @@ def test_group_law_edge_cases_over_function_field():
     assert ec_core._integral_sum(E.a.num, three, six, False) is None
     assert E.add(three, six) == generic_add(E, three, six) == E.scalar_mul(9, P)
     assert E.contains(E.add(three, six))
-    # points with rational coordinates on a curve over Q(T) add as before
+    # points with constant coordinates on a curve over Q(T) add as over Q
     E = WeierstrassCurve(RatFunc.constant("T", -3), RatFunc.constant("T", 11))
-    assert E.add(P0, P0) == CurvePoint.affine(F(25, 4), F(123, 8)) == add(E11, P0, P0)
+    P = CurvePoint.affine(*(RatFunc.constant("T", c) for c in (P0.x, P0.y)))
+    assert E.add(P, P) == CurvePoint.affine(F(25, 4), F(123, 8)) == add(E11, P0, P0)
     # a model with a = 1/T is not integral: the generic route again
     E = WeierstrassCurve(RatFunc(T**0, T), RatFunc(-(T**3)))
     P = CurvePoint.affine(RatFunc(T), RatFunc.constant("T", 1))
@@ -252,8 +259,8 @@ def test_coefficients_set_the_field():
         with pytest.raises(TypeError):
             WeierstrassCurve.possibly_singular(a, b)
     # a curve over Q and its constant twin over Q(T) are different curves
-    assert WeierstrassCurve(-3, 11) != WeierstrassCurve(-3, RatFunc.constant("T", 11))
-    assert WeierstrassCurve(-3, 11) == WeierstrassCurve(F(-3), F(11))
+    assert _key(WeierstrassCurve(-3, 11)) != _key(WeierstrassCurve(-3, RatFunc.constant("T", 11)))
+    assert _key(WeierstrassCurve(-3, 11)) == _key(WeierstrassCurve(F(-3), F(11)))
 
 
 def test_q_only_functions_refuse_a_curve_over_q_of_t():
@@ -308,8 +315,11 @@ def test_torsion_of_every_order_mazur_allows(a, b, x, y, order):
     # (x, y) -> (x/4, y/8) onto a model that is not integral
     Q = O if x is None else CurvePoint.affine(F(x, 4), F(y, 8))
     assert is_torsion_overQ(WeierstrassCurve(F(a, 16), F(b, 64)), Q) == order
-    if x is not None:
-        assert not _reduction_refutes_torsion(a, b, x, y)
+    # a torsion point reduces to order at most 12 at every good prime
+    disc = 4 * a**3 + 27 * b * b
+    for p in _REFUTING_PRIMES if x is not None else ():
+        if disc % p:
+            assert not _order_exceeds_mazur_bound(a % p, (x % p, y % p), p), p
 
 
 def _mod_add(a, P, Q, p):
@@ -335,27 +345,22 @@ def _mod_order(a, P, p):
     return n
 
 
-def _reference_refutes_torsion(a, b, x, y):
-    # the probe read directly: walk 2P, ..., 12P at every good prime <= 43
+def _good_reductions(a, b, x, y):
+    # (p, a mod p, (x, y) mod p) at each good refuting prime
     a, b, x, y = F(a), F(b), F(x), F(y)
     bad = (4 * a**3 + 27 * b**2).numerator
     for v in (a, b, x, y):
         bad *= v.denominator
-    for p in _PROBE_PRIMES:
-        if bad % p == 0:
-            continue
-        ap, x0, y0 = (v.numerator * pow(v.denominator, -1, p) % p for v in (a, x, y))
-        start = pt = (x0, y0)
-        for _ in range(11):
-            pt = _mod_add(ap, pt, start, p)
-            if pt is None:
-                break
-        else:
-            return True
-    return False
+    for p in _REFUTING_PRIMES:
+        if bad % p:
+            ap, x0, y0 = (v.numerator * pow(v.denominator, -1, p) % p for v in (a, x, y))
+            yield p, ap, (x0, y0)
 
 
 def test_probe_matches_the_walk_to_12P_at_every_good_prime():
+    # the kernel the torsion grids are read from, against the order found
+    # by walking P, 2P, ... to O, at each good refuting prime of each case;
+    # a refutation at any prime agrees with the exact test over Q
     rng = random.Random(8101)
     cases = []
     for a, b, x, y, _ in MAZUR_ORDERS[1:]:
@@ -369,13 +374,19 @@ def test_probe_matches_the_walk_to_12P_at_every_good_prime():
         b = y * y - x**3 - a * x
         if 4 * a**3 + 27 * b * b != 0:
             cases.append((a, b, x, y))
-    refuted = 0
+    checked = refuted = 0
     for a, b, x, y in cases:
-        expected = _reference_refutes_torsion(a, b, x, y)
-        assert _reduction_refutes_torsion(a, b, x, y) == expected, (a, b, x, y)
-        refuted += expected
+        any_refutes = False
+        for p, ap, P in _good_reductions(a, b, x, y):
+            expected = _mod_order(ap, P, p) > 12
+            assert _order_exceeds_mazur_bound(ap, P, p) == expected, (p, a, b, x, y)
+            checked += 1
+            any_refutes |= expected
+        if any_refutes:
+            assert _exact_torsion_order(a, b, x, y) is None, (a, b, x, y)
+        refuted += any_refutes
     # both answers occur, so neither side can pass by a constant
-    assert 0 < refuted < len(cases)
+    assert 0 < refuted < len(cases) < checked
 
 
 def _reference_exact_order(E, P):
@@ -453,12 +464,18 @@ def test_probe_reaches_past_the_first_good_prime(monkeypatch):
     assert not _order_exceeds_mazur_bound(-12 % 43, (4, 5), 43)
     assert not _order_exceeds_mazur_bound(-12 % 41, (4, 5), 41)
 
-    def refuse(*args):
-        raise AssertionError("the probe should have refuted torsion")
+    # the grids read 0 at 43, 41, 37, 31 and 29, and 23 refutes; the s = 1
+    # model (u, v) = (-2, 5) is this curve, P = (-2u, v)
+    tables = dict(_torsion_tables())
+    assert [tables[p][-2 % p][5] for p in (43, 41, 37, 31, 29, 23)] == [0, 0, 0, 0, 0, 1]
 
-    monkeypatch.setattr(ec_core, "_exact_torsion_order", refuse)
+    def refuse(*args):
+        raise AssertionError("the grids should have refuted torsion")
+
+    monkeypatch.setattr(searchmod, "_exact_torsion_order", refuse)
+    assert _non_torsion(-2, 5, _torsion_tables())
+    monkeypatch.undo()
     assert is_torsion_overQ(E, P) is None
-    assert _reduction_refutes_torsion(-12, 9, 4, 5)
 
 
 def test_torsion_points():
@@ -526,9 +543,9 @@ def test_witnesses_compose():
         E2 = w1.apply_curve(E11)
         E3 = w2.apply_curve(E2)
         both = IsomorphismWitness(d1 * d2)
-        assert both.apply_curve(E11) == E3
+        assert _key(both.apply_curve(E11)) == _key(E3)
         assert both.apply_point(P0) == w2.apply_point(w1.apply_point(P0))
-        assert IsomorphismWitness(1 / d1).apply_curve(E2) == E11
+        assert _key(IsomorphismWitness(1 / d1).apply_curve(E2)) == _key(E11)
 
 
 def test_normalize_fixed_point_of_family_member():
@@ -580,4 +597,4 @@ def test_normalize_s_invariant_under_scaling():
         E2 = w.apply_curve(E11)
         n = normalize_to_family(E2, d * d * 1, w.apply_point(P2))
         assert n.s == base.s
-        assert n.witness.apply_curve(E2) == base.witness.apply_curve(E11)
+        assert _key(n.witness.apply_curve(E2)) == _key(base.witness.apply_curve(E11))

@@ -1,7 +1,8 @@
 """Package hygiene: exports resolve, no module keeps a dead import, no
 public top-level name is left without a caller, no def goes uncalled by the
-commands unless UNCALLED names its caller, and sympy stays off the proof,
-height and rank paths.
+commands unless UNCALLED names its caller, sympy stays off the proof, height
+and rank paths, and pinned bounds hold the lines of src/, the lines `verify`
+runs and the function-body lines the commands never run.
 
 The checks read the package itself, so a deletion that leaves a stale
 ``__all__`` entry, an import or an orphaned helper behind fails here rather
@@ -11,11 +12,13 @@ than going unnoticed.
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -248,7 +251,7 @@ def test_places_of_degree_at_most_three_load_no_sympy():
 
 # Distinct package source lines that `verify` runs on the pinned fixture.
 # A change may lower the bound; one that raises it says so in CHANGES.md.
-VERIFY_LINES_BOUND = 522
+VERIFY_LINES_BOUND = 511
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -284,15 +287,27 @@ def test_verify_runs_few_lines_of_the_package():
     assert len(codes) > 100 and len(lines) <= VERIFY_LINES_BOUND, (len(lines), len(codes))
 
 
+# Lines of src/**/*.py, as wc -l counts them.  A change may lower the bound;
+# one that raises it says so in CHANGES.md.
+SRC_LINES_BOUND = 3941
+
+
+def test_src_stays_within_its_line_bound():
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in PACKAGE_DIR.parent.rglob("*.py"))
+    assert lines <= SRC_LINES_BOUND, lines
+
+
 # ---------------------------------------------------------------------------
 # reachability: a def counts as reached when the command corpus below enters
-# it, import time included.  Every other def but a dunder is named here with
+# it, import time included.  Every other def, dunders too, is named here with
 # the caller that keeps it (an acceptance check, the benchmark, or a fallback
 # the corpus cannot trigger).  A def that newly goes uncalled fails the test,
 # and so does an entry the corpus now calls: delete the one, drop the other.
 
 _ACCEPTANCE_7 = "acceptance 7: the normalization round trip and the divisor degree formula"
 _PERFBENCH = "perfbench's layer probes"
+_IMMUTABLE = "the guard that refuses an assignment to an immutable value; nothing assigns"
+_AS_FRACTION = "as_fraction's TypeError message, which quotes the value refused"
 UNCALLED = {
     "normalize_to_family": _ACCEPTANCE_7,
     "IsomorphismWitness.apply_point": _ACCEPTANCE_7 + ", through normalize_to_family",
@@ -311,29 +326,69 @@ UNCALLED = {
     "integral_coefficients": _PERFBENCH + ": the integral model of each s = 1 record",
     "records_from_csv": _PERFBENCH + ": the CSV round trip of search --csv",
     "_prs_gcd": "_int_gcd's fallback when the heuristic gcd runs out of evaluation points",
+    "CurvePoint.__setattr__": _IMMUTABLE,
+    "WeierstrassCurve.__setattr__": _IMMUTABLE,
+    "Place.__setattr__": _IMMUTABLE,
+    "UniPoly.__setattr__": _IMMUTABLE,
+    "RatFunc.__setattr__": _IMMUTABLE,
+    "FunctionFieldCurve.__setattr__": _IMMUTABLE,
+    "VerificationResult.__bool__": "a guard for library callers: a failed verdict, a 2-tuple, would be truthy",
+    "CurvePoint.__hash__": _PERFBENCH + ", through torsion_points_overQ's set of points seen",
+    "CurvePoint.__str__": _ACCEPTANCE_7 + ", through require_on_curve's message",
+    "Place.__eq__": "acceptance 3, which finds the zero of 1 - s - 3T among the bad places",
+    "Place.__hash__": "acceptance 7's set of the places of divisor_of",
+    "UniPoly.__hash__": "acceptance 7, through Place.__hash__",
+    "UniPoly.__repr__": _AS_FRACTION,
+    "RatFunc.__repr__": _AS_FRACTION,
+    "RatFunc.__str__": "the SingularCurveError message of a curve over Q(T)",
 }
 
 _REACH_PROBE = """
 import contextlib, io, json, sys
 
 package = sys.argv[1]
-entered = set()
+entered, ran = set(), set()
 
 
-def profile(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename.startswith(package):
-        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+def local(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return local
 
 
-sys.setprofile(profile)
+def trace(frame, event, arg):
+    code = frame.f_code
+    if not code.co_filename.startswith(package):
+        return None
+    entered.add((code.co_filename, code.co_firstlineno))
+    return local
+
+
+sys.settrace(trace)
 from cleanpair.cli import main
 
 for argv in json.loads(sys.stdin.read()):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
-sys.setprofile(None)
-print(json.dumps(sorted(entered)))
+sys.settrace(None)
+print(json.dumps([sorted(entered), sorted(ran)]))
 """
+
+# Function-body lines of the package that the corpus never runs.  A change
+# may lower the bound; one that raises it says so in CHANGES.md.
+UNRUN_LINES_BOUND = 375
+
+
+def _body_lines(path: Path) -> set[int]:
+    """The lines that hold code in the package's function bodies: each line
+    of a function's code object but its first (the def, or a decorator)."""
+    lines, codes = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_OPTIMIZED:
+            lines.update(line for *_, line in code.co_lines() if line not in (None, code.co_firstlineno))
+    return lines
 
 
 def _defs(tree: ast.Module) -> dict[int, str]:
@@ -357,19 +412,26 @@ def _defs(tree: ast.Module) -> dict[int, str]:
 
 
 def _reach_corpus(tmp: Path) -> list[list[str]]:
-    cert, tampered, empty, not_json = (
-        tmp / n for n in ("cert.json", "tampered.json", "empty.json", "not.json")
+    cert, tampered, empty, not_json, no_r, wrong_format = (
+        tmp / n for n in ("cert.json", "tampered.json", "empty.json", "not.json", "no_r.json", "v2.json")
     )
     tampered.write_text(CERT_V1.read_text().replace('"1/2"', '"2/3"', 1))
     empty.write_text("[]")
     not_json.write_text("{")
-    table, short_row, oracle, bad_oracle, not_utf8 = (
-        tmp / n for n in ("curves.txt", "short.txt", "oracle.txt", "bad_oracle.txt", "utf16.txt")
+    doc = json.loads(CERT_V1.read_text())
+    no_r.write_text(json.dumps({k: v for k, v in doc.items() if k != "r"}))
+    wrong_format.write_text(json.dumps({**doc, "format": "cleanpair.certificate/2"}))
+    table, short_row, duplicate, singular, oracle, bad_oracle, conflict, not_utf8 = (
+        tmp / n for n in ("curves.txt", "short.txt", "duplicate.txt", "singular.txt",
+                          "oracle.txt", "bad_oracle.txt", "conflict.txt", "utf16.txt")
     )
     table.write_text("\n".join([*DB_FIXTURE, *HARD_DB_ROWS]) + "\n")
     short_row.write_text(f"{DB_FIXTURE[0]}\n65a1 1 0 0 -1 0 1 1\n")
+    duplicate.write_text(f"{DB_FIXTURE[0]}\n{DB_FIXTURE[0]}\n")
+    singular.write_text(f"{DB_FIXTURE[0]}\ncusp 0 0 0 0 0 1 1 1\n")
     oracle.write_text("# oracle\n1 1 1\n-1 1 1\n2 1 2\n-4 3 ?\n")
     bad_oracle.write_text("1 1\n")
+    conflict.write_text("1 1 1\n1 1 2\n")
     not_utf8.write_bytes(b"\xff\xfe" + "1 1 1\n".encode("utf-16-le"))
     return [
         ["certify", "1", "1", "2", "--out", str(cert)],
@@ -379,7 +441,10 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["verify", str(empty)],
         ["verify", str(not_json)],
         ["verify", str(tmp / "missing.json")],
+        ["verify", str(no_r)],
+        ["verify", str(wrong_format)],
         ["member", "1", "2"],
+        ["member", "--", "1", "-4/3"],
         ["member", "x", "1"],
         ["member", "--", "1", "--"],
         ["heights", "1"],
@@ -393,31 +458,38 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["search", "10", "--oracle", str(oracle), "--csv", str(tmp / "records.csv"), "--sweep",
          "--sign", "positive", "--include-zero", "--all-pairs"],
         ["search", "5", "--oracle", str(bad_oracle)],
+        ["search", "5", "--oracle", str(conflict)],
         ["search", "5", "--oracle", str(not_utf8)],
         ["dbfilter", str(table)],
         ["dbfilter", str(short_row)],
+        ["dbfilter", str(duplicate)],
+        ["dbfilter", str(singular)],
         ["dbfilter", str(not_utf8)],
     ]
 
 
 def test_only_the_allowlist_goes_uncalled(tmp_path):
+    # one fresh interpreter runs the corpus under a tracer, which records the
+    # defs entered and the lines run
     run = subprocess.run(
         [sys.executable, "-c", _REACH_PROBE, str(PACKAGE_DIR)], input=json.dumps(_reach_corpus(tmp_path)),
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert (run.returncode, run.stderr) == (0, "")
-    entered = {(Path(name), line) for name, line in json.loads(run.stdout)}
-    called, uncalled = {}, {}
+    entered, ran = ({(Path(name), line) for name, line in found} for found in json.loads(run.stdout))
+    called, uncalled, unrun = {}, {}, []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         for line, name in _defs(ast.parse(path.read_text(encoding="utf-8"))).items():
-            short = name.rsplit(".", 1)[-1]
-            if short.startswith("__") and short.endswith("__"):
-                continue
             assert name not in called and name not in uncalled, f"{name} is defined twice"
             found = called if (path, line) in entered else uncalled
             found[name] = f"{path.relative_to(PACKAGE_DIR)}:{line} {name}"
+        unrun += [f"{path.relative_to(PACKAGE_DIR)}:{line}"
+                  for line in sorted(_body_lines(path)) if (path, line) not in ran]
     new = [where for name, where in uncalled.items() if name not in UNCALLED]
     stale = [called.get(name, f"(no such def) {name}") for name in UNCALLED if name not in uncalled]
     assert not (new or stale), "\n".join(
         ["uncalled, and not in UNCALLED:", *new, "in UNCALLED, but called or gone:", *stale]
     )
+    # line numbers of multi-line expressions differ between CPython versions
+    if sys.version_info[:2] == (3, 11):
+        assert len(unrun) <= UNRUN_LINES_BOUND, (len(unrun), unrun)

@@ -586,7 +586,7 @@ def test_verifier_reruns_no_part_of_the_builder(monkeypatch):
         monkeypatch.setattr(kummer_cert, name, _refuse)
     # every gcd, RatFunc arithmetic included, goes through _int_gcd
     monkeypatch.setattr(poly_module, "_int_gcd", _refuse)
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+    for name in ("__add__", "__radd__", "__sub__", "__neg__",
                  "__mul__", "__rmul__", "__truediv__", "__pow__"):
         monkeypatch.setattr(RatFunc, name, _refuse)
     for cert in certs:
@@ -601,6 +601,15 @@ def _loaded_sections(cf):
     par = cf.parametrization
     return (*cf.fiber.F, par.node_branch_poly, par.infinity_branch_poly,
             par.tau, par.x1_of, par.x2_of, cf.witness.h)
+
+
+def _curves_as_keys(value):
+    # a record tree as plain tuples, each curve as (type(a), a, b)
+    if isinstance(value, WeierstrassCurve):
+        return (type(value.a), value.a, value.b)
+    if isinstance(value, tuple):
+        return tuple(_curves_as_keys(v) for v in value)
+    return value
 
 
 def test_a_load_builds_each_distinct_polynomial_once(monkeypatch):
@@ -626,7 +635,8 @@ def test_a_load_builds_each_distinct_polynomial_once(monkeypatch):
     monkeypatch.undo()
     plus, minus = _loaded_sections(cert.fiber_plus), _loaded_sections(cert.fiber_minus)
     assert len(plus) == 10 and all(p is m for p, m in zip(plus, minus))
-    assert cert == certificate_loads(certificate_dumps(assemble_certificate(worked_pair())))
+    built = certificate_loads(certificate_dumps(assemble_certificate(worked_pair())))
+    assert _curves_as_keys(cert) == _curves_as_keys(built)
     assert verify_certificate(cert)
 
     # the table lasts one call: two loads of one text share no object
@@ -638,7 +648,7 @@ def test_a_load_builds_each_distinct_polynomial_once(monkeypatch):
 
     again = certificate_loads(text)
     ids = {id(x) for x in objects(again)}
-    assert again == cert and not ids & {id(x) for x in objects(cert)}
+    assert _curves_as_keys(again) == _curves_as_keys(cert) and not ids & {id(x) for x in objects(cert)}
 
 
 @pytest.mark.parametrize(

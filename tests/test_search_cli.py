@@ -21,7 +21,6 @@ from cleanpair.ec_core import (
     CurvePoint,
     WeierstrassCurve,
     _order_exceeds_mazur_bound,
-    _reduction_refutes_torsion,
     is_torsion_overQ,
     torsion_points_overQ,
 )
@@ -430,16 +429,19 @@ def _record_exact_walks(monkeypatch):
 
 
 def test_sweep_falls_back_to_exact_addition_only_where_the_walk_did(monkeypatch):
-    # Walking P, ..., 6P at every good prime (`_reduction_refutes_torsion`)
-    # leaves 55 models of the H = 60 sweep to exact addition.  The tables
-    # leave the same 55; 5 are torsion, and each of the other 50 meets a
-    # non-integral multiple (Nagell-Lutz) by 3P, counted here by E.add.
+    # Walking P, ..., 6P at every good refuting prime leaves 55 models of
+    # the H = 60 sweep to exact addition.  The tables leave the same 55; 5
+    # are torsion, and each of the other 50 meets a non-integral multiple
+    # (Nagell-Lutz) by 3P, counted here by E.add.
     calls = _record_exact_walks(monkeypatch)
     convention_sweep(60)
     assert len(calls) == 55
     assert sum(order is not None for _, order in calls) == 5
     for (a, b, x, y), order in calls:
-        assert not _reduction_refutes_torsion(a, b, x, y)
+        disc = 4 * a**3 + 27 * b * b
+        for p in _REFUTING_PRIMES:
+            if disc % p:
+                assert not _order_exceeds_mazur_bound(a % p, (x % p, y % p), p), (p, a, b)
         E, P = WeierstrassCurve(a, b), CurvePoint.affine(F(x), F(y))
         n, Q = 1, P
         while n <= 12 and not Q.is_infinity and Q.x.denominator == 1:
