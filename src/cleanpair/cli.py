@@ -7,7 +7,7 @@ Subcommands:
     verify cert.json      recheck a certificate from scratch
     heights s             per-place local heights of the marked section
     rank-ff s             generic rank over Q(T) with its evidence
-    search H              enumerate integral s = 1 members with h <= H^6
+    search H              enumerate s = 1 members with h <= H^6 (H <= 500000)
     dbfilter file         classify a rank-1 curve table against the family shape
 
 A negative fraction such as -4/3 reads as an option, so put "--" before
@@ -51,9 +51,9 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 1) -> int:
     print(message, file=sys.stderr)
-    return 1
+    return code
 
 
 def _write_file(path: str, text: str) -> int:
@@ -184,6 +184,12 @@ def _cmd_rank_ff(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # the largest H taken: 2,849,650 records, 510 MB peak RSS; with --sweep,
+    # about 10 s on 2 vCPUs (Python 3.11), most of it the model sweep
+    ceiling = 2_000 if args.sweep else 500_000
+    if args.H > ceiling:
+        sweep = " with --sweep" if args.sweep else ""
+        return _fail(f"cleanpair search: error: H must be at most {ceiling}{sweep}", 2)
     from . import search as searchmod
 
     convention = searchmod.SearchConvention(
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("H", type=_positive_int)
     p_search.add_argument("--oracle", help="rank oracle file with 'p q rank' lines")
     p_search.add_argument("--csv", help="write records to this CSV file")
-    p_search.add_argument("--sweep", action="store_true", help="print the convention sweep")
+    p_search.add_argument("--sweep", action="store_true", help="print the convention sweep (H <= 2000)")
     p_search.add_argument("--sign", choices=("both", "positive", "negative"), default="both")
     p_search.add_argument("--include-zero", action="store_true")
     p_search.add_argument(

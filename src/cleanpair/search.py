@@ -8,15 +8,15 @@ integral model
     y^2 = (x - pq)^2 (x + 2pq) + 9 p^2 q^4
         = x^3 - 3 (pq)^2 x + (2 p^3 q^3 + 9 p^2 q^4),
 
-whose marked point is (-2pq, -3pq^2).  Each enumerated t becomes a
-SearchRecord carrying the exact height
+whose marked point is (-2pq, -3pq^2).  One pass builds the SearchRecord
+of each t under the cut, carrying the exact height
 
     h(t) = max{(3 p^2 q^2)^3, (2 p^3 q^3 + 9 p^2 q^4)^2},
 
 a nonzero-discriminant flag, and a non-torsion flag for the marked
-point; a record is a *candidate* when both flags hold.  Ranks are not
-computed here: they arrive from an external oracle file and get
-attached to records by key.
+point (a record is a *candidate* when both flags hold), and one stable
+sort orders them by height.  Ranks are not computed here: they arrive
+from an external oracle file and get attached to records by key.
 
 Torsion over Q is decided by one integer walk, `ec_core._exact_torsion_order`,
 which is all `is_torsion_overQ` (and so the database filter) runs: P, 2P, ...
@@ -49,6 +49,7 @@ import io
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ec_core import (
@@ -68,7 +69,6 @@ __all__ = [
     "SearchConvention",
     "DEFAULT_CONVENTION",
     "SearchRecord",
-    "height_of",
     "integral_coefficients",
     "enumerate_s1",
     "SweepEntry",
@@ -127,14 +127,6 @@ class SearchConvention(NamedTuple):
 DEFAULT_CONVENTION = SearchConvention()
 
 
-def height_of(p: int, q: int) -> int:
-    """max{(3 p^2 q^2)^3, (2 p^3 q^3 + 9 p^2 q^4)^2}, exactly."""
-    pq2 = p * p * q * q
-    first = 3 * pq2
-    second = pq2 * q * (2 * p + 9 * q)
-    return max(first * first * first, second * second)
-
-
 def integral_coefficients(p: int, q: int) -> tuple[int, int]:
     """(a, b) of the integral model y^2 = x^3 + a x + b at t = p/q."""
     return -3 * p * p * q * q, 2 * p**3 * q**3 + 9 * p * p * q**4
@@ -157,7 +149,7 @@ class SearchRecord(NamedTuple):
 def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
     """For each refuting prime l, largest first, the byte `grid[u % l][v % l]`:
     1 when P on (u, v) reduces at l to order above the Mazur bound, which
-    proves infinite order; the grids only spare `_non_torsion` the walk.
+    proves infinite order; they spare the enumeration and the sweep most walks.
 
     The model (u, v) is the s = 1 fiber at t = 9u^3/v^2, and over F_l the
     map (u, v) -> (lambda^2 u, lambda^3 v) with lambda = v/(3u) carries
@@ -184,34 +176,20 @@ def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
     return tuple(tables)
 
 
-def _non_torsion(u: int, v: int, tables: Sequence[tuple[int, Sequence[bytes]]]) -> bool:
-    """Whether P = (-2u, v) has infinite order on the nonsingular model
-    y^2 = (x - u)^2 (x + 2u) + v^2 = x^3 - 3u^2 x + 2u^3 + v^2.
-
-    The first refuting prime l whose grid holds at (u mod l, v mod l)
-    proves infinite order; as 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), the
-    grid's 0 cells cover every bad reduction.  Where no prime refutes,
-    the integer walk that decides torsion over Q settles it on this
-    integral model (every model for `tables` = ()).  `tables` is
-    `_torsion_tables()`, read once by the caller."""
-    for p, grid in tables:
-        if grid[u % p][v % p]:
-            return True
-    return _exact_torsion_order(-3 * u * u, 2 * u**3 + v * v, -2 * u, v) is None
-
-
 def enumerate_s1(
     H: int, convention: SearchConvention = DEFAULT_CONVENTION
 ) -> list[SearchRecord]:
     """All SearchRecords with h(t) <= H^6 under the given convention,
     sorted by (height, p, q).
 
-    One pass over (q, |p|, sign): (3 p^2 q^2)^3 <= H^6 pins
-    |pq| <= sqrt(H^2 / 3), so inside that bound the first height term
-    needs no check, and a pair is inside the cut exactly when the second
-    term's root satisfies |p^2 q^3 (2p + 9q)| <= H^3.  The height is
-    computed only for the pairs kept, and each record replaces its
-    (h, p, q) tuple in the sorted list, so no second list is built.
+    One pass over p ascending, then q ascending: (3 p^2 q^2)^3 <= H^6
+    pins |pq| <= sqrt(H^2 / 3), so inside that bound the first height
+    term needs no check, and a pair is inside the cut exactly when the
+    second term s = p^2 q^3 (2p + 9q) has |s| <= H^3.  Where 2p + 9q < 0,
+    |s| < 2 |pq|^3 < H^3, so only s > H^3 misses, and s grows with q from
+    there: the row stops at its first miss.  Each pair kept becomes its
+    record at once, and one stable sort by height leaves tied heights in
+    (p, q) order.
     """
     signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}.get(convention.sign)
     if signs is None:
@@ -220,24 +198,35 @@ def enumerate_s1(
         raise ValueError("H must be a positive integer")
     H3 = H**3
     pq_max = isqrt(H * H // 3)
+    reduced_only = convention.reduced_only
     tables = _torsion_tables()
-    kept = [(height_of(0, 1), 0, 1)] if convention.include_zero else []
-    for q in range(1, pq_max + 1):
-        q3 = q * q * q
-        for ap in range(1, pq_max // q + 1):
-            if convention.reduced_only and gcd(ap, q) != 1:
+    kept = [SearchRecord(0, 1, 0, False, False)] if convention.include_zero else []
+    for p in sorted(sign * ap for sign in signs for ap in range(1, pq_max + 1)):
+        for q in range(1, pq_max // abs(p) + 1):
+            pq = p * q
+            pq2 = pq * pq
+            second = pq2 * q * (2 * p + 9 * q)
+            if second > H3:
+                break
+            if reduced_only and gcd(p, q) != 1:
                 continue
-            for sign in signs:
-                p = sign * ap
-                if abs(p * p * q3 * (2 * p + 9 * q)) <= H3:
-                    kept.append((height_of(p, q), p, q))
-    kept.sort()
-    for i, (h, p, q) in enumerate(kept):
-        # 4a^3 + 27b^2 = 243 p^4 q^7 (4p + 9q) for (a, b) = integral_coefficients(p, q)
-        disc_ok = p != 0 and 4 * p + 9 * q != 0
-        # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated
-        non_torsion = disc_ok and _non_torsion(p * q, 3 * p * q * q, tables)
-        kept[i] = SearchRecord(p, q, h, disc_ok, non_torsion)
+            first = 3 * pq2
+            # 4a^3 + 27b^2 = 243 p^4 q^7 (4p + 9q) for (a, b) = integral_coefficients(p, q)
+            disc_ok = 4 * p + 9 * q != 0
+            non_torsion = disc_ok
+            if disc_ok:
+                # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated;
+                # the first prime whose grid holds proves infinite order, else the walk
+                v = 3 * pq * q
+                for ell, grid in tables:
+                    if grid[pq % ell][v % ell]:
+                        break
+                else:
+                    non_torsion = _exact_torsion_order(-first, 2 * pq * pq2 + v * v, -2 * pq, v) is None
+            cube, square = first * first * first, second * second  # h = max, without a call
+            h = cube if cube > square else square
+            kept.append(tuple.__new__(SearchRecord, (p, q, h, disc_ok, non_torsion, None)))
+    kept.sort(key=itemgetter(2))
     return kept
 
 
@@ -297,7 +286,9 @@ def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
             v = verdicts.find(0, 1)
             while v != -1:  # refuted by no prime: the exact test
                 # 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), and v >= 1
-                if four_u3 + v * v != 0 and _non_torsion(u, v, ()):
+                if four_u3 + v * v != 0 and _exact_torsion_order(
+                    -3 * u * u, 2 * u**3 + v * v, -2 * u, v
+                ) is None:
                     infinite |= 1 << 8 * v
                 v = verdicts.find(0, v + 1)
             records += n - 1

@@ -36,7 +36,7 @@ from cleanpair.ec_core import (
 )
 from cleanpair.exactmath import RatFunc, UniPoly, sqrt_rational
 from cleanpair.ffheights import family_functionfield_curve
-from cleanpair.search import _non_torsion, _torsion_tables
+from cleanpair.search import _torsion_tables, enumerate_s1
 
 E11 = WeierstrassCurve(-3, 11)
 P0 = CurvePoint.affine(F(-2), F(-3))
@@ -465,15 +465,24 @@ def test_probe_reaches_past_the_first_good_prime(monkeypatch):
     assert not _order_exceeds_mazur_bound(-12 % 41, (4, 5), 41)
 
     # the grids read 0 at 43, 41, 37, 31 and 29, and 23 refutes; the s = 1
-    # model (u, v) = (-2, 5) is this curve, P = (-2u, v)
+    # model (u, v) = (-2, 5) is this curve, P = (-2u, v), at t = 9u^3/v^2 =
+    # -72/25, whose model in the enumeration, (u, v) = (pq, 3pq^2), reads
+    # the same cells
     tables = dict(_torsion_tables())
-    assert [tables[p][-2 % p][5] for p in (43, 41, 37, 31, 29, 23)] == [0, 0, 0, 0, 0, 1]
+    for u, v in ((-2, 5), (-72 * 25, 3 * -72 * 25**2)):
+        assert [tables[p][u % p][v % p] for p in (43, 41, 37, 31, 29, 23)] == [0, 0, 0, 0, 0, 1]
+    walk = searchmod._exact_torsion_order
 
-    def refuse(*args):
-        raise AssertionError("the grids should have refuted torsion")
+    def refuse_at_t(a, b, x, y):
+        # P = (-2u, v) on the model of t = 9u^3/v^2
+        assert F(9 * (-x // 2) ** 3, y * y) != F(-72, 25), "the grids should have refuted torsion"
+        return walk(a, b, x, y)
 
-    monkeypatch.setattr(searchmod, "_exact_torsion_order", refuse)
-    assert _non_torsion(-2, 5, _torsion_tables())
+    monkeypatch.setattr(searchmod, "_exact_torsion_order", refuse_at_t)
+    # t = -72/25 enters at H = 3118, where (3 p^2 q^2)^3 <= H^6 first holds
+    (record,) = [r for r in enumerate_s1(3118) if (r.p, r.q) == (-72, 25)]
+    assert record.non_torsion_ok
+    assert (-72, 25) not in {(r.p, r.q) for r in enumerate_s1(3117)}
     monkeypatch.undo()
     assert is_torsion_overQ(E, P) is None
 

@@ -289,7 +289,7 @@ def test_verify_runs_few_lines_of_the_package():
 
 # Lines of src/**/*.py, as wc -l counts them.  A change may lower the bound;
 # one that raises it says so in CHANGES.md.
-SRC_LINES_BOUND = 3941
+SRC_LINES_BOUND = 3938
 
 
 def test_src_stays_within_its_line_bound():
@@ -454,6 +454,8 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["rank-ff", "2"],
         ["rank-ff", "4"],
         ["search", "0"],
+        ["search", "500001"],
+        ["search", "2001", "--sweep"],
         ["search", "60"],
         ["search", "10", "--oracle", str(oracle), "--csv", str(tmp / "records.csv"), "--sweep",
          "--sign", "positive", "--include-zero", "--all-pairs"],

@@ -3,6 +3,7 @@ filter, and the command-line surface."""
 
 import copy
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -36,7 +37,6 @@ from cleanpair.search import (
     enumerate_s1,
     filter_db_family_candidates,
     format_sweep,
-    height_of,
     integral_coefficients,
     load_rank_oracle,
     pair_counts,
@@ -67,12 +67,18 @@ H10_TABLE = [
 ]
 
 
+def _height(p, q):
+    # h(t) = max{(3 p^2 q^2)^3, (2 p^3 q^3 + 9 p^2 q^4)^2}, read off the definition
+    return max((3 * p * p * q * q) ** 3, (2 * p**3 * q**3 + 9 * p * p * q**4) ** 2)
+
+
 def test_height_of_matches_hand_values():
-    assert height_of(1, 1) == 121
-    assert height_of(-1, 1) == 49  # (2(-1)^3 + 9)^2 = 49 beats 27
-    assert height_of(2, 1) == 2704
-    assert height_of(1, 2) == 25600
-    assert height_of(0, 1) == 0
+    heights = {(r.p, r.q): r.height_value for r in enumerate_s1(10, SearchConvention(include_zero=True))}
+    assert heights[1, 1] == 121
+    assert heights[-1, 1] == 49  # (2(-1)^3 + 9)^2 = 49 beats 27
+    assert heights[2, 1] == 2704
+    assert heights[1, 2] == 25600
+    assert heights[0, 1] == 0
 
 
 def test_integral_model_carries_its_marked_point():
@@ -92,7 +98,7 @@ def test_h2_against_brute_force_scan():
     expected = set()
     for p in range(-8, 9):
         for q in range(1, 9):
-            if p != 0 and gcd(p, q) == 1 and height_of(p, q) <= 64:
+            if p != 0 and gcd(p, q) == 1 and _height(p, q) <= 64:
                 expected.add((p, q))
     assert expected == {(-1, 1)}  # t = 1 is out: h(1) = 121 > 64
     records = enumerate_s1(2)
@@ -137,7 +143,7 @@ def test_torsion_and_discriminant_exclusions_are_real():
     by_key = {(r.p, r.q): r for r in enumerate_s1(63)}
     rec = by_key[(-9, 4)]
     assert not rec.disc_ok and not rec.non_torsion_ok
-    assert height_of(-9, 4) == 58773123072
+    assert rec.height_value == _height(-9, 4) == 58773123072
 
 
 @pytest.mark.parametrize(
@@ -148,8 +154,9 @@ def test_torsion_and_discriminant_exclusions_are_real():
         (63, SearchConvention(sign="positive", include_zero=True)),
         (63, SearchConvention(sign="negative")),
         (250, DEFAULT_CONVENTION),
+        (250, SearchConvention(include_zero=True, reduced_only=False)),
     ],
-    ids=["default", "all-pairs", "positive-with-zero", "negative", "default-H250"],
+    ids=["default", "all-pairs", "positive-with-zero", "negative", "default-H250", "all-pairs-with-zero-H250"],
 )
 def test_records_match_an_independent_reference(H, convention):
     # H = 63 takes in t = -9/4 (the discriminant exclusion) and t = -4/3
@@ -167,7 +174,7 @@ def test_records_match_an_independent_reference(H, convention):
                     continue
             elif not sign_ok or (convention.reduced_only and gcd(p, q) != 1):
                 continue
-            h = height_of(p, q)
+            h = _height(p, q)
             if h > H**6:
                 continue
             a, b = integral_coefficients(p, q)
@@ -194,31 +201,62 @@ ENUMERATION_PINS = {
     994: (3404, 3401, "d2e77e25b47e8e01d86332db719d8c755ab75529834b72b286a2ad71a7e75a9a"),
     1010: (3467, 3464, "805b5976029663e8f1fdaf335def257a498b0e5aa66c2a7961c0ebee68c814f8"),
 }
+# the same at H = 1000 under two other conventions, captured before the
+# enumeration built each record in one pass and sorted once by height
+CONVENTION_PINS = {
+    "all-pairs": (
+        SearchConvention(reduced_only=False),
+        (4872, 4858, "7fd50caeada15d0f4d78a2efc660722bdf4b219b0e4171bc31c35f0da83f8f42"),
+    ),
+    "negative-with-zero": (
+        SearchConvention(sign="negative", include_zero=True),
+        (1733, 1729, "dfb1e21c2ef4825a94e3b0e0e98f85ea6c67de9b6f0101cb95586e462ce9bcb2"),
+    ),
+}
+
+
+def _pin(records):
+    rows = [(r.height_value, r.p, r.q, r.disc_ok, r.non_torsion_ok) for r in records]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    return len(records), sum(r.is_candidate for r in records), digest
 
 
 @pytest.mark.parametrize("H", sorted(ENUMERATION_PINS))
 def test_enumeration_is_pinned_over_the_benchmark_range(H):
-    records = enumerate_s1(H)
-    rows = [(r.height_value, r.p, r.q, r.disc_ok, r.non_torsion_ok) for r in records]
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert (len(records), sum(r.is_candidate for r in records), digest) == ENUMERATION_PINS[H]
+    assert _pin(enumerate_s1(H)) == ENUMERATION_PINS[H]
 
 
-def test_enumeration_computes_heights_only_for_the_records_it_returns(monkeypatch):
+@pytest.mark.parametrize("name", sorted(CONVENTION_PINS))
+def test_enumeration_is_pinned_under_other_conventions(name):
+    convention, pin = CONVENTION_PINS[name]
+    assert _pin(enumerate_s1(1000, convention)) == pin
+
+
+def test_enumeration_computes_heights_only_for_the_records_it_returns():
     # The loop bound |pq| <= isqrt(H^2 // 3) walks 5,374 reduced pairs at
     # H = 1000; the H^3 test on the second height term keeps 3,426, and
-    # only those reach `height_of`.
+    # only those reach the line that squares it for the height, which a
+    # line tracer counts with the pair it is run for.
     H = 1000
     m = isqrt(H * H // 3)
     walked = sum(2 for q in range(1, m + 1) for ap in range(1, m // q + 1) if gcd(ap, q) == 1)
-    plain, calls = searchmod.height_of, []
+    source, first = inspect.getsourcelines(enumerate_s1)
+    (height_line,) = [first + i for i, line in enumerate(source) if "second * second" in line]
+    code, calls = enumerate_s1.__code__, []
 
-    def counted(p, q):
-        calls.append((p, q))
-        return plain(p, q)
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == height_line:
+            calls.append((frame.f_locals["p"], frame.f_locals["q"]))
+        return local
 
-    monkeypatch.setattr(searchmod, "height_of", counted)
-    records = enumerate_s1(H)
+    def trace(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    sys.settrace(trace)
+    try:
+        records = enumerate_s1(H)
+    finally:
+        sys.settrace(None)
     assert walked == 5374
     assert len(records) == len(calls) == 3426
     assert sorted(calls) == sorted((r.p, r.q) for r in records)
@@ -243,7 +281,7 @@ def test_height_cut_keeps_its_edge(H, p, q):
     # H < 400.  The edge is never met with 2p + 9q < 0: then
     # |p^2 q^3 (2p + 9q)| < 2 |pq|^3, so the first term decides the cut.
     assert p * p * q**3 * (2 * p + 9 * q) == H**3
-    assert height_of(p, q) == H**6
+    assert _height(p, q) == H**6
     assert (p, q) in {(r.p, r.q) for r in enumerate_s1(H)}
     assert (p, q) not in {(r.p, r.q) for r in enumerate_s1(H - 1)}
     m = isqrt(H * H // 3)
@@ -393,7 +431,7 @@ def test_model_sweep_matches_a_recount_model_by_model():
 
 def test_torsion_tables_match_the_probe_on_every_model_mod_l():
     # Every cell (u, v) mod l, not only the representatives (tau, 3 tau)
-    # the grids are read from: the lookup `_non_torsion` makes must agree
+    # the grids are read from: the lookup the enumeration makes must agree
     # with good reduction and the probe run on the model itself.
     tables = _torsion_tables()
     assert [p for p, _ in tables] == list(_REFUTING_PRIMES)
@@ -510,7 +548,7 @@ def test_attach_ranks_and_buckets():
 
 def test_pairing_summary_buckets_candidates_only():
     def rec(p, rank, non_torsion=True):
-        return SearchRecord(p, 1, height_of(p, 1), True, non_torsion, rank)
+        return SearchRecord(p, 1, _height(p, 1), True, non_torsion, rank)
 
     records = [rec(1, 1), rec(2, 1), rec(3, 1), rec(4, 2), rec(5, None), rec(6, 1, False)]
     summary = pairing_summary(records)
@@ -1328,6 +1366,25 @@ def test_cli_usage_errors(capsys):
     for argv in (("member", "--", "1", "--"), ("certify", "--", "1", "--", "2")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err.splitlines()[-1]) == (2, "", "cleanpair: error: '--' is not a value")
+
+
+def test_search_refuses_an_h_above_its_ceiling(capsys, monkeypatch):
+    # One past each ceiling ends in exit 2 and one short line that names
+    # it, before any enumeration; the sweep's ceiling binds only with --sweep.
+
+    def refuse(*args):
+        raise AssertionError("search worked past its ceiling")
+
+    for name in ("enumerate_s1", "convention_sweep"):
+        monkeypatch.setattr(searchmod, name, refuse)
+    for argv, ceiling in ((["search", "500001"], 500_000), (["search", "2001", "--sweep"], 2_000)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.1, argv
+        assert (code, out, len(err.splitlines())) == (2, "", 1), argv
+        assert f"at most {ceiling}" in err and len(err) < 300, argv
+    monkeypatch.undo()
+    assert run_cli(capsys, "search", "2001")[:2] == (0, "H=2001 records=7374 candidates=7371\n")
 
 
 # Python's int() reads all of these; the documented grammar, -?[0-9]+ with
