@@ -19,13 +19,14 @@ sort orders them by height.  Ranks are not computed here: they arrive
 from an external oracle file and get attached to records by key.
 
 Torsion over Q is decided by one integer walk, `ec_core._exact_torsion_order`,
-which is all `is_torsion_overQ` (and so the database filter) runs: P, 2P, ...
-on the integral model, to the first non-integral multiple.  Every model
-tested here and in the convention sweep is the s = 1 fiber at some t with
-its marked point, so its reduction mod a prime l depends on t mod l alone:
-per-prime grids of (u mod l, v mod l) filled from the verdicts on t mod l
-(`_torsion_tables`) refute most points before the walk, a point at a time
-here and, as a row is periodic in v, a row at a time in the sweep.
+which is all `is_torsion_overQ` runs: P, 2P, ... on the integral model, to
+the first non-integral multiple.  The enumeration, the convention sweep and
+the database filter call it on the ints they already hold.  Every model the
+enumeration and the sweep test is the s = 1 fiber at some t with its marked
+point, so its reduction mod a prime l depends on t mod l alone: per-prime
+grids of (u mod l, v mod l) filled from the verdicts on t mod l
+(`_torsion_tables`) refute most points before the walk, a point at a time in
+the enumeration and, as a row is periodic in v, a row at a time in the sweep.
 
 The published totals for h(t) <= H^6 (823 at H = 10 up through 74069 at
 H = 60) could not be reproduced from the stated height cut under this
@@ -37,29 +38,22 @@ docstring.
 The module also hosts the small-conductor database filter: given a
 table of rank-1 curves it keeps those whose short model (A, B) =
 (-27 c4, -54 c6), as read, has the shape y^2 = x^3 - 3t^2 x + b, and for
-each sign sigma = +-t with b - 2 sigma^3 = y^2 asks whether (sigma, y) has
-infinite order (the curve then carries a rational marked point).  No twist
-reduction is needed: (u^4 A, u^6 B) scales t by u^2 and keeps each verdict.
+each sign sigma = +-t with b - 2 sigma^3 = y^2 walks (sigma, y) on the
+integers A, B to ask whether it has infinite order (the curve then carries a
+rational marked point).  No twist reduction is needed: (u^4 A, u^6 B) scales
+t by u^2 and keeps each verdict.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ec_core import (
-    _REFUTING_PRIMES,
-    CurvePoint,
-    WeierstrassCurve,
-    _exact_torsion_order,
-    _order_exceeds_mazur_bound,
-    is_torsion_overQ,
-)
+from .ec_core import _REFUTING_PRIMES, _exact_torsion_order, _order_exceeds_mazur_bound
 from .exactmath import sqrt_int
 from .exactmath.scalars import parse_ints, short_repr
 
@@ -557,18 +551,19 @@ def _classify_entry(entry: CurveDbEntry) -> DbCurveClassification:
     # Both sign choices present the curve as y^2 = x^3 - 3t^2 x + b.  The
     # point at x = sigma exists when b - 2 sigma^3 = y^2, and sigma is usable
     # when it (equivalently its double at x = -2 sigma) has infinite order.
-    curve = WeierstrassCurve(A, B)
     signs = (0,) if shape_t == 0 else (shape_t, -shape_t)
-    points = [CurvePoint(Fraction(s), Fraction(y))
-              for s in signs if (y := sqrt_int(B - 2 * s**3)) is not None]
-    usable = any(is_torsion_overQ(curve, P) is None for P in points)
+    points = [(s, y) for s in signs if (y := sqrt_int(B - 2 * s**3)) is not None]
+    usable = any(_exact_torsion_order(A, B, s, y) is None for s, y in points)
     return DbCurveClassification(entry.label, A, B, True, bool(points) and not usable, usable)
 
 
 def filter_db_family_candidates(db: Sequence[CurveDbEntry]) -> DbFilterReport:
     """Classify the rank-1 entries of a curve table against the family
     shape, preserving the input order (label lists report "first" hits
-    in table order)."""
+    in table order).  Points are walked on the integers (A, B) with no
+    curve built, so no discriminant is checked: each rank-1 entry must be
+    nonsingular, as `parse_curve_db` ensures (on a singular one the walk
+    still ends, with a verdict that means nothing)."""
     rank_one = [e for e in db if e.rank == 1]
     classifications = [_classify_entry(e) for e in rank_one]
     shape = [c for c in classifications if c.shape]

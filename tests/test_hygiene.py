@@ -289,7 +289,7 @@ def test_verify_runs_few_lines_of_the_package():
 
 # Lines of src/**/*.py, as wc -l counts them.  A change may lower the bound;
 # one that raises it says so in CHANGES.md.
-SRC_LINES_BOUND = 3938
+SRC_LINES_BOUND = 3933
 
 
 def test_src_stays_within_its_line_bound():
@@ -313,6 +313,9 @@ UNCALLED = {
     "IsomorphismWitness.apply_point": _ACCEPTANCE_7 + ", through normalize_to_family",
     "IsomorphismWitness.apply_curve": _ACCEPTANCE_7 + ", through normalize_to_family",
     "WeierstrassCurve.require_on_curve": _ACCEPTANCE_7 + ", through normalize_to_family",
+    "WeierstrassCurve.__init__": _ACCEPTANCE_7 + ", through IsomorphismWitness.apply_curve, and "
+    + _PERFBENCH + ": the checked constructor",
+    "WeierstrassCurve.discriminant": "the checked constructor, and " + _PERFBENCH + ", through torsion_points_overQ",
     "divisor_of": _ACCEPTANCE_7,
     "Place.sort_key": _ACCEPTANCE_7 + ", through divisor_of",
     "Place.linear": "acceptance 3: the place where 1 - s - 3T vanishes",
@@ -376,7 +379,7 @@ print(json.dumps([sorted(entered), sorted(ran)]))
 
 # Function-body lines of the package that the corpus never runs.  A change
 # may lower the bound; one that raises it says so in CHANGES.md.
-UNRUN_LINES_BOUND = 375
+UNRUN_LINES_BOUND = 381
 
 
 def _body_lines(path: Path) -> set[int]:

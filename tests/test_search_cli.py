@@ -9,6 +9,7 @@ import random
 import sys
 import time
 from fractions import Fraction as F
+from functools import cache
 from math import gcd, isqrt
 from operator import attrgetter
 from pathlib import Path
@@ -733,12 +734,11 @@ def _shape_models(rng):
     return models
 
 
-def test_db_filter_agrees_with_the_torsion_point_list():
-    # About 2,000 rank-1 rows.  Shape models scaled by u^4, u^6 and written
-    # as long a-invariants must read as (6u)^4 a, (6u)^6 b and classify as
-    # the full torsion list of the unscaled model says; Tate normal forms
-    # (torsion of order 4 to 9) are checked on the model as read.  A row
-    # with b = 2 sigma^3 is (x - sigma)^2 (x + 2 sigma), so it is refused.
+@cache
+def _agreement_table():
+    """The rows of the agreement test below: the lines that parse, the first
+    letter of each line refused, and the expected (A, B, classification) of
+    each shape row by label.  Built once: the stdout pin reads it too."""
     rng = random.Random(2468)
     lines, expected = [], {}
     for i in range(20):
@@ -758,14 +758,27 @@ def test_db_filter_agrees_with_the_torsion_point_list():
         except ZeroDivisionError:
             continue
         lines.append(f"k{i} {' '.join(map(str, inv))} 1 1 11")
-    rows, refused = [], []
+    kept, refused = [], []
     for line in lines:
         try:
-            rows += parse_curve_db([line])
+            parse_curve_db([line])
         except ParseError as exc:
             assert "singular" in str(exc)
             refused.append(line[0])
+        else:
+            kept.append(line)
+    return kept, refused, expected
+
+
+def test_db_filter_agrees_with_the_torsion_point_list():
+    # About 2,000 rank-1 rows.  Shape models scaled by u^4, u^6 and written
+    # as long a-invariants must read as (6u)^4 a, (6u)^6 b and classify as
+    # the full torsion list of the unscaled model says; Tate normal forms
+    # (torsion of order 4 to 9) are checked on the model as read.  A row
+    # with b = 2 sigma^3 is (x - sigma)^2 (x + 2 sigma), so it is refused.
+    kept, refused, expected = _agreement_table()
     assert refused.count("z") == 20 and set(refused) <= {"z", "k"}
+    rows = parse_curve_db(kept)
     report = filter_db_family_candidates(rows)
     assert report.total_rank_one == len(rows) > 1950
     outcomes = {}
@@ -1134,6 +1147,26 @@ def test_cli_dbfilter(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "dbfilter", str(tmp_path / "absent.txt"))
     assert code == 1 and "cannot read" in err
+
+
+DBFILTER_GOLDEN = Path(__file__).parent / "data" / "dbfilter_stdout.json"
+
+
+def test_cli_dbfilter_stdout(capsys, tmp_path):
+    # stdout of `dbfilter` on DB_FIXTURE and on each hard row, byte for
+    # byte, and the sha256 and length of its stdout on the rows of the
+    # agreement test that parse
+    golden = json.loads(DBFILTER_GOLDEN.read_text(encoding="utf-8"))
+    kept, _, _ = _agreement_table()
+    tables = {"fixture": DB_FIXTURE, **{row.split()[0]: [row] for row in HARD_DB_ROWS}, "agreement": kept}
+    assert list(golden) == list(tables) == ["fixture", "hard1", "hard2", "agreement"]
+    for name, rows in tables.items():
+        db = tmp_path / f"{name}.txt"
+        db.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "dbfilter", str(db))
+        if name == "agreement":
+            out = {"sha256": hashlib.sha256(out.encode()).hexdigest(), "length": len(out)}
+        assert (code, out, err) == (0, golden[name], ""), name
 
 
 @pytest.mark.parametrize(
