@@ -67,23 +67,12 @@ def _coefficients(a, b):
     return as_fraction(a), as_fraction(b)
 
 
-class CurvePoint:
-    """A point on some curve: either the identity O or an affine pair."""
+class CurvePoint(NamedTuple):
+    """A point on some curve: the identity O, with both coordinates None,
+    or an affine pair; `affine` refuses a None coordinate."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x=None, y=None):
-        if (x is None) != (y is None):
-            raise ValueError("affine points need both coordinates")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurvePoint is immutable")
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls()
+    x: object = None
+    y: object = None
 
     @classmethod
     def affine(cls, x, y) -> "CurvePoint":
@@ -100,23 +89,11 @@ class CurvePoint:
             return self
         return CurvePoint(self.x, -self.y)
 
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        if self.is_infinity:
-            return hash(("pt", None))
-        return hash(("pt", self.x, self.y))
-
     def __str__(self):
         return "O" if self.is_infinity else f"({self.x}, {self.y})"
 
 
-O = CurvePoint.infinity()
+O = CurvePoint()
 
 
 class WeierstrassCurve:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational as _RationalABC
+from typing import NamedTuple
 
 from cleanpair.exactmath.factor import factor_rational_poly, is_irreducible
 from cleanpair.exactmath.poly import RatFunc, UniPoly, _exact_quo, qq_to_ints, taylor_numerators
@@ -18,38 +19,31 @@ class UndefinedValuation(ArithmeticError):
     """Valuation of the zero function was requested."""
 
 
-class Place:
-    """A closed point of the projective T-line over Q; `root` is r at T - r, else None."""
+class Place(NamedTuple):
+    """A closed point of the projective T-line over Q: a monic irreducible
+    poly in var, or None at infinity; `root` is r at T - r, else None.
+    Build a place with `finite`, `linear` or `infinity`."""
 
-    __slots__ = ("var", "poly", "root")
-
-    def __init__(self, var: str, poly: UniPoly | None):
-        if poly is not None:
-            if poly.var != var:
-                raise ValueError("place polynomial in the wrong variable")
-            if not poly.is_monic():
-                raise ValueError("place polynomial must be monic")
-            if not is_irreducible(poly):
-                raise ValueError(f"place polynomial must be irreducible: {poly}")
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "root", -poly.coeff(0) if poly is not None and poly.degree() == 1 else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Place is immutable")
+    var: str
+    poly: UniPoly | None = None
+    root: Fraction | None = None
 
     @classmethod
     def finite(cls, poly: UniPoly) -> "Place":
-        return cls(poly.var, poly)
+        if not poly.is_monic():
+            raise ValueError("place polynomial must be monic")
+        if not is_irreducible(poly):
+            raise ValueError(f"place polynomial must be irreducible: {poly}")
+        return cls(poly.var, poly, -poly.coeff(0) if poly.degree() == 1 else None)
 
     @classmethod
     def linear(cls, var: str, root) -> "Place":
         """The place T = root, i.e. the prime (T - root)."""
-        return cls(var, UniPoly.gen(var) - Fraction(root))
+        return cls.finite(UniPoly.gen(var) - Fraction(root))
 
     @classmethod
     def infinity(cls, var: str) -> "Place":
-        return cls(var, None)
+        return cls(var)
 
     @property
     def is_infinity(self) -> bool:
@@ -62,16 +56,6 @@ class Place:
         if self.poly is None:
             return (1, 0, ())
         return (0, self.poly.degree(), tuple(self.poly.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Place)
-            and self.var == other.var
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.poly))
 
     def __str__(self):
         return "infinity" if self.poly is None else f"({self.poly})"

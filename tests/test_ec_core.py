@@ -34,7 +34,7 @@ from cleanpair.ec_core import (
     scalar_mul,
     torsion_points_overQ,
 )
-from cleanpair.exactmath import RatFunc, UniPoly, sqrt_rational
+from cleanpair.exactmath import Place, RatFunc, UniPoly, sqrt_rational
 from cleanpair.ffheights import family_functionfield_curve
 from cleanpair.search import _torsion_tables, enumerate_s1
 
@@ -80,6 +80,18 @@ def test_group_law_basics():
     assert scalar_mul(E11, 0, P0) == O
     assert scalar_mul(E11, 1, P0) == P0
     assert scalar_mul(E11, -3, P0) == -scalar_mul(E11, 3, P0)
+
+
+def test_points_and_places_are_immutable_tuples():
+    for record, field in ((O, "x"), (P0, "y"), (Place.linear("T", 2), "root")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, F(1))
+    assert -O is O and CurvePoint() == O
+    assert P0 == (F(-2), F(-3))
+    T = UniPoly.gen("T")
+    two = Place.linear("T", 2)
+    assert two == Place.finite(T - 2) and hash(two) == hash(Place.finite(T - 2)) and two.root == 2
+    assert Place.infinity("T") != Place.linear("T", 0)
 
 
 def test_on_curve_closure_and_associativity():

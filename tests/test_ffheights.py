@@ -13,7 +13,7 @@ import pytest
 
 import cleanpair.exactmath.places as places_module
 import cleanpair.ffheights as ffheights
-from cleanpair.ec_core import CurvePoint, WeierstrassCurve
+from cleanpair.ec_core import CurvePoint, O, WeierstrassCurve
 from cleanpair.exactmath import (
     Place,
     RatFunc,
@@ -161,7 +161,7 @@ def test_canonical_heights_table():
 
 def test_canonical_height_identity_is_zero():
     E, _ = family_functionfield_curve(1)
-    rep = canonical_height(E, CurvePoint.infinity())
+    rep = canonical_height(E, O)
     assert rep.total == 0 and rep.entries == () and rep.good_poles == 0
 
 

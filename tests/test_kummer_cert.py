@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from cleanpair import kummer_cert
-from cleanpair.ec_core import CurvePoint, WeierstrassCurve
+from cleanpair.ec_core import CurvePoint, O, WeierstrassCurve
 from cleanpair.exactmath import (
     RatFunc,
     UniPoly,
@@ -111,7 +111,7 @@ def test_build_fiber_rejects_two_torsion():
     with pytest.raises(TwoTorsionError):
         build_fiber(E, good, P, Q)
     with pytest.raises(TwoTorsionError):
-        build_fiber(good, good, Q, CurvePoint.infinity())
+        build_fiber(good, good, Q, O)
 
 
 # -- node -----------------------------------------------------------------------
