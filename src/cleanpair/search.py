@@ -140,10 +140,10 @@ class SearchRecord(NamedTuple):
 
 
 @cache
-def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
+def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...], tuple[int, ...]], ...]:
     """For each refuting prime l, largest first, the byte `grid[u % l][v % l]`:
-    1 when P on (u, v) reduces at l to order above the Mazur bound, which
-    proves infinite order; they spare the enumeration and the sweep most walks.
+    1 when P on (u, v) reduces at l to order above the Mazur bound, which proves
+    infinite order; and the grid's rows as l-bit ints, bit v for v mod l.
 
     The model (u, v) is the s = 1 fiber at t = 9u^3/v^2, and over F_l the
     map (u, v) -> (lambda^2 u, lambda^3 v) with lambda = v/(3u) carries
@@ -151,7 +151,7 @@ def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
     read from the verdicts on (tau, 3 tau), tau mod l, with one inverse
     square per v.  The cells u = 0 (P reduces to (0, v), of order 3),
     v = 0 and tau = -9/4 (bad reduction) read 0.  Built on first use,
-    not at import: about 2.5 ms for the eleven grids (8,219 cells).
+    not at import: about 3 ms for the eleven grids (8,219 cells).
     """
     tables = []
     for p in _REFUTING_PRIMES:
@@ -166,7 +166,7 @@ def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...]], ...]:
         for u in range(1, p):
             nine_u3 = 9 * u**3
             grid.append(bytes((0, *(row[nine_u3 * w % p] for w in inverse_squares))))
-        tables.append((p, tuple(grid)))
+        tables.append((p, tuple(grid), tuple(sum(b << v for v, b in enumerate(r)) for r in grid)))
     return tuple(tables)
 
 
@@ -212,7 +212,7 @@ def enumerate_s1(
                 # the integral model is the (u, v) = (pq, 3pq^2) one, with P negated;
                 # the first prime whose grid holds proves infinite order, else the walk
                 v = 3 * pq * q
-                for ell, grid in tables:
+                for ell, grid, _ in tables:
                     if grid[pq % ell][v % ell]:
                         break
                 else:
@@ -255,39 +255,51 @@ class SweepEntry(NamedTuple):
 def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(records, candidates) over the models with u != 0, v >= 1 and
     max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6, and over those with gcd(u, v) = 1.
-    For fixed u, prime l's verdict `grid[u % l][v % l]` has period l in v,
-    so its row repeated over v = 0..V reads as one integer, a byte per v.
-    The OR over l marks the refuted models, and the multiples of the primes
-    dividing u mark those sharing a factor with u; bit_count counts each."""
+    For fixed u, prime l's verdicts, a bit per v, repeat its l-bit row of u mod l,
+    so each row is spread once per call to the n_max bits any u needs.  The OR of
+    u's eleven, cut to its n bits, marks the refuted models, and the multiples of
+    the primes dividing u mark those sharing a factor with u; bit_count counts."""
     H3 = H**3
     u_max = isqrt(H * H // 3)
-    tables = _torsion_tables()
+    n_max = isqrt(H3 + 2 * u_max**3) + 1  # one bit for each v = 0..V at u = -u_max
+
+    def multiples_of(d: int) -> int:  # bit v set for v = 0, d, 2d, ..., to n_max bits or past
+        row, period = 1, d
+        while period < n_max:
+            row |= row << period
+            period *= 2
+        return row
+
+    # an l-bit row r repeats as r * multiples_of(l): the copies of r do not overlap
+    rows = [(p, [r * ones for r in bits])
+            for p, _, bits in _torsion_tables() for ones in [multiples_of(p)]]
+    multiples = {}  # each prime d <= au -> multiples_of(d)
     records = candidates = coprime_records = coprime_candidates = 0
     for au in range(1, u_max + 1):
-        factors = [d for d in range(2, au + 1) if au % d == 0 and all(d % e for e in range(2, d))]
+        shared = 0
+        for d, row in multiples.items():
+            if au % d == 0:
+                shared |= row
+        if not shared and au > 1:  # no smaller prime divides au
+            shared = multiples[au] = multiples_of(au)
         for u in (au, -au):
-            four_u3 = 4 * u**3
-            head = H3 - four_u3 // 2
-            if head < 1:
-                continue
-            n = isqrt(head) + 1  # one byte for each v = 0..V
-            infinite = shared = 0
-            for p, grid in tables:
-                infinite |= int.from_bytes((grid[u % p] * (n // p + 1))[:n], "little")
-            for d in factors:
-                shared |= int.from_bytes(((b"\1" + bytes(d - 1)) * (n // d + 1))[:n], "little")
-            verdicts = infinite.to_bytes(n, "little")
-            v = verdicts.find(0, 1)
+            four_u3, a, x = 4 * u**3, -3 * u * u, -2 * u  # P = (x, v) on y^2 = x^3 + ax + b
+            n = isqrt(H3 - four_u3 // 2) + 1  # one bit for each v = 0..V; 3u^2 <= H^2 keeps 2u^3 < H^3
+            mask, infinite = (1 << n) - 1, 0
+            for p, residues in rows:
+                infinite |= residues[u % p]
+            infinite &= mask
+            unsettled = bin(infinite ^ mask)[:1:-1]  # character v is bit v
+            v = unsettled.find("1", 1)
             while v != -1:  # refuted by no prime: the exact test
                 # 4a^3 + 27b^2 = 27 v^2 (4u^3 + v^2), and v >= 1
-                if four_u3 + v * v != 0 and _exact_torsion_order(
-                    -3 * u * u, 2 * u**3 + v * v, -2 * u, v
-                ) is None:
-                    infinite |= 1 << 8 * v
-                v = verdicts.find(0, v + 1)
+                if four_u3 + v * v != 0 and _exact_torsion_order(a, 2 * u**3 + v * v, x, v) is None:
+                    candidates += 1
+                    coprime_candidates += gcd(u, v) == 1
+                v = unsettled.find("1", v + 1)
             records += n - 1
             candidates += infinite.bit_count()
-            coprime_records += n - (shared | 1).bit_count()
+            coprime_records += n - (shared & mask | 1).bit_count()
             coprime_candidates += (infinite & ~shared).bit_count()
     return (records, candidates), (coprime_records, coprime_candidates)
 

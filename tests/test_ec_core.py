@@ -480,7 +480,7 @@ def test_probe_reaches_past_the_first_good_prime(monkeypatch):
     # model (u, v) = (-2, 5) is this curve, P = (-2u, v), at t = 9u^3/v^2 =
     # -72/25, whose model in the enumeration, (u, v) = (pq, 3pq^2), reads
     # the same cells
-    tables = dict(_torsion_tables())
+    tables = {p: grid for p, grid, _ in _torsion_tables()}
     for u, v in ((-2, 5), (-72 * 25, 3 * -72 * 25**2)):
         assert [tables[p][u % p][v % p] for p in (43, 41, 37, 31, 29, 23)] == [0, 0, 0, 0, 0, 1]
     walk = searchmod._exact_torsion_order

@@ -290,7 +290,7 @@ def test_verify_runs_few_lines_of_the_package():
 
 # Lines of src/**/*.py, as wc -l counts them.  A change may lower the bound;
 # one that raises it says so in CHANGES.md.
-SRC_LINES_BOUND = 3894
+SRC_LINES_BOUND = 3906
 
 
 def test_src_stays_within_its_line_bound():
@@ -375,7 +375,7 @@ print(json.dumps([sorted(entered), sorted(ran)]))
 
 # Function-body lines of the package that the corpus never runs.  A change
 # may lower the bound; one that raises it says so in CHANGES.md.
-UNRUN_LINES_BOUND = 340
+UNRUN_LINES_BOUND = 339
 
 
 def _body_lines(path: Path) -> set[int]:
@@ -478,6 +478,7 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["search", "500001"],
         ["search", "2001", "--sweep"],
         ["search", "60"],
+        ["search", "12", "--sweep"],
         ["search", "10", "--oracle", str(oracle), "--csv", str(tmp / "records.csv"), "--sweep",
          "--sign", "positive", "--include-zero", "--all-pairs"],
         ["search", "5", "--oracle", str(bad_oracle)],

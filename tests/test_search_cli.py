@@ -397,9 +397,14 @@ def test_convention_sweep_documents_the_mismatch(H, target, expected):
 def test_model_sweep_grows_like_h_to_the_five_halves():
     # The "models-*" rows count lattice points (u, v) under the height
     # cut, about H^(5/2) of them; n^2 / H^5 stays between 5/4 and 4/3
-    # (1.275 at H = 60 up to 1.315 at H = 200), in integers.
-    sweeps = {H: _sweep_models(H) for H in (60, 100, 150, 200)}
+    # (1.275 at H = 60 up to 1.324 at H = 1,000, tending to about 1.326),
+    # in integers.  At H = 500 and 1,000 a row runs to about 13,000 and
+    # 37,000 bits, so the cut to n bits and the scan for unrefuted models
+    # work on multi-digit ints.
+    sweeps = {H: _sweep_models(H) for H in (60, 100, 150, 200, 500, 1000)}
     assert sweeps[200] == ((648646, 648629), (396943, 396942))
+    assert sweeps[500] == ((6422159, 6422133), (3907717, 3907716))
+    assert sweeps[1000] == ((36392781, 36392742), (22154250, 22154249))
     for H, ((n, _), _) in sweeps.items():
         assert 15 * H**5 < 12 * n * n < 16 * H**5, H
 
@@ -435,10 +440,11 @@ def test_torsion_tables_match_the_probe_on_every_model_mod_l():
     # the grids are read from: the lookup the enumeration makes must agree
     # with good reduction and the probe run on the model itself.
     tables = _torsion_tables()
-    assert [p for p, _ in tables] == list(_REFUTING_PRIMES)
+    assert [p for p, *_ in tables] == list(_REFUTING_PRIMES)
     cases = refuted = 0
-    for p, grid in tables:
+    for p, grid, bits in tables:
         assert len(grid) == p and all(type(row) is bytes and len(row) == p for row in grid)
+        assert len(bits) == p and all(0 <= row < 1 << p for row in bits)
         for u in range(p):
             for v in range(p):
                 a, b = -3 * u * u, 2 * u**3 + v * v
@@ -446,7 +452,7 @@ def test_torsion_tables_match_the_probe_on_every_model_mod_l():
                 expected = good and _order_exceeds_mazur_bound(a % p, (-2 * u % p, v), p)
                 got = grid[u][v]
                 assert got in (0, 1), (p, u, v)
-                assert got == expected, (p, u, v)
+                assert got == expected == bits[u] >> v & 1, (p, u, v)
                 cases += 1
                 refuted += got
     assert cases == 8219  # the sum of l^2 over the refuting primes
