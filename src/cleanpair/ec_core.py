@@ -1,11 +1,12 @@
 """Short-Weierstrass curves y^2 = x^3 + ax + b and their group law.
 
-Everything is exact.  A curve is over Q or over Q(T), told apart by its
-coefficients: Fractions, or rational functions in one variable.  Torsion
+Everything is exact.  A WeierstrassCurve is over Q, with Fraction
+coefficients; the one curve over Q(T) is ffheights.FunctionFieldCurve, with
+a and b in Q[T].  The group law, add and scalar_mul, takes either.  Torsion
 testing, the Lutz-Nagell enumeration and the normalization into the family
-are specific to curves over Q.
+are for curves over Q.
 
-On an integral model over Q(T), a and b in Q[T], a reduced point is
+On a curve over Q(T), a and b in Q[T], a reduced point is
 (u/w^2, v/w^3) with w monic, as the equation makes y's pole order 3/2 of
 x's.  The points with a pole at a place, with O, form a subgroup E1
 (Silverman, AEC VII.2), so where only one summand has a pole the sum has
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from cleanpair.exactmath import RatFunc, UniPoly, as_fraction, rational_roots
+from cleanpair.exactmath import UniPoly, as_fraction, rational_roots
 from cleanpair.exactmath.poly import _cofactors, _monic_quo, _reduced
 
 
@@ -54,19 +55,6 @@ _REFUTING_PRIMES = tuple(
 )
 
 
-def _coefficients(a, b):
-    """(a, b) as Fractions, for a curve over Q, or as rational functions in
-    one variable, for a curve over Q(T), where a rational partner becomes a
-    constant; any other value raises TypeError."""
-    for f in (a, b):
-        if isinstance(f, RatFunc):
-            return tuple(
-                c if isinstance(c, RatFunc) and c.var == f.var else RatFunc.constant(f.var, c)
-                for c in (a, b)
-            )
-    return as_fraction(a), as_fraction(b)
-
-
 class CurvePoint(NamedTuple):
     """A point on some curve: the identity O, with both coordinates None,
     or an affine pair; `affine` refuses a None coordinate."""
@@ -97,7 +85,8 @@ O = CurvePoint()
 
 
 class WeierstrassCurve:
-    """y^2 = x^3 + ax + b over the field of its coefficients.
+    """y^2 = x^3 + ax + b over Q; a coefficient that is not an int or a
+    Fraction raises TypeError.
 
     The plain constructor rejects singular cubics; reduction fibers and
     other intentionally degenerate models go through possibly_singular.
@@ -106,7 +95,7 @@ class WeierstrassCurve:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        a, b = _coefficients(a, b)
+        a, b = as_fraction(a), as_fraction(b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not self.discriminant():
@@ -118,7 +107,7 @@ class WeierstrassCurve:
     @classmethod
     def possibly_singular(cls, a, b) -> "WeierstrassCurve":
         self = cls.__new__(cls)
-        a, b = _coefficients(a, b)
+        a, b = as_fraction(a), as_fraction(b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         return self
@@ -132,7 +121,7 @@ class WeierstrassCurve:
         return x * x * x + self.a * x + self.b
 
     def rhs_poly(self, var: str = "x") -> UniPoly:
-        """The cubic as a polynomial over Q; for curves over Q only."""
+        """The cubic as a polynomial in var."""
         return UniPoly(var, [self.b, self.a, 0, 1])
 
     def contains(self, P: CurvePoint) -> bool:
@@ -145,43 +134,45 @@ class WeierstrassCurve:
             raise ValueError(f"point {P} is not on y^2 = x^3 + ({self.a})x + ({self.b})")
         return P
 
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        """P + Q: from (u, v, w) on an integral model over Q(T), else (over
-        Q, other models, w's sharing a factor, slope 0) by the generic law."""
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
-        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        tangent = x1 == x2
-        if tangent and y1 == -y2:
-            return O
-        a = self.a
-        integral = type(a) is RatFunc and not (a.den.degree() or self.b.den.degree())
-        if integral and all(type(c) is RatFunc for c in (x1, y1, x2, y2)):
-            S = _integral_sum(a.num, P, Q, tangent)
-            if S is not None:
-                return S
-        if tangent:
-            lam = (3 * x1**2 + a) / (2 * y1)
-            x3 = lam**2 - 2 * x1
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-            x3 = lam**2 - x1 - x2
-        return CurvePoint(x3, lam * (x1 - x3) - y1)
 
-    def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
-        if n < 0:
-            return self.scalar_mul(-n, -P)
-        acc = O
-        base = P
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            n >>= 1
-            if n:
-                base = self.add(base, base)
-        return acc
+def add(E, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    """P + Q on the curve E: over Q(T), E a FunctionFieldCurve, from
+    (u, v, w); over Q, and where _integral_sum returns None (w's sharing a
+    factor, slope 0), by the generic chord and tangent."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
+    tangent = x1 == x2
+    if tangent and y1 == -y2:
+        return O
+    a = E.a
+    if isinstance(a, UniPoly):
+        S = _integral_sum(a, P, Q, tangent)
+        if S is not None:
+            return S
+    if tangent:
+        lam = (3 * x1**2 + a) / (2 * y1)
+        x3 = lam**2 - 2 * x1
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+        x3 = lam**2 - x1 - x2
+    return CurvePoint(x3, lam * (x1 - x3) - y1)
+
+
+def scalar_mul(E, n: int, P: CurvePoint) -> CurvePoint:
+    if n < 0:
+        return scalar_mul(E, -n, -P)
+    acc = O
+    base = P
+    while n:
+        if n & 1:
+            acc = add(E, acc, base)
+        n >>= 1
+        if n:
+            base = add(E, base, base)
+    return acc
 
 
 def _integral_sum(a: UniPoly, P: CurvePoint, Q: CurvePoint, tangent: bool):
@@ -241,17 +232,6 @@ class IsomorphismWitness(NamedTuple):
         return WeierstrassCurve(d4 * E.a, d4 * d2 * E.b)
 
 
-# -- function-style operation surface -------------------------------------------
-
-
-def add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    return E.add(P, Q)
-
-
-def scalar_mul(E: WeierstrassCurve, n: int, P: CurvePoint) -> CurvePoint:
-    return E.scalar_mul(n, P)
-
-
 # -- torsion over Q -----------------------------------------------------------
 
 
@@ -282,8 +262,6 @@ def _order_exceeds_mazur_bound(a: int, P: tuple[int, int], p: int) -> bool:
 
 def is_torsion_overQ(E: WeierstrassCurve, P: CurvePoint) -> Optional[int]:
     """Exact order of P when torsion (1 for O), None when infinite order."""
-    if isinstance(E.a, RatFunc):
-        raise TypeError("torsion testing is implemented over Q")
     if P.is_infinity:
         return 1
     return _exact_torsion_order(E.a, E.b, P.x, P.y)
@@ -354,8 +332,6 @@ def torsion_points_overQ(E: WeierstrassCurve) -> list[CurvePoint]:
     discriminant); each is confirmed by the exact torsion test.  The
     discriminant is not factored when #E(F_p) bounds the torsion by 2.
     """
-    if isinstance(E.a, RatFunc):
-        raise TypeError("torsion enumeration is implemented over Q")
     if E.a.denominator != 1 or E.b.denominator != 1:
         raise ModelError("integral model required")
     found = [O]
@@ -402,8 +378,6 @@ def normalize_to_family(
     (1 - s - 2t', 1 - s - 3t').  When x(P) = t the point is first replaced
     by -2P, which moves it off that locus.
     """
-    if isinstance(E.a, RatFunc):
-        raise TypeError("normalization is implemented over Q")
     t = Fraction(t)
     if E.a != -3 * t * t:
         raise ShapeError(f"coefficient a = {E.a} is not -3*({t})^2")
@@ -413,7 +387,7 @@ def normalize_to_family(
     if is_torsion_overQ(E, P):
         raise TorsionError(f"marked point {P} is torsion")
     if P.x == t:
-        P = E.scalar_mul(-2, P)
+        P = scalar_mul(E, -2, P)
         if P.is_infinity or P.x == t:
             raise TorsionError("could not move the point off x = t")
     s = (E.b - 2 * t**3) / (P.y * P.y)

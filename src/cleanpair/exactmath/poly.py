@@ -664,8 +664,3 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den.degree() == 0:
-            return str(self.num)
-        return f"({self.num})/({self.den})"

@@ -62,7 +62,7 @@ from fractions import Fraction
 from itertools import islice, zip_longest
 from typing import NamedTuple, Optional
 
-from cleanpair.ec_core import CurvePoint, WeierstrassCurve
+from cleanpair.ec_core import CurvePoint, add, scalar_mul
 from cleanpair.exactmath import (
     Place,
     RatFunc,
@@ -108,7 +108,7 @@ class FunctionFieldCurve:
     Its variable is a's; a b in another variable raises TypeError when
     Delta is formed."""
 
-    __slots__ = ("var", "a", "b", "_delta", "_profiles", "_weierstrass")
+    __slots__ = ("var", "a", "b", "_delta", "_profiles")
 
     def __init__(self, a: UniPoly, b: UniPoly):
         if not all(isinstance(c, UniPoly) for c in (a, b)):
@@ -122,7 +122,6 @@ class FunctionFieldCurve:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_delta", -16 * (4 * a * a * a + 27 * b * b))
         object.__setattr__(self, "_profiles", None)  # filled by _place_profiles
-        object.__setattr__(self, "_weierstrass", None)  # filled by weierstrass
         if not self._delta:
             raise ValueError("singular: the discriminant vanishes identically")
 
@@ -135,20 +134,10 @@ class FunctionFieldCurve:
     def c4(self) -> UniPoly:
         return -48 * self.a
 
-    def weierstrass(self) -> WeierstrassCurve:
-        """The curve over Q(T) for the group law, built once; __init__ has
-        already shown that Delta is not 0."""
-        W = self._weierstrass
-        if W is None:
-            W = WeierstrassCurve.possibly_singular(RatFunc(self.a), RatFunc(self.b))
-            object.__setattr__(self, "_weierstrass", W)
-        return W
-
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        return self.weierstrass().add(P, Q)
-
-    def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
-        return self.weierstrass().scalar_mul(n, P)
+    def weierstrass(self) -> "FunctionFieldCurve":
+        """The curve itself, which ec_core.add takes as it is; kept for
+        perfbench's ladder, which still asks for it."""
+        return self
 
 
 def family_functionfield_curve(s) -> tuple[FunctionFieldCurve, CurvePoint]:
@@ -468,7 +457,7 @@ def generic_rank(s) -> tuple[int, GenericRankEvidence]:
     E_q, Q = second_section(E, s)
     h_q = canonical_height(E_q, Q).total
     if s == 1:
-        minus_2q = E.scalar_mul(-2, Q)
+        minus_2q = scalar_mul(E, -2, Q)
         if minus_2q != P:
             raise ArithmeticError("expected the identity P = -2Q at s = 1")
         evidence = GenericRankEvidence(
@@ -488,7 +477,7 @@ def generic_rank(s) -> tuple[int, GenericRankEvidence]:
             note="only the span of P is stable under the quadratic conjugation",
         )
         return 1, evidence
-    h_pq = canonical_height(E, E.add(P, Q)).total
+    h_pq = canonical_height(E, add(E, P, Q)).total
     if h_pq != h_p + h_q:
         raise ArithmeticError("height pairing of the two sections is not zero")
     evidence = GenericRankEvidence(

@@ -357,8 +357,8 @@ def format_sweep(entries: Sequence[SweepEntry]) -> str:
 
 
 def load_rank_oracle(lines: Iterable[str]) -> dict[tuple[int, int], Optional[int]]:
-    """Parse "p q rank" lines ('#' comments, blank lines allowed; rank
-    may be '?' for explicitly-unknown).  Conflicting duplicates raise."""
+    """Parse "p q rank" lines ('#' comments and blank lines allowed), rank a
+    nonnegative integer or '?' for unknown; a conflicting duplicate raises."""
     table: dict[tuple[int, int], Optional[int]] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
@@ -369,6 +369,8 @@ def load_rank_oracle(lines: Iterable[str]) -> dict[tuple[int, int], Optional[int
             raise ParseError(f"expected 'p q rank', got {short_repr(raw.strip())}", line_no)
         try:
             p, q, rank = parse_ints(parts) if parts[2] != "?" else [*parse_ints(parts[:2]), None]
+            if rank is not None and rank < 0:
+                raise ValueError("negative rank")
         except ValueError as exc:
             raise ParseError(f"{exc} in {short_repr(raw.strip())}", line_no) from None
         key = (p, q)

@@ -100,7 +100,7 @@ def test_pair_hypothesis():
 
 def test_functionfield_member_matches_specializations():
     curve, point = family_functionfield_curve(1)
-    assert curve.weierstrass().contains(point)
+    assert point.y * point.y == point.x * point.x * point.x + point.x * curve.a + curve.b
     rng = random.Random(8)
     for _ in range(10):
         t0 = F(rng.randint(-9, 9), rng.randint(1, 4))

@@ -23,6 +23,7 @@ from cleanpair.ec_core import (
     CurvePoint,
     WeierstrassCurve,
     _order_exceeds_mazur_bound,
+    add,
     is_torsion_overQ,
     torsion_points_overQ,
 )
@@ -477,7 +478,7 @@ def test_sweep_falls_back_to_exact_addition_only_where_the_walk_did(monkeypatch)
     # Walking P, ..., 6P at every good refuting prime leaves 55 models of
     # the H = 60 sweep to exact addition.  The tables leave the same 55; 5
     # are torsion, and each of the other 50 meets a non-integral multiple
-    # (Nagell-Lutz) by 3P, counted here by E.add.
+    # (Nagell-Lutz) by 3P, counted here by add.
     calls = _record_exact_walks(monkeypatch)
     convention_sweep(60)
     assert len(calls) == 55
@@ -490,7 +491,7 @@ def test_sweep_falls_back_to_exact_addition_only_where_the_walk_did(monkeypatch)
         E, P = WeierstrassCurve(a, b), CurvePoint.affine(F(x), F(y))
         n, Q = 1, P
         while n <= 12 and not Q.is_infinity and Q.x.denominator == 1:
-            n, Q = n + 1, E.add(Q, P)
+            n, Q = n + 1, add(E, Q, P)
         # nP is O, at n the order, or the first non-integral multiple
         assert Q.is_infinity == (order is not None)
         assert n == order if order else n <= 3
@@ -1473,4 +1474,9 @@ def test_numbers_outside_the_grammar_are_refused(capsys, tmp_path):
         assert (code, out, len(err.splitlines())) == (1, "", 1), text
         assert err.startswith("database: line 2: ") and len(err) < 300, text
         assert (limit in err) == (len(text) > 4999), text
-    assert load_rank_oracle(["1 1 1", "-2 7 ?", "10 3 -1"]) == {(1, 1): 1, (-2, 7): None, (10, 3): -1}
+    assert load_rank_oracle(["1 1 1", "-2 7 ?", "10 3 0"]) == {(1, 1): 1, (-2, 7): None, (10, 3): 0}
+    with pytest.raises(ParseError, match="^line 3: negative rank in '10 3 -1'$"):
+        load_rank_oracle(["1 1 1", "-2 7 ?", "10 3 -1"])
+    oracle.write_text("1 1 -1\n-1 1 -3\n")
+    assert run_cli(capsys, "search", "10", "--oracle", str(oracle)) == (
+        1, "", "oracle: line 1: negative rank in '1 1 -1'\n")
