@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from cleanpair.exactmath import UniPoly, as_fraction, rational_roots
+from cleanpair.exactmath import RatFunc, UniPoly, as_fraction, rational_roots
 from cleanpair.exactmath.poly import _cofactors, _monic_quo, _reduced
 
 
@@ -138,16 +138,19 @@ class WeierstrassCurve:
 def add(E, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     """P + Q on the curve E: over Q(T), E a FunctionFieldCurve, from
     (u, v, w); over Q, and where _integral_sum returns None (w's sharing a
-    factor, slope 0), by the generic chord and tangent."""
+    factor, slope 0), by the generic chord and tangent.  A point on a curve
+    over Q(T) with a coordinate that is not a RatFunc raises TypeError."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:
         return P
+    a = E.a
+    if isinstance(a, UniPoly) and not all(isinstance(c, RatFunc) for c in (*P, *Q)):
+        raise TypeError("a point on a curve over Q(T) takes RatFunc coordinates")
     x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
     tangent = x1 == x2
     if tangent and y1 == -y2:
         return O
-    a = E.a
     if isinstance(a, UniPoly):
         S = _integral_sum(a, P, Q, tangent)
         if S is not None:

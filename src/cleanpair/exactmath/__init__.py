@@ -11,7 +11,6 @@ from cleanpair.exactmath.poly import (
     RatFunc,
     UniPoly,
     poly_gcd,
-    resultant,
     taylor_coefficients,
 )
 from cleanpair.exactmath.places import (
@@ -44,7 +43,6 @@ __all__ = [
     "poly_gcd",
     "rational_roots",
     "rational_to_str",
-    "resultant",
     "sqrt_int",
     "sqrt_rational",
     "taylor_coefficients",

@@ -505,28 +505,6 @@ def _cofactors(f: UniPoly, g: UniPoly):
     )
 
 
-# -- resultants ----------------------------------------------------------------
-
-
-def resultant(f: UniPoly, g: UniPoly):
-    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f."""
-    f._check_compat(g)
-    m, n = f.degree(), g.degree()
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0:
-        return f.lc() ** n if n else Fraction(1)
-    if n == 0:
-        return g.lc() ** m
-    if n < m:
-        swapped = resultant(g, f)
-        return -swapped if (m * n) % 2 else swapped
-    r = g % f
-    if not r:
-        return Fraction(0)
-    return f.lc() ** (n - r.degree()) * resultant(f, r)
-
-
 # -- rational functions ------------------------------------------------------
 
 

@@ -57,31 +57,6 @@ from .ec_core import _REFUTING_PRIMES, _exact_torsion_order, _order_exceeds_mazu
 from .exactmath import sqrt_int
 from .exactmath.scalars import parse_ints, short_repr
 
-__all__ = [
-    "TABLE_TOTALS",
-    "ParseError",
-    "SearchConvention",
-    "DEFAULT_CONVENTION",
-    "SearchRecord",
-    "integral_coefficients",
-    "enumerate_s1",
-    "SweepEntry",
-    "convention_sweep",
-    "format_sweep",
-    "load_rank_oracle",
-    "attach_ranks",
-    "pair_counts",
-    "PairingSummary",
-    "pairing_summary",
-    "records_to_csv",
-    "records_from_csv",
-    "CurveDbEntry",
-    "parse_curve_db",
-    "DbCurveClassification",
-    "DbFilterReport",
-    "filter_db_family_candidates",
-]
-
 #: Published candidate totals per height bound H; the enumeration
 #: convention behind them is unknown (no reading of the height cut we
 #: tried reproduces 823 at H = 10; see convention_sweep).  Acceptance
@@ -472,6 +447,8 @@ def records_from_csv(text: str) -> list[SearchRecord]:
             if disc_ok not in _CSV_FLAGS or non_torsion_ok not in _CSV_FLAGS:
                 raise ValueError("flags must be 0 or 1")
             nums = parse_ints([p, q, height, rank] if rank else [p, q, height])
+            if rank and nums[3] < 0:
+                raise ValueError("negative rank")
         except ValueError as exc:
             raise ParseError(f"{exc} in {short_repr(','.join(row))}", line_no) from None
         rank = nums[3] if rank else None

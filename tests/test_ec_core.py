@@ -253,6 +253,13 @@ def test_group_law_edge_cases_over_function_field():
     assert add(E, P, P) == CurvePoint.affine(F(25, 4), F(123, 8)) == add(E11, P0, P0)
 
 
+def test_a_point_with_fraction_coordinates_is_refused_over_q_of_t():
+    E = FunctionFieldCurve(UniPoly.constant("T", -3), UniPoly.constant("T", 11))
+    P = CurvePoint.affine(F(-2), F(-3))
+    with pytest.raises(TypeError, match="^a point on a curve over Q.T. takes RatFunc coordinates$"):
+        add(E, P, P)
+
+
 def test_coefficients_set_the_field():
     # a WeierstrassCurve is over Q: ints and Fractions are its coefficients,
     # and anything else, a rational function included, is refused

@@ -31,7 +31,6 @@ from cleanpair.exactmath import (
     poly_gcd,
     rational_roots,
     rational_to_str,
-    resultant,
     sqrt_rational,
     taylor_coefficients,
     valuation_at,
@@ -160,22 +159,6 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         products.clear()
         assert p**n == powers[n]
         assert len(products) == n.bit_length() + n.bit_count() - 2, n
-
-
-def test_resultant_multiplicative_in_roots():
-    # Res(x - a, g) = g(a)
-    g = X**3 - 2 * X + 5
-    assert resultant(X - 2, g) == g.evaluate(F(2))
-    # shared factor kills the resultant
-    assert resultant((X - 1) * (X + 3), (X - 1) * (X + 4)) == 0
-    rng = random.Random(13)
-    for _ in range(15):
-        a = rand_poly(rng, var="x", deg=rng.randint(1, 3))
-        b = rand_poly(rng, var="x", deg=rng.randint(1, 3))
-        c = rand_poly(rng, var="x", deg=rng.randint(1, 2))
-        if not (a and b and c):
-            continue
-        assert resultant(a * b, c) == resultant(a, c) * resultant(b, c)
 
 
 def test_gcd_and_squarefree():

@@ -16,6 +16,7 @@ from cleanpair.family import (
     discriminant_formula,
     family_coefficients,
     make_member,
+    marked_point_coords,
     pair_hypothesis,
     verify_member_identity,
 )
@@ -52,6 +53,22 @@ def test_discriminant_formula_matches_generic_discriminant():
     a, b = family_coefficients(S, T)
     lhs = -16 * (4 * a * a * a + 27 * b * b)
     assert sympy.expand(lhs - discriminant_formula(S, T)) == 0
+
+
+def test_member_identities_hold_in_s_and_t():
+    # the marked point lies on the member, and the cubic f has a critical
+    # point at t with f(t) = s y^2, identically; y = 1 - s - 3t divides the
+    # discriminant.  So a member whose (a, b) and point are these formulas
+    # at its (s, t) is on its curve, and with a nonzero discriminant passes
+    # verify_member_identity
+    S, T, X = sympy.symbols("S T X")
+    a, b = family_coefficients(S, T)
+    x, y = marked_point_coords(S, T)
+    f = X**3 + a * X + b
+    assert sympy.expand(y * y - f.subs(X, x)) == 0
+    assert sympy.expand(sympy.diff(f, X).subs(X, T)) == 0
+    assert sympy.expand(f.subs(X, T) - S * y * y) == 0
+    assert sympy.rem(sympy.expand(discriminant_formula(S, T)), y, T) == 0
 
 
 def test_member_identity():

@@ -51,7 +51,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 def test_exports_resolve_and_no_module_imports_an_unused_name():
     missing = []
-    for module in ("cleanpair", "cleanpair.exactmath", "cleanpair.search"):
+    for module in ("cleanpair", "cleanpair.exactmath"):
         mod = importlib.import_module(module)
         missing += [f"{module}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
@@ -75,15 +75,11 @@ def _referenced(nodes) -> set[str]:
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                names.update(ast.literal_eval(node.value))
     return names
 
 
 def test_every_public_top_level_name_has_a_caller():
-    # a re-export in __init__.py is not a caller; a module's own __all__,
+    # a re-export in __init__.py or a module's own __all__ is not a caller;
     # the acceptance checks and the benchmark's layer probes are
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
@@ -252,7 +248,7 @@ def test_places_of_degree_at_most_three_load_no_sympy():
 
 # Distinct package source lines that `verify` runs on the pinned fixture.
 # A change may lower the bound; one that raises it says so in CHANGES.md.
-VERIFY_LINES_BOUND = 504
+VERIFY_LINES_BOUND = 444
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -290,7 +286,7 @@ def test_verify_runs_few_lines_of_the_package():
 
 # Lines of src/**/*.py, as wc -l counts them.  A change may lower the bound;
 # one that raises it says so in CHANGES.md.
-SRC_LINES_BOUND = 3866
+SRC_LINES_BOUND = 3809
 
 
 def test_src_stays_within_its_line_bound():
@@ -338,6 +334,8 @@ UNCALLED = {
     "UniPoly.__repr__": _AS_FRACTION,
     "RatFunc.__repr__": _AS_FRACTION,
     "FunctionFieldCurve.weierstrass": _PERFBENCH + ": the ladder's curve, which is the curve itself",
+    "UniPoly.__mod__": "ffheights._terms, at a bad place of degree >= 2 where the point meets the "
+    "singular point of the fiber; no point of the corpus does",
 }
 
 _REACH_PROBE = """
@@ -373,7 +371,7 @@ print(json.dumps([sorted(entered), sorted(ran)]))
 
 # Function-body lines of the package that the corpus never runs.  A change
 # may lower the bound; one that raises it says so in CHANGES.md.
-UNRUN_LINES_BOUND = 317
+UNRUN_LINES_BOUND = 308
 
 
 def _body_lines(path: Path) -> set[int]:
@@ -435,6 +433,7 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
     for reason, path in _CORRUPTIONS.items():
         (tmp / f"{reason}.json").write_text(json.dumps(_with_mutation(doc, path, _mutate(leaves[path]))))
     no_r.write_text(json.dumps({k: v for k, v in doc.items() if k != "r"}))
+    (tmp / "number_t1.json").write_text(json.dumps(_with_mutation(doc, ("fiber_plus", "node", "t1"), 5)))
     wrong_format.write_text(json.dumps({**doc, "format": "cleanpair.certificate/2"}))
     table, short_row, duplicate, singular, oracle, bad_oracle, conflict, negative, not_utf8 = (
         tmp / n for n in ("curves.txt", "short.txt", "duplicate.txt", "singular.txt", "oracle.txt",
@@ -445,6 +444,7 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
     short_row.write_text(f"{DB_FIXTURE[0]}\n65a1 1 0 0 -1 0 1 1\n")
     duplicate.write_text(f"{DB_FIXTURE[0]}\n{DB_FIXTURE[0]}\n")
     singular.write_text(f"{DB_FIXTURE[0]}\ncusp 0 0 0 0 0 1 1 1\n")
+    (tmp / "non_integer.txt").write_text(f"{DB_FIXTURE[0]}\nhalf 0 0 0 1/2 0 1 1 1\n")
     oracle.write_text("# oracle\n1 1 1\n-1 1 1\n2 1 2\n-4 3 ?\n")
     bad_oracle.write_text("1 1\n")
     conflict.write_text("1 1 1\n1 1 2\n")
@@ -464,13 +464,19 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["verify", str(tmp / "missing.json")],
         ["verify", str(no_r)],
         ["verify", str(wrong_format)],
+        ["verify", str(tmp / "number_t1.json")],
+        ["certify", "1", "0", "2"],
+        ["certify", "1", "1", "2", "--out", str(tmp / "missing" / "c.json")],
         ["member", "1", "2"],
+        ["member", "1", "0"],
         ["member", "--", "1", "-4/3"],
         ["member", "x", "1"],
         ["member", "--", "1", "--"],
         ["member", "1", "7" * 1450],
+        ["heights", "0"],
         ["heights", "1"],
         ["heights", "9/4", "--markdown"],
+        ["rank-ff", "-1"],
         ["rank-ff", "0"],
         ["rank-ff", "1"],
         ["rank-ff", "2"],
@@ -483,6 +489,7 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["search", "12", "--sweep"],
         ["search", "10", "--oracle", str(oracle), "--csv", str(tmp / "records.csv"), "--sweep",
          "--sign", "positive", "--include-zero", "--all-pairs"],
+        ["search", "10", "--csv", str(tmp / "missing" / "r.csv")],
         ["search", "5", "--oracle", str(bad_oracle)],
         ["search", "5", "--oracle", str(conflict)],
         ["search", "10", "--oracle", str(negative)],
@@ -491,6 +498,7 @@ def _reach_corpus(tmp: Path) -> list[list[str]]:
         ["dbfilter", str(short_row)],
         ["dbfilter", str(duplicate)],
         ["dbfilter", str(singular)],
+        ["dbfilter", str(tmp / "non_integer.txt")],
         ["dbfilter", str(not_utf8)],
     ]
 

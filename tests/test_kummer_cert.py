@@ -16,6 +16,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import sympy
 
 from cleanpair import kummer_cert
 from cleanpair.ec_core import CurvePoint, O, WeierstrassCurve
@@ -25,15 +26,19 @@ from cleanpair.exactmath import (
     parse_rational,
     poly_gcd,
     rational_to_str,
-    resultant,
     sqrt_rational,
     taylor_coefficients,
 )
 from cleanpair.exactmath import poly as poly_module
-from cleanpair.family import make_member, pair_hypothesis
+from cleanpair.family import MembershipFailure, PairHypothesis, make_member, pair_hypothesis
 from cleanpair.kummer_cert import (
+    CertifiedFiber,
+    CleanPairCertificate,
     CuspNotSupported,
+    DivisorWitness,
     IrrationalParameter,
+    NodalParametrization,
+    NodeData,
     NodeIsTarget,
     NotOnFiber,
     NotSingular,
@@ -187,6 +192,14 @@ def limit_at_infinity(f):
     return top / f.den.coeffs[d]
 
 
+def coprime(p, q):
+    """Whether the polynomials p and q in L share no root, by sympy's gcd."""
+    sym = sympy.Symbol(p.var)
+    p, q = (sum(sympy.Rational(c.numerator, c.denominator) * sym**i for i, c in enumerate(f.coeffs))
+            for f in (p, q))
+    return sympy.degree(sympy.gcd(p, q), sym) == 0
+
+
 def test_infinite_slope_lands_at_minus_two_t1():
     _, _, _, node, par = worked_chain()
     x1 = limit_at_infinity(par.x1_of)
@@ -197,13 +210,12 @@ def test_infinite_slope_lands_at_minus_two_t1():
 def test_witness_finite_nonzero_on_node_branches():
     # the branch slopes +-sqrt(1/2) are the roots of Q2 = 3L^2 - 3/2; h is
     # finite and nonzero at both exactly when Q2 shares no root with num(h)
-    # or den(h), that is when both resultants are nonzero
+    # or den(h)
     _, _, _, _, par = worked_chain()
     wit = divisor_witness(par, (-2, -4))
     q2 = par.node_branch_poly
     assert q2 == 3 * L**2 - F(3, 2) and sqrt_rational(F(1, 2)) is None
-    assert resultant(q2, wit.h.num) != 0
-    assert resultant(q2, wit.h.den) != 0
+    assert coprime(q2, wit.h.num) and coprime(q2, wit.h.den)
 
 
 # -- closed forms against the Taylor route --------------------------------------
@@ -307,8 +319,7 @@ def test_witness_worked_example():
     assert wit.multiplier == 3
     assert wit.h == RatFunc((L - F(1, 2)) ** 3, L**3 - F(1, 4))
     assert wit.h.num.degree() == wit.h.den.degree() == 3
-    assert resultant(wit.h.num, par.node_branch_poly) != 0
-    assert resultant(wit.h.den, par.node_branch_poly) != 0
+    assert coprime(wit.h.num, par.node_branch_poly) and coprime(wit.h.den, par.node_branch_poly)
 
 
 def test_witness_rejects_node_target():
@@ -363,6 +374,76 @@ def test_reducible_fiber_rejected():
         assert sum(c.evaluate(x2) * (4 * x2) ** i for i, c in enumerate(fiber.F)) == 0
     with pytest.raises(ReducibleFiber):
         assemble_certificate(pair_hypothesis(m1, m2))
+
+
+def hand_built(pair, r, node, q2, q3):
+    """The certificate on the pair with this r, node, Q2 and Q3, with tau,
+    x1 and x2 made from them as parametrize makes them and the cubic
+    witness h = (L - 8)^3/Q3 (lambda_P = 8), dumped and loaded back."""
+    curves = (pair.left.curve, pair.right.curve)
+    fiber = kummer_cert.PencilFiber(r, kummer_cert._fiber_poly(*curves, r), curves)
+    n1, n2 = kummer_cert._numerators(node, q2, q3)
+    par = NodalParametrization(RatFunc(-q2, q3), RatFunc(n1, q3), RatFunc(n2, q3), q2, q3, node)
+    plus = CertifiedFiber(fiber, par, DivisorWitness(RatFunc((L - 8) ** 3, q3), F(8), 3))
+    minus = plus._replace(fiber=fiber._replace(r=-r))
+    cert = CleanPairCertificate(pair, r, plus, minus, kummer_cert._conclusion(3, pair.rank_one_asserted))
+    return certificate_loads(certificate_dumps(cert))
+
+
+def reducible_pair():
+    s = F(-5, 7)
+    return PairHypothesis(make_member(s, 4), make_member(s, 1), s, (False, False))
+
+
+def test_a_torsion_marked_point_fails_only_the_membership():
+    # (1, -4/3) passes every test of make_member but the torsion one
+    member = make_member(1, F(-4, 3))
+    assert member.failure_reason is MembershipFailure.TORSION_MARKED_POINT
+    pair = PairHypothesis(member, make_member(1, 2), F(1), (False, False))
+    cert = certificate_loads(certificate_dumps(assemble_certificate(pair)))
+    assert verify_certificate(cert).reasons == ("PairMembership",)
+
+
+def test_a_certificate_on_the_reducible_fiber_fails_its_parametrization():
+    # t1^3 = r^2 t2^3 (64 = 8^2 * 1): the closed forms Q2 = 12 L^2 - 192 and
+    # Q3 = L^3 - 64 share the root t1/t2 = 4, a rational root of Q3, so the
+    # cubic witness is not minimal either
+    pair = reducible_pair()
+    r = F(8)
+    node = NodeData(F(4), F(1), -36 * r * r * 4)
+    q2, q3 = 12 * L**2 - 192, L**3 - 64
+    cert = hand_built(pair, r, node, q2, q3)
+    assert verify_certificate(cert).reasons == ("ParametrizationMismatch", "DivisorMismatch")
+
+
+@pytest.mark.parametrize(
+    "case, reasons",
+    [
+        ("r = 0", ("PairMembership", "NodeMismatch", "ParametrizationMismatch", "DivisorMismatch")),
+        ("smooth point of the conic", ("NodeMismatch", "ParametrizationMismatch", "DivisorMismatch")),
+        ("point off the fiber", ("NodeMismatch", "ParametrizationMismatch", "DivisorMismatch")),
+    ],
+)
+def test_a_parametrization_with_a_common_root_fails_at_any_stored_node(case, reasons):
+    # Q2 and Q3 that share a root fail the parametrization wherever the
+    # stored node lies, as they did when it was tested by a resultant: at
+    # r = 0 (the first member has y = 1 - s - 3t = 0, and F = f(x1)), and
+    # on the fiber (x1 - 4 x2)(x1^2 + 4 x1 x2 + 16 x2^2 - 48) of the
+    # reducible pair, at its smooth point (-44/7, -2/7) with tau onto the
+    # conic, and at (4, -1), off F, with tau onto the line
+    if case == "r = 0":
+        pair = PairHypothesis(make_member(-2, 1), make_member(-2, 2), F(-2), (False, False))
+        r, node, q2, q3 = F(0), NodeData(F(1), F(2), F(0)), 3 * L**2, L**3
+    elif case == "smooth point of the conic":
+        pair, r, (p1, p2) = reducible_pair(), F(8), (F(-44, 7), F(-2, 7))
+        node = NodeData(p1, p2, F(-1))
+        q2, q3 = ((2 * p1 + 4 * p2) * L + 4 * p1 + 32 * p2) * L, (L**2 + 4 * L + 16) * L
+    else:
+        pair, r, node = reducible_pair(), F(8), NodeData(F(4), F(-1), F(-1))
+        q2, q3 = 8 * L**2 + 8, (L - 4) * (L**2 + 1)
+    assert not coprime(q2, q3)
+    cert = hand_built(pair, r, node, q2, q3)
+    assert verify_certificate(cert).reasons == reasons
 
 
 # -- assembly -------------------------------------------------------------------
@@ -679,7 +760,7 @@ def _scaled(coeffs, k):
 @pytest.mark.parametrize("pair", [worked_pair, m1_pair], ids=["m3", "m1"])
 def test_scaled_q2_and_q3_fail_only_the_parametrization(pair):
     # tau and the coordinate functions, the on-fiber identity and the
-    # witness all hold for 2 Q2 and 2 Q3; only the monic check catches it
+    # witness all hold for 2 Q2 and 2 Q3; only the closed forms catch them
     doc = certificate_to_json(assemble_certificate(pair()))
     for side in ("fiber_plus", "fiber_minus"):
         par = doc[side]["parametrization"]

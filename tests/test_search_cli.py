@@ -610,8 +610,8 @@ def test_csv_rejects_foreign_layouts():
     assert err.value.line_no == 2
     # numbers read -?[0-9]+ and flags only 0 or 1; each bad row names its line
     good = "-2,7,121,1,0,\n"
-    assert records_from_csv(header + good + "10,3,5,0,1,-1\n") == [
-        SearchRecord(-2, 7, 121, True, False), SearchRecord(10, 3, 5, False, True, -1)]
+    assert records_from_csv(header + good + "10,3,5,0,1,0\n") == [
+        SearchRecord(-2, 7, 121, True, False), SearchRecord(10, 3, 5, False, True, 0)]
     bad_rows = ["1_0,+1,\u0661\u0662\u0661,2,-1,\u0663", "1_0,1,121,1,1,", "1,+1,121,1,1,",
                 "1,1,\u0661\u0662\u0661,1,1,", "1,1,121,1,1,\u0663", "1,1,121,2,1,",
                 "1,1,121,1,-1,", "1,1,121,,1,", "1,1,121,01,1,", " 1,1,121,1,1,",
@@ -622,6 +622,13 @@ def test_csv_rejects_foreign_layouts():
         message = str(err.value)
         assert err.value.line_no == 3 and message.startswith("line 3: "), row
         assert "\n" not in message and len(message) < 300, row
+
+
+def test_csv_refuses_a_negative_rank():
+    # as load_rank_oracle does
+    with pytest.raises(ParseError) as err:
+        records_from_csv("p,q,height,disc_ok,nontorsion_ok,rank\n1,1,1,1,1,-4\n")
+    assert str(err.value) == "line 2: negative rank in '1,1,1,1,1,-4'"
 
 
 # ---------------------------------------------------------------------------
