@@ -7,7 +7,8 @@ Subcommands:
     verify cert.json      recheck a certificate from scratch
     heights s             per-place local heights of the marked section
     rank-ff s             generic rank over Q(T) with its evidence
-    search H              enumerate s = 1 members with h <= H^6 (H <= 500000)
+    search H              enumerate s = 1 members with h <= H^6 (H <= 500000),
+                          t = p/q in lowest terms, p != 0 of either sign
     dbfilter file         classify a rank-1 curve table against the family shape
 
 A negative fraction such as -4/3 reads as an option, so put "--" before
@@ -192,12 +193,7 @@ def _cmd_search(args) -> int:
         return _fail(f"cleanpair search: error: H must be at most {ceiling}{sweep}", 2)
     from . import search as searchmod
 
-    convention = searchmod.SearchConvention(
-        sign=args.sign,
-        include_zero=args.include_zero,
-        reduced_only=not args.all_pairs,
-    )
-    records = searchmod.enumerate_s1(args.H, convention)
+    records = searchmod.enumerate_s1(args.H)
     if args.oracle:
         try:
             with open(args.oracle, "r", encoding="utf-8") as handle:
@@ -211,11 +207,7 @@ def _cmd_search(args) -> int:
     summary = searchmod.pairing_summary(records)
     print(f"H={args.H} records={len(records)} candidates={summary.candidate_count}")
     target = searchmod.TABLE_TOTALS.get(args.H)
-    mismatch = (
-        target is not None
-        and convention == searchmod.DEFAULT_CONVENTION
-        and summary.candidate_count != target
-    )
+    mismatch = target is not None and summary.candidate_count != target
     if target is not None:
         print(f"published_total={target} delta={summary.candidate_count - target:+d}")
     if args.oracle:
@@ -304,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--oracle", help="rank oracle file with 'p q rank' lines")
     p_search.add_argument("--csv", help="write records to this CSV file")
     p_search.add_argument("--sweep", action="store_true", help="print the convention sweep (H <= 2000)")
-    p_search.add_argument("--sign", choices=("both", "positive", "negative"), default="both")
-    p_search.add_argument("--include-zero", action="store_true")
-    p_search.add_argument(
-        "--all-pairs", action="store_true", help="keep non-reduced (p, q) pairs"
-    )
     p_search.set_defaults(func=_cmd_search)
 
     p_db = sub.add_parser("dbfilter", help="classify a curve table against the family")

@@ -568,18 +568,17 @@ class VerificationResult(NamedTuple):
 
 def _check_membership(cert: CleanPairCertificate) -> list[str]:
     bad = []
-    pair = cert.pair
-    if pair.left.s != pair.shared_s or pair.right.s != pair.shared_s:
-        bad.append("PairMembership")
+    pair, s = cert.pair, cert.pair.shared_s
     if pair.left.t == pair.right.t:
         bad.append("PairMembership")
     for m in (pair.left, pair.right):
-        a, b = family_coefficients(m.s, m.t)
-        x, y = marked_point_coords(m.s, m.t)
+        # read at the pair's s: a member built at another s' has x = 1 - s' - 2t
+        a, b = family_coefficients(s, m.t)
+        x, y = marked_point_coords(s, m.t)
         P = m.marked_point
         if (m.curve.a, m.curve.b) != (a, b) or (P.x, P.y) != (x, y):
             bad.append("PairMembership")
-        elif discriminant_formula(m.s, m.t) == 0 or is_torsion_overQ(m.curve, P):
+        elif discriminant_formula(s, m.t) == 0 or is_torsion_overQ(m.curve, P):
             bad.append("PairMembership")
     return bad
 

@@ -8,8 +8,10 @@ integral model
     y^2 = (x - pq)^2 (x + 2pq) + 9 p^2 q^4
         = x^3 - 3 (pq)^2 x + (2 p^3 q^3 + 9 p^2 q^4),
 
-whose marked point is (-2pq, -3pq^2).  One pass builds the SearchRecord
-of each t under the cut, carrying the exact height
+whose marked point is (-2pq, -3pq^2).  `enumerate_s1` sweeps one
+convention, the survey's: t = p/q in lowest terms, p != 0 of either sign.
+One pass builds the SearchRecord of each such t under the cut, carrying
+the exact height
 
     h(t) = max{(3 p^2 q^2)^3, (2 p^3 q^3 + 9 p^2 q^4)^2},
 
@@ -30,10 +32,10 @@ the enumeration and, as a row is periodic in v, a row at a time in the sweep.
 
 The published totals for h(t) <= H^6 (823 at H = 10 up through 74069 at
 H = 60) could not be reproduced from the stated height cut under this
-convention or any close variant; `convention_sweep` enumerates the
-plausible readings side by side so a mismatch is reported with data
-instead of being papered over.  See TABLE_TOTALS and the sweep
-docstring.
+convention or any close variant; `convention_sweep` counts the
+plausible readings side by side, from that one enumeration and one walk
+over integral models, so a mismatch is reported with data instead of
+being papered over.  See TABLE_TOTALS and the sweep docstring.
 
 The module also hosts the small-conductor database filter: given a
 table of rank-1 curves it keeps those whose short model (A, B) =
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from functools import cache
 from math import gcd, isqrt
 from operator import itemgetter
@@ -76,24 +79,6 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-class SearchConvention(NamedTuple):
-    """Flags selecting how the t-line is swept.
-
-    sign: "both" sweeps p over both signs, "positive"/"negative"
-    restrict it.  include_zero adds the t = 0 record (it can never be a
-    candidate: the s = 1 fiber at t = 0 is singular).  reduced_only=False
-    keeps non-reduced pairs (p, q) as separate records for sensitivity
-    analysis; such records break the coprimality invariant on purpose.
-    """
-
-    sign: str = "both"
-    include_zero: bool = False
-    reduced_only: bool = True
-
-
-DEFAULT_CONVENTION = SearchConvention()
 
 
 def integral_coefficients(p: int, q: int) -> tuple[int, int]:
@@ -145,11 +130,9 @@ def _torsion_tables() -> tuple[tuple[int, tuple[bytes, ...], tuple[int, ...]], .
     return tuple(tables)
 
 
-def enumerate_s1(
-    H: int, convention: SearchConvention = DEFAULT_CONVENTION
-) -> list[SearchRecord]:
-    """All SearchRecords with h(t) <= H^6 under the given convention,
-    sorted by (height, p, q).
+def enumerate_s1(H: int) -> list[SearchRecord]:
+    """The SearchRecord of each t = p/q in lowest terms, p != 0 of either
+    sign, with h(t) <= H^6, sorted by (height, p, q).
 
     One pass over p ascending, then q ascending: (3 p^2 q^2)^3 <= H^6
     pins |pq| <= sqrt(H^2 / 3), so inside that bound the first height
@@ -160,24 +143,20 @@ def enumerate_s1(
     record at once, and one stable sort by height leaves tied heights in
     (p, q) order.
     """
-    signs = {"both": (1, -1), "positive": (1,), "negative": (-1,)}.get(convention.sign)
-    if signs is None:
-        raise ValueError(f"unknown sign convention {convention.sign!r}")
     if H < 1:
         raise ValueError("H must be a positive integer")
     H3 = H**3
     pq_max = isqrt(H * H // 3)
-    reduced_only = convention.reduced_only
     tables = _torsion_tables()
-    kept = [SearchRecord(0, 1, 0, False, False)] if convention.include_zero else []
-    for p in sorted(sign * ap for sign in signs for ap in range(1, pq_max + 1)):
+    kept = []
+    for p in (*range(-pq_max, 0), *range(1, pq_max + 1)):
         for q in range(1, pq_max // abs(p) + 1):
             pq = p * q
             pq2 = pq * pq
             second = pq2 * q * (2 * p + 9 * q)
             if second > H3:
                 break
-            if reduced_only and gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             first = 3 * pq2
             # 4a^3 + 27b^2 = 243 p^4 q^7 (4p + 9q) for (a, b) = integral_coefficients(p, q)
@@ -211,9 +190,9 @@ def enumerate_s1(
 # below lands on 823 at H = 10 either, so the sweep exists to report the
 # deltas rather than to pick a winner.
 #
-# The eight rows come from two walks, one over fractions and one over
-# models; "models-v-both" and "models-dedupe-curve" are derived from
-# "models-v-positive" instead of walked (see convention_sweep for why).
+# The eight rows come from two walks, one over reduced fractions and one
+# over models; "pairs-any-gcd", "models-v-both" and "models-dedupe-curve"
+# are derived from them instead of walked (see convention_sweep for why).
 
 
 class SweepEntry(NamedTuple):
@@ -282,10 +261,16 @@ def _sweep_models(H: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def convention_sweep(H: int) -> list[SweepEntry]:
     """Record/candidate counts for each plausible enumeration convention.
 
-    "reduced-both" is the default convention.  The fraction rows filter
-    one enumeration of every (p, q) pair: "pairs-any-gcd" keeps them all,
-    "reduced-both" the reduced ones, "reduced-positive" those with p > 0
-    and "integer-t" those with q = 1.
+    "reduced-both" is the convention of `enumerate_s1`, and the fraction
+    rows read its one list: "reduced-positive" keeps the records with
+    p > 0 and "integer-t" those with q = 1.  "pairs-any-gcd" counts every
+    pair (p, q), p != 0 and q >= 1, of any gcd, and is derived: the pair
+    (gp, gq) over a reduced (p, q) has height g^12 h(p/q), as both height
+    terms are homogeneous of degree 12 in (p, q), and the same flags, as
+    4p + 9q scales by g and its integral model is the (g^2, g^3) rescaling
+    of that of (p, q), an isomorphism over Q.  So the row counts, over
+    g >= 1, the reduced records with h <= H^6 // g^12, each count a bisect
+    of the height-sorted list; h >= 1 makes g^2 <= H the last g to count.
 
     The "models-*" entries sweep integral models (u, v) with
     max{(3u^2)^3, (2u^3 + v^2)^2} <= H^6 instead of reduced fractions.
@@ -299,8 +284,12 @@ def convention_sweep(H: int) -> list[SweepEntry]:
       determines v > 0, so no two models of the walk share a curve (u, b).
     """
     target = TABLE_TOTALS.get(H)
-    pairs = enumerate_s1(H, SearchConvention(reduced_only=False))
-    reduced = [r for r in pairs if gcd(r.p, r.q) == 1]
+    reduced = enumerate_s1(H)
+    heights = [r.height_value for r in reduced]
+    candidate_heights = [r.height_value for r in reduced if r.is_candidate]
+    H6 = H**6
+    any_gcd = tuple(sum(bisect_right(hs, H6 // g**12) for g in range(1, isqrt(H) + 1))
+                    for hs in (heights, candidate_heights))
 
     def counts(records):
         return len(records), sum(1 for r in records if r.is_candidate)
@@ -309,7 +298,7 @@ def convention_sweep(H: int) -> list[SweepEntry]:
     rows = [
         ("reduced-both", counts(reduced)),
         ("reduced-positive", counts([r for r in reduced if r.p > 0])),
-        ("pairs-any-gcd", counts(pairs)),
+        ("pairs-any-gcd", any_gcd),
         ("integer-t", counts([r for r in reduced if r.q == 1])),
         ("models-v-positive", positive),
         ("models-v-both", (2 * positive[0], 2 * positive[1])),

@@ -404,6 +404,21 @@ def test_a_torsion_marked_point_fails_only_the_membership():
     assert verify_certificate(cert).reasons == ("PairMembership",)
 
 
+def test_a_member_built_at_another_s_fails_the_membership():
+    # The verifier reads each member at the pair's s, so a left member made
+    # at s' = 2 fails on its marked point, x = 1 - s' - 2t, and not on an
+    # s field of its own, which no loaded document can set apart.
+    stray = make_member(2, 1)
+    assert stray.in_u
+    cert = assemble_certificate(worked_pair())
+    cert = cert._replace(pair=cert.pair._replace(left=stray))
+    assert kummer_cert._check_membership(cert) == ["PairMembership"]
+    assert verify_certificate(cert).reasons == (
+        "PairMembership", "RatioMismatch", "FiberMismatch", "NodeMismatch",
+        "ParametrizationMismatch", "DivisorMismatch",
+    )
+
+
 def test_a_certificate_on_the_reducible_fiber_fails_its_parametrization():
     # t1^3 = r^2 t2^3 (64 = 8^2 * 1): the closed forms Q2 = 12 L^2 - 192 and
     # Q3 = L^3 - 64 share the root t1/t2 = 4, a rational root of Q3, so the

@@ -29,10 +29,8 @@ from cleanpair.ec_core import (
 )
 from cleanpair.family import make_member
 from cleanpair.search import (
-    DEFAULT_CONVENTION,
     CurveDbEntry,
     ParseError,
-    SearchConvention,
     SearchRecord,
     attach_ranks,
     convention_sweep,
@@ -75,12 +73,12 @@ def _height(p, q):
 
 
 def test_height_of_matches_hand_values():
-    heights = {(r.p, r.q): r.height_value for r in enumerate_s1(10, SearchConvention(include_zero=True))}
+    heights = {(r.p, r.q): r.height_value for r in enumerate_s1(10)}
     assert heights[1, 1] == 121
     assert heights[-1, 1] == 49  # (2(-1)^3 + 9)^2 = 49 beats 27
     assert heights[2, 1] == 2704
     assert heights[1, 2] == 25600
-    assert heights[0, 1] == 0
+    assert (0, 1) not in heights  # t = 0 is never enumerated
 
 
 def test_integral_model_carries_its_marked_point():
@@ -148,36 +146,63 @@ def test_torsion_and_discriminant_exclusions_are_real():
     assert rec.height_value == _height(-9, 4) == 58773123072
 
 
+# The readings that the retired options --all-pairs, --sign and
+# --include-zero listed, as (sign, with the t = 0 record, every gcd).
+READINGS = {
+    "default": ("both", False, False),
+    "all-pairs": ("both", False, True),
+    "positive-with-zero": ("positive", True, False),
+    "negative": ("negative", False, False),
+    "negative-with-zero": ("negative", True, False),
+    "all-pairs-with-zero": ("both", True, True),
+}
+ZERO_RECORD = SearchRecord(0, 1, 0, False, False)  # t = 0: singular, never a candidate
+
+
+def _read_as(records, H, reading):
+    """The records a retired option listed, rebuilt from the one reduced
+    list: the pair (gp, gq) has height g^12 h(p/q) and the flags of (p, q)."""
+    sign, zero, every_gcd = READINGS[reading]
+    if every_gcd:
+        records = sorted(
+            (r._replace(p=g * r.p, q=g * r.q, height_value=g**12 * r.height_value)
+             for r in records for g in range(1, isqrt(H) + 1) if g**12 * r.height_value <= H**6),
+            key=attrgetter("height_value", "p", "q"),
+        )
+    keep = {"both": lambda p: True, "positive": lambda p: p > 0, "negative": lambda p: p < 0}[sign]
+    return [ZERO_RECORD] * zero + [r for r in records if keep(r.p)]
+
+
+def _counts(records):
+    return len(records), sum(r.is_candidate for r in records)
+
+
 @pytest.mark.parametrize(
-    "H, convention",
+    "H, reading",
     [
-        (63, DEFAULT_CONVENTION),
-        (63, SearchConvention(reduced_only=False)),
-        (63, SearchConvention(sign="positive", include_zero=True)),
-        (63, SearchConvention(sign="negative")),
-        (250, DEFAULT_CONVENTION),
-        (250, SearchConvention(include_zero=True, reduced_only=False)),
+        (63, "default"),
+        (63, "all-pairs"),
+        (63, "positive-with-zero"),
+        (63, "negative"),
+        (250, "default"),
+        (250, "all-pairs-with-zero"),
     ],
     ids=["default", "all-pairs", "positive-with-zero", "negative", "default-H250", "all-pairs-with-zero-H250"],
 )
-def test_records_match_an_independent_reference(H, convention):
+def test_records_match_an_independent_reference(H, reading):
     # H = 63 takes in t = -9/4 (the discriminant exclusion) and t = -4/3
     # (5-torsion); at H = 250 the sort and the cut meet many more ties in
     # |pq|.  The reference scans a (p, q) box, reads the discriminant from
-    # the integral model and tests torsion by the walk over Q;
-    # (3 p^2 q^2)^3 <= H^6 already bounds |p| and q by isqrt(H^2 // 3).
+    # the integral model and tests torsion by the walk over Q, on every
+    # pair of any gcd; (3 p^2 q^2)^3 <= H^6 already bounds |p| and q by
+    # isqrt(H^2 // 3).  Each reading of the box is compared with the same
+    # reading rebuilt from the enumeration, and its counts with the sweep.
     box = isqrt(H * H // 3) + 4
-    expected = []
+    pairs = []
     for p in range(-box, box + 1):
-        sign_ok = {"both": True, "positive": p > 0, "negative": p < 0}[convention.sign]
         for q in range(1, box + 1):
-            if p == 0:
-                if not (convention.include_zero and q == 1):
-                    continue
-            elif not sign_ok or (convention.reduced_only and gcd(p, q) != 1):
-                continue
             h = _height(p, q)
-            if h > H**6:
+            if p == 0 or h > H**6:
                 continue
             a, b = integral_coefficients(p, q)
             disc_ok = 4 * a**3 + 27 * b * b != 0
@@ -187,13 +212,23 @@ def test_records_match_an_independent_reference(H, convention):
                 )
                 is None
             )
-            expected.append(SearchRecord(p, q, h, disc_ok, non_torsion))
-    expected.sort(key=attrgetter("height_value", "p", "q"))
-    assert enumerate_s1(H, convention) == expected
-    if convention.sign != "positive":
-        by_key = {(r.p, r.q): r for r in expected}
-        assert not by_key[(-9, 4)].disc_ok
-        assert by_key[(-4, 3)].disc_ok and not by_key[(-4, 3)].non_torsion_ok
+            pairs.append(SearchRecord(p, q, h, disc_ok, non_torsion))
+    pairs.sort(key=attrgetter("height_value", "p", "q"))
+    reduced = [r for r in pairs if gcd(r.p, r.q) == 1]
+    records = enumerate_s1(H)
+    assert records == reduced
+    sign, zero, every_gcd = READINGS[reading]
+    expected = [r for r in (pairs if every_gcd else reduced)
+                if sign == "both" or (r.p > 0) == (sign == "positive")]
+    assert _read_as(records, H, reading) == [ZERO_RECORD] * zero + expected
+    rows = {e.name: (e.records, e.candidates) for e in convention_sweep(H)}
+    assert rows["pairs-any-gcd"] == _counts(pairs)
+    assert rows["reduced-positive"] == _counts([r for r in reduced if r.p > 0])
+    negative = _counts([r for r in reduced if r.p < 0])
+    assert tuple(b - p for b, p in zip(rows["reduced-both"], rows["reduced-positive"])) == negative
+    by_key = {(r.p, r.q): r for r in reduced}
+    assert not by_key[(-9, 4)].disc_ok
+    assert by_key[(-4, 3)].disc_ok and not by_key[(-4, 3)].non_torsion_ok
 
 
 # (len, candidates, sha256 of repr([(h, p, q, disc_ok, non_torsion_ok)]))
@@ -203,16 +238,17 @@ ENUMERATION_PINS = {
     994: (3404, 3401, "d2e77e25b47e8e01d86332db719d8c755ab75529834b72b286a2ad71a7e75a9a"),
     1010: (3467, 3464, "805b5976029663e8f1fdaf335def257a498b0e5aa66c2a7961c0ebee68c814f8"),
 }
-# the same at H = 1000 under two other conventions, captured before the
-# enumeration built each record in one pass and sorted once by height
+# the same at H = 1000 under two readings the retired options listed,
+# captured before the enumeration built each record in one pass and sorted
+# once by height; with the sweep rows that print their counts
 CONVENTION_PINS = {
     "all-pairs": (
-        SearchConvention(reduced_only=False),
         (4872, 4858, "7fd50caeada15d0f4d78a2efc660722bdf4b219b0e4171bc31c35f0da83f8f42"),
+        (4872, 4858),  # pairs-any-gcd
     ),
     "negative-with-zero": (
-        SearchConvention(sign="negative", include_zero=True),
         (1733, 1729, "dfb1e21c2ef4825a94e3b0e0e98f85ea6c67de9b6f0101cb95586e462ce9bcb2"),
+        (1732, 1729),  # reduced-both - reduced-positive, without the t = 0 record
     ),
 }
 
@@ -230,8 +266,13 @@ def test_enumeration_is_pinned_over_the_benchmark_range(H):
 
 @pytest.mark.parametrize("name", sorted(CONVENTION_PINS))
 def test_enumeration_is_pinned_under_other_conventions(name):
-    convention, pin = CONVENTION_PINS[name]
-    assert _pin(enumerate_s1(1000, convention)) == pin
+    pin, row = CONVENTION_PINS[name]
+    assert _pin(_read_as(enumerate_s1(1000), 1000, name)) == pin
+    rows = {e.name: (e.records, e.candidates) for e in convention_sweep(1000)}
+    if name == "all-pairs":
+        assert rows["pairs-any-gcd"] == row
+    else:
+        assert tuple(b - p for b, p in zip(rows["reduced-both"], rows["reduced-positive"])) == row
 
 
 def test_enumeration_computes_heights_only_for_the_records_it_returns():
@@ -291,26 +332,6 @@ def test_height_cut_keeps_its_edge(H, p, q):
         for a in range(-(m // b), 0):
             if 2 * a + 9 * b < 0:
                 assert (a * a * b**3 * (2 * a + 9 * b)) ** 2 < (3 * a * a * b * b) ** 3
-
-
-def test_sign_and_zero_flags():
-    positive = enumerate_s1(10, SearchConvention(sign="positive"))
-    negative = enumerate_s1(10, SearchConvention(sign="negative"))
-    assert [(r.p, r.q) for r in positive] == [(p, q) for p, q, _ in H10_TABLE if p > 0]
-    assert [(r.p, r.q) for r in negative] == [(p, q) for p, q, _ in H10_TABLE if p < 0]
-    with_zero = enumerate_s1(10, SearchConvention(include_zero=True))
-    zero = [r for r in with_zero if r.p == 0]
-    assert len(zero) == 1 and not zero[0].disc_ok and not zero[0].is_candidate
-    assert len(with_zero) == len(H10_TABLE) + 1
-    with pytest.raises(ValueError):
-        enumerate_s1(10, SearchConvention(sign="sideways"))
-
-
-def test_unreduced_pairs_flag():
-    loose = enumerate_s1(10, SearchConvention(reduced_only=False))
-    keys = {(r.p, r.q) for r in loose}
-    assert (2, 2) in keys and (-2, 2) in keys  # duplicates of t = 1, -1
-    assert len(loose) == len(H10_TABLE) + 2
 
 
 @pytest.mark.parametrize(
@@ -1325,9 +1346,8 @@ def test_cli_contract_fuzz(capsys, tmp_path):
         rows = [_fuzz_oracle_row(rng) for _ in range(rng.randint(0, 8))]
         oracle = _fuzz_file(rng, tmp_path / f"oracle{i}.txt", rows)
         argv = ["search", str(rng.randint(1, 12)) if rng.random() < 0.9 else _fuzz_arg(rng)]
-        argv += rng.sample(["--all-pairs", "--include-zero", "--sweep"], rng.randint(0, 2))
         if rng.random() < 0.3:
-            argv += ["--sign", rng.choice(("both", "positive", "negative", "none"))]
+            argv.append("--sweep")
         if rng.random() < 0.8:
             argv += ["--oracle", oracle]
         cases.append(argv)
