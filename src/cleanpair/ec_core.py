@@ -120,9 +120,9 @@ class WeierstrassCurve:
         """The cubic x^3 + ax + b."""
         return x * x * x + self.a * x + self.b
 
-    def rhs_poly(self, var: str = "x") -> UniPoly:
-        """The cubic as a polynomial in var."""
-        return UniPoly(var, [self.b, self.a, 0, 1])
+    def rhs_poly(self) -> UniPoly:
+        """The cubic x^3 + ax + b as a polynomial."""
+        return UniPoly([self.b, self.a, 0, 1])
 
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:

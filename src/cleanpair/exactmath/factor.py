@@ -57,9 +57,8 @@ def _irreducible_factors(a: UniPoly) -> list[UniPoly]:
 
         num, _ = qq_to_ints(a)
         _, raw = dup_factor_list(list(num[::-1]), ZZ_python())
-        return [qq_from_ints(a.var, f[::-1], f[0]) for f, _ in raw]
-    t = UniPoly.gen(a.var)
-    linear = [t - r for r, _ in rational_roots(a)]
+        return [qq_from_ints(f[::-1], f[0]) for f, _ in raw]
+    linear = [UniPoly([-r, 1]) for r, _ in rational_roots(a)]
     # with the linear factors out, a rest of degree 2 or 3 has no rational
     # root, so it is irreducible
     rest = reduce(lambda f, q: f // q, linear, a)
@@ -79,7 +78,7 @@ def factor_rational_poly(p: UniPoly) -> tuple[Rational, list[tuple[UniPoly, int]
     c = p.lc()
     parts = [(q, m) for a, m in _squarefree_parts(p) for q in _irreducible_factors(a)]
     parts.sort(key=lambda qm: _sort_key(qm[0]))
-    check = qq_from_ints(p.var, (c.numerator,), c.denominator)
+    check = qq_from_ints((c.numerator,), c.denominator)
     for q, m in parts:
         check = check * q**m
     if check != p:

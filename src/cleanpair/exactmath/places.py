@@ -21,10 +21,9 @@ class UndefinedValuation(ArithmeticError):
 
 class Place(NamedTuple):
     """A closed point of the projective T-line over Q: a monic irreducible
-    poly in var, or None at infinity; `root` is r at T - r, else None.
+    poly in T, or None at infinity; `root` is r at T - r, else None.
     Build a place with `finite`, `linear` or `infinity`."""
 
-    var: str
     poly: UniPoly | None = None
     root: Fraction | None = None
 
@@ -34,16 +33,16 @@ class Place(NamedTuple):
             raise ValueError("place polynomial must be monic")
         if not is_irreducible(poly):
             raise ValueError(f"place polynomial must be irreducible: {poly}")
-        return cls(poly.var, poly, -poly.coeff(0) if poly.degree() == 1 else None)
+        return cls(poly, -poly.coeff(0) if poly.degree() == 1 else None)
 
     @classmethod
-    def linear(cls, var: str, root) -> "Place":
+    def linear(cls, root) -> "Place":
         """The place T = root, i.e. the prime (T - root)."""
-        return cls.finite(UniPoly.gen(var) - Fraction(root))
+        return cls.finite(UniPoly([-Fraction(root), 1]))
 
     @classmethod
-    def infinity(cls, var: str) -> "Place":
-        return cls(var)
+    def infinity(cls) -> "Place":
+        return cls()
 
     @property
     def is_infinity(self) -> bool:
@@ -64,13 +63,13 @@ class Place(NamedTuple):
 # -- internal helpers ---------------------------------------------------------
 
 
-def _as_ratfunc(place: Place, f):
+def _as_ratfunc(f):
     if isinstance(f, RatFunc):
         return f
     if isinstance(f, UniPoly):
         return RatFunc(f)
     if isinstance(f, (int, _RationalABC)):
-        return RatFunc.constant(place.var, f)
+        return RatFunc(UniPoly([f]))
     raise TypeError(f"cannot take a valuation of {type(f).__name__}")
 
 
@@ -110,9 +109,7 @@ def _poly_valuation(place: Place, p: UniPoly) -> int:
 def valuation_at(place: Place, f) -> int:
     """Order of vanishing of f at the place.  Raises UndefinedValuation
     when f is identically zero."""
-    g = _as_ratfunc(place, f)
-    if g.var != place.var:
-        raise ValueError(f"variable mismatch: {g.var} vs {place.var}")
+    g = _as_ratfunc(f)
     if not g:
         raise UndefinedValuation(f"valuation of 0 at {place}")
     return _poly_valuation(place, g.num) - _poly_valuation(place, g.den)
@@ -138,6 +135,6 @@ def divisor_of(f) -> list[tuple[Place, int]]:
     ]
     at_inf = f.den.degree() - f.num.degree()
     if at_inf:
-        out.append((Place.infinity(f.var), at_inf))
+        out.append((Place.infinity(), at_inf))
     out.sort(key=lambda pm: pm[0].sort_key())
     return out

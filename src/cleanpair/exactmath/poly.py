@@ -1,9 +1,7 @@
 """Dense univariate polynomials over Q, and rational functions over Q.
 
-Each polynomial carries a variable tag; mixing variables in one operation
-is an error rather than a silent coercion, and a coefficient that is not an
-``int`` or a ``Fraction`` raises TypeError, as does a RatFunc numerator or
-denominator that is not a polynomial.
+A coefficient that is not an ``int`` or a ``Fraction`` raises TypeError,
+as does a RatFunc numerator or denominator that is not a polynomial.
 
 A polynomial is a tuple of integer numerators, lowest degree first, over
 one positive common denominator, kept canonical: the top numerator is
@@ -17,9 +15,10 @@ first non-integral quotient coefficient (Gauss's lemma); its quotients are
 the cofactors that reduce a ``RatFunc``.  A primitive PRS is the fallback;
 no computer-algebra system is called.  The ``coeffs`` tuple of ``Fraction``
 is built from this form on first access and cached; equality and hashing
-agree with it.
+read the integer form.
 
-A ``RatFunc`` is a quotient of two such polynomials in one variable.
+A ``RatFunc`` is a quotient of two such polynomials.  Neither names its
+variable: ``str`` writes it as T, the variable of Q(T).
 
 The degree of the zero polynomial is the sentinel -1.
 """
@@ -40,8 +39,8 @@ class DegreeError(ValueError):
 # -- the integer kernel for rational coefficients -----------------------------
 
 
-def qq_from_ints(var: str, num, den: int = 1) -> "UniPoly":
-    """The polynomial sum(num[i] * var^i) / den, for integers num, den != 0."""
+def qq_from_ints(num, den: int = 1) -> "UniPoly":
+    """The polynomial sum(num[i] * T^i) / den, for integers num, den != 0."""
     num = list(num)
     while num and not num[-1]:
         num.pop()
@@ -55,7 +54,7 @@ def qq_from_ints(var: str, num, den: int = 1) -> "UniPoly":
         if g != 1:
             den //= g
             num = [c // g for c in num]
-    return _qq_wrap(var, tuple(num), den)
+    return _qq_wrap(tuple(num), den)
 
 
 def qq_to_ints(p: "UniPoly") -> tuple[tuple[int, ...], int]:
@@ -64,17 +63,16 @@ def qq_to_ints(p: "UniPoly") -> tuple[tuple[int, ...], int]:
     return p._num, p._den
 
 
-def _qq_wrap(var: str, num: tuple, den: int, coeffs=None) -> "UniPoly":
+def _qq_wrap(num: tuple, den: int) -> "UniPoly":
     """A polynomial from an integer form that is already canonical."""
     p = object.__new__(UniPoly)
-    object.__setattr__(p, "var", var)
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
-    object.__setattr__(p, "_coeffs", coeffs)
+    object.__setattr__(p, "_coeffs", None)
     return p
 
 
-def _qq_add(var: str, a, da: int, b, db: int) -> "UniPoly":
+def _qq_add(a, da: int, b, db: int) -> "UniPoly":
     if da != db:
         g = gcd(da, db)
         sa, sb = db // g, da // g
@@ -86,12 +84,12 @@ def _qq_add(var: str, a, da: int, b, db: int) -> "UniPoly":
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return qq_from_ints(var, out, da)
+    return qq_from_ints(out, da)
 
 
-def _qq_mul(var: str, a, da: int, b, db: int) -> "UniPoly":
+def _qq_mul(a, da: int, b, db: int) -> "UniPoly":
     if not a or not b:
-        return _qq_wrap(var, (), 1)
+        return _qq_wrap((), 1)
     if len(a) == 1 < len(b):
         a, da, b, db = b, db, a, da
     if len(b) == 1:
@@ -99,10 +97,10 @@ def _qq_mul(var: str, a, da: int, b, db: int) -> "UniPoly":
         # gcd of da*db and c*a is gcd(da, c) * gcd(db, content a)
         c = b[0]
         if c == 1 and db == 1:
-            return _qq_wrap(var, a, da)
+            return _qq_wrap(a, da)
         g, h = gcd(da, c), gcd(db, *a)
         c //= g
-        return _qq_wrap(var, tuple(x // h * c for x in a), da // g * (db // h))
+        return _qq_wrap(tuple(x // h * c for x in a), da // g * (db // h))
     if a is b and da == db:
         # the square of a canonical form is canonical (Gauss's lemma)
         n = len(a)
@@ -113,16 +111,16 @@ def _qq_mul(var: str, a, da: int, b, db: int) -> "UniPoly":
                 x2 = x << 1
                 for j in range(i + 1, n):
                     out[i + j] += x2 * a[j]
-        return _qq_wrap(var, tuple(out), da * da)
+        return _qq_wrap(tuple(out), da * da)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return qq_from_ints(var, out, da * db)
+    return qq_from_ints(out, da * db)
 
 
-def _qq_divmod(var: str, a, da: int, b, db: int):
+def _qq_divmod(a, da: int, b, db: int):
     """Quotient and remainder of (a/da) by (b/db) over Q.
 
     With b = cb * b' for b' primitive with positive leading coefficient l,
@@ -154,8 +152,8 @@ def _qq_divmod(var: str, a, da: int, b, db: int):
             rem.pop()
     # a/da == (quot * db / (scale * da * cb)) * (b/db) + rem / (scale * da)
     return (
-        qq_from_ints(var, [c * db for c in quot], scale * da * cb),
-        qq_from_ints(var, rem, scale * da),
+        qq_from_ints([c * db for c in quot], scale * da * cb),
+        qq_from_ints(rem, scale * da),
     )
 
 
@@ -169,15 +167,14 @@ class UniPoly:
     docstring); ``coeffs`` is the tuple of ``Fraction``.
     """
 
-    __slots__ = ("var", "_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den", "_coeffs")
 
-    def __init__(self, var: str, coeffs):
+    def __init__(self, coeffs):
         coeffs = [as_fraction(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         coeffs = tuple(coeffs)
         den = lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "var", var)
         object.__setattr__(self, "_num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_coeffs", coeffs)
@@ -193,16 +190,6 @@ class UniPoly:
             c = tuple(Fraction(n, d) for n in self._num)
             object.__setattr__(self, "_coeffs", c)
         return c
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def constant(cls, var: str, value):
-        return cls(var, [value])
-
-    @classmethod
-    def gen(cls, var: str):
-        return cls(var, [0, 1])
 
     # -- basic structure -------------------------------------------------
 
@@ -227,17 +214,13 @@ class UniPoly:
     def __bool__(self):
         return bool(self._num)
 
-    def _check_compat(self, other: "UniPoly"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
     def _coerce_operand(self, other):
         # None makes the operator return NotImplemented, so a RatFunc on the
         # other side gets its reflected operator
         if isinstance(other, UniPoly):
-            return other if other.var == self.var else None
+            return other
         if isinstance(other, (int, Fraction)):
-            return qq_from_ints(self.var, [other.numerator], other.denominator)
+            return qq_from_ints([other.numerator], other.denominator)
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -246,12 +229,12 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return _qq_add(self.var, self._num, self._den, o._num, o._den)
+        return _qq_add(self._num, self._den, o._num, o._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _qq_wrap(self.var, tuple(-c for c in self._num), self._den)
+        return _qq_wrap(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         o = self._coerce_operand(other)
@@ -266,7 +249,7 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return _qq_mul(self.var, self._num, self._den, o._num, o._den)
+        return _qq_mul(self._num, self._den, o._num, o._den)
 
     __rmul__ = __mul__
 
@@ -281,7 +264,7 @@ class UniPoly:
             n >>= 1
             if n:
                 base = base * base
-        return _qq_wrap(self.var, (1,), 1) if out is None else out
+        return _qq_wrap((1,), 1) if out is None else out
 
     def __divmod__(self, other):
         o = self._coerce_operand(other)
@@ -289,7 +272,7 @@ class UniPoly:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        return _qq_divmod(self.var, self._num, self._den, o._num, o._den)
+        return _qq_divmod(self._num, self._den, o._num, o._den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -300,7 +283,7 @@ class UniPoly:
     # -- calculus and evaluation --------------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return qq_from_ints(self.var, [i * c for i, c in enumerate(self._num)][1:], self._den)
+        return qq_from_ints([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def evaluate(self, value) -> Fraction:
         """The value at an int or a Fraction: the first Taylor coefficient
@@ -313,13 +296,13 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self or self.is_monic():
             return self
-        return qq_from_ints(self.var, self._num, self._num[-1])
+        return qq_from_ints(self._num, self._num[-1])
 
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
-            return self.var == other.var and self._num == other._num and self._den == other._den
+            return self._num == other._num and self._den == other._den
         if not self:
             return other == 0
         if self.degree() == 0:
@@ -327,10 +310,10 @@ class UniPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self._num, self._den))
 
     def __repr__(self):
-        return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
+        return f"UniPoly({list(self.coeffs)!r})"
 
     def __str__(self):
         if not self:
@@ -344,7 +327,7 @@ class UniPoly:
             if i == 0:
                 term = cs
             else:
-                xs = self.var if i == 1 else f"{self.var}^{i}"
+                xs = "T" if i == 1 else f"T^{i}"
                 term = xs if cs == "1" else (f"-{xs}" if cs == "-1" else f"{cs}*{xs}")
             parts.append(term)
         out = parts[0]
@@ -410,7 +393,7 @@ def _monic_quo(f: UniPoly, h: UniPoly) -> UniPoly:
     q = _exact_quo(f._num, h._num)
     if q is None:
         raise ArithmeticError("the divisor does not divide")
-    return qq_from_ints(f.var, [c * h._den for c in q], f._den)
+    return qq_from_ints([c * h._den for c in q], f._den)
 
 
 def _primitive(f):
@@ -444,7 +427,7 @@ def _prs_gcd(f, g):
     """The gcd of the primitive f and g, deg f >= deg g, from their
     primitive PRS."""
     while len(g) > 1:
-        r = _qq_divmod("", f, 1, g, 1)[1]._num
+        r = _qq_divmod(f, 1, g, 1)[1]._num
         if not r:
             return list(g) if g[-1] > 0 else [-c for c in g]
         f, g = g, _primitive(r)
@@ -480,13 +463,12 @@ def _int_gcd(f, g):
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd: the integer gcd of the numerator forms, made monic."""
-    f._check_compat(g)
     if not f:
         return g.monic()
     if not g:
         return f.monic()
     h, _, _ = _int_gcd(f._num, g._num)
-    return qq_from_ints(f.var, h, h[-1])
+    return qq_from_ints(h, h[-1])
 
 
 def _cofactors(f: UniPoly, g: UniPoly):
@@ -496,12 +478,12 @@ def _cofactors(f: UniPoly, g: UniPoly):
     check; h is the integer gcd, not made monic.
     """
     if f.degree() == 0 or g.degree() == 0:
-        return _qq_wrap(f.var, (1,), 1), f, g
+        return _qq_wrap((1,), 1), f, g
     h, cff, cfg = _int_gcd(f._num, g._num)
     return (
-        qq_from_ints(f.var, h),
-        qq_from_ints(f.var, cff, f._den),
-        qq_from_ints(f.var, cfg, g._den),
+        qq_from_ints(h),
+        qq_from_ints(cff, f._den),
+        qq_from_ints(cfg, g._den),
     )
 
 
@@ -512,7 +494,7 @@ def _reduced(num: UniPoly, den: UniPoly) -> "RatFunc":
     """The RatFunc num/den for coprime num and nonzero den, with den made
     monic; no gcd is taken."""
     if not num:
-        den = _qq_wrap(num.var, (1,), 1)
+        den = _qq_wrap((1,), 1)
     elif not den.is_monic():
         num, den = num * (1 / den.lc()), den.monic()
     f = object.__new__(RatFunc)
@@ -543,8 +525,7 @@ class RatFunc:
         if not isinstance(num, UniPoly) or not isinstance(den, (UniPoly, type(None))):
             raise TypeError("a RatFunc is a quotient of two UniPolys")
         if den is None:
-            den = _qq_wrap(num.var, (1,), 1)
-        num._check_compat(den)
+            den = _qq_wrap((1,), 1)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if num:
@@ -556,24 +537,16 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def constant(cls, var: str, value):
-        return cls(UniPoly.constant(var, value))
-
-    @property
-    def var(self):
-        return self.num.var
-
     def __bool__(self):
         return bool(self.num)
 
     def _coerce_operand(self, other):
         if isinstance(other, RatFunc):
-            return other if other.var == self.var else None
+            return other
         if isinstance(other, UniPoly):
-            return RatFunc(other) if other.var == self.var else None
+            return RatFunc(other)
         try:
-            return RatFunc.constant(self.var, other)
+            return RatFunc(UniPoly([other]))
         except TypeError:
             return None
 
@@ -631,11 +604,7 @@ class RatFunc:
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            return (
-                self.var == other.var
-                and self.num == other.num
-                and self.den == other.den
-            )
+            return self.num == other.num and self.den == other.den
         if self.den.degree() == 0:
             return self.num == other
         return NotImplemented

@@ -72,8 +72,11 @@ class FamilyMember(NamedTuple):
     t: Fraction
     curve: WeierstrassCurve
     marked_point: CurvePoint
-    in_u: bool
     failure_reason: Optional[MembershipFailure] = None
+
+    @property
+    def in_u(self) -> bool:
+        return self.failure_reason is None
 
 
 def make_member(s, t) -> FamilyMember:
@@ -87,10 +90,10 @@ def make_member(s, t) -> FamilyMember:
     if not curve.contains(point):
         raise ArithmeticError("marked point fell off the curve; construction bug")
     if discriminant_formula(s, t) == 0:
-        return FamilyMember(s, t, curve, point, False, MembershipFailure.ZERO_DISCRIMINANT)
+        return FamilyMember(s, t, curve, point, MembershipFailure.ZERO_DISCRIMINANT)
     if is_torsion_overQ(curve, point):
-        return FamilyMember(s, t, curve, point, False, MembershipFailure.TORSION_MARKED_POINT)
-    return FamilyMember(s, t, curve, point, True)
+        return FamilyMember(s, t, curve, point, MembershipFailure.TORSION_MARKED_POINT)
+    return FamilyMember(s, t, curve, point)
 
 
 def verify_member_identity(m: FamilyMember) -> bool:
@@ -141,4 +144,4 @@ def pair_hypothesis(
 
 def functionfield_coefficients(s) -> tuple[UniPoly, UniPoly]:
     """(a(T), b(T)) over Q for a fixed rational s."""
-    return family_coefficients(Fraction(s), UniPoly.gen("T"))
+    return family_coefficients(Fraction(s), UniPoly([0, 1]))

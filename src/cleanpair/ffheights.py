@@ -104,11 +104,9 @@ class ReductionProfile(NamedTuple):
 class FunctionFieldCurve:
     """y^2 = x^3 + a(T) x + b(T), one model in the T chart.  a and b are in
     Q[T] with deg a <= 4 and deg b <= 6, so the model is integral at every
-    finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U).
-    Its variable is a's; a b in another variable raises TypeError when
-    Delta is formed."""
+    finite place, and at infinity after (x, y, T) = (x'/U^2, y'/U^3, 1/U)."""
 
-    __slots__ = ("var", "a", "b", "_delta", "_profiles")
+    __slots__ = ("a", "b", "_delta", "_profiles")
 
     def __init__(self, a: UniPoly, b: UniPoly):
         if not all(isinstance(c, UniPoly) for c in (a, b)):
@@ -117,7 +115,6 @@ class FunctionFieldCurve:
             raise ValueError(
                 "no integral model at infinity: need deg a <= 4 and deg b <= 6"
             )
-        object.__setattr__(self, "var", a.var)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_delta", -16 * (4 * a * a * a + 27 * b * b))
@@ -147,7 +144,7 @@ def family_functionfield_curve(s) -> tuple[FunctionFieldCurve, CurvePoint]:
     if s == 0:
         raise DegenerateS("s = 0 gives a vanishing discriminant")
     curve = FunctionFieldCurve(*functionfield_coefficients(s))
-    x, y = marked_point_coords(s, UniPoly.gen(curve.var))
+    x, y = marked_point_coords(s, UniPoly([0, 1]))
     return curve, CurvePoint.affine(RatFunc(x), RatFunc(y))
 
 
@@ -162,7 +159,7 @@ def second_section(E: FunctionFieldCurve, s) -> tuple[FunctionFieldCurve, CurveP
     (Silverman, AEC X.2), so h(Q') = h(Q).  The twist has Delta scaled by
     s^6 and c4 by s^2, so it keeps E's reduction profiles."""
     s = Fraction(s)
-    t = UniPoly.gen(E.var)
+    t = UniPoly([0, 1])
     w = 1 - s - 3 * t
     r = sqrt_rational(s)
     if r is not None:
@@ -213,7 +210,7 @@ def _place_profiles(E: FunctionFieldCurve) -> tuple[ReductionProfile, ...]:
         finite = [(Place.finite(q), m) for q, m in parts]
         profiles = (
             *(_classify(m, _val_c4(E, place), place) for place, m in finite),
-            reduction_at(E, Place.infinity(E.var)),
+            reduction_at(E, Place.infinity()),
         )
         object.__setattr__(E, "_profiles", profiles)
     return profiles

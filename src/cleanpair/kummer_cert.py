@@ -77,8 +77,6 @@ from cleanpair.family import (
 
 CERTIFICATE_FORMAT = "cleanpair.certificate/1"
 
-_LVAR = "L"  # slope parameter of the lines through the node
-
 
 class TwoTorsionError(ValueError):
     """A source point has y = 0, so the ratio y1/y2 is degenerate."""
@@ -198,14 +196,14 @@ class CleanPairCertificate(NamedTuple):
 
 def _fiber_poly(E1: WeierstrassCurve, E2: WeierstrassCurve, r: Fraction) -> tuple[UniPoly, ...]:
     """F = f(x1) - r^2 g(x2) as its coefficients in x1, polynomials in x2."""
-    F = [UniPoly.constant("x2", c) for c in E1.rhs_poly().coeffs]
-    F[0] = F[0] - r * r * E2.rhs_poly("x2")
+    F = [UniPoly([c]) for c in E1.rhs_poly().coeffs]
+    F[0] = F[0] - r * r * E2.rhs_poly()
     return tuple(F)
 
 
 def _numerators(node: NodeData, q2: UniPoly, q3: UniPoly) -> tuple[UniPoly, UniPoly]:
     """N1 and N2 with x1 = N1/Q3 and x2 = N2/Q3 on the line of slope L."""
-    return node.t1 * q3 - UniPoly.gen(_LVAR) * q2, node.t2 * q3 - q2
+    return node.t1 * q3 - UniPoly([0, 1]) * q2, node.t2 * q3 - q2
 
 
 def _on_fiber(fiber: PencilFiber, n1: UniPoly, n2: UniPoly, q3: UniPoly) -> bool:
@@ -269,8 +267,8 @@ def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
             "a line through the node is a component of the fiber; "
             "no nodal parametrization exists"
         )
-    q2 = UniPoly(_LVAR, [-3 * r2 * node.t2, 0, 3 * node.t1])
-    q3 = UniPoly(_LVAR, [-r2, 0, 0, 1])
+    q2 = UniPoly([-3 * r2 * node.t2, 0, 3 * node.t1])
+    q3 = UniPoly([-r2, 0, 0, 1])
     n1, n2 = _numerators(node, q2, q3)
     if not _on_fiber(fiber, n1, n2, q3):
         raise ArithmeticError("parametrization does not satisfy F = 0")
@@ -283,11 +281,11 @@ def _witness_parts(q3: UniPoly, lam_p: Fraction) -> tuple[int, UniPoly, UniPoly]
     """Numerator and denominator of h.  A rational root of Q3 allows a
     degree-1 witness; otherwise the whole monic Q3 is the pole divisor and
     the zero is tripled to balance."""
-    lin = UniPoly(_LVAR, [-lam_p, 1])
+    lin = UniPoly([-lam_p, 1])
     roots = rational_roots(q3)
     if roots:
         rho = roots[0][0]
-        return 1, lin, UniPoly(_LVAR, [-rho, 1])
+        return 1, lin, UniPoly([-rho, 1])
     return 3, lin**3, q3.monic()
 
 
@@ -456,17 +454,17 @@ def _shared(scope, key, make, *args):
     return table[key]
 
 
-def _polynomial(var: str):
+def _polynomial():
     """Coefficient strings, lowest degree first, read straight into the
     integer form, once for each distinct array in one load."""
     dump, load = _array((rational_to_str, lambda data, _: parse_ratio(data)))
     def load_poly(data, scope):
         pairs = load(data, scope)
         den = lcm(*(d for _, d in pairs))
-        return qq_from_ints(var, [n * (den // d) for n, d in pairs], den)
+        return qq_from_ints([n * (den // d) for n, d in pairs], den)
     def load_shared(data, scope):
         if type(data) is list and all(type(x) is str for x in data):
-            return _shared(scope, (var, *data), load_poly, data, scope)
+            return _shared(scope, tuple(data), load_poly, data, scope)
         return load_poly(data, scope)  # no array of strings: fails as it would alone
     return (lambda p: dump(p.coeffs)), load_shared
 
@@ -475,16 +473,16 @@ _ANY = (lambda value: value), (lambda data, _: data)
 _RATIONAL = rational_to_str, (lambda data, _: parse_rational(data))
 _INTEGER = _plain(lambda v: type(v) is int, "an integer")
 _BOOLEAN = _plain(lambda v: type(v) is bool, "true or false")
-_POLY_L = _polynomial(_LVAR)
-_RATFUNC_L = _record(  # the table keeps both polynomials, so their ids are keys
+_POLY = _polynomial()
+_RATFUNC = _record(  # the table keeps both polynomials, so their ids are keys
     lambda v, scope: _shared(scope, (id(v["num"]), id(v["den"])), RatFunc, v["num"], v["den"]),
-    ("num", "num", _POLY_L), ("den", "den", _POLY_L))
+    ("num", "num", _POLY), ("den", "den", _POLY))
 _FIBER = _record(
     lambda v, cert: CertifiedFiber(
         PencilFiber(v["r"], v["F"], (cert["pair"].left.curve, cert["pair"].right.curve)),
         v["parametrization"], v["witness"]),
     ("r", "fiber.r", _RATIONAL),
-    ("F", "fiber.F", _array(_polynomial("x2"))),
+    ("F", "fiber.F", _array(_POLY)),
     ("node", "parametrization.node", _record(
         lambda v, _: NodeData(v["t1"], v["t2"], v["hessian"]),
         ("t1", "t1", _RATIONAL), ("t2", "t2", _RATIONAL), ("hessian", "hessian_det", _RATIONAL),
@@ -492,17 +490,17 @@ _FIBER = _record(
     ("parametrization", "parametrization", _record(
         lambda v, fiber: NodalParametrization(
             v["tau"], v["x1"], v["x2"], v["Q2"], v["Q3"], fiber["node"]),
-        ("Q2", "node_branch_poly", _POLY_L), ("Q3", "infinity_branch_poly", _POLY_L),
-        ("tau", "tau", _RATFUNC_L), ("x1", "x1_of", _RATFUNC_L), ("x2", "x2_of", _RATFUNC_L))),
+        ("Q2", "node_branch_poly", _POLY), ("Q3", "infinity_branch_poly", _POLY),
+        ("tau", "tau", _RATFUNC), ("x1", "x1_of", _RATFUNC), ("x2", "x2_of", _RATFUNC))),
     ("witness", "witness", _record(
         lambda v, _: DivisorWitness(v["h"], v["lambda_P"], v["multiplier"]),
         ("lambda_P", "lambda_p", _RATIONAL), ("multiplier", "multiplier", _INTEGER),
-        ("h", "h", _RATFUNC_L))),
+        ("h", "h", _RATFUNC))),
 )
 _MEMBER = _record(
     lambda v, pair: FamilyMember(
         pair["s"], v["t"], WeierstrassCurve.possibly_singular(v["a"], v["b"]),
-        CurvePoint.affine(*v["point"]), True),
+        CurvePoint.affine(*v["point"])),
     ("t", "t", _RATIONAL), ("a", "curve.a", _RATIONAL), ("b", "curve.b", _RATIONAL),
     ("point", "marked_point.x marked_point.y", _array(_RATIONAL, 2)),
 )
@@ -659,7 +657,7 @@ def _check_witness(cf: CertifiedFiber, target) -> list[str]:
         poles_ok = hd == q3.monic() and not rational_roots(q3)
     else:
         return ["DivisorMismatch"]
-    if not poles_ok or wit.h.num != UniPoly(_LVAR, [-lam_p, 1]) ** m:
+    if not poles_ok or wit.h.num != UniPoly([-lam_p, 1]) ** m:
         return ["DivisorMismatch"]
     return []
 

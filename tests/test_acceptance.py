@@ -115,7 +115,7 @@ def test_criterion_3_heights_and_generic_rank():
     for s, want_rank in [(F(2), 1), (F(4), 2), (F(9, 4), 2)]:
         E, P = family_functionfield_curve(s)
         rep = canonical_height(E, P)
-        linear = Place.linear("T", (1 - s) / 3)  # the zero of 1 - s - 3T
+        linear = Place.linear((1 - s) / 3)  # the zero of 1 - s - 3T
         finite = [e.place for e in rep.entries if not e.place.is_infinity]
         if linear not in finite:
             problems.append(f"s={s}: missing place {linear}")
@@ -315,8 +315,8 @@ def test_criterion_7_property_suites():
     # valuation product and degree formulas on 200 random functions
     def rand_ratfunc():
         while True:
-            num = UniPoly("T", [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
-            den = UniPoly("T", [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
+            num = UniPoly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
+            den = UniPoly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
             if num and den:
                 return RatFunc(num, den)
 

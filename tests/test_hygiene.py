@@ -213,7 +213,7 @@ def test_proof_commands_never_load_sympy(tmp_path):
 
 _FACTOR_PROBE = _NO_SYMPY + """
 from cleanpair.exactmath import UniPoly, factor_rational_poly
-T = UniPoly.gen("T")
+T = UniPoly([0, 1])
 try:
     factor_rational_poly(T**4 + 1)
 except ImportError as exc:
@@ -232,8 +232,8 @@ def test_factoring_past_degree_three_names_sympy_when_it_is_missing():
 _PLACES_PROBE = """
 import sys
 from cleanpair.exactmath import Place, UniPoly
-T = UniPoly.gen("T")
-Place.linear("T", 3), Place.finite(T**2 + 1), Place.finite(T**3 - 2)
+T = UniPoly([0, 1])
+Place.linear(3), Place.finite(T**2 + 1), Place.finite(T**3 - 2)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
 """
 
@@ -246,19 +246,22 @@ def test_places_of_degree_at_most_three_load_no_sympy():
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
-# Distinct package source lines that `verify` runs on the pinned fixture.
-# A change may lower the bound; one that raises it says so in CHANGES.md.
-VERIFY_LINES_BOUND = 439
+# Distinct package source lines that the load and the verification of the
+# pinned fixture run.  A change may lower the bound; one that raises it says
+# so in CHANGES.md.
+VERIFY_LINES_BOUND = 383
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="line numbers of multi-line expressions differ between CPython versions")
 def test_verify_runs_few_lines_of_the_package():
     # a gauge of the verifier's size: every (file, line) of the package that
-    # `verify` executes, with kummer_cert already imported so its module body
-    # is not counted
-    import cleanpair.kummer_cert  # noqa: F401
+    # certificate_loads and verify_certificate execute on the fixture, with
+    # kummer_cert already imported so its module body is not counted, and
+    # without the command line around them
+    from cleanpair.kummer_cert import certificate_loads, verify_certificate
 
+    text = CERT_V1.read_text(encoding="utf-8")
     package = str(PACKAGE_DIR)
     lines, codes = set(), set()
 
@@ -273,20 +276,18 @@ def test_verify_runs_few_lines_of_the_package():
         codes.add(frame.f_code)
         return local
 
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        sys.settrace(trace)
-        try:
-            code = cli.main(["verify", str(CERT_V1)])
-        finally:
-            sys.settrace(None)
-    assert (code, stdout.getvalue()) == (0, "OK\n")
+    sys.settrace(trace)
+    try:
+        result = verify_certificate(certificate_loads(text))
+    finally:
+        sys.settrace(None)
+    assert result == (True, ())
     assert len(codes) > 100 and len(lines) <= VERIFY_LINES_BOUND, (len(lines), len(codes))
 
 
 # Lines of src/**/*.py, as wc -l counts them.  A change may lower the bound;
 # one that raises it says so in CHANGES.md.
-SRC_LINES_BOUND = 3784
+SRC_LINES_BOUND = 3748
 
 
 def test_src_stays_within_its_line_bound():
@@ -371,7 +372,7 @@ print(json.dumps([sorted(entered), sorted(ran)]))
 
 # Function-body lines of the package that the corpus never runs.  A change
 # may lower the bound; one that raises it says so in CHANGES.md.
-UNRUN_LINES_BOUND = 306
+UNRUN_LINES_BOUND = 303
 
 
 def _body_lines(path: Path) -> set[int]:
