@@ -6,11 +6,11 @@ a and b in Q[T].  The group law, add and scalar_mul, takes either.  Torsion
 testing, the Lutz-Nagell enumeration and the normalization into the family
 are for curves over Q.
 
-On a curve over Q(T), a and b in Q[T], a reduced point is
-(u/w^2, v/w^3) with w monic, as the equation makes y's pole order 3/2 of
-x's.  The points with a pole at a place, with O, form a subgroup E1
-(Silverman, AEC VII.2), so where only one summand has a pole the sum has
-none, and the gcd that reduces the slope fixes the sum's denominators.
+On a curve over Q(T), a and b in Q[T], a reduced point is (u/w^2, v/w^3)
+with w monic, as the equation makes y's pole order 3/2 of x's.  The points
+with a pole at a place, with O, form a subgroup E1 (Silverman, AEC VII.2),
+so where just one summand has a pole the sum has none, and a chord reads its
+sum from the slope's gcd g and one small exact quotient by g (_integral_sum).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from cleanpair.exactmath import RatFunc, UniPoly, as_fraction, rational_roots
-from cleanpair.exactmath.poly import _cofactors, _monic_quo, _reduced
+from cleanpair.exactmath.poly import _cofactors, _quotient, _reduced
 
 
 class SingularCurveError(ValueError):
@@ -151,10 +151,8 @@ def add(E, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     tangent = x1 == x2
     if tangent and y1 == -y2:
         return O
-    if isinstance(a, UniPoly):
-        S = _integral_sum(a, P, Q, tangent)
-        if S is not None:
-            return S
+    if isinstance(a, UniPoly) and (S := _integral_sum(a, P, Q, tangent)) is not None:
+        return S
     if tangent:
         lam = (3 * x1**2 + a) / (2 * y1)
         x3 = lam**2 - 2 * x1
@@ -167,8 +165,7 @@ def add(E, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
 def scalar_mul(E, n: int, P: CurvePoint) -> CurvePoint:
     if n < 0:
         return scalar_mul(E, -n, -P)
-    acc = O
-    base = P
+    acc, base = O, P
     while n:
         if n & 1:
             acc = add(E, acc, base)
@@ -180,21 +177,22 @@ def scalar_mul(E, n: int, P: CurvePoint) -> CurvePoint:
 
 def _integral_sum(a: UniPoly, P: CurvePoint, Q: CurvePoint, tangent: bool):
     """P + Q != O on y^2 = x^3 + ax + b with a, b in Q[T] (P == Q when
-    tangent), or None where add takes the generic route; x = u/d and
-    y = v/e with d = w^2, e = w^3.
+    tangent), or None where add takes the generic route; x = u/d, y = v/e,
+    d = w^2, e = w^3, and M = 3u1^2 + a d1^2, which is 3u1^2 mod w1.
 
-    Tangent: M = 3u^2 + a d^2 is 3u^2 mod w, so with M = g M', v = g v' the
-    slope M'/(2 v' w), x3 = X/(4 v'^2 d) and y3 = Y/(8 v'^3 e) are reduced.
-    Chord, w1 of lower degree and prime to w2: R = v2 e1 - v1 e2 = g R' and
-    H = u2 d1 - u1 d2 = g H' give the slope R'/(H' w1 w2).  The sum is not in
-    E1 where just one of P, Q is, so w1 w2 divides out exactly (in y3 first
-    w2, then e1), leaving x3 = u3/H'^2 and y3 = v3/H'^3 reduced.
+    Tangent: M = g M' and v1 = g v' give the reduced x3 = X/(4 v'^2 d1) and
+    y3 = Y/(8 v'^3 e1).  Chord, w1 prime to w2 and of lower degree: the sum
+    has no pole at w1 w2 (E1), so R = v2 e1 - v1 e2 = g R', H = u2 d1 - u1 d2
+    = g H' (g prime to w2: H = u2 d1 mod w2) give it reduced: u3/H'^2, v3/H'^3.
+    The curve and x3 (x1 - x2)^2 = (x1 + x2)(x1 x2 + a) + 2b - 2 y1 y2 give
+    2 v1 R - M w2 H = g^2 C and x1 - x3 = w2 C/(d1 H'^2), so each is exact:
+    C = (2 v1 R' - M w2 H')/g, u3 = (u1 H'^2 - w2 C)/d1, v3 = (R' C - v1 H'^3)/e1.
     """
     if P.x.den.degree() > Q.x.den.degree():
         P, Q = Q, P
     (u1, d1), (v1, e1) = (P.x.num, P.x.den), (P.y.num, P.y.den)
+    M = 3 * (u1 * u1) + a * (d1 * d1)
     if tangent:
-        M = 3 * (u1 * u1) + a * (d1 * d1)
         if not M:
             return None
         _, M, v = _cofactors(M, v1)
@@ -205,15 +203,16 @@ def _integral_sum(a: UniPoly, P: CurvePoint, Q: CurvePoint, tangent: bool):
         Y = M * (4 * uvv - X) - 8 * v1 * vvv
         return CurvePoint(_reduced(X, 4 * vv * d1), _reduced(Y, 8 * vvv * e1))
     (u2, d2), (v2, e2) = (Q.x.num, Q.x.den), (Q.y.num, Q.y.den)
-    w2 = _monic_quo(e2, d2)
+    w2 = _quotient(e2, d2)
     R = v2 * e1 - v1 * e2
-    if not R or _cofactors(_monic_quo(e1, d1), w2)[0].degree():
+    if not R or _cofactors(_quotient(e1, d1), w2)[0].degree():
         return None
-    _, R, H = _cofactors(R, u2 * d1 - u1 * d2)
+    g, R, H = _cofactors(R, u2 * d1 - u1 * d2)
     H2 = H * H
     H3 = H2 * H
-    u3 = _monic_quo(R * R - (u1 * d2 + u2 * d1) * H2, d1 * d2)
-    v3 = _monic_quo(_monic_quo(R * (u1 * H2 - u3 * d1), w2) - v1 * H3, e1)
+    C = _quotient(2 * v1 * R - M * (w2 * H), g)
+    u3 = _quotient(u1 * H2 - w2 * C, d1)
+    v3 = _quotient(R * C - v1 * H3, e1)
     return CurvePoint(_reduced(u3, H2), _reduced(v3, H3))
 
 

@@ -95,11 +95,8 @@ def _qq_mul(a, da: int, b, db: int) -> "UniPoly":
     if len(b) == 1:
         # (a/da) * (c/db): with gcd(da, content a) = gcd(db, c) = 1, the
         # gcd of da*db and c*a is gcd(da, c) * gcd(db, content a)
-        c = b[0]
-        if c == 1 and db == 1:
-            return _qq_wrap(a, da)
-        g, h = gcd(da, c), gcd(db, *a)
-        c //= g
+        g, h = gcd(da, b[0]), gcd(db, *a)
+        c = b[0] // g
         return _qq_wrap(tuple(x // h * c for x in a), da // g * (db // h))
     if a is b and da == db:
         # the square of a canonical form is canonical (Gauss's lemma)
@@ -249,6 +246,10 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        if o._num == (1,) and o._den == 1:  # a product by 1 is the other factor
+            return self
+        if self._num == (1,) and self._den == 1:
+            return o
         return _qq_mul(self._num, self._den, o._num, o._den)
 
     __rmul__ = __mul__
@@ -309,8 +310,8 @@ class UniPoly:
             return self.coeff(0) == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self._num, self._den))
+    def __hash__(self):  # a constant hashes as the number it equals
+        return hash((self._num, self._den) if len(self._num) > 1 else Fraction(sum(self._num), self._den))
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
@@ -385,15 +386,15 @@ def _exact_quo(f, h):
     return None if any(rem) else quot[::-1]
 
 
-def _monic_quo(f: UniPoly, h: UniPoly) -> UniPoly:
-    """f / h for a monic h that divides f.  The integer numerator of a monic
-    polynomial is primitive, so _exact_quo divides the integer forms."""
-    if not h.degree():
+def _quotient(f: UniPoly, h: UniPoly) -> UniPoly:
+    """f / h for a nonzero h that divides f: f's integer form by h's primitive part."""
+    if h._den == 1 and h._num == (1,):
         return f
-    q = _exact_quo(f._num, h._num)
+    c = gcd(*h._num)
+    q = _exact_quo(f._num, [x // c for x in h._num] if c != 1 else h._num)
     if q is None:
         raise ArithmeticError("the divisor does not divide")
-    return qq_from_ints([c * h._den for c in q], f._den)
+    return qq_from_ints([x * h._den for x in q], f._den * c)
 
 
 def _primitive(f):

@@ -35,7 +35,7 @@ from cleanpair.ec_core import (
     torsion_points_overQ,
 )
 from cleanpair.exactmath import Place, RatFunc, UniPoly, sqrt_rational
-from cleanpair.ffheights import FunctionFieldCurve, family_functionfield_curve
+from cleanpair.ffheights import FunctionFieldCurve, family_functionfield_curve, second_section
 from cleanpair.search import _torsion_tables, enumerate_s1
 
 E11 = WeierstrassCurve(-3, 11)
@@ -197,6 +197,34 @@ def test_ladder_takes_no_gcd_a_reduced_fraction_cannot_have(monkeypatch):
     assert len(calls) == 3
 
 
+# The work of the s = 2 ladder 2P, ..., 9P, in coefficient products: the sum
+# of len(a) len(b) over the integer products and of len(q) len(h) over the
+# exact quotients.  It read 15,250 and 8,009 when the chord squared its slope
+# numerator and divided products of degree ~70 and ~115 by d1 d2 and by w2.
+LADDER_PRODUCT_WORK = 9459
+LADDER_QUOTIENT_WORK = 3540
+
+
+def test_ladder_work_stays_within_its_gauge(monkeypatch):
+    work = {"product": 0, "quotient": 0}
+    qq_mul, exact_quo = poly_module._qq_mul, poly_module._exact_quo
+
+    def counting_mul(a, da, b, db):
+        work["product"] += len(a) * len(b)
+        return qq_mul(a, da, b, db)
+
+    def counting_quo(f, h):
+        q = exact_quo(f, h)
+        work["quotient"] += len(q or ()) * len(h)
+        return q
+
+    monkeypatch.setattr(poly_module, "_qq_mul", counting_mul)
+    monkeypatch.setattr(poly_module, "_exact_quo", counting_quo)
+    ladder_at_s2()
+    assert work["product"] <= LADDER_PRODUCT_WORK, work
+    assert work["quotient"] <= LADDER_QUOTIENT_WORK, work
+
+
 def generic_add(E, P, Q):
     """The chord and tangent written with RatFunc operators alone."""
     if P.x == Q.x:
@@ -227,6 +255,33 @@ def test_integral_route_equals_the_generic_chord_and_tangent(s):
             if i == j:
                 break  # a doubling, and m[i] + (-m[i]) = O below
     assert add(E, m[5], -m[5]) == O
+
+
+@pytest.mark.parametrize("s", [4, 9, F(1, 4), F(9, 4)])
+def test_the_chord_of_the_two_sections_divides_by_a_slope_gcd_of_any_content(s, monkeypatch):
+    divisors = []
+    quotient = ec_core._quotient
+
+    def recording_quotient(f, h):
+        divisors.append(h)
+        return quotient(f, h)
+
+    monkeypatch.setattr(ec_core, "_quotient", recording_quotient)
+    E, P = family_functionfield_curve(s)
+    E_q, Q = second_section(E, s)
+    assert E_q is E
+    m = {1: P, 2: add(E, P, P), 3: scalar_mul(E, 3, P)}
+    for n, k in ((1, 1), (1, 2), (2, 1), (3, 2)):
+        kQ = scalar_mul(E, k, Q)
+        for R in (kQ, -kQ):
+            expected = generic_add(E, m[n], R)
+            assert add(E, m[n], R) == expected == add(E, R, m[n]), (s, n, k)
+            assert on_curve(E, expected)
+    # the gcd that reduces the slope of P + Q need not be monic or primitive
+    T = UniPoly([0, 1])
+    gcds = {4: 3 * T + 3, F(1, 4): 12 * T - 3}
+    if s in gcds:
+        assert gcds[s] in divisors
 
 
 def test_group_law_edge_cases_over_function_field():

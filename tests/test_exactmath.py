@@ -43,6 +43,7 @@ from cleanpair.exactmath.poly import (
     _int_gcd,
     _primitive,
     _prs_gcd,
+    _quotient,
     qq_from_ints,
     qq_to_ints,
     taylor_numerators,
@@ -807,6 +808,15 @@ def test_rational_kernel_equality_and_hash_follow_the_coefficients():
     assert UniPoly([F(2, 4), 0]) == UniPoly([F(1, 2)]) == F(1, 2)
 
 
+def test_a_constant_polynomial_hashes_as_the_number_it_equals():
+    for c in (0, 1, -3, F(1, 2)):
+        p = UniPoly([c])
+        assert p == c and hash(p) == hash(c), c
+        assert len({p, c}) == 1 and {c: "c"}[p] == "c", c
+    # a nonconstant polynomial keeps the hash of its integer form
+    assert hash(3 * T + F(1, 2)) == hash(((1, 6), 2))
+
+
 def test_scalar_operands_equal_the_constant_polynomial():
     p = F(3, 7) * T**3 - 2 * T + F(1, 5)
     for k in (3, -16, 0, F(-9, 4), F(0), True):
@@ -926,3 +936,26 @@ def test_exact_quotient_matches_pseudo_division():
                 outcomes.add(quo is None)
             assert _exact_quo(f, h) == q
     assert _exact_quo([], [3, 2]) == [] and outcomes == {True, False}
+
+
+def test_the_exact_quotient_takes_any_nonzero_divisor():
+    f = 3 * T**2 + 6 * T + 3
+    # a divisor with an integer content: (3T + 3)(T + 1)
+    assert _quotient(f, 3 * T + 3) == T + 1
+    assert _quotient(f, -3 * T - 3) == -T - 1
+    assert _quotient(f * F(1, 7), F(3, 2) * T + F(3, 2)) == F(2, 7) * T + F(2, 7)
+    # a non-unit constant divisor
+    assert _quotient(f, UniPoly([F(3, 2)])) == 2 * T**2 + 4 * T + 2
+    assert _quotient(f, UniPoly([-6])) == f * F(-1, 6)
+    # the divisor 1 returns its argument
+    one = UniPoly([1])
+    assert _quotient(f, one) is f and _quotient(UniPoly([]), one) == 0
+    # a divisor that does not divide
+    for h in (T + 2, 2 * T**2 + 1, T**3):
+        with pytest.raises(ArithmeticError, match="^the divisor does not divide$"):
+            _quotient(f, h)
+    rng = random.Random(4541)
+    for _ in range(40):
+        h, q = rand_poly(rng, rng.randint(0, 5)), rand_poly(rng, rng.randint(0, 6))
+        if h:
+            assert _quotient(h * q, h) == q
