@@ -36,17 +36,19 @@ def as_fraction(value) -> Fraction:
 
 
 def rational_to_str(x: Fraction) -> str:
-    """Serialize as the canonical "num/den" string (den always present), at
-    any size.  CPython refuses to turn an int of more than 4,300 digits into
-    a string (sys.get_int_max_str_digits); that limit guards what is read,
-    and decimal's conversion, exact at any size, prints what is computed."""
-    x = as_fraction(x)
+    """The canonical "num/den" string of x (den always present), at any size."""
+    return ratio_to_str(*as_fraction(x).as_integer_ratio())
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """The string num/den, at any size: CPython's limit on int-to-str, 4,300
+    digits, guards what is read, and decimal's exact conversion goes past it."""
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{num}/{den}"
     except ValueError:
         from decimal import Decimal
 
-        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+        return f"{Decimal(num)}/{Decimal(den)}"
 
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

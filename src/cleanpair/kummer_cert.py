@@ -38,23 +38,22 @@ Serialization: one self-contained JSON document per certificate, with
 rationals as "num/den" strings and polynomials as coefficient arrays,
 lowest degree first.  F is an array of arrays (outer index the x1-degree,
 inner arrays coefficients in x2).  The layout is declared once, in one
-table that both the dump and the load walk, and a load error is a
-ValueError whose message leads with the JSON pointer of the field at
-fault, as in "/fiber_plus/node/t2: missing".  The format tag, each node's
-kind ("Node") and the preimage sign table are the same in every
-certificate: they are constants of the format, checked where they are
-read, so a document that differs there does not load.  A load builds each
-distinct polynomial and rational function once, so the -r fiber shares the
-+r fiber's objects.
+table that both the dump and the load walk; the dump writes the indented,
+key-sorted text itself.  A load error is a ValueError whose message leads
+with the JSON pointer of the field at fault, as in "/fiber_plus/node/t2:
+missing".  The format tag, each node's kind ("Node") and the preimage sign
+table are the same in every certificate: they are constants of the
+format, checked where they are read, so a document that differs there
+does not load.  A load builds each distinct polynomial and rational
+function once, so the -r fiber shares the +r fiber's objects.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter
+from math import gcd, lcm
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from cleanpair.ec_core import CurvePoint, WeierstrassCurve, is_torsion_overQ
@@ -63,10 +62,9 @@ from cleanpair.exactmath import (
     UniPoly,
     parse_rational,
     rational_roots,
-    rational_to_str,
 )
-from cleanpair.exactmath.poly import qq_from_ints
-from cleanpair.exactmath.scalars import parse_ratio, short_repr
+from cleanpair.exactmath.poly import _reduced, qq_from_ints, qq_to_ints
+from cleanpair.exactmath.scalars import parse_ratio, ratio_to_str, short_repr
 from cleanpair.family import (
     FamilyMember,
     PairHypothesis,
@@ -260,7 +258,9 @@ def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
     (the u^2 and u^3 terms of f(t1 + u) and of -r^2 g(t2 + u)); the lower
     ones vanish at a singular point.  With t1 t2 != 0, a common root of Q2
     and Q3 is L = L^3/L^2 = t1/t2, so they are coprime unless t1^3 = r^2
-    t2^3 (ReducibleFiber).  Checks the on-fiber identity."""
+    t2^3 (ReducibleFiber).  Then tau, x1 and x2 are reduced as built, with
+    no gcd: gcd(N1, Q3) = gcd(L Q2, Q3) = 1 as Q3(0) = -r^2 != 0, and
+    gcd(N2, Q3) = gcd(Q2, Q3) = 1.  Checks the on-fiber identity."""
     r2 = fiber.r * fiber.r
     if node.t1**3 == r2 * node.t2**3:
         raise ReducibleFiber(
@@ -273,7 +273,7 @@ def parametrize(fiber: PencilFiber, node: NodeData) -> NodalParametrization:
     if not _on_fiber(fiber, n1, n2, q3):
         raise ArithmeticError("parametrization does not satisfy F = 0")
     return NodalParametrization(
-        RatFunc(-q2, q3), RatFunc(n1, q3), RatFunc(n2, q3), q2, q3, node
+        _reduced(-q2, q3), _reduced(n1, q3), _reduced(n2, q3), q2, q3, node
     )
 
 
@@ -291,7 +291,8 @@ def _witness_parts(q3: UniPoly, lam_p: Fraction) -> tuple[int, UniPoly, UniPoly]
 
 def divisor_witness(par: NodalParametrization, target) -> DivisorWitness:
     """A rational function on the parameter line whose divisor is
-    supported on the target's parameter and on infinity slopes only."""
+    supported on the target's parameter and on infinity slopes only.  Its
+    monic den divides Q3, nonzero at lambda_P, so h is reduced as built."""
     x1t = Fraction(target[0])
     x2t = Fraction(target[1])
     t1, t2 = par.node.t1, par.node.t2
@@ -310,7 +311,7 @@ def divisor_witness(par: NodalParametrization, target) -> DivisorWitness:
     m, num, den = _witness_parts(q3, lam_p)
     if q2.evaluate(lam_p) == 0 or (m == 1 and q2.evaluate(-den.coeff(0)) == 0):
         raise ArithmeticError("witness divisor touches the node branches")
-    return DivisorWitness(RatFunc(num, den), lam_p, m)
+    return DivisorWitness(_reduced(num, den), lam_p, m)
 
 
 def _certify_fiber(E1, E2, P1, P2, t1, t2) -> tuple[Fraction, CertifiedFiber]:
@@ -354,11 +355,11 @@ def assemble_certificate(pair: PairHypothesis) -> CleanPairCertificate:
 # -- serialization --------------------------------------------------------------
 #
 # The /1 document is declared once, by the tables below.  A kind is a pair
-# (dump, load): dump maps a value to JSON, and load(data, scope) maps it back,
-# where scope holds the values already loaded beside the enclosing record, and
-# scope.table what _shared has made so far in the whole load.  A load error
-# unwinds as _Malformed and collects its keys, innermost first.  A part that
-# is the same in every certificate is a _constant kind.
+# (dump, load): dump(value, pad) writes the JSON text of value after pad, its
+# newline and indent, and load(data, scope) maps it back, where scope holds
+# the values already loaded beside the enclosing record, and scope.table what
+# _shared has made in the whole load.  A load error unwinds as _Malformed and
+# collects its keys, innermost first.  A fixed part is a _constant kind.
 
 
 class _Scope(dict):
@@ -385,18 +386,21 @@ def _plain(test, expected: str):
         if not test(data):
             raise ValueError(f"expected {expected}, got {short_repr(data)}")
         return data
-    return (lambda value: value), load
+    return (lambda value, _: json.dumps(value)), load
 
 
 def _array(item, length: Optional[int] = None):
     """A JSON array of items, of exactly ``length`` entries if given."""
     dump_item, load_item = item
+    def dump(values, pad):
+        inner = pad + "  "
+        return "[" + ",".join([inner + dump_item(v, inner) for v in values]) + pad + "]" if values else "[]"
     def load(data, scope):
         if type(data) is not list or length not in (None, len(data)):
             size = "" if length is None else f" of {length} entries"
             raise ValueError(f"expected a JSON array{size}, got {short_repr(data)}")
         return tuple(_entry(i, load_item, x, scope) for i, x in enumerate(data))
-    return (lambda values: [dump_item(v) for v in values]), load
+    return dump, load
 
 
 def _record(build, *rows):
@@ -405,7 +409,10 @@ def _record(build, *rows):
     itself if none); load passes the values, by key, and its scope to build."""
     fields = [(key, attrgetter(*attrs.split()) if attrs else (lambda obj: obj), *kind)
               for key, attrs, kind in rows]
-
+    written = [(f'"{key}": ', get, write) for key, get, write, _ in sorted(fields, key=itemgetter(0))]
+    def dump(obj, pad):
+        inner = pad + "  "
+        return "{" + ",".join([inner + key + write(get(obj), inner) for key, get, write in written]) + pad + "}"
     def load(data, scope):
         if type(data) is not dict:
             raise ValueError(f"expected a JSON object, got {short_repr(data)}")
@@ -416,7 +423,7 @@ def _record(build, *rows):
                 raise _Malformed("missing", [key])
             values[key] = _entry(key, load_value, data[key], values)
         return build(values, scope)
-    return (lambda obj: {key: dump(get(obj)) for key, get, dump, _ in fields}), load
+    return dump, load
 
 
 def _same(data, expected):
@@ -441,8 +448,9 @@ def _same(data, expected):
 
 def _constant(value):
     """A part of the document that is the same in every certificate: dump
-    writes a fresh copy of value, and load requires it."""
-    return (lambda _: copy.deepcopy(value)), (lambda data, _: _same(data, value))
+    writes the text of value, rendered once, and load requires it."""
+    text = json.dumps(value, indent=2, sort_keys=True)
+    return (lambda _, pad: text.replace("\n", pad)), (lambda data, _: _same(data, value))
 
 
 def _shared(scope, key, make, *args):
@@ -455,9 +463,13 @@ def _shared(scope, key, make, *args):
 
 
 def _polynomial():
-    """Coefficient strings, lowest degree first, read straight into the
-    integer form, once for each distinct array in one load."""
-    dump, load = _array((rational_to_str, lambda data, _: parse_ratio(data)))
+    """Coefficient strings, lowest degree first, written from the integer
+    form and read straight into it, once for each distinct array in one load."""
+    _, load = _array((None, lambda data, _: parse_ratio(data)))
+    def dump(p, pad):
+        num, den = qq_to_ints(p)
+        lines = [f'{pad}  "{ratio_to_str(c // (g := gcd(c, den)), den // g)}"' for c in num]
+        return "[" + ",".join(lines) + pad + "]" if lines else "[]"
     def load_poly(data, scope):
         pairs = load(data, scope)
         den = lcm(*(d for _, d in pairs))
@@ -466,11 +478,11 @@ def _polynomial():
         if type(data) is list and all(type(x) is str for x in data):
             return _shared(scope, tuple(data), load_poly, data, scope)
         return load_poly(data, scope)  # no array of strings: fails as it would alone
-    return (lambda p: dump(p.coeffs)), load_shared
+    return dump, load_shared
 
 
-_ANY = (lambda value: value), (lambda data, _: data)
-_RATIONAL = rational_to_str, (lambda data, _: parse_rational(data))
+_ANY = (lambda value, _: json.dumps(value)), (lambda data, _: data)
+_RATIONAL = (lambda x, _: f'"{ratio_to_str(*x.as_integer_ratio())}"'), (lambda data, _: parse_rational(data))
 _INTEGER = _plain(lambda v: type(v) is int, "an integer")
 _BOOLEAN = _plain(lambda v: type(v) is bool, "true or false")
 _POLY = _polynomial()
@@ -525,10 +537,6 @@ _CERTIFICATE = _record(
 )
 
 
-def certificate_to_json(cert: CleanPairCertificate) -> dict:
-    return _CERTIFICATE[0](cert)
-
-
 def certificate_from_json(data: dict) -> CleanPairCertificate:
     """A malformed document raises ValueError.  Below the root, its message
     starts with the RFC 6901 JSON pointer of the field at fault."""
@@ -545,7 +553,7 @@ def certificate_from_json(data: dict) -> CleanPairCertificate:
 
 
 def certificate_dumps(cert: CleanPairCertificate) -> str:
-    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True)
+    return _CERTIFICATE[0](cert, "\n")
 
 
 def certificate_loads(text: str) -> CleanPairCertificate:

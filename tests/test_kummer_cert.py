@@ -50,7 +50,6 @@ from cleanpair.kummer_cert import (
     certificate_dumps,
     certificate_from_json,
     certificate_loads,
-    certificate_to_json,
     divisor_witness,
     find_node,
     parametrize,
@@ -58,6 +57,10 @@ from cleanpair.kummer_cert import (
 )
 
 L = UniPoly([0, 1])
+
+
+def _document(cert):
+    return json.loads(certificate_dumps(cert))
 
 
 def worked_pair():
@@ -419,6 +422,19 @@ def test_a_member_built_at_another_s_fails_the_membership():
     )
 
 
+def test_a_pair_of_one_member_twice_fails_the_membership():
+    # /pair/members/0 copied over /pair/members/1: each member passes on its
+    # own, so only the test that the two t differ catches the pair
+    doc = json.loads(CERT_V1.read_text())
+    doc["pair"]["members"][1] = doc["pair"]["members"][0]
+    cert = certificate_from_json(doc)
+    assert kummer_cert._check_membership(cert) == ["PairMembership"]
+    assert verify_certificate(cert).reasons == (
+        "PairMembership", "RatioMismatch", "FiberMismatch", "NodeMismatch",
+        "ParametrizationMismatch", "DivisorMismatch",
+    )
+
+
 def test_a_certificate_on_the_reducible_fiber_fails_its_parametrization():
     # t1^3 = r^2 t2^3 (64 = 8^2 * 1): the closed forms Q2 = 12 L^2 - 192 and
     # Q3 = L^3 - 64 share the root t1/t2 = 4, a rational root of Q3, so the
@@ -470,10 +486,10 @@ def test_assembled_certificate_structure():
     assert cert.fiber_plus.fiber.r == F(1, 2)
     assert cert.fiber_minus.fiber.r == F(-1, 2)
     assert cert.fiber_plus.fiber.F == cert.fiber_minus.fiber.F
-    signs = certificate_to_json(cert)["preimage_check"]
+    signs = _document(cert)["preimage_check"]
     assert signs == PREIMAGE_SIGNS
     assert PREIMAGE_SIGNS == {"on_r": [["+", "+"], ["-", "-"]], "on_minus_r": [["+", "-"], ["-", "+"]]}
-    signs["on_r"][0][0] = "-"  # each dump holds a fresh copy of the constant
+    signs["on_r"][0][0] = "-"  # each document holds a copy of the constant
     assert PREIMAGE_SIGNS["on_r"] == [["+", "+"], ["-", "-"]]
     con = cert.conclusion
     assert con.multiplier == 3
@@ -536,7 +552,7 @@ def test_random_pairs_certify_and_verify():
 
 def test_json_layout():
     cert = assemble_certificate(worked_pair())
-    data = certificate_to_json(cert)
+    data = _document(cert)
     assert data["format"] == "cleanpair.certificate/1"
     assert data["r"] == "1/2"
     assert data["pair"]["s"] == "1/1"
@@ -566,7 +582,7 @@ def test_roundtrip_is_bit_exact():
 
 
 def test_format_string_checked():
-    data = certificate_to_json(assemble_certificate(worked_pair()))
+    data = _document(assemble_certificate(worked_pair()))
     data["format"] = "something-else"
     with pytest.raises(ValueError, match="^/format: "):
         certificate_from_json(data)
@@ -580,7 +596,7 @@ def test_format_string_checked():
 
 
 def test_load_errors_lead_with_the_json_pointer():
-    base = certificate_to_json(assemble_certificate(worked_pair()))
+    base = _document(assemble_certificate(worked_pair()))
     doc = copy.deepcopy(base)
     del doc["fiber_plus"]["node"]["t2"]
     with pytest.raises(ValueError) as missing:
@@ -597,7 +613,7 @@ def test_load_errors_quote_a_large_value_cut():
     # 3,000 array entries or 980 nested arrays in place of any field: the
     # error quotes the value cut, so verify's "malformed certificate: "
     # line stays under 300 characters
-    base = certificate_to_json(assemble_certificate(worked_pair()))
+    base = _document(assemble_certificate(worked_pair()))
     nested = []
     for _ in range(979):
         nested = [nested]
@@ -653,8 +669,64 @@ def test_dumps_are_pinned_over_a_grid_of_pairs():
     assert (count, digest.hexdigest()) == (111, V1_GRID_SHA256)
 
 
+# a t of 1,450 digits gives a b of more than 4,300, CPython's limit on
+# int-to-str: the certificate is written through decimal, and refused on load
+HUGE_T = int("7" * 1450)
+
+
+@pytest.fixture(scope="module")
+def writer_corpus():
+    """Seeded certificates over several s, with both witness multipliers,
+    and one at t = HUGE_T."""
+    rng = random.Random(4646)
+    certs = [assemble_certificate(m1_pair())]
+    while len(certs) < 30:
+        s = F(rng.choice([-3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+        t1, t2 = (F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+        try:
+            certs.append(assemble_certificate(pair_hypothesis(make_member(s, t1), make_member(s, t2))))
+        except (ValueError, ArithmeticError):
+            continue
+    certs.append(assemble_certificate(pair_hypothesis(make_member(1, 1), make_member(1, HUGE_T))))
+    return certs
+
+
+def test_the_writer_writes_what_json_dumps_writes(writer_corpus):
+    # indent=2 with sorted keys, byte for byte, over negative and zero
+    # coefficients, F's x1^2 array (always empty) and the decimal fallback;
+    # every document that loads reads back to the same text
+    refused, coefficients = [], set()
+    for cert in writer_corpus:
+        text = certificate_dumps(cert)
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
+        assert doc["fiber_plus"]["F"][2] == [] == doc["fiber_minus"]["F"][2]
+        coefficients.update(c for _, c in _leaves(doc["fiber_plus"]) if isinstance(c, str))
+        try:
+            again = certificate_loads(text)
+        except ValueError as exc:
+            refused.append(str(exc))
+            continue
+        assert certificate_dumps(again) == text
+    assert len({c.pair.shared_s for c in writer_corpus}) >= 5
+    assert {c.fiber_plus.witness.multiplier for c in writer_corpus} == {1, 3}
+    assert "0/1" in coefficients and any(c.startswith("-") for c in coefficients)
+    assert max(len(c) for c in coefficients) > 4300
+    assert len(refused) == 1 and refused[0].startswith("/pair/members/1/b: more than 4300 digits")
+
+
+def test_parametrize_and_the_witness_build_reduced_quotients(writer_corpus):
+    # tau, x1, x2 and h are built with no gcd; the gcd route gives the same
+    # functions, so each was already reduced, with a monic denominator
+    assert {c.fiber_plus.witness.multiplier for c in writer_corpus} == {1, 3}
+    for cert in writer_corpus:
+        par = cert.fiber_plus.parametrization
+        for f in (par.tau, par.x1_of, par.x2_of, cert.fiber_plus.witness.h):
+            assert f == RatFunc(f.num, f.den)
+
+
 def test_named_tamper_reasons():
-    base = certificate_to_json(assemble_certificate(worked_pair()))
+    base = _document(assemble_certificate(worked_pair()))
     assert verify_certificate(certificate_from_json(base))
     doc = copy.deepcopy(base)
     doc["fiber_plus"]["witness"]["lambda_P"] = "2/3"
@@ -776,7 +848,7 @@ def _scaled(coeffs, k):
 def test_scaled_q2_and_q3_fail_only_the_parametrization(pair):
     # tau and the coordinate functions, the on-fiber identity and the
     # witness all hold for 2 Q2 and 2 Q3; only the closed forms catch them
-    doc = certificate_to_json(assemble_certificate(pair()))
+    doc = _document(assemble_certificate(pair()))
     for side in ("fiber_plus", "fiber_minus"):
         par = doc[side]["parametrization"]
         par["Q2"], par["Q3"] = _scaled(par["Q2"], 2), _scaled(par["Q3"], 2)
@@ -787,7 +859,7 @@ def test_scaled_q2_and_q3_fail_only_the_parametrization(pair):
 def test_cubic_witness_with_a_rational_pole_is_not_minimal():
     # Q3 = L^3 - 1 has the rational root 1, so m = 3 is not the least
     # multiplier, even with h = (L + 1)^3/Q3 and the conclusion rewritten
-    doc = certificate_to_json(assemble_certificate(m1_pair()))
+    doc = _document(assemble_certificate(m1_pair()))
     h = RatFunc((L + 1) ** 3, L**3 - 1)
     for side in ("fiber_plus", "fiber_minus"):
         wit = doc[side]["witness"]
@@ -857,34 +929,33 @@ def _outcome(doc):
 
 
 @pytest.mark.parametrize(
-    "pair_args, outcomes_sha256",
+    "pair_args, count, outcomes_sha256",
     [
-        (((1, 1), (1, 2), (False, False)),
-         "04dbf099df91713ae09c75366db664ee1a050b5306da91a488bd7ab6ced11cd6"),
-        (((1, 1), (1, -1), (True, True)),
-         "affae12ebdc1d4920120fd497875a942086447b7a85f63ade54447bb957c286b"),
+        (((1, 1), (1, 2), (False, False)), 133,
+         "12767e22e76cf3793624f9bdfe5bae9fea2f5b465e91e9a394f4275b24fa6a22"),
+        (((1, 1), (1, -1), (True, True)), 125,
+         "4826e8ba6c1802f3a86c99e4a000c852abfc974c4f0e701e4393bb388be57e04"),
     ],
     ids=["m3", "m1"],
 )
-def test_every_single_field_corruption_is_caught(pair_args, outcomes_sha256):
+def test_every_single_field_corruption_is_caught(pair_args, count, outcomes_sha256):
     # and what verify says about each mutation is pinned by one sha256 over
-    # its "<path> => <outcome>" lines
+    # its "<path> => <outcome>" lines, sorted, so that the digest does not
+    # depend on the order in which the walk visits the leaves
     (s1, t1), (s2, t2), flags = pair_args
     pair = pair_hypothesis(make_member(s1, t1), make_member(s2, t2), flags)
-    base = certificate_to_json(assemble_certificate(pair))
+    base = _document(assemble_certificate(pair))
     assert verify_certificate(certificate_from_json(base)).ok
     survivors = []
-    digest = hashlib.sha256()
-    count = 0
+    lines = []
     for path, value in _leaves(base):
-        count += 1
         outcome = _outcome(_with_mutation(base, path, _mutate(value)))
         if outcome == "OK":
             survivors.append(path)
-        digest.update(f"/{'/'.join(map(str, path))} => {outcome}\n".encode())
-    assert count > 100  # the walk really visited the whole document
+        lines.append(f"/{'/'.join(map(str, path))} => {outcome}\n")
     assert survivors == []
-    assert digest.hexdigest() == outcomes_sha256
+    digest = hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
+    assert (len(lines), digest) == (count, outcomes_sha256)
 
 
 @pytest.mark.parametrize(
@@ -900,7 +971,7 @@ def test_mirror_fiber_leaf_names_its_section(section, reason):
     # the -r fiber is checked against the +r one, so a corrupted leaf in it
     # gives exactly the reason of its own section; the node's kind is a
     # constant of the format, so a corrupted kind does not load
-    base = certificate_to_json(assemble_certificate(worked_pair()))
+    base = _document(assemble_certificate(worked_pair()))
     count = 0
     for path, value in _leaves(base["fiber_minus"][section]):
         full = ("fiber_minus", section) + path
